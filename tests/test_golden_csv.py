@@ -1,0 +1,52 @@
+"""Golden CSV digests: the emitted metrics bytes of fixed configs are pinned.
+
+A performance change to the event loop, the links or the metrics must not
+move a single output byte. Each case runs a bundled preset (optionally with
+shortened video calls and a chosen WLAN service discipline) and compares
+the SHA-256 of the ``emit_csv`` output with the digest recorded before the
+hot-path optimisations. A deliberate output change updates these digests
+and says why in CHANGES.md.
+"""
+import hashlib
+import json
+from importlib import resources
+
+import pytest
+
+from swarmsim.config import parse_config
+from swarmsim.runner import emit_csv, run_scenario
+
+
+def _preset(name: str) -> dict:
+    path = resources.files("swarmsim").joinpath("presets", f"{name}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _video_20s(edca: bool) -> dict:
+    data = _preset("scenario2_video_2mbps")
+    data["video"]["call_duration_s"] = 20
+    data["wlan"]["edca"] = edca
+    return data
+
+
+CASES = {
+    "scenario1_no_video": (
+        lambda: _preset("scenario1_no_video"),
+        "74a8a2ddd8194e4d9ac186bc5bd7671e5441d64b5796150e46ffd507f802f6b3",
+    ),
+    "scenario2_video_2mbps_20s_fifo": (
+        lambda: _video_20s(edca=False),
+        "3053eea0ab8679961220f7ce5a98d85c6d928e8037484b3af28342e3dffe8d01",
+    ),
+    "scenario2_video_2mbps_20s_edca": (
+        lambda: _video_20s(edca=True),
+        "fef6d71767fc9b82d7b5acbf368fc59116f4891a3e0f2177e20769ab6dbb7e9b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_digest_is_pinned(case, tmp_path):
+    make, digest = CASES[case]
+    path = emit_csv([run_scenario(parse_config(make()))], tmp_path / "run.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
