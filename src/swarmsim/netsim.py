@@ -24,7 +24,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .protocol import HEADER_LEN, VideoCallSpec, fragment_payload
 
@@ -93,8 +93,9 @@ class EventQueue:
         return count
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
+    """An immutable datagram; a relay that changes no field forwards it as is."""
+
     created_at: int
     size_bytes: int          # header + payload, before link overhead
     access_class: str = CONTROL
@@ -124,8 +125,6 @@ class WimaxParams:
     buffer_bits: int = 1_000_000
     overhead_bytes: int = 54
     mtu: int = 1500
-    # shaping bucket depth (0.1 s at the sustained rate), kept for the record
-    bucket_depth_bits: int = 1_000_000
 
     def __post_init__(self):
         if self.max_sustained_bps <= 0 or self.min_reserved_bps < 0:
@@ -134,9 +133,9 @@ class WimaxParams:
             raise NetSimError("reserved rate cannot exceed the sustained rate")
 
 
-def _percentile(sorted_samples: list[int], q: float) -> int:
-    idx = max(0, math.ceil(q / 100.0 * len(sorted_samples)) - 1)
-    return sorted_samples[idx]
+def _percentile_rank(q: float, n: int) -> int:
+    """Zero-based index of the nearest-rank q-th percentile of n sorted samples."""
+    return max(0, math.ceil(q / 100.0 * n) - 1)
 
 
 class _Counter:
@@ -156,7 +155,8 @@ class Metrics:
     """Per-link, per-class, and per-flow accounting.
 
     Packets created before ``measure_from_us`` are invisible to every
-    counter, which keeps windowed conservation exact.
+    counter, which keeps windowed conservation exact. Latencies are integer
+    microseconds, kept per (link, class) as a table of value -> count.
     """
 
     def __init__(self, measure_from_us: int = 0):
@@ -165,22 +165,25 @@ class Metrics:
         self.by_class: dict[tuple[str, str], _Counter] = {}
         self.by_flow: dict[tuple[str, str], _Counter] = {}
         self.offered_bits_by_src: dict[tuple[str, str, int], int] = {}
-        self.latencies: dict[tuple[str, str], list[int]] = {}
+        self.latencies: dict[tuple[str, str], dict[int, int]] = {}
         self.started = False
+        # (link, class, flow) -> its link, class and flow counters
+        self._slot_cache: dict[tuple[str, str, str], tuple[_Counter, _Counter, _Counter]] = {}
 
-    def _counted(self, pkt: Packet) -> bool:
-        return pkt.created_at >= self.measure_from_us
-
-    def _slots(self, link: str, pkt: Packet) -> list[_Counter]:
-        return [
-            self.links.setdefault(link, _Counter()),
-            self.by_class.setdefault((link, pkt.access_class), _Counter()),
-            self.by_flow.setdefault((link, pkt.flow), _Counter()),
-        ]
+    def _slots(self, link: str, pkt: Packet) -> tuple[_Counter, _Counter, _Counter]:
+        key = (link, pkt.access_class, pkt.flow)
+        slots = self._slot_cache.get(key)
+        if slots is None:
+            slots = self._slot_cache[key] = (
+                self.links.setdefault(link, _Counter()),
+                self.by_class.setdefault((link, pkt.access_class), _Counter()),
+                self.by_flow.setdefault((link, pkt.flow), _Counter()),
+            )
+        return slots
 
     def offered(self, link: str, pkt: Packet, wire_bits: int) -> None:
         self.started = True
-        if not self._counted(pkt):
+        if pkt.created_at < self.measure_from_us:
             return
         for c in self._slots(link, pkt):
             c.offered_pkts += 1
@@ -189,19 +192,22 @@ class Metrics:
         self.offered_bits_by_src[key] = self.offered_bits_by_src.get(key, 0) + wire_bits
 
     def dropped(self, link: str, pkt: Packet, wire_bits: int) -> None:
-        if not self._counted(pkt):
+        if pkt.created_at < self.measure_from_us:
             return
         for c in self._slots(link, pkt):
             c.dropped_pkts += 1
             c.dropped_bits += wire_bits
 
     def delivered(self, link: str, pkt: Packet, wire_bits: int, latency_us: int) -> None:
-        if not self._counted(pkt):
+        if pkt.created_at < self.measure_from_us:
             return
         for c in self._slots(link, pkt):
             c.delivered_pkts += 1
             c.delivered_bits += wire_bits
-        self.latencies.setdefault((link, pkt.access_class), []).append(latency_us)
+        table = self.latencies.get((link, pkt.access_class))
+        if table is None:
+            table = self.latencies[(link, pkt.access_class)] = {}
+        table[latency_us] = table.get(latency_us, 0) + 1
 
 
 @dataclass(frozen=True)
@@ -214,15 +220,24 @@ class LatencyStats:
     max_us: int
 
     @staticmethod
-    def of(samples: list[int]) -> "LatencyStats":
-        s = sorted(samples)
+    def from_counts(counts: dict[int, int]) -> "LatencyStats":
+        """Exact statistics of a non-empty table of sample value -> count."""
+        n = sum(counts.values())
+        ranks = [_percentile_rank(q, n) for q in (50, 95, 99)]
+        values = sorted(counts)
+        picks = []
+        seen = 0
+        for value in values:
+            seen += counts[value]
+            while len(picks) < len(ranks) and ranks[len(picks)] < seen:
+                picks.append(value)
         return LatencyStats(
-            count=len(s),
-            mean_us=sum(s) / len(s),
-            p50_us=_percentile(s, 50),
-            p95_us=_percentile(s, 95),
-            p99_us=_percentile(s, 99),
-            max_us=s[-1],
+            count=n,
+            mean_us=sum(v * c for v, c in counts.items()) / n,
+            p50_us=picks[0],
+            p95_us=picks[1],
+            p99_us=picks[2],
+            max_us=values[-1],
         )
 
 
@@ -266,7 +281,8 @@ def metrics_snapshot(metrics: Metrics, now_us: int,
         links={k: _counter_dict(c) for k, c in sorted(metrics.links.items())},
         by_class={k: _counter_dict(c) for k, c in sorted(metrics.by_class.items())},
         by_flow={k: _counter_dict(c) for k, c in sorted(metrics.by_flow.items())},
-        latency={k: LatencyStats.of(v) for k, v in sorted(metrics.latencies.items())},
+        latency={k: LatencyStats.from_counts(v)
+                 for k, v in sorted(metrics.latencies.items())},
         offered_bits_by_src=dict(sorted(metrics.offered_bits_by_src.items())),
         recovery_times_us=tuple(recovery_times_us),
     )
@@ -394,16 +410,6 @@ def build_wimax_link(queue: EventQueue, params: WimaxParams, metrics: Metrics,
         class_order=WIMAX_ORDER,
         class_key=_wimax_class,
     )
-
-
-def wlan_transmit(link: Link, pkt: Packet,
-                  on_deliver: Callable[[Packet], None] | None = None) -> bool:
-    return link.send(pkt, on_deliver)
-
-
-def wimax_transmit(link: Link, pkt: Packet,
-                   on_deliver: Callable[[Packet], None] | None = None) -> bool:
-    return link.send(pkt, on_deliver)
 
 
 def _per_call_wire_bps(call: VideoCallSpec, overhead_bytes: int, mtu: int) -> float:

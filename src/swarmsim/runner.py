@@ -471,9 +471,7 @@ class _Mission:
         if not self._leader_alive():
             return
         self._mark_leader_activity()
-        relay = Packet(pkt.created_at, pkt.size_bytes, BEST_EFFORT, "case_report",
-                       src=pkt.src, dst=DMC)
-        self.wimax_ul.send(relay, self._ack_case_report)
+        self.wimax_ul.send(pkt, self._ack_case_report)
 
     def _ack_case_report(self, pkt: Packet) -> None:
         ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "case_ack",
@@ -525,9 +523,7 @@ class _Mission:
     def _relay_video_up(self, pkt: Packet) -> None:
         if not self._leader_alive():
             return
-        relay = Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_up",
-                       src=pkt.src, dst=DMC)
-        self.wimax_ul.send(relay)
+        self.wimax_ul.send(pkt)
 
     def _relay_video_down(self, pkt: Packet) -> None:
         if not self._leader_alive():

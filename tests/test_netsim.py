@@ -6,12 +6,15 @@ times tx[i], departure obeys dep[i] = max(arr[i], dep[i-1]) + tx[i] and
 delivery adds the fixed processing delay.
 """
 import logging
+import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim.netsim import (
     EventQueue,
+    LatencyStats,
     Link,
     Metrics,
     MetricsError,
@@ -25,10 +28,16 @@ from swarmsim.netsim import (
     max_simultaneous_calls,
     metrics_snapshot,
     tx_time_us,
-    wimax_transmit,
-    wlan_transmit,
 )
 from swarmsim.protocol import VideoCallSpec
+
+
+class TestPacket:
+    def test_fields_cannot_be_reassigned(self):
+        pkt = Packet(0, 21, flow="sd_status", src=2, dst=1)
+        with pytest.raises(AttributeError):
+            pkt.src = 3
+        assert pkt == Packet(0, 21, "control", "sd_status", 2, 1)
 
 
 class TestEventQueue:
@@ -252,6 +261,44 @@ class TestMetrics:
         bits = metrics.offered_bits_by_src
         assert bits[("wlan", "sd_status", 2)] == (21 + 90) * 8
         assert bits[("wlan", "ack", 1)] == (10 + 90) * 8
+
+    def test_new_class_flow_pair_gets_its_own_counters(self):
+        q = EventQueue()
+        metrics = Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        link.send(Packet(0, 21, flow="sd_status"))
+        q.run_all()
+        # same flow under a new class, then a new flow under a known class
+        link.send(Packet(q.now, 500, access_class="best_effort", flow="sd_status"))
+        link.send(Packet(q.now, 30, flow="ack"))
+        q.run_all()
+        record = metrics_snapshot(metrics, q.now)
+        assert record.by_class[("wlan", "control")]["delivered_pkts"] == 2
+        assert record.by_class[("wlan", "best_effort")]["delivered_pkts"] == 1
+        assert record.by_flow[("wlan", "sd_status")]["delivered_pkts"] == 2
+        assert record.by_flow[("wlan", "ack")]["delivered_pkts"] == 1
+        assert record.links["wlan"]["delivered_pkts"] == 3
+        assert sorted(record.latency) == [("wlan", "best_effort"), ("wlan", "control")]
+
+
+class TestLatencyStats:
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.integers(0, 50) | st.integers(0, 10**9), min_size=1))
+    def test_count_table_equals_sorted_list_statistics(self, samples):
+        s = sorted(samples)
+
+        def nearest_rank(q):
+            return s[max(0, math.ceil(q / 100.0 * len(s)) - 1)]
+
+        stats = LatencyStats.from_counts(dict(Counter(samples)))
+        assert stats == LatencyStats(
+            count=len(s),
+            mean_us=sum(s) / len(s),
+            p50_us=nearest_rank(50),
+            p95_us=nearest_rank(95),
+            p99_us=nearest_rank(99),
+            max_us=s[-1],
+        )
 
 
 def fifo_oracle(arrivals, sizes, rate_bps, overhead, proc_delay_us):
