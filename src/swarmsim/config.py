@@ -7,6 +7,7 @@ but ``{}``. The full schema lives in docs/config-schema.md.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,6 +97,8 @@ def _expect(data: dict, path: str, known: dict) -> dict:
 def _num(value, path: str, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field '{path}' must be finite, got {value!r}")
     if integer:
         if float(value) != int(value):
             raise ConfigError(f"field '{path}' must be an integer, got {value!r}")

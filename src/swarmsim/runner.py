@@ -690,8 +690,12 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
     values; results come back in value order."""
     if axis not in SWEEPABLE_AXES:
         raise ConfigError(f"axis {axis!r} is not sweepable; pick one of {SWEEPABLE_AXES}")
+    try:
+        ordered = sorted(values)
+    except TypeError as ex:
+        raise ConfigError(f"values for axis {axis!r} cannot be ordered: {list(values)!r}") from ex
     results = []
-    for i, value in enumerate(sorted(values)):
+    for i, value in enumerate(ordered):
         d = to_dict(base)
         node = d
         *parents, leaf = axis.split(".")

@@ -1,5 +1,6 @@
 """Scenario orchestration: config parsing, runs, sweeps, emission, CLI."""
 import json
+import math
 
 import pytest
 
@@ -89,6 +90,13 @@ class TestConfigParsing:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="'duration_s' must be finite"):
+            parse_config({"duration_s": value})
+        with pytest.raises(ConfigError, match="'wlan.mtu' must be finite"):
+            parse_config({"wlan": {"mtu": value}})
 
     def test_round_trip_through_dict(self):
         cfg = small_scenario(failures=[
@@ -193,6 +201,10 @@ class TestSweep:
         results = sweep(small_scenario(), "seed", [100, 200])
         assert [r.seed for r in results] == [100, 200]
 
+    def test_unorderable_values_rejected_with_the_axis(self):
+        with pytest.raises(ConfigError, match="axis 'n_sds' cannot be ordered"):
+            sweep(small_scenario(), "n_sds", [1, "abc"])
+
     def test_axis_list_is_published(self):
         assert "wlan.data_rate_mbps" in SWEEPABLE_AXES
 
@@ -265,6 +277,20 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n_sds": 0}', encoding="utf-8")
         assert main(["run", str(bad)]) == 1
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_duration_exits_one(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"duration_s": %s}' % text, encoding="utf-8")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_sweep_with_mixed_type_values_exits_one(self, small_config_file, tmp_path,
+                                                     capsys):
+        code = main(["sweep", str(small_config_file), "--axis", "n_sds",
+                     "--values", "1,abc", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "n_sds" in capsys.readouterr().err
 
     def test_aborted_mission_exits_two(self, tmp_path):
         data = {
