@@ -693,7 +693,7 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
     try:
         ordered = sorted(values)
     except TypeError as ex:
-        raise ConfigError(f"values for axis {axis!r} cannot be ordered: {list(values)!r}") from ex
+        raise ConfigError(f"values for axis {axis!r} cannot be ordered: {values!r}") from ex
     results = []
     for i, value in enumerate(ordered):
         d = to_dict(base)
