@@ -5,27 +5,25 @@ handover, network metrics, and battery-sizing analysis."""
 
 __version__ = "0.1.0"
 
-from .protocol import (
-    Message,
-    MessageKind,
-    VideoCallSpec,
-    decode_message,
-    encode_message,
-    fragment_payload,
-    generate_profile_traffic,
-    status_report_ld_length,
+from .protocol import VideoCallSpec, fragment_payload, status_report_ld_length
+from .swarm import (
+    CaseClass,
+    Drone,
+    MissionPlan,
+    Phase,
+    SwarmState,
+    init_swarm,
+    validate_phase_trace,
 )
-from .swarm import CaseClass, Drone, MissionPlan, Phase, SwarmState, init_swarm
 from .netsim import EventQueue, WlanParams, WimaxParams, max_simultaneous_calls
 from .energy import DroneSpec, PayloadManifest, durability_report
 from .config import ConfigError, ScenarioConfig, load_config
 from .runner import RunResult, run_scenario, sweep
 
 __all__ = [
-    "Message", "MessageKind", "VideoCallSpec", "decode_message",
-    "encode_message", "fragment_payload", "generate_profile_traffic",
-    "status_report_ld_length",
+    "VideoCallSpec", "fragment_payload", "status_report_ld_length",
     "CaseClass", "Drone", "MissionPlan", "Phase", "SwarmState", "init_swarm",
+    "validate_phase_trace",
     "EventQueue", "WlanParams", "WimaxParams", "max_simultaneous_calls",
     "DroneSpec", "PayloadManifest", "durability_report",
     "ConfigError", "ScenarioConfig", "load_config",

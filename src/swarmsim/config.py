@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
+from .energy import DEFAULT_PARAMS, DEFAULT_POWER
 from .failure import FailureEvent, FailureKind
 from .netsim import WlanParams, WimaxParams
 
@@ -54,9 +55,9 @@ class MissionSettings:
 
 @dataclass(frozen=True)
 class EnergySettings:
-    dmc_leg_min: float = 6.0
-    reposition_min: float = 1.0
-    video_multiplier: float = 1.5
+    dmc_leg_min: float = DEFAULT_PARAMS.dmc_leg_min
+    reposition_min: float = DEFAULT_PARAMS.reposition_min
+    video_multiplier: float = DEFAULT_POWER.video_multiplier
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,24 @@ class ScenarioConfig:
         if self.mission.backup_id is not None:
             return self.mission.backup_id
         return 3 if self.n_sds >= 2 else 2
+
+
+# the two link rates are stored in bps but written in Mbps in config files
+_MBPS_FIELDS = {"data_rate_bps": "data_rate_mbps", "max_sustained_bps": "max_sustained_mbps"}
+
+
+def _fields_dict(obj) -> dict:
+    """Config-file view of a config dataclass, nested sections included."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in _MBPS_FIELDS:
+            out[_MBPS_FIELDS[f.name]] = value // 1_000_000
+        elif is_dataclass(value):
+            out[f.name] = _fields_dict(value)
+        else:
+            out[f.name] = value
+    return out
 
 
 def _expect(data: dict, path: str, known: dict) -> dict:
@@ -122,18 +141,22 @@ def _bool(value, path: str) -> bool:
     return value
 
 
-def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
-    top = _expect(data, "", {
-        "name": name, "seed": 0, "duration_s": 900.0, "n_sds": 10, "profile": 2,
-        "infection_rate": 0.025, "measure_from_s": 0.0,
-        "wlan": {}, "wimax": {}, "video": {}, "mission": {}, "energy": {},
-        "failures": [],
-    })
+def _seconds(value, path: str, lo=None):
+    """A duration or instant in seconds that converts to integer microseconds."""
+    value = _num(value, path, lo)
+    try:
+        finite = math.isfinite(value * 1e6)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ConfigError(f"field '{path}'={value} overflows the microsecond clock")
+    return value
 
-    w = _expect(top["wlan"], "wlan", {
-        "data_rate_mbps": 54, "proc_rate_pps": 10_000, "edca": False,
-        "overhead_bytes": 90, "buffer_bits": 1_000_000, "mtu": 1500,
-    })
+
+def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
+    top = _expect(data, "", dict(_DEFAULTS, name=name))
+
+    w = _expect(top["wlan"], "wlan", _DEFAULTS["wlan"])
     wlan = WlanParams(
         data_rate_bps=_choice(w["data_rate_mbps"], "wlan.data_rate_mbps",
                               WLAN_DATA_RATES_MBPS) * 1_000_000,
@@ -145,24 +168,16 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         mtu=_num(w["mtu"], "wlan.mtu", 64, 65_535, True),
     )
 
-    x = _expect(top["wimax"], "wimax", {
-        "max_sustained_mbps": 10, "min_reserved_mbps": 5,
-        "overhead_bytes": 54, "buffer_bits": 1_000_000, "mtu": 1500,
-    })
+    x = _expect(top["wimax"], "wimax", _DEFAULTS["wimax"])
     wimax = WimaxParams(
         max_sustained_bps=_num(x["max_sustained_mbps"], "wimax.max_sustained_mbps",
                                1, 1000, True) * 1_000_000,
-        min_reserved_bps=_num(x["min_reserved_mbps"], "wimax.min_reserved_mbps",
-                              0, 1000, True) * 1_000_000,
         overhead_bytes=_num(x["overhead_bytes"], "wimax.overhead_bytes", 0, 10_000, True),
         buffer_bits=_num(x["buffer_bits"], "wimax.buffer_bits", 1, None, True),
         mtu=_num(x["mtu"], "wimax.mtu", 64, 65_535, True),
     )
 
-    v = _expect(top["video"], "video", {
-        "enabled": False, "bandwidth_mbps": 2, "max_calls": None,
-        "forced_calls": 0, "call_duration_s": 300.0, "frame_rate": 30,
-    })
+    v = _expect(top["video"], "video", _DEFAULTS["video"])
     video = VideoSettings(
         enabled=_bool(v["enabled"], "video.enabled"),
         bandwidth_mbps=_choice(v["bandwidth_mbps"], "video.bandwidth_mbps",
@@ -170,25 +185,19 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         max_calls=(None if v["max_calls"] is None
                    else _num(v["max_calls"], "video.max_calls", 1, None, True)),
         forced_calls=_num(v["forced_calls"], "video.forced_calls", 0, None, True),
-        call_duration_s=_num(v["call_duration_s"], "video.call_duration_s", 0.001, None),
+        call_duration_s=_seconds(v["call_duration_s"], "video.call_duration_s", 0.001),
         frame_rate=_num(v["frame_rate"], "video.frame_rate", 1, 240, True),
     )
 
-    m = _expect(top["mission"], "mission", {
-        "formation": "linear", "spacing_m": 12.0, "speed_kmh": 12.0,
-        "session_duration_s": 1800.0, "n_sessions": 1, "reposition_s": 60.0,
-        "transit_distance_m": 1000.0, "n_targets": None, "span_m": 2000.0,
-        "backup_id": None, "formation_time_s": 30.0, "deploy_time_s": 30.0,
-        "position_noise_m": 0.0,
-    })
+    m = _expect(top["mission"], "mission", _DEFAULTS["mission"])
     mission = MissionSettings(
         formation=_choice(m["formation"], "mission.formation", ("linear", "grid")),
         spacing_m=_num(m["spacing_m"], "mission.spacing_m", 0.001, None),
         speed_kmh=_num(m["speed_kmh"], "mission.speed_kmh", 0.001, None),
-        session_duration_s=_num(m["session_duration_s"], "mission.session_duration_s",
-                                0.001, None),
+        session_duration_s=_seconds(m["session_duration_s"], "mission.session_duration_s",
+                                    0.001),
         n_sessions=_num(m["n_sessions"], "mission.n_sessions", 1, 1000, True),
-        reposition_s=_num(m["reposition_s"], "mission.reposition_s", 0, None),
+        reposition_s=_seconds(m["reposition_s"], "mission.reposition_s", 0),
         transit_distance_m=_num(m["transit_distance_m"], "mission.transit_distance_m",
                                 0, None),
         n_targets=(None if m["n_targets"] is None
@@ -196,19 +205,24 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         span_m=_num(m["span_m"], "mission.span_m", 1, None),
         backup_id=(None if m["backup_id"] is None
                    else _num(m["backup_id"], "mission.backup_id", 2, None, True)),
-        formation_time_s=_num(m["formation_time_s"], "mission.formation_time_s", 0, None),
-        deploy_time_s=_num(m["deploy_time_s"], "mission.deploy_time_s", 0, None),
+        formation_time_s=_seconds(m["formation_time_s"], "mission.formation_time_s", 0),
+        deploy_time_s=_seconds(m["deploy_time_s"], "mission.deploy_time_s", 0),
         position_noise_m=_num(m["position_noise_m"], "mission.position_noise_m", 0, None),
     )
 
-    e = _expect(top["energy"], "energy", {
-        "dmc_leg_min": 6.0, "reposition_min": 1.0, "video_multiplier": 1.5,
-    })
+    e = _expect(top["energy"], "energy", _DEFAULTS["energy"])
     energy = EnergySettings(
         dmc_leg_min=_num(e["dmc_leg_min"], "energy.dmc_leg_min", 0, None),
         reposition_min=_num(e["reposition_min"], "energy.reposition_min", 0, None),
         video_multiplier=_num(e["video_multiplier"], "energy.video_multiplier", 1.0, None),
     )
+
+    n_sds = _num(top["n_sds"], "n_sds", 1, MAX_SDS_NO_VIDEO, True)
+    if video.enabled and n_sds > MAX_SDS_VIDEO:
+        raise ConfigError(
+            f"n_sds={n_sds} exceeds the video-call limit of {MAX_SDS_VIDEO}"
+        )
+    duration_s = _seconds(top["duration_s"], "duration_s", 0.001)
 
     if not isinstance(top["failures"], list):
         raise ConfigError("field 'failures' must be a list")
@@ -216,18 +230,15 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
     for i, entry in enumerate(top["failures"]):
         f = _expect(entry, f"failures[{i}]", {"kind": None, "drone_id": None, "at_s": None})
         kind = _choice(f["kind"], f"failures[{i}].kind", FailureKind.ALL)
-        at_s = _num(f["at_s"], f"failures[{i}].at_s", 0, None)
-        drone_id = (None if f["drone_id"] is None
-                    else _num(f["drone_id"], f"failures[{i}].drone_id", 1, None, True))
+        at_s = _seconds(f["at_s"], f"failures[{i}].at_s", 0)
+        if f["drone_id"] is None:
+            if kind == FailureKind.SD_SUDDEN:
+                raise ConfigError(f"field 'failures[{i}].drone_id' is required for {kind}")
+            drone_id = None
+        else:
+            drone_id = _num(f["drone_id"], f"failures[{i}].drone_id", 1, n_sds + 1, True)
         failures.append(FailureEvent(kind=kind, drone_id=drone_id, at_us=int(at_s * 1e6)))
     failures.sort(key=lambda fe: fe.at_us)
-
-    n_sds = _num(top["n_sds"], "n_sds", 1, MAX_SDS_NO_VIDEO, True)
-    if video.enabled and n_sds > MAX_SDS_VIDEO:
-        raise ConfigError(
-            f"n_sds={n_sds} exceeds the video-call limit of {MAX_SDS_VIDEO}"
-        )
-    duration_s = _num(top["duration_s"], "duration_s", 0.001, None)
 
     cfg = ScenarioConfig(
         name=str(top["name"]),
@@ -236,7 +247,7 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         n_sds=n_sds,
         profile=_choice(top["profile"], "profile", (1, 2)),
         infection_rate=_num(top["infection_rate"], "infection_rate", 0.0, 1.0),
-        measure_from_s=_num(top["measure_from_s"], "measure_from_s", 0.0, None),
+        measure_from_s=_seconds(top["measure_from_s"], "measure_from_s", 0.0),
         wlan=wlan, wimax=wimax, video=video, mission=mission, energy=energy,
         failures=tuple(failures),
     )
@@ -267,59 +278,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def to_dict(cfg: ScenarioConfig) -> dict:
     """Full round-trippable echo of a config, defaults applied."""
-    return {
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "duration_s": cfg.duration_s,
-        "n_sds": cfg.n_sds,
-        "profile": cfg.profile,
-        "infection_rate": cfg.infection_rate,
-        "measure_from_s": cfg.measure_from_s,
-        "wlan": {
-            "data_rate_mbps": cfg.wlan.data_rate_bps // 1_000_000,
-            "proc_rate_pps": cfg.wlan.proc_rate_pps,
-            "edca": cfg.wlan.edca,
-            "overhead_bytes": cfg.wlan.overhead_bytes,
-            "buffer_bits": cfg.wlan.buffer_bits,
-            "mtu": cfg.wlan.mtu,
-        },
-        "wimax": {
-            "max_sustained_mbps": cfg.wimax.max_sustained_bps // 1_000_000,
-            "min_reserved_mbps": cfg.wimax.min_reserved_bps // 1_000_000,
-            "overhead_bytes": cfg.wimax.overhead_bytes,
-            "buffer_bits": cfg.wimax.buffer_bits,
-            "mtu": cfg.wimax.mtu,
-        },
-        "video": {
-            "enabled": cfg.video.enabled,
-            "bandwidth_mbps": cfg.video.bandwidth_mbps,
-            "max_calls": cfg.video.max_calls,
-            "forced_calls": cfg.video.forced_calls,
-            "call_duration_s": cfg.video.call_duration_s,
-            "frame_rate": cfg.video.frame_rate,
-        },
-        "mission": {
-            "formation": cfg.mission.formation,
-            "spacing_m": cfg.mission.spacing_m,
-            "speed_kmh": cfg.mission.speed_kmh,
-            "session_duration_s": cfg.mission.session_duration_s,
-            "n_sessions": cfg.mission.n_sessions,
-            "reposition_s": cfg.mission.reposition_s,
-            "transit_distance_m": cfg.mission.transit_distance_m,
-            "n_targets": cfg.mission.n_targets,
-            "span_m": cfg.mission.span_m,
-            "backup_id": cfg.mission.backup_id,
-            "formation_time_s": cfg.mission.formation_time_s,
-            "deploy_time_s": cfg.mission.deploy_time_s,
-            "position_noise_m": cfg.mission.position_noise_m,
-        },
-        "energy": {
-            "dmc_leg_min": cfg.energy.dmc_leg_min,
-            "reposition_min": cfg.energy.reposition_min,
-            "video_multiplier": cfg.energy.video_multiplier,
-        },
-        "failures": [
-            {"kind": f.kind, "drone_id": f.drone_id, "at_s": f.at_us / 1e6}
-            for f in cfg.failures
-        ],
-    }
+    out = _fields_dict(cfg)
+    out["failures"] = [
+        {"kind": f.kind, "drone_id": f.drone_id, "at_s": f.at_us / 1e6}
+        for f in cfg.failures
+    ]
+    return out
+
+
+# every config-file default, computed once from the dataclass defaults
+_DEFAULTS = to_dict(ScenarioConfig())

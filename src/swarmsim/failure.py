@@ -1,18 +1,18 @@
 """Failure handling: prediction, leadership handover, task reallocation,
-isolation, and return-to-base.
+and isolation.
 
 Two handover flavors exist. A soft handover runs while the leader is still
-healthy enough to cooperate: the backup inherits the sequence counters and
-the aggregation buffer, so nothing is lost. A hard handover follows an
-unplanned leader loss detected by watchdog timeout: the in-flight aggregate
-dies with the old leader and is charged to the loss metrics, and the
-detection-to-promotion gap is recorded as the recovery time.
+healthy enough to cooperate: the backup inherits the aggregation buffer, so
+nothing is lost. A hard handover follows an unplanned leader loss detected
+by watchdog timeout: the in-flight aggregate dies with the old leader and is
+charged to the loss metrics, and the detection-to-promotion gap is recorded
+as the recovery time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import SD_STATUS_PERIOD_US, MessageKind
+from .protocol import SD_STATUS_PERIOD_US
 from .swarm import (
     Drone,
     Phase,
@@ -43,7 +43,6 @@ class StaleTelemetryError(FailureError):
 class PredictionThresholds:
     battery_floor_pct: float = 15.0
     temperature_ceiling_c: float = 60.0
-    horizon_s: float = 60.0
 
     def __post_init__(self):
         if not 0.0 < self.battery_floor_pct < 100.0:
@@ -130,17 +129,13 @@ def _reassign_target(state: SwarmState, target: int) -> None:
         state.pending_targets.append(target)
 
 
-def _promote(state: SwarmState, new_leader: Drone, carry_streams: bool) -> None:
-    old_id = state.leader_id
+def _promote(state: SwarmState, new_leader: Drone) -> None:
     new_leader.role = Role.LEADER
     state.leader_id = new_leader.id
     orphaned = state.assignments.pop(new_leader.id, None)
     new_leader.assigned_target = None
     if new_leader.id == state.backup_id:
         state.backup_id = None  # slot consumed; next failure falls back
-    if carry_streams:
-        for kind in (MessageKind.STATUS_REPORT_LD, MessageKind.MOVE_TO_WAYPOINT):
-            state.seq.transfer_stream(kind, old_id, new_leader.id)
     if orphaned is not None:
         _reassign_target(state, orphaned)
 
@@ -152,11 +147,10 @@ def soft_handover(
 ) -> SwarmState:
     """Proactive leadership transfer ahead of a predicted leader failure.
 
-    The backup inherits sequence counters and the aggregation buffer, so no
-    report is lost. The old leader demotes to an SD in power-saving mode and
-    heads home if its battery is below the floor. Requires the prediction to
-    actually hold; a dead backup falls back to the lowest-id alive SD and is
-    recorded as a deviation.
+    The backup inherits the aggregation buffer, so no report is lost. The
+    old leader demotes to an SD and heads home if its battery is below the
+    floor. Requires the prediction to actually hold; a dead backup falls
+    back to the lowest-id alive SD and is recorded as a deviation.
     """
     old = state.leader()
     if not old.alive:
@@ -171,9 +165,8 @@ def soft_handover(
         state.deviations.append(
             f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
         )
-    _promote(state, candidate, carry_streams=True)
+    _promote(state, candidate)
     old.role = Role.SLAVE
-    old.power_saving = True
     if old.telemetry.battery_pct < thresholds.battery_floor_pct:
         old.phase = Phase.RETURNING
         old.waypoint = state.plan.dmc_position
@@ -206,7 +199,7 @@ def hard_handover(
         state.deviations.append(
             f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
         )
-    _promote(state, candidate, carry_streams=False)
+    _promote(state, candidate)
     if old.role is Role.LEADER:
         old.role = Role.SLAVE
     origin = detection.last_heard_us if failed_at_us is None else failed_at_us
@@ -258,34 +251,4 @@ def isolate_drone(state: SwarmState, drone_id: int) -> SwarmState:
     if drone.phase is not Phase.FAILED:
         drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
     drone.phase = transition_phase(drone.phase, PhaseEvent.ISOLATE)
-    return state
-
-
-def return_to_base(
-    state: SwarmState, drone_id: int, min_battery_pct: float = 25.0
-) -> SwarmState:
-    """Send a struggling drone home for maintenance.
-
-    Needs enough battery for the base leg (default: one quarter, the
-    round-trip share of the flight budget); otherwise the drone lands in
-    place as failed. A drone already landed at base stays put. This is a
-    per-drone maintenance path orthogonal to the mission-level machine.
-    """
-    drone = state.drones[drone_id]
-    if drone.phase is Phase.LANDED:
-        return state
-    if not drone.alive:
-        raise FailureError(f"drone {drone_id} is not alive")
-    if drone.telemetry.battery_pct >= min_battery_pct:
-        drone.phase = Phase.RETURNING
-        drone.waypoint = state.plan.dmc_position
-        if drone.id in state.assignments:
-            reallocate_tasks(state, drone.id)
-    else:
-        drone.phase = Phase.FAILED
-        drone.alive = False
-        state.deviations.append(
-            f"drone {drone_id} battery {drone.telemetry.battery_pct:.0f}% "
-            f"below the {min_battery_pct:.0f}% return margin; landed in place"
-        )
     return state

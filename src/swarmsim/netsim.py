@@ -121,16 +121,13 @@ class WlanParams:
 @dataclass(frozen=True)
 class WimaxParams:
     max_sustained_bps: int = 10_000_000
-    min_reserved_bps: int = 5_000_000
     buffer_bits: int = 1_000_000
     overhead_bytes: int = 54
     mtu: int = 1500
 
     def __post_init__(self):
-        if self.max_sustained_bps <= 0 or self.min_reserved_bps < 0:
+        if self.max_sustained_bps <= 0:
             raise NetSimError("rates must be positive")
-        if self.min_reserved_bps > self.max_sustained_bps:
-            raise NetSimError("reserved rate cannot exceed the sustained rate")
 
 
 def _percentile_rank(q: float, n: int) -> int:

@@ -1,10 +1,7 @@
-"""Message types, wire encoding, and periodic traffic generation.
+"""Message size model: header and payload lengths, periods and fragmentation.
 
-Wire layout (see docs/wire-format.md): every message is an 8-byte header
-followed by the payload::
-
-    kind:1  src:1  dst:1  seq:4 (big-endian)  reserved:1  payload:N
-
+Every message is an 8-byte header followed by the payload (see
+docs/wire-format.md). Only sizes are modeled; no message is ever encoded.
 Payload lengths are fixed per message kind except for leader status
 aggregates (12 bytes of leader state plus 12 bytes per follower), waypoint
 broadcasts (configurable, 24 bytes by default) and video frames (derived
@@ -14,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 HEADER_LEN = 8
 DMC_ID = 0
@@ -30,21 +26,8 @@ LD_STATUS_PERIOD_US = 30_000_000       # nominally 0.033 packet/s
 MOVE_TO_WAYPOINT_PERIOD_US = 200_000   # broadcast every 0.2 s in flight
 
 
-class MessageKind(IntEnum):
-    STATUS_REPORT_SD = 1
-    STATUS_REPORT_LD = 2
-    ACK = 3
-    CASE_REPORT = 4
-    MOVE_TO_WAYPOINT = 5
-    VIDEO_FRAME = 6
-
-
 class ProtocolError(ValueError):
-    """Invalid message construction or generator arguments."""
-
-
-class DecodeError(ProtocolError):
-    """Byte sequence does not decode to a valid message."""
+    """Invalid message size or fragmentation arguments."""
 
 
 def status_report_ld_length(n: int) -> int:
@@ -61,102 +44,10 @@ def video_frame_length(bandwidth_bps: float, frame_rate: int = 30) -> int:
     return math.ceil(bandwidth_bps / (8 * frame_rate))
 
 
-# Fixed payload lengths; variable-length kinds validate structurally.
-_FIXED_LEN = {
-    MessageKind.STATUS_REPORT_SD: STATUS_SD_LEN,
-    MessageKind.ACK: ACK_LEN,
-    MessageKind.CASE_REPORT: CASE_REPORT_LEN,
-}
-
-
-def _payload_len_valid(kind: MessageKind, length: int) -> bool:
-    if kind in _FIXED_LEN:
-        return length == _FIXED_LEN[kind]
-    if kind == MessageKind.STATUS_REPORT_LD:
-        return length >= 24 and length % 12 == 0
-    # MoveToWaypoint is configurable; video frames vary with bandwidth
-    # and fragmentation.
-    return length >= 1
-
-
-@dataclass(frozen=True)
-class Message:
-    kind: MessageKind
-    src: int
-    dst: int
-    payload_len: int
-    seq: int
-    created_at: int = 0  # microseconds
-
-    def __post_init__(self):
-        for name, addr in (("src", self.src), ("dst", self.dst)):
-            if not 0 <= addr <= 255:
-                raise ProtocolError(f"{name}={addr} does not fit the 1-byte address space")
-        if not 0 <= self.seq < 2**32:
-            raise ProtocolError(f"seq={self.seq} out of range")
-        if not _payload_len_valid(self.kind, self.payload_len):
-            raise ProtocolError(
-                f"payload_len={self.payload_len} invalid for {self.kind.name}"
-            )
-
-    @property
-    def wire_len(self) -> int:
-        return HEADER_LEN + self.payload_len
-
-
-def encode_message(m: Message) -> bytes:
-    """Serialize a message; the payload is zero-filled (content carries no
-    simulation state, only its length matters)."""
-    header = bytes([m.kind, m.src, m.dst]) + m.seq.to_bytes(4, "big") + b"\x00"
-    return header + bytes(m.payload_len)
-
-
-def decode_message(b: bytes) -> Message:
-    """Inverse of :func:`encode_message`; total on arbitrary byte input."""
-    if len(b) < HEADER_LEN:
-        raise DecodeError(f"truncated header: {len(b)} < {HEADER_LEN} bytes")
-    try:
-        kind = MessageKind(b[0])
-    except ValueError:
-        raise DecodeError(f"unknown message kind 0x{b[0]:02x}") from None
-    src, dst = b[1], b[2]
-    seq = int.from_bytes(b[3:7], "big")
-    payload_len = len(b) - HEADER_LEN
-    if not _payload_len_valid(kind, payload_len):
-        raise DecodeError(
-            f"payload of {payload_len} bytes inconsistent with {kind.name}"
-        )
-    return Message(kind=kind, src=src, dst=dst, payload_len=payload_len, seq=seq)
-
-
-class SequenceCounters:
-    """Strictly increasing per-(source, kind) sequence numbers.
-
-    A counter set can be handed over to a new leader so that leader-role
-    message streams stay monotone across a leadership change.
-    """
-
-    def __init__(self):
-        self._next: dict[tuple[int, MessageKind], int] = {}
-
-    def next_for(self, src: int, kind: MessageKind) -> int:
-        key = (src, kind)
-        seq = self._next.get(key, 0)
-        self._next[key] = seq + 1
-        return seq
-
-    def transfer_stream(self, kind: MessageKind, old_src: int, new_src: int) -> None:
-        """Continue ``old_src``'s stream of ``kind`` under ``new_src``."""
-        carried = self._next.get((old_src, kind), 0)
-        current = self._next.get((new_src, kind), 0)
-        self._next[(new_src, kind)] = max(carried, current)
-
-
 @dataclass(frozen=True)
 class VideoCallSpec:
     bandwidth_bps: float
     frame_rate: int = 30
-    duration_s: float = 300.0
 
     def __post_init__(self):
         if self.bandwidth_bps <= 0:
@@ -165,123 +56,6 @@ class VideoCallSpec:
     @property
     def frame_len(self) -> int:
         return video_frame_length(self.bandwidth_bps, self.frame_rate)
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """One periodic flow of a traffic profile."""
-    kind: MessageKind
-    period_us: int      # 0 marks event-driven flows
-    src: str            # 'sd', 'ld' or 'dmc'
-    dst: str
-    payload: str        # 'fixed', 'ld_status' or 'video'
-
-
-@dataclass(frozen=True)
-class TrafficProfile:
-    profile_id: int
-    flows: tuple[FlowSpec, ...]
-
-
-PROFILE_1 = TrafficProfile(1, (
-    FlowSpec(MessageKind.STATUS_REPORT_SD, SD_STATUS_PERIOD_US, "sd", "ld", "fixed"),
-    FlowSpec(MessageKind.STATUS_REPORT_LD, LD_STATUS_PERIOD_US, "ld", "dmc", "ld_status"),
-))
-
-PROFILE_2 = TrafficProfile(2, PROFILE_1.flows + (
-    FlowSpec(MessageKind.ACK, SD_STATUS_PERIOD_US, "ld", "sd", "fixed"),
-    FlowSpec(MessageKind.ACK, LD_STATUS_PERIOD_US, "dmc", "ld", "fixed"),
-    FlowSpec(MessageKind.CASE_REPORT, 0, "sd", "dmc", "fixed"),
-    FlowSpec(MessageKind.ACK, 0, "dmc", "sd", "fixed"),
-    FlowSpec(MessageKind.VIDEO_FRAME, 0, "sd", "dmc", "video"),
-))
-
-_PROFILES = {1: PROFILE_1, 2: PROFILE_2}
-
-
-def get_profile(profile_id: int) -> TrafficProfile:
-    try:
-        return _PROFILES[profile_id]
-    except KeyError:
-        raise ProtocolError(f"unknown traffic profile {profile_id}") from None
-
-
-@dataclass(frozen=True)
-class SendEvent:
-    """A scheduled application-level send. ``src`` of -1 means the acting
-    leader at fire time; concrete ids are bound by the caller."""
-    at_us: int
-    kind: MessageKind
-    src: int
-    dst: int
-    payload_len: int
-    flow: str
-
-
-LD_ROLE = -1  # sentinel src: whichever drone leads when the event fires
-
-
-def _periodic(t0: int, t1: int, period: int) -> range:
-    # First send lands at t0 + period, so an empty window emits nothing.
-    first = t0 + period
-    if first > t1:
-        return range(0)
-    return range(first, t1 + 1, period)
-
-
-def generate_profile_traffic(
-    profile: TrafficProfile | int,
-    n: int,
-    window: tuple[int, int],
-    flight: bool = False,
-    move_to_waypoint_len: int = MOVE_TO_WAYPOINT_LEN,
-) -> list[SendEvent]:
-    """Expand a traffic profile into time-ordered send events.
-
-    ``n`` is the SD count; SD ids are 1..n relative (the caller maps them
-    onto real drone ids). In flight mode the leader broadcasts a waypoint
-    update every 0.2 s and every SD answers each broadcast with a 2-byte
-    acknowledgment scheduled at the broadcast slot.
-    """
-    if isinstance(profile, int):
-        profile = get_profile(profile)
-    t0, t1 = window
-    if t0 >= t1:
-        raise ProtocolError(f"window [{t0}, {t1}] is empty")
-    if n < 1:
-        raise ProtocolError("swarm needs at least one SD")
-
-    events: list[SendEvent] = []
-    for flow in profile.flows:
-        if flow.period_us == 0:
-            continue  # event-driven: emitted by the mission runner
-        length = (
-            status_report_ld_length(n)
-            if flow.payload == "ld_status"
-            else _FIXED_LEN[flow.kind]
-        )
-        for t in _periodic(t0, t1, flow.period_us):
-            if flow.src == "sd":
-                for sd in range(1, n + 1):
-                    events.append(SendEvent(t, flow.kind, sd, LD_ROLE, length, "sd_status"))
-            elif flow.src == "ld" and flow.dst == "sd":
-                for sd in range(1, n + 1):
-                    events.append(SendEvent(t, flow.kind, LD_ROLE, sd, length, "status_ack"))
-            elif flow.src == "ld":
-                events.append(SendEvent(t, flow.kind, LD_ROLE, DMC_ID, length, "ld_status"))
-            else:  # dmc -> ld
-                events.append(SendEvent(t, flow.kind, DMC_ID, LD_ROLE, length, "status_ack"))
-
-    if flight:
-        for t in _periodic(t0, t1, MOVE_TO_WAYPOINT_PERIOD_US):
-            events.append(SendEvent(
-                t, MessageKind.MOVE_TO_WAYPOINT, LD_ROLE, BROADCAST_ID,
-                move_to_waypoint_len, "move_to_waypoint"))
-            for sd in range(1, n + 1):
-                events.append(SendEvent(t, MessageKind.ACK, sd, LD_ROLE, ACK_LEN, "flight_ack"))
-
-    events.sort(key=lambda e: e.at_us)
-    return events
 
 
 def fragment_payload(size: int, mtu: int, header: int = HEADER_LEN) -> list[int]:

@@ -17,7 +17,6 @@ text report; identical (config, seed) pairs produce byte-identical files.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -41,14 +40,15 @@ from .netsim import (
 )
 from .protocol import (
     ACK_LEN,
+    BROADCAST_ID,
     CASE_REPORT_LEN,
+    DMC_ID,
     HEADER_LEN,
     LD_STATUS_PERIOD_US,
     MOVE_TO_WAYPOINT_LEN,
     MOVE_TO_WAYPOINT_PERIOD_US,
     SD_STATUS_PERIOD_US,
     STATUS_SD_LEN,
-    MessageKind,
     VideoCallSpec,
     fragment_payload,
     status_report_ld_length,
@@ -70,7 +70,6 @@ WATCHDOG_MARGIN_US = 2_000
 CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
-DMC = 0
 
 
 @dataclass
@@ -158,8 +157,7 @@ class _Mission:
             self.drain_pct_per_s[role] = 100.0 / budget_s
 
         if cfg.video.enabled and cfg.video.max_calls is None:
-            call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6,
-                                 cfg.video.frame_rate, cfg.video.call_duration_s)
+            call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate)
             self.max_calls = max_simultaneous_calls(cfg.wlan, cfg.wimax, call)
         else:
             self.max_calls = cfg.video.max_calls or 0
@@ -393,7 +391,6 @@ class _Mission:
         d = self.state.drones[drone_id]
         if not self._beacon_allowed(d):
             return
-        self.state.seq.next_for(d.id, MessageKind.STATUS_REPORT_SD)
         pkt = Packet(now, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
                      src=d.id, dst=self.state.leader_id)
         self.wlan.send(pkt, self._on_status_delivered)
@@ -425,16 +422,15 @@ class _Mission:
         batch = list(state.aggregation_buffer)
         state.aggregation_buffer.clear()
         self._mark_leader_activity()
-        state.seq.next_for(state.leader_id, MessageKind.STATUS_REPORT_LD)
         pkt = Packet(now, HEADER_LEN + status_report_ld_length(n), CONTROL,
-                     "ld_status", src=state.leader_id, dst=DMC)
+                     "ld_status", src=state.leader_id, dst=DMC_ID)
         self.wimax_ul.send(pkt, lambda p, batch=batch: self._on_flush_delivered(p, batch))
 
     def _on_flush_delivered(self, pkt: Packet, batch: list) -> None:
         self.reports_delivered += len(batch)
         if self.cfg.profile == 2:
             ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
-                         src=DMC, dst=pkt.src)
+                         src=DMC_ID, dst=pkt.src)
             self.wimax_dl.send(ack)
 
     def _broadcast_tick(self, now: int) -> None:
@@ -442,9 +438,8 @@ class _Mission:
             return
         state = self.state
         self._mark_leader_activity()
-        state.seq.next_for(state.leader_id, MessageKind.MOVE_TO_WAYPOINT)
         pkt = Packet(now, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL,
-                     "move_to_waypoint", src=state.leader_id, dst=255)
+                     "move_to_waypoint", src=state.leader_id, dst=BROADCAST_ID)
         self.wlan.send(pkt, self._on_waypoint_delivered)
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
@@ -464,7 +459,7 @@ class _Mission:
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
-                     src=sd_id, dst=DMC)
+                     src=sd_id, dst=DMC_ID)
         self.wlan.send(pkt, self._relay_case_report)
 
     def _relay_case_report(self, pkt: Packet) -> None:
@@ -475,7 +470,7 @@ class _Mission:
 
     def _ack_case_report(self, pkt: Packet) -> None:
         ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "case_ack",
-                     src=DMC, dst=pkt.src)
+                     src=DMC_ID, dst=pkt.src)
         self.wimax_dl.send(ack, self._relay_case_ack)
 
     def _relay_case_ack(self, pkt: Packet) -> None:
@@ -490,15 +485,18 @@ class _Mission:
 
     def _start_call(self, sd_id: int, start: int) -> None:
         cfg = self.cfg
-        spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate,
-                             cfg.video.call_duration_s)
+        spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate)
+        # every frame of a call has the same length, so one fragment list
+        # per direction serves the whole call
+        up = fragment_payload(spec.frame_len, cfg.wlan.mtu)
+        down = fragment_payload(spec.frame_len, cfg.wimax.mtu)
         dur_us = int(cfg.video.call_duration_s * 1e6)
         end = start + dur_us
         frame_gap = 1_000_000 // spec.frame_rate
         f = 0
         t = start
         while t < end and t <= self.horizon:
-            self.q.schedule(t, lambda t=t, s=sd_id, sp=spec: self._video_frame(t, s, sp))
+            self.q.schedule(t, lambda t=t: self._video_frame(t, sd_id, up, down))
             f += 1
             t = start + f * frame_gap
         self._at(min(end, self.horizon), lambda: self._end_call(sd_id, start, min(end, self.horizon)))
@@ -508,17 +506,17 @@ class _Mission:
         if sd_id in self.video_us:
             self.video_us[sd_id] += end - start
 
-    def _video_frame(self, now: int, sd_id: int, spec: VideoCallSpec) -> None:
+    def _video_frame(self, now: int, sd_id: int, up: list[int], down: list[int]) -> None:
         state = self.state
         sd = state.drones.get(sd_id)
         if state.aborted or sd is None or not sd.alive:
             return
-        for frag in fragment_payload(spec.frame_len, self.cfg.wlan.mtu):
-            up = Packet(now, HEADER_LEN + frag, VIDEO, "video_up", src=sd_id, dst=DMC)
-            self.wlan.send(up, self._relay_video_up)
-        for frag in fragment_payload(spec.frame_len, self.cfg.wimax.mtu):
-            down = Packet(now, HEADER_LEN + frag, VIDEO, "video_down", src=DMC, dst=sd_id)
-            self.wimax_dl.send(down, self._relay_video_down)
+        for frag in up:
+            pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_up", src=sd_id, dst=DMC_ID)
+            self.wlan.send(pkt, self._relay_video_up)
+        for frag in down:
+            pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_down", src=DMC_ID, dst=sd_id)
+            self.wimax_dl.send(pkt, self._relay_video_down)
 
     def _relay_video_up(self, pkt: Packet) -> None:
         if not self._leader_alive():
@@ -587,12 +585,15 @@ class _Mission:
 
     def _apply_failure(self, f) -> None:
         state = self.state
-        if state.aborted or self.mission_over:
-            return
         now = self.q.now
+        if state.aborted or self.mission_over:
+            self._failure_not_applied(
+                f, "mission aborted" if state.aborted else "mission over")
+            return
         if f.kind == failure_mod.FailureKind.LD_SUDDEN:
             target = state.drones.get(f.drone_id) if f.drone_id else state.leader()
             if target is None or not target.alive:
+                self._failure_not_applied(f, "drone is not alive")
                 return
             target.alive = False
             target.phase = transition_phase(target.phase, PhaseEvent.FAILURE_DETECTED)
@@ -605,21 +606,31 @@ class _Mission:
         elif f.kind == failure_mod.FailureKind.LD_PREDICTED:
             leader = state.leader()
             if not leader.alive:
+                self._failure_not_applied(f, "leader is not alive")
                 return
             # overheating trips the prediction without driving the old
-            # leader home, so it stays in the swarm as a power-saving SD;
-            # the handover itself runs at the next status cycle, where the
-            # leader evaluates its own telemetry
+            # leader home, so it stays in the swarm as an SD; the handover
+            # itself runs at the next status cycle, where the leader
+            # evaluates its own telemetry
             leader.telemetry.temperature_c = (
                 failure_mod.DEFAULT_THRESHOLDS.temperature_ceiling_c + 15.0)
         elif f.kind == failure_mod.FailureKind.SD_SUDDEN:
             sd = state.drones.get(f.drone_id)
-            if sd is None or not sd.alive or sd.id == state.leader_id:
+            if sd is None or not sd.alive:
+                self._failure_not_applied(f, "drone is not alive")
+                return
+            if sd.id == state.leader_id:
+                self._failure_not_applied(f, "drone is the acting leader")
                 return
             sd.alive = False
             sd.phase = transition_phase(sd.phase, PhaseEvent.FAILURE_DETECTED)
             failure_mod.isolate_drone(state, sd.id)
             failure_mod.reallocate_tasks(state, sd.id)
+
+    def _failure_not_applied(self, f, reason: str) -> None:
+        drone = self.state.leader_id if f.drone_id is None else f.drone_id
+        self.state.deviations.append(
+            f"t={self.q.now}us {f.kind} of drone {drone} not applied: {reason}")
 
     # -- run --------------------------------------------------------------
 
@@ -806,11 +817,4 @@ def emit_report(results: list[RunResult], path: str | Path) -> Path:
     blocks.append("battery durability (defaults)\n"
                   + energy_mod.format_durability(energy_mod.durability_report()))
     path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    return path
-
-
-def emit_config_echo(result: RunResult, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(result.config, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
     return path

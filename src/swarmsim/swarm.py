@@ -1,5 +1,5 @@
 """Swarm state: operational phase machine, formation geometry, kinematics,
-task assignment, and the stochastic case-classification stub.
+and the stochastic case-classification stub.
 
 One leader drone (LD) coordinates n slave drones (SDs) over a 2 km x 2 km
 plane anchored at a ground station (the DMC). Drones fly at a fixed cruise
@@ -13,8 +13,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-
-from .protocol import SequenceCounters
 
 SPAN_M = 2000.0
 LEADER_ID = 1  # initial leader; DMC is address 0, SDs are 2..n+1
@@ -142,7 +140,6 @@ class Drone:
     alive: bool = True
     telemetry: Telemetry = field(default_factory=Telemetry)
     waypoint: tuple[float, float] | None = None
-    power_saving: bool = False
 
     @property
     def airborne(self) -> bool:
@@ -185,7 +182,6 @@ class SwarmState:
     drones: dict[int, Drone]
     leader_id: int
     backup_id: int | None
-    seq: SequenceCounters = field(default_factory=SequenceCounters)
     # SD status reports held by the acting leader between flushes; carried
     # across a soft handover, lost on a hard one.
     aggregation_buffer: list = field(default_factory=list)
@@ -199,9 +195,6 @@ class SwarmState:
 
     def leader(self) -> Drone:
         return self.drones[self.leader_id]
-
-    def alive_drones(self) -> list[Drone]:
-        return [d for d in self.drones.values() if d.alive]
 
     def alive_sds(self) -> list[Drone]:
         return sorted(
@@ -301,27 +294,6 @@ def advance_kinematics(state: SwarmState, dt_us: int, rng=None, noise_sigma_m: f
             ny += rng.gauss(0.0, noise_sigma_m)
         drone.position = (min(max(nx, 0.0), span), min(max(ny, 0.0), span))
     return state
-
-
-def assign_targets(state: SwarmState, targets: list[int]) -> dict[int, int]:
-    """Map each target to one alive SD, lowest ids first.
-
-    SDs already holding a target keep it; a session must be split by the
-    caller when targets outnumber alive SDs.
-    """
-    sds = [d for d in state.alive_sds() if d.phase is not Phase.RETURNING]
-    if len(targets) > len(sds):
-        raise SwarmError(
-            f"{len(targets)} targets exceed {len(sds)} available SDs; split the session"
-        )
-    assignment = {}
-    for sd, target in zip(sds, targets):
-        assignment[sd.id] = target
-        sd.assigned_target = target
-    for sd in sds[len(targets):]:
-        sd.assigned_target = None
-    state.assignments = assignment
-    return assignment
 
 
 def classify_case(

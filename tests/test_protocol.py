@@ -1,23 +1,11 @@
-"""Message lengths, wire round-trips, traffic generation, and fragmentation."""
+"""Message lengths, video frame sizes, and fragmentation."""
 import pytest
 from hypothesis import given, strategies as st
 
 from swarmsim.protocol import (
-    ACK_LEN,
-    CASE_REPORT_LEN,
-    HEADER_LEN,
-    STATUS_SD_LEN,
-    DecodeError,
-    Message,
-    MessageKind,
     ProtocolError,
-    SequenceCounters,
     VideoCallSpec,
-    decode_message,
-    encode_message,
     fragment_payload,
-    generate_profile_traffic,
-    get_profile,
     status_report_ld_length,
     video_frame_length,
 )
@@ -37,133 +25,6 @@ class TestStatusLengths:
     @given(st.integers(min_value=1, max_value=1000))
     def test_ld_aggregate_slope_is_12_bytes_per_sd(self, n):
         assert status_report_ld_length(n + 1) - status_report_ld_length(n) == 12
-
-
-class TestEncoding:
-    def test_ack_wire_length_is_10(self):
-        m = Message(MessageKind.ACK, src=1, dst=2, payload_len=ACK_LEN, seq=0)
-        assert len(encode_message(m)) == 10
-
-    def test_sd_status_wire_length_is_21(self):
-        m = Message(MessageKind.STATUS_REPORT_SD, src=2, dst=1,
-                    payload_len=STATUS_SD_LEN, seq=0)
-        assert len(encode_message(m)) == 21
-
-    def test_case_report_wire_length_is_508(self):
-        m = Message(MessageKind.CASE_REPORT, src=2, dst=0,
-                    payload_len=CASE_REPORT_LEN, seq=0)
-        assert len(encode_message(m)) == 508
-
-    def test_wire_len_property_matches_encoding(self):
-        m = Message(MessageKind.STATUS_REPORT_LD, src=1, dst=0,
-                    payload_len=status_report_ld_length(4), seq=9)
-        assert m.wire_len == len(encode_message(m)) == HEADER_LEN + 60
-
-    def test_address_out_of_range_rejected(self):
-        with pytest.raises(ProtocolError):
-            Message(MessageKind.ACK, src=256, dst=0, payload_len=ACK_LEN, seq=0)
-
-    def test_wrong_fixed_payload_rejected(self):
-        with pytest.raises(ProtocolError):
-            Message(MessageKind.ACK, src=1, dst=0, payload_len=3, seq=0)
-
-
-class TestDecoding:
-    def test_round_trip_identity(self):
-        m = Message(MessageKind.CASE_REPORT, src=5, dst=0,
-                    payload_len=CASE_REPORT_LEN, seq=1234)
-        assert decode_message(encode_message(m)) == m
-
-    def test_empty_sequence_rejected(self):
-        with pytest.raises(DecodeError):
-            decode_message(b"")
-
-    def test_truncated_payload_rejected(self):
-        m = Message(MessageKind.CASE_REPORT, src=5, dst=0,
-                    payload_len=CASE_REPORT_LEN, seq=0)
-        wire = encode_message(m)
-        with pytest.raises(DecodeError):
-            decode_message(wire[:HEADER_LEN + 3])
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DecodeError):
-            decode_message(bytes([0xEE]) + bytes(9))
-
-    @given(
-        kind=st.sampled_from(list(MessageKind)),
-        src=st.integers(0, 255),
-        dst=st.integers(0, 255),
-        seq=st.integers(0, 2**32 - 1),
-    )
-    def test_round_trip_over_valid_messages(self, kind, src, dst, seq):
-        lengths = {
-            MessageKind.STATUS_REPORT_SD: STATUS_SD_LEN,
-            MessageKind.STATUS_REPORT_LD: 36,
-            MessageKind.ACK: ACK_LEN,
-            MessageKind.CASE_REPORT: CASE_REPORT_LEN,
-            MessageKind.MOVE_TO_WAYPOINT: 24,
-            MessageKind.VIDEO_FRAME: 1400,
-        }
-        m = Message(kind, src=src, dst=dst, payload_len=lengths[kind], seq=seq)
-        assert decode_message(encode_message(m)) == m
-
-    @given(st.binary(max_size=64))
-    def test_decode_is_total_on_arbitrary_bytes(self, blob):
-        try:
-            m = decode_message(blob)
-        except DecodeError:
-            return
-        assert len(blob) == m.wire_len
-
-
-class TestSequenceCounters:
-    def test_counters_are_strictly_increasing_per_stream(self):
-        c = SequenceCounters()
-        a = [c.next_for(2, MessageKind.STATUS_REPORT_SD) for _ in range(3)]
-        assert a == [0, 1, 2]
-        assert c.next_for(3, MessageKind.STATUS_REPORT_SD) == 0
-
-    def test_transfer_continues_the_stream_under_new_source(self):
-        c = SequenceCounters()
-        for _ in range(5):
-            c.next_for(1, MessageKind.STATUS_REPORT_LD)
-        c.transfer_stream(MessageKind.STATUS_REPORT_LD, old_src=1, new_src=3)
-        assert c.next_for(3, MessageKind.STATUS_REPORT_LD) == 5
-
-
-class TestProfileTraffic:
-    def test_profile1_single_sd_minute(self):
-        events = generate_profile_traffic(1, 1, (0, 60_000_000))
-        sd = [e for e in events if e.kind is MessageKind.STATUS_REPORT_SD]
-        ld = [e for e in events if e.kind is MessageKind.STATUS_REPORT_LD]
-        assert len(sd) == 6
-        assert len(ld) == 2
-
-    def test_profile1_ten_sds_minute(self):
-        events = generate_profile_traffic(1, 10, (0, 60_000_000))
-        sd = [e for e in events if e.kind is MessageKind.STATUS_REPORT_SD]
-        assert len(sd) == 60
-
-    def test_profile2_adds_acknowledgements(self):
-        events = generate_profile_traffic(2, 3, (0, 60_000_000))
-        acks = [e for e in events if e.kind is MessageKind.ACK]
-        # one ACK per SD status (18) plus one per LD status (2)
-        assert len(acks) == 20
-
-    def test_flight_mode_broadcasts_every_200ms(self):
-        events = generate_profile_traffic(1, 2, (0, 1_000_000), flight=True)
-        waypoints = sorted(e.at_us for e in events
-                           if e.kind is MessageKind.MOVE_TO_WAYPOINT)
-        assert waypoints == [200_000, 400_000, 600_000, 800_000, 1_000_000]
-
-    def test_events_are_time_sorted(self):
-        events = generate_profile_traffic(2, 5, (0, 120_000_000), flight=True)
-        times = [e.at_us for e in events]
-        assert times == sorted(times)
-
-    def test_unknown_profile_rejected(self):
-        with pytest.raises(ProtocolError):
-            get_profile(7)
 
 
 class TestVideoFrames:

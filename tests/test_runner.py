@@ -9,7 +9,6 @@ from swarmsim.config import ConfigError, load_config, parse_config, to_dict
 from swarmsim.runner import (
     CSV_HEADER,
     SWEEPABLE_AXES,
-    emit_config_echo,
     emit_csv,
     emit_report,
     run_scenario,
@@ -98,6 +97,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'wlan.mtu' must be finite"):
             parse_config({"wlan": {"mtu": value}})
 
+    @pytest.mark.parametrize("data", [
+        {"duration_s": 1e308},
+        {"duration_s": 10**400},  # a JSON integer too large for a float
+        {"mission": {"session_duration_s": 1e308}},
+        {"failures": [{"kind": "ld_sudden", "drone_id": None, "at_s": 1e308}]},
+    ])
+    def test_seconds_overflowing_the_microsecond_clock_rejected(self, data):
+        with pytest.raises(ConfigError, match="overflows the microsecond clock"):
+            parse_config(data)
+
+    def test_failure_drone_id_must_name_a_drone(self):
+        with pytest.raises(ConfigError, match=r"failures\[0\].drone_id'=999 above maximum 5"):
+            parse_config({"n_sds": 4, "failures": [
+                {"kind": "sd_sudden", "drone_id": 999, "at_s": 10.0}]})
+        parse_config({"n_sds": 4, "failures": [
+            {"kind": "sd_sudden", "drone_id": 5, "at_s": 10.0}]})
+
+    def test_sd_failure_needs_a_drone_id(self):
+        with pytest.raises(ConfigError, match="drone_id' is required for sd_sudden"):
+            parse_config({"failures": [{"kind": "sd_sudden", "drone_id": None, "at_s": 1.0}]})
+
     def test_round_trip_through_dict(self):
         cfg = small_scenario(failures=[
             {"kind": "sd_sudden", "drone_id": 4, "at_s": 100.0},
@@ -141,6 +161,25 @@ class TestRunScenario:
         })
         result = run_scenario(cfg)
         assert result.aborted
+
+    @pytest.mark.parametrize("failures, deviation", [
+        ([{"kind": "sd_sudden", "drone_id": 1, "at_s": 95.0}],
+         "t=95000000us sd_sudden of drone 1 not applied: drone is the acting leader"),
+        ([{"kind": "sd_sudden", "drone_id": 2, "at_s": 95.0},
+          {"kind": "sd_sudden", "drone_id": 2, "at_s": 96.0}],
+         "t=96000000us sd_sudden of drone 2 not applied: drone is not alive"),
+        ([{"kind": "sd_sudden", "drone_id": 2, "at_s": 95.0},
+          {"kind": "ld_sudden", "drone_id": 2, "at_s": 96.0}],
+         "t=96000000us ld_sudden of drone 2 not applied: drone is not alive"),
+        ([{"kind": "ld_sudden", "drone_id": None, "at_s": 100.0},
+          {"kind": "ld_predicted", "drone_id": None, "at_s": 101.0}],
+         "t=101000000us ld_predicted of drone 1 not applied: leader is not alive"),
+        ([{"kind": "sd_sudden", "drone_id": 4, "at_s": 425.0}],
+         "t=425000000us sd_sudden of drone 4 not applied: mission over"),
+    ])
+    def test_failure_that_cannot_apply_is_a_deviation(self, failures, deviation):
+        result = run_scenario(small_scenario(failures=failures))
+        assert deviation in result.deviations
 
     def test_aborted_runs_still_conserve_packets(self):
         cfg = small_scenario(failures=[
@@ -238,7 +277,8 @@ class TestEmission:
     def test_replay_from_config_echo_is_byte_identical(self, tmp_path):
         result = run_scenario(small_scenario())
         first = emit_csv([result], tmp_path / "first.csv").read_bytes()
-        echo = emit_config_echo(result, tmp_path / "echo.json")
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(result.config), encoding="utf-8")
         replayed = run_scenario(load_config(echo))
         second = emit_csv([replayed], tmp_path / "second.csv").read_bytes()
         assert first == second
@@ -284,6 +324,12 @@ class TestCli:
         bad.write_text('{"duration_s": %s}' % text, encoding="utf-8")
         assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "must be finite" in capsys.readouterr().err
+
+    def test_overflowing_duration_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"duration_s": 1e308}', encoding="utf-8")
+        assert main(["run", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "overflows the microsecond clock" in capsys.readouterr().err
 
     def test_sweep_with_mixed_type_values_exits_one(self, small_config_file, tmp_path,
                                                      capsys):

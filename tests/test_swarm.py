@@ -1,4 +1,4 @@
-"""Phase machine, formation geometry, kinematics, assignment, classification."""
+"""Phase machine, formation geometry, kinematics, classification."""
 import math
 
 import pytest
@@ -13,7 +13,6 @@ from swarmsim.swarm import (
     Role,
     SwarmError,
     advance_kinematics,
-    assign_targets,
     classify_case,
     escalates,
     formation_positions,
@@ -150,31 +149,6 @@ class TestKinematics:
         advance_kinematics(state, dt_s * 1_000_000)
         moved = math.dist((0.0, 0.0), ld.position)
         assert moved <= state.plan.speed_ms * dt_s * (1 + 1e-9)
-
-
-class TestAssignment:
-    def _collecting_state(self, n):
-        state = init_swarm(MissionPlan(), n, backup_id=3 if n >= 2 else 2)
-        for d in state.drones.values():
-            d.phase = Phase.COLLECTING
-        return state
-
-    def test_equal_counts_give_a_bijection(self):
-        state = self._collecting_state(10)
-        assignment = assign_targets(state, list(range(10)))
-        assert sorted(assignment) == list(range(2, 12))
-        assert sorted(assignment.values()) == list(range(10))
-
-    def test_surplus_sds_lowest_ids_win(self):
-        state = self._collecting_state(10)
-        assignment = assign_targets(state, [7, 8, 9])
-        assert assignment == {2: 7, 3: 8, 4: 9}
-        assert all(state.drones[i].assigned_target is None for i in range(5, 12))
-
-    def test_too_many_targets_rejected(self):
-        state = self._collecting_state(2)
-        with pytest.raises(SwarmError):
-            assign_targets(state, [1, 2, 3])
 
 
 class TestCaseClassification:
