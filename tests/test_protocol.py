@@ -1,7 +1,11 @@
-"""Message lengths, video frame sizes, and fragmentation."""
+"""Message lengths, wire lengths in a run, video frame sizes, and fragmentation."""
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, strategies as st
 
+from swarmsim.config import parse_config
+from swarmsim.netsim import Link
 from swarmsim.protocol import (
     ProtocolError,
     VideoCallSpec,
@@ -9,6 +13,7 @@ from swarmsim.protocol import (
     status_report_ld_length,
     video_frame_length,
 )
+from swarmsim.runner import run_scenario
 
 
 class TestStatusLengths:
@@ -25,6 +30,34 @@ class TestStatusLengths:
     @given(st.integers(min_value=1, max_value=1000))
     def test_ld_aggregate_slope_is_12_bytes_per_sd(self, n):
         assert status_report_ld_length(n + 1) - status_report_ld_length(n) == 12
+
+
+@pytest.fixture(scope="module")
+def wire_lengths_by_flow():
+    """Every packet size offered to a link in a short mission, by flow name."""
+    sizes = defaultdict(set)
+    send = Link.send
+
+    def recording_send(self, pkt, on_deliver=None):
+        sizes[pkt.flow].add(pkt.size_bytes)
+        return send(self, pkt, on_deliver)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Link, "send", recording_send)
+        run_scenario(parse_config({"n_sds": 4, "infection_rate": 1.0}))
+    return sizes
+
+
+class TestEncoding:
+    def test_ack_wire_length_is_10(self, wire_lengths_by_flow):
+        for flow in ("status_ack", "flight_ack", "case_ack"):
+            assert wire_lengths_by_flow[flow] == {10}
+
+    def test_sd_status_wire_length_is_21(self, wire_lengths_by_flow):
+        assert wire_lengths_by_flow["sd_status"] == {21}
+
+    def test_case_report_wire_length_is_508(self, wire_lengths_by_flow):
+        assert wire_lengths_by_flow["case_report"] == {508}
 
 
 class TestVideoFrames:
