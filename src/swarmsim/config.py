@@ -141,14 +141,18 @@ def _bool(value, path: str) -> bool:
     return value
 
 
+def _finite_us(amount, per_second=1.0) -> bool:
+    """True iff ``amount / per_second`` seconds is finite in microseconds."""
+    try:
+        return math.isfinite(amount / per_second * 1e6)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _seconds(value, path: str, lo=None):
     """A duration or instant in seconds that converts to integer microseconds."""
     value = _num(value, path, lo)
-    try:
-        finite = math.isfinite(value * 1e6)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
+    if not _finite_us(value):
         raise ConfigError(f"field '{path}'={value} overflows the microsecond clock")
     return value
 
@@ -209,11 +213,15 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         deploy_time_s=_seconds(m["deploy_time_s"], "mission.deploy_time_s", 0),
         position_noise_m=_num(m["position_noise_m"], "mission.position_noise_m", 0, None),
     )
+    if not _finite_us(mission.transit_distance_m, mission.speed_kmh / 3.6):
+        raise ConfigError(
+            f"field 'mission.transit_distance_m'={mission.transit_distance_m} at "
+            f"{mission.speed_kmh} km/h overflows the microsecond clock")
 
     e = _expect(top["energy"], "energy", _DEFAULTS["energy"])
     energy = EnergySettings(
         dmc_leg_min=_num(e["dmc_leg_min"], "energy.dmc_leg_min", 0, None),
-        reposition_min=_num(e["reposition_min"], "energy.reposition_min", 0, None),
+        reposition_min=_num(e["reposition_min"], "energy.reposition_min", 0.001, None),
         video_multiplier=_num(e["video_multiplier"], "energy.video_multiplier", 1.0, None),
     )
 

@@ -218,6 +218,8 @@ def max_rotor_sessions(
     manifest: PayloadManifest = DEFAULT_MANIFEST,
 ) -> int:
     """Largest session count whose flight time fits the flight battery."""
+    if params.reposition_min <= 0:
+        raise EnergyError("reposition time must be positive to bound the sessions")
     if payload_g is None:
         payload_g = manifest.total_for(role)
     pct = payload_ratio(payload_g, spec.base_weight_g)
@@ -252,9 +254,9 @@ def battery_feasible(
 ) -> tuple[bool, int]:
     """Whether both batteries cover the planned sessions.
 
-    ``plan`` needs an ``n_sessions`` attribute (a mission plan works); the
-    returned count is the binding minimum of the flight-battery and
-    compute-battery limits.
+    ``plan`` needs an ``n_sessions`` attribute (a config's mission settings
+    work); the returned count is the binding minimum of the flight-battery
+    and compute-battery limits.
     """
     n_rotor = max_rotor_sessions(spec, payload_g, curve, params, role, manifest)
     n_compute = max_compute_sessions(role, power, params)

@@ -5,14 +5,17 @@ Links are overhead-augmented rate servers: a packet occupies the medium for
 traffic, and spends a fixed pipelined processing delay after leaving the
 wire. No carrier-sense or PHY contention is modeled; rates, buffers, and
 processing rates drive every metric. Arrivals that would overflow the
-buffer are dropped and counted, never raised.
+buffer are dropped and counted, never raised, each in one counter per
+(link, class, flow, source); every coarser figure is a sum taken at
+snapshot time.
 
-The short-range WLAN is one shared medium carrying both directions. The
-long-range link is served per direction at its sustained rate with
-real-time flows (video, case reports) strictly prioritized over best
-effort, which keeps the reserved-rate guarantee trivially true; at a
-sustained-rate server the shaped token bucket never becomes the binding
-constraint, so it is not simulated separately.
+Every link is a strict-priority server; FIFO is the one-class case. The
+short-range WLAN is one shared medium carrying both directions, FIFO or
+with EDCA priorities. The long-range link is served per direction at its
+sustained rate with real-time flows (video, case reports) strictly
+prioritized over best effort, which keeps the reserved-rate guarantee
+trivially true; at a sustained-rate server the shaped token bucket never
+becomes the binding constraint, so it is not simulated separately.
 
 All timestamps are integer microseconds. Runs with the same seed and
 configuration produce identical event traces.
@@ -34,6 +37,7 @@ CONTROL = "control"
 VIDEO = "video"
 BEST_EFFORT = "best_effort"
 EDCA_ORDER = (CONTROL, VIDEO, BEST_EFFORT)
+FIFO_ORDER = ("fifo",)
 WIMAX_ORDER = ("rt", "be")
 
 
@@ -149,7 +153,8 @@ class _Counter:
 
 
 class Metrics:
-    """Per-link, per-class, and per-flow accounting.
+    """One counter per (link, class, flow, source); ``metrics_snapshot``
+    sums them into per-link, per-class, per-flow and per-source views.
 
     Packets created before ``measure_from_us`` are invisible to every
     counter, which keeps windowed conservation exact. Latencies are integer
@@ -158,49 +163,38 @@ class Metrics:
 
     def __init__(self, measure_from_us: int = 0):
         self.measure_from_us = measure_from_us
-        self.links: dict[str, _Counter] = {}
-        self.by_class: dict[tuple[str, str], _Counter] = {}
-        self.by_flow: dict[tuple[str, str], _Counter] = {}
-        self.offered_bits_by_src: dict[tuple[str, str, int], int] = {}
-        self.latencies: dict[tuple[str, str], dict[int, int]] = {}
         self.started = False
-        # (link, class, flow) -> its link, class and flow counters
-        self._slot_cache: dict[tuple[str, str, str], tuple[_Counter, _Counter, _Counter]] = {}
+        self.counters: dict[tuple[str, str, str, int], _Counter] = {}
+        self.latencies: dict[tuple[str, str], dict[int, int]] = {}
 
-    def _slots(self, link: str, pkt: Packet) -> tuple[_Counter, _Counter, _Counter]:
-        key = (link, pkt.access_class, pkt.flow)
-        slots = self._slot_cache.get(key)
-        if slots is None:
-            slots = self._slot_cache[key] = (
-                self.links.setdefault(link, _Counter()),
-                self.by_class.setdefault((link, pkt.access_class), _Counter()),
-                self.by_flow.setdefault((link, pkt.flow), _Counter()),
-            )
-        return slots
+    def _counter(self, link: str, pkt: Packet) -> _Counter:
+        key = (link, pkt.access_class, pkt.flow, pkt.src)
+        c = self.counters.get(key)
+        if c is None:
+            c = self.counters[key] = _Counter()
+        return c
 
     def offered(self, link: str, pkt: Packet, wire_bits: int) -> None:
         self.started = True
         if pkt.created_at < self.measure_from_us:
             return
-        for c in self._slots(link, pkt):
-            c.offered_pkts += 1
-            c.offered_bits += wire_bits
-        key = (link, pkt.flow, pkt.src)
-        self.offered_bits_by_src[key] = self.offered_bits_by_src.get(key, 0) + wire_bits
+        c = self._counter(link, pkt)
+        c.offered_pkts += 1
+        c.offered_bits += wire_bits
 
     def dropped(self, link: str, pkt: Packet, wire_bits: int) -> None:
         if pkt.created_at < self.measure_from_us:
             return
-        for c in self._slots(link, pkt):
-            c.dropped_pkts += 1
-            c.dropped_bits += wire_bits
+        c = self._counter(link, pkt)
+        c.dropped_pkts += 1
+        c.dropped_bits += wire_bits
 
     def delivered(self, link: str, pkt: Packet, wire_bits: int, latency_us: int) -> None:
         if pkt.created_at < self.measure_from_us:
             return
-        for c in self._slots(link, pkt):
-            c.delivered_pkts += 1
-            c.delivered_bits += wire_bits
+        c = self._counter(link, pkt)
+        c.delivered_pkts += 1
+        c.delivered_bits += wire_bits
         table = self.latencies.get((link, pkt.access_class))
         if table is None:
             table = self.latencies[(link, pkt.access_class)] = {}
@@ -246,7 +240,6 @@ class MetricsRecord:
     by_flow: dict
     latency: dict            # (link, class) -> LatencyStats
     offered_bits_by_src: dict
-    recovery_times_us: tuple = ()
 
     def loss_ratio(self, link: str) -> float:
         c = self.links[link]
@@ -258,35 +251,43 @@ class MetricsRecord:
         return self.links[link]["delivered_bits"] * 1e6 / self.window_us
 
 
-def _counter_dict(c: _Counter) -> dict:
-    return {k: getattr(c, k) for k in _Counter.__slots__}
+def _sum_by(counters: dict, group) -> dict:
+    """Counter fields summed per ``group(key)``, sorted by group."""
+    out: dict = {}
+    for key, c in counters.items():
+        total = out.setdefault(group(key), dict.fromkeys(_Counter.__slots__, 0))
+        for field in _Counter.__slots__:
+            total[field] += getattr(c, field)
+    return dict(sorted(out.items()))
 
 
-def metrics_snapshot(metrics: Metrics, now_us: int,
-                     recovery_times_us: tuple = ()) -> MetricsRecord:
+def metrics_snapshot(metrics: Metrics, now_us: int) -> MetricsRecord:
     """Freeze counters into a record; valid only once traffic has flowed."""
     if not metrics.started:
         raise MetricsError("metrics snapshot of an unstarted run")
-    for link, c in metrics.links.items():
-        queued_p = c.offered_pkts - c.delivered_pkts - c.dropped_pkts
+    counters = metrics.counters
+    links = _sum_by(counters, lambda k: k[0])
+    for link, c in links.items():
+        queued_p = c["offered_pkts"] - c["delivered_pkts"] - c["dropped_pkts"]
         if queued_p:
             raise MetricsError(
                 f"link {link}: {queued_p} packets still queued; drain before snapshot"
             )
+    by_src = _sum_by(counters, lambda k: (k[0], k[2], k[3]))
     return MetricsRecord(
         window_us=max(0, now_us - metrics.measure_from_us),
-        links={k: _counter_dict(c) for k, c in sorted(metrics.links.items())},
-        by_class={k: _counter_dict(c) for k, c in sorted(metrics.by_class.items())},
-        by_flow={k: _counter_dict(c) for k, c in sorted(metrics.by_flow.items())},
+        links=links,
+        by_class=_sum_by(counters, lambda k: k[:2]),
+        by_flow=_sum_by(counters, lambda k: (k[0], k[2])),
         latency={k: LatencyStats.from_counts(v)
                  for k, v in sorted(metrics.latencies.items())},
-        offered_bits_by_src=dict(sorted(metrics.offered_bits_by_src.items())),
-        recovery_times_us=tuple(recovery_times_us),
+        offered_bits_by_src={k: c["offered_bits"] for k, c in by_src.items()},
     )
 
 
 class Link:
-    """Bounded-buffer rate server with optional strict-priority classes."""
+    """Bounded-buffer rate server over ``class_order``, highest priority
+    first; a packet whose ``class_key`` is not listed joins the lowest."""
 
     def __init__(
         self,
@@ -298,7 +299,7 @@ class Link:
         metrics: Metrics,
         proc_delay_us: int = 0,
         mtu: int = 1500,
-        class_order: tuple[str, ...] | None = None,
+        class_order: tuple[str, ...] = FIFO_ORDER,
         class_key: Callable[[Packet], str] | None = None,
     ):
         self.queue = queue
@@ -309,12 +310,10 @@ class Link:
         self.metrics = metrics
         self.proc_delay_us = proc_delay_us
         self.mtu = mtu
-        self.class_order = class_order
         self.class_key = class_key or (lambda p: p.access_class)
-        if class_order:
-            self._queues = {cls: deque() for cls in class_order}
-        else:
-            self._queues = {"fifo": deque()}
+        self._queues = {cls: deque() for cls in class_order}
+        self._by_priority = tuple(self._queues.values())
+        self._lowest = self._by_priority[-1]
         self._buffered_bits = 0
         self._busy = False
 
@@ -336,25 +335,16 @@ class Link:
             self.metrics.dropped(self.name, pkt, wire)
             return False
         self._buffered_bits += wire
-        if self.class_order:
-            cls = self.class_key(pkt)
-            if cls not in self._queues:
-                cls = self.class_order[-1]
-            self._queues[cls].append((pkt, wire, on_deliver))
-        else:
-            self._queues["fifo"].append((pkt, wire, on_deliver))
+        self._queues.get(self.class_key(pkt), self._lowest).append((pkt, wire, on_deliver))
         if not self._busy:
             self._serve_next()
         return True
 
     def _pick(self):
-        if self.class_order:
-            for cls in self.class_order:
-                if self._queues[cls]:
-                    return self._queues[cls].popleft()
-            return None
-        q = self._queues["fifo"]
-        return q.popleft() if q else None
+        for q in self._by_priority:
+            if q:
+                return q.popleft()
+        return None
 
     def _serve_next(self) -> None:
         item = self._pick()
@@ -385,7 +375,7 @@ def build_wlan_link(queue: EventQueue, params: WlanParams, metrics: Metrics,
         metrics=metrics,
         proc_delay_us=1_000_000 // params.proc_rate_pps,
         mtu=params.mtu,
-        class_order=EDCA_ORDER if params.edca else None,
+        class_order=EDCA_ORDER if params.edca else FIFO_ORDER,
     )
 
 

@@ -124,9 +124,6 @@ class _Mission:
             formation=m.formation,
             spacing_m=m.spacing_m,
             speed_kmh=m.speed_kmh,
-            session_duration_s=m.session_duration_s,
-            n_sessions=m.n_sessions,
-            reposition_time_s=m.reposition_s,
             span_m=m.span_m,
         )
         self.state = init_swarm(plan, cfg.n_sds, cfg.resolved_backup_id())
@@ -136,7 +133,6 @@ class _Mission:
         self.mission_over = False
 
         self.reports_delivered = 0
-        self.reports_lost_no_leader = 0
         self.case_counts: dict[str, int] = {}
         self.calls_started = 0
         self.active_calls = 0
@@ -400,7 +396,6 @@ class _Mission:
         leader = state.leader()
         if not leader.alive:
             state.lost_reports += 1
-            self.reports_lost_no_leader += 1
             return
         state.aggregation_buffer.append((pkt.src, pkt.created_at))
         if self.cfg.profile == 2:
@@ -553,13 +548,16 @@ class _Mission:
             return
         if failure_mod.predict_failure(leader.telemetry):
             if state.alive_sds():
+                leader.telemetry.last_heard = now  # its own reading is fresh
                 failure_mod.soft_handover(state, now)
                 state.leader().telemetry.last_heard = now
                 self._update_waypoints()
 
     def _watchdog(self, now: int, mode: str) -> None:
         state = self.state
-        if state.aborted or self.mission_over or self.handover_pending:
+        # the watchdog runs on an SD, so it stops when none is left
+        if (state.aborted or self.mission_over or self.handover_pending
+                or not state.alive_sds()):
             return
         detection = failure_mod.detect_ld_loss(state, now, mode)
         if detection is None:
@@ -595,18 +593,23 @@ class _Mission:
             if target is None or not target.alive:
                 self._failure_not_applied(f, "drone is not alive")
                 return
+            if target.id != state.leader_id:
+                self._failure_not_applied(f, "drone is not the acting leader")
+                return
             target.alive = False
             target.phase = transition_phase(target.phase, PhaseEvent.FAILURE_DETECTED)
-            if target.id == state.leader_id:
-                self.leader_killed_at = now
-                if not state.alive_sds():
-                    state.aborted = True
-                    state.deviations.append(
-                        f"t={now}us leader lost with no SD left; mission aborted")
+            self.leader_killed_at = now
+            if not state.alive_sds():
+                state.aborted = True
+                state.deviations.append(
+                    f"t={now}us leader lost with no SD left; mission aborted")
         elif f.kind == failure_mod.FailureKind.LD_PREDICTED:
             leader = state.leader()
             if not leader.alive:
                 self._failure_not_applied(f, "leader is not alive")
+                return
+            if f.drone_id not in (None, leader.id):
+                self._failure_not_applied(f, "drone is not the acting leader")
                 return
             # overheating trips the prediction without driving the old
             # leader home, so it stays in the swarm as an SD; the handover
@@ -638,8 +641,7 @@ class _Mission:
         self.q.run_until(self.horizon)
         self.q.run_all()
         state = self.state
-        record = metrics_snapshot(self.metrics, self.q.now,
-                                  tuple(state.recovery_times_us))
+        record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         return RunResult(
             config=to_dict(self.cfg),

@@ -160,16 +160,11 @@ class MissionPlan:
     formation: str = "linear"
     spacing_m: float = 12.0
     speed_kmh: float = 12.0
-    session_duration_s: float = 1800.0
-    n_sessions: int = 1
-    reposition_time_s: float = 60.0
     span_m: float = SPAN_M
 
     def __post_init__(self):
         if self.spacing_m <= 0 or self.speed_kmh <= 0:
             raise SwarmError("spacing and speed must be positive")
-        if self.session_duration_s <= 0:
-            raise SwarmError("session duration must be positive")
 
     @property
     def speed_ms(self) -> float:

@@ -1,0 +1,58 @@
+"""Configs that once crashed or hung the CLI, run end to end through
+``cli.main``.
+
+Each row is a config the parser accepts or rejects; the CLI must answer it
+with an exit status (0 ok, 1 config rejected, 2 mission aborted) and never
+with an exception or a hang. New robustness fixes append a row.
+"""
+import json
+import signal
+
+import pytest
+
+from swarmsim.cli import main
+
+# the two-session mission shape of acceptance criteria 09/10, 430 s long
+SHORT_MISSION = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                 "transit_distance_m": 100}
+SHORT = {"duration_s": 430, "infection_rate": 0.0, "mission": SHORT_MISSION}
+
+# (row id, subcommand, config, expected exit status)
+ROWS = [
+    ("predicted_leader_failure_between_profile_1_flushes", "run",
+     {**SHORT, "n_sds": 4, "profile": 1,
+      "failures": [{"kind": "ld_predicted", "drone_id": None, "at_s": 135}]}, 0),
+    ("zero_reposition_minutes", "energy", {"energy": {"reposition_min": 0}}, 1),
+    ("transit_overflowing_the_clock", "run",
+     {"duration_s": 10, "mission": {"transit_distance_m": 1e308}}, 1),
+    ("leader_loss_with_a_single_sd", "run",
+     {**SHORT, "n_sds": 1, "failures": [{"kind": "ld_sudden", "drone_id": None, "at_s": 50}]},
+     0),
+    ("leader_kind_naming_an_sd", "run",
+     {**SHORT, "n_sds": 4, "failures": [{"kind": "ld_sudden", "drone_id": 3, "at_s": 150}]},
+     0),
+]
+
+TIME_LIMIT_S = 120
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError(f"CLI did not return within {TIME_LIMIT_S} s")
+
+
+@pytest.mark.parametrize("command, config, status",
+                         [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
+def test_cli_answers_with_an_exit_status(command, config, status, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == status

@@ -114,6 +114,12 @@ class TestSessionLimits:
     def test_lighter_payload_extends_the_limit(self):
         assert max_rotor_sessions(role="sd", payload_g=0.0) >= 12
 
+    @pytest.mark.parametrize("reposition_min", [0.0, -1.0])
+    def test_free_repositioning_has_no_session_limit(self, reposition_min):
+        # with no flight time per session the count would grow forever
+        with pytest.raises(EnergyError, match="reposition time must be positive"):
+            max_rotor_sessions(params=EnergyParams(reposition_min=reposition_min))
+
 
 class TestDurability:
     def test_report_rows_match_published_figures(self):

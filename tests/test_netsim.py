@@ -110,9 +110,9 @@ class TestWlanLink:
         accepted = sum(link.send(Packet(0, 500)) for _ in range(10))
         q.run_all()
         assert accepted < 10
-        counters = metrics.links["wlan"]
-        assert counters.dropped_pkts == 10 - accepted
-        assert counters.delivered_pkts == accepted
+        counters = metrics_snapshot(metrics, q.now).links["wlan"]
+        assert counters["dropped_pkts"] == 10 - accepted
+        assert counters["delivered_pkts"] == accepted
 
     def test_oversize_packet_must_be_fragmented_first(self):
         q = EventQueue()
@@ -224,9 +224,9 @@ class TestMetrics:
         for i in range(200):
             q.schedule(i * 10, lambda t=i * 10: link.send(Packet(t, 1400)))
         q.run_all()
-        c = metrics.links["wlan"]
-        assert c.offered_pkts == c.delivered_pkts + c.dropped_pkts == 200
-        assert c.offered_bits == c.delivered_bits + c.dropped_bits
+        c = metrics_snapshot(metrics, q.now).links["wlan"]
+        assert c["offered_pkts"] == c["delivered_pkts"] + c["dropped_pkts"] == 200
+        assert c["offered_bits"] == c["delivered_bits"] + c["dropped_bits"]
 
     def test_snapshot_requires_traffic(self):
         with pytest.raises(MetricsError):
@@ -249,7 +249,7 @@ class TestMetrics:
         q.run_until(500)
         q.schedule(2_000, lambda: link.send(Packet(2_000, 21)))
         q.run_all()
-        assert metrics.links["wlan"].offered_pkts == 1
+        assert metrics_snapshot(metrics, q.now).links["wlan"]["offered_pkts"] == 1
 
     def test_uplink_downlink_byte_asymmetry_visible_per_source(self):
         q = EventQueue()
@@ -258,7 +258,7 @@ class TestMetrics:
         link.send(Packet(0, 21, flow="sd_status", src=2, dst=1))
         link.send(Packet(0, 10, flow="ack", src=1, dst=2))
         q.run_all()
-        bits = metrics.offered_bits_by_src
+        bits = metrics_snapshot(metrics, q.now).offered_bits_by_src
         assert bits[("wlan", "sd_status", 2)] == (21 + 90) * 8
         assert bits[("wlan", "ack", 1)] == (10 + 90) * 8
 
@@ -279,6 +279,40 @@ class TestMetrics:
         assert record.by_flow[("wlan", "ack")]["delivered_pkts"] == 1
         assert record.links["wlan"]["delivered_pkts"] == 3
         assert sorted(record.latency) == [("wlan", "best_effort"), ("wlan", "control")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(traffic=st.lists(st.tuples(
+        st.integers(0, 300),                                       # send time
+        st.sampled_from(["wlan", "wimax"]),
+        st.sampled_from(["control", "video", "best_effort"]),
+        st.sampled_from(["sd_status", "video_up", "case_report", "ack"]),
+        st.integers(0, 12),                                        # source
+        st.integers(1, 1500),                                      # bytes
+    ), min_size=1, max_size=80))
+    def test_views_sum_to_the_link_totals(self, traffic):
+        q = EventQueue()
+        metrics = Metrics()
+        links = {
+            "wlan": build_wlan_link(q, WlanParams(buffer_bits=20_000, edca=True), metrics),
+            "wimax": build_wimax_link(q, WimaxParams(buffer_bits=20_000), metrics),
+        }
+        for t, link, cls, flow, src, size in traffic:
+            pkt = Packet(t, size, cls, flow, src)
+            q.schedule(t, lambda link=links[link], pkt=pkt: link.send(pkt))
+        q.run_all()
+        record = metrics_snapshot(metrics, q.now)
+        assert sum(c["offered_pkts"] for c in record.links.values()) == len(traffic)
+        for view in (record.by_class, record.by_flow):
+            sums = {}
+            for (link, _), c in view.items():
+                total = sums.setdefault(link, dict.fromkeys(c, 0))
+                for field, value in c.items():
+                    total[field] += value
+            assert sums == record.links
+        src_bits = {}
+        for (link, _, _), bits in record.offered_bits_by_src.items():
+            src_bits[link] = src_bits.get(link, 0) + bits
+        assert src_bits == {link: c["offered_bits"] for link, c in record.links.items()}
 
 
 class TestLatencyStats:

@@ -102,10 +102,19 @@ class TestConfigParsing:
         {"duration_s": 10**400},  # a JSON integer too large for a float
         {"mission": {"session_duration_s": 1e308}},
         {"failures": [{"kind": "ld_sudden", "drone_id": None, "at_s": 1e308}]},
+        # the transit leg's flight time follows the same rule
+        {"mission": {"transit_distance_m": 1e308}},
+        {"mission": {"transit_distance_m": 10**400}},
+        {"mission": {"transit_distance_m": 1e300, "speed_kmh": 0.001}},
     ])
     def test_seconds_overflowing_the_microsecond_clock_rejected(self, data):
         with pytest.raises(ConfigError, match="overflows the microsecond clock"):
             parse_config(data)
+
+    def test_reposition_minutes_must_be_positive(self):
+        with pytest.raises(ConfigError, match="energy.reposition_min'=0 below minimum"):
+            parse_config({"energy": {"reposition_min": 0}})
+        parse_config({"energy": {"reposition_min": 0.001}})
 
     def test_failure_drone_id_must_name_a_drone(self):
         with pytest.raises(ConfigError, match=r"failures\[0\].drone_id'=999 above maximum 5"):
@@ -176,10 +185,42 @@ class TestRunScenario:
          "t=101000000us ld_predicted of drone 1 not applied: leader is not alive"),
         ([{"kind": "sd_sudden", "drone_id": 4, "at_s": 425.0}],
          "t=425000000us sd_sudden of drone 4 not applied: mission over"),
+        ([{"kind": "ld_sudden", "drone_id": 3, "at_s": 150.0}],
+         "t=150000000us ld_sudden of drone 3 not applied: drone is not the acting leader"),
+        ([{"kind": "ld_predicted", "drone_id": 3, "at_s": 150.0}],
+         "t=150000000us ld_predicted of drone 3 not applied: "
+         "drone is not the acting leader"),
     ])
     def test_failure_that_cannot_apply_is_a_deviation(self, failures, deviation):
         result = run_scenario(small_scenario(failures=failures))
         assert deviation in result.deviations
+
+    def test_leader_kind_naming_an_sd_leaves_its_target_collected(self):
+        result = run_scenario(small_scenario(failures=[
+            {"kind": "ld_sudden", "drone_id": 3, "at_s": 150.0},
+        ]))
+        assert sorted(result.collected_targets) == sorted(list(range(4)) * 2)
+
+    def test_promoted_leader_with_no_sd_left_is_not_aborted(self):
+        result = run_scenario(small_scenario(
+            n_sds=1,
+            mission={"session_duration_s": 120, "n_sessions": 2,
+                     "reposition_s": 60, "transit_distance_m": 100},
+            failures=[{"kind": "ld_sudden", "drone_id": None, "at_s": 50.0}],
+        ))
+        assert not result.aborted
+        assert len(result.recovery_times_s) == 1
+        assert not any("no drone left to lead" in d for d in result.deviations)
+
+    def test_predicted_failure_hands_over_between_profile_1_flushes(self):
+        # with profile 1 the leader's link activity while collecting is only
+        # its 30 s flush, so its last-heard stamp is 20 s old at 140 s
+        result = run_scenario(small_scenario(profile=1, n_sds=4, failures=[
+            {"kind": "ld_predicted", "drone_id": None, "at_s": 135.0},
+        ]))
+        assert not result.aborted
+        assert result.energy[1]["role"] == "sd"
+        assert result.energy[3]["role"] == "ld"
 
     def test_aborted_runs_still_conserve_packets(self):
         cfg = small_scenario(failures=[
