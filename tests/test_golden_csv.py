@@ -6,6 +6,12 @@ shortened video calls and a chosen WLAN service discipline) and compares
 the SHA-256 of the ``emit_csv`` output with the digest recorded before the
 hot-path optimisations. A deliberate output change updates these digests
 and says why in CHANGES.md.
+
+Two cases drive the control plane rather than the video path: a mission
+whose leader dies in flight, so the flight watchdog hands over, and a
+100-SD swarm. The dispatched-event count of one preset is pinned as well,
+which catches a periodic series that drops or repeats a slot even where
+the CSV would not show it.
 """
 import hashlib
 import json
@@ -14,7 +20,7 @@ from importlib import resources
 import pytest
 
 from swarmsim.config import parse_config
-from swarmsim.runner import emit_csv, run_scenario
+from swarmsim.runner import _Mission, emit_csv, run_scenario
 
 
 def _preset(name: str) -> dict:
@@ -27,6 +33,16 @@ def _video_20s(edca: bool) -> dict:
     data["video"]["call_duration_s"] = 20
     data["wlan"]["edca"] = edca
     return data
+
+
+# the mission shape of acceptance criteria 09/10, whose first flight window
+# runs from 2 s to 88.5 s
+FAILOVER = {
+    "name": "failover", "duration_s": 430, "n_sds": 10, "profile": 2,
+    "infection_rate": 0.0,
+    "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                "transit_distance_m": 100, "n_targets": 6},
+}
 
 
 CASES = {
@@ -42,6 +58,16 @@ CASES = {
         lambda: _video_20s(edca=True),
         "fef6d71767fc9b82d7b5acbf368fc59116f4891a3e0f2177e20769ab6dbb7e9b",
     ),
+    "failover_ld_sudden_in_flight": (
+        lambda: dict(FAILOVER, failures=[{"kind": "ld_sudden", "at_s": 40.0}]),
+        "783f03793998518aa3e9eacd79e04fe22ed818a4f3e8ac1750a62ef6c0529104",
+    ),
+    "swarm100_profile2_two_sessions": (
+        lambda: {"name": "swarm100", "duration_s": 430, "n_sds": 100, "profile": 2,
+                 "mission": {"session_duration_s": 120, "n_sessions": 2,
+                             "reposition_s": 60, "transit_distance_m": 100}},
+        "e91fdf04e3ae550a2da512eeb10a19f37be5b6947abb25414422816cc76e87a5",
+    ),
 }
 
 
@@ -50,3 +76,9 @@ def test_csv_digest_is_pinned(case, tmp_path):
     make, digest = CASES[case]
     path = emit_csv([run_scenario(parse_config(make()))], tmp_path / "run.csv")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_event_count_is_pinned():
+    mission = _Mission(parse_config(_preset("scenario1_no_video")))
+    q = mission.q
+    assert q.run_until(mission.horizon) + q.run_all() == 86_362
