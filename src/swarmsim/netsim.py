@@ -74,6 +74,32 @@ class EventQueue:
         heapq.heappush(self._heap, (t, self._tie, fn))
         self._tie += 1
 
+    def every(self, first: int, period: int, last: int,
+              fn: Callable[[int], None]) -> None:
+        """Call ``fn(t)`` at first, first + period, ... while t <= last.
+
+        The series holds one heap entry and one tie, taken now, so its
+        events order against others exactly as if every slot had been
+        scheduled here; each dispatch pushes the next slot before ``fn``
+        runs.
+        """
+        if first < self.now:
+            raise SchedulingError(f"cannot schedule at {first} before now={self.now}")
+        if period <= 0:
+            raise NetSimError("period must be positive")
+        if first > last:
+            return
+        heap, tie = self._heap, self._tie
+        self._tie += 1
+
+        def tick() -> None:
+            t = self.now
+            if t + period <= last:
+                heapq.heappush(heap, (t + period, tie, tick))
+            fn(t)
+
+        heapq.heappush(heap, (first, tie, tick))
+
     def _step(self) -> None:
         t, _, fn = heapq.heappop(self._heap)
         self.now = t

@@ -10,6 +10,11 @@ in flight the leader broadcasts a waypoint update every 0.2 s and every
 worker acknowledges it. Escalated cases file a 500-byte report and, when
 enabled, a bidirectional video call relayed through the leader.
 
+Each periodic process (the status tick, each drone's beacon, the flush,
+the waypoint broadcast, each watchdog, the frames of each video call) runs
+as one self-rescheduling series on the event queue, so the queue holds one
+entry per process instead of one per slot of the horizon.
+
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
 soft handover directly. Results serialize to a fixed-column CSV and a plain
@@ -216,30 +221,25 @@ class _Mission:
                     PhaseEvent.REPOSITION_COMPLETE))
         ev(land_at, lambda: self._mission_transition(PhaseEvent.LANDED_AT_BASE))
 
-        # periodic traffic, telemetry, and watchdog ticks; per-drone send
-        # slots are staggered so synchronized reports do not collide in the
-        # transmit queue (deterministic stand-in for channel-access backoff)
-        drone_ids = sorted(self.state.drones)
-        for t in range(SD_STATUS_PERIOD_US, H + 1, SD_STATUS_PERIOD_US):
-            self.q.schedule(t, lambda t=t: self._status_tick(t))
-            for d in drone_ids:
-                slot = t + d * BEACON_STAGGER_US
-                if slot <= H:
-                    self.q.schedule(slot, lambda t=slot, d=d: self._send_beacon(t, d))
-        for t in range(LD_STATUS_PERIOD_US, H + 1, LD_STATUS_PERIOD_US):
-            self.q.schedule(t, lambda t=t: self._flush_tick(t))
+        # periodic traffic, telemetry, and watchdog ticks run as series;
+        # events at equal times run in the order their series are created
+        # here. Per-drone send slots are staggered so synchronized reports
+        # do not collide in the transmit queue (deterministic stand-in for
+        # channel-access backoff).
+        every = self.q.every
+        every(SD_STATUS_PERIOD_US, SD_STATUS_PERIOD_US, H, self._status_tick)
+        for d in sorted(self.state.drones):
+            every(SD_STATUS_PERIOD_US + d * BEACON_STAGGER_US, SD_STATUS_PERIOD_US, H,
+                  lambda t, d=d: self._send_beacon(t, d))
+        every(LD_STATUS_PERIOD_US, LD_STATUS_PERIOD_US, H, self._flush_tick)
         for a, b in self.flight_windows:
-            for t in range(a + MOVE_TO_WAYPOINT_PERIOD_US, min(b, H) + 1,
-                           MOVE_TO_WAYPOINT_PERIOD_US):
-                self.q.schedule(t, lambda t=t: self._broadcast_tick(t))
-                probe = t + WATCHDOG_MARGIN_US
-                if probe <= H:
-                    self.q.schedule(probe, lambda t=probe: self._watchdog(t, "flight"))
+            first = a + MOVE_TO_WAYPOINT_PERIOD_US
+            every(first, MOVE_TO_WAYPOINT_PERIOD_US, min(b, H), self._broadcast_tick)
+            every(first + WATCHDOG_MARGIN_US, MOVE_TO_WAYPOINT_PERIOD_US,
+                  min(b + WATCHDOG_MARGIN_US, H), lambda t: self._watchdog(t, "flight"))
         for a, b in self.collection_windows:
-            for t in range(a + LD_STATUS_PERIOD_US, min(b, H) + 1, LD_STATUS_PERIOD_US):
-                probe = t + WATCHDOG_MARGIN_US
-                if probe <= H:
-                    self.q.schedule(probe, lambda t=probe: self._watchdog(t, "collection"))
+            every(a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US, LD_STATUS_PERIOD_US,
+                  min(b + WATCHDOG_MARGIN_US, H), lambda t: self._watchdog(t, "collection"))
 
         for f in self.cfg.failures:
             if f.at_us <= H:
@@ -298,7 +298,8 @@ class _Mission:
         state = self.state
         if state.aborted:
             return
-        targets = list(range(self.n_targets)) + state.pending_targets
+        # a target orphaned in the last session may also be in range; list it once
+        targets = list(dict.fromkeys([*range(self.n_targets), *state.pending_targets]))
         state.pending_targets = []
         available = [d for d in state.alive_sds() if d.phase is not Phase.RETURNING]
         if len(targets) > len(available):
@@ -488,12 +489,8 @@ class _Mission:
         dur_us = int(cfg.video.call_duration_s * 1e6)
         end = start + dur_us
         frame_gap = 1_000_000 // spec.frame_rate
-        f = 0
-        t = start
-        while t < end and t <= self.horizon:
-            self.q.schedule(t, lambda t=t: self._video_frame(t, sd_id, up, down))
-            f += 1
-            t = start + f * frame_gap
+        self.q.every(start, frame_gap, min(end - 1, self.horizon),
+                     lambda t: self._video_frame(t, sd_id, up, down))
         self._at(min(end, self.horizon), lambda: self._end_call(sd_id, start, min(end, self.horizon)))
 
     def _end_call(self, sd_id: int, start: int, end: int) -> None:

@@ -68,6 +68,72 @@ class TestEventQueue:
         q.run_until(500)
         assert q.now == 500
 
+    def test_series_calls_every_slot_from_one_heap_entry(self):
+        q = EventQueue()
+        seen = []
+        q.every(10, 5, 30, seen.append)
+        assert len(q._heap) == 1
+        assert q.run_until(22) == 3
+        assert len(q._heap) == 1
+        q.run_all()
+        assert seen == [10, 15, 20, 25, 30]
+
+    def test_series_past_its_last_slot_schedules_nothing(self):
+        q = EventQueue()
+        q.every(31, 5, 30, lambda t: None)
+        assert q.run_all() == 0
+
+    def test_series_starting_in_the_past_rejected(self):
+        q = EventQueue()
+        q.run_until(10)
+        with pytest.raises(SchedulingError):
+            q.every(9, 5, 30, lambda t: None)
+
+    def test_series_needs_a_positive_period(self):
+        with pytest.raises(NetSimError):
+            EventQueue().every(0, 0, 30, lambda t: None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=st.lists(st.tuples(
+        st.booleans(),                                  # series or one-shot
+        st.integers(0, 20), st.integers(1, 6), st.integers(0, 30),
+        st.none() | st.integers(0, 6),                  # child one-shot delay
+        st.none() | st.tuples(st.integers(0, 6), st.integers(1, 6),
+                              st.integers(0, 12)),      # series started by a one-shot
+    ), max_size=10))
+    def test_series_order_equals_prescheduled_slots(self, items):
+        def prescheduled(q, first, period, last, fn):
+            if first < q.now:
+                raise SchedulingError("past")
+            for t in range(first, last + 1, period):
+                q.schedule(t, lambda t=t: fn(t))
+
+        def dispatch_log(every):
+            q = EventQueue()
+            log = []
+
+            def event(label, child, nested):
+                def fire(t):
+                    log.append((q.now, t, label))
+                    if child is not None:
+                        q.schedule(q.now + child, lambda: log.append((q.now, label + "/c")))
+                    if nested is not None:
+                        first, period, span = nested
+                        every(q, q.now + first, period, q.now + span,
+                              event(label + "/s", child, None))
+                return fire
+
+            for i, (series, t, period, last, child, nested) in enumerate(items):
+                if series:
+                    every(q, t, period, last, event(str(i), child, None))
+                else:
+                    fire = event(str(i), child, nested)
+                    q.schedule(t, lambda fire=fire: fire(q.now))
+            q.run_all()
+            return log
+
+        assert dispatch_log(EventQueue.every) == dispatch_log(prescheduled)
+
 
 class TestTransmissionTime:
     def test_rounding_to_nearest_microsecond(self):

@@ -222,6 +222,24 @@ class TestRunScenario:
         assert result.energy[1]["role"] == "sd"
         assert result.energy[3]["role"] == "ld"
 
+    def test_target_orphaned_by_a_handover_is_collected_once_more(self):
+        # the handover leaves the new leader's target 1 orphaned in session
+        # 0; session 1 lists it once, so it is collected and not deferred
+        result = run_scenario(small_scenario(profile=1, n_sds=4, failures=[
+            {"kind": "ld_predicted", "drone_id": None, "at_s": 135.0},
+        ]))
+        assert result.pending_targets == []
+        assert set(result.collected_targets) == {0, 1, 2, 3}
+
+    def test_target_deferred_with_no_sd_left_is_pending_once(self):
+        mission = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                   "transit_distance_m": 100}
+        result = run_scenario(small_scenario(n_sds=1, profile=1, mission=mission, failures=[
+            {"kind": "ld_sudden", "drone_id": None, "at_s": 50.0},
+        ]))
+        assert result.collected_targets == []
+        assert result.pending_targets == [0]
+
     def test_aborted_runs_still_conserve_packets(self):
         cfg = small_scenario(failures=[
             {"kind": "sd_sudden", "drone_id": 2, "at_s": 95.0},
