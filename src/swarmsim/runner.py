@@ -298,8 +298,9 @@ class _Mission:
         state = self.state
         if state.aborted:
             return
-        # a target orphaned in the last session may also be in range; list it once
-        targets = list(dict.fromkeys([*range(self.n_targets), *state.pending_targets]))
+        # every session visits every target, so a target deferred or
+        # orphaned in the last session is among them
+        targets = list(range(self.n_targets))
         state.pending_targets = []
         available = [d for d in state.alive_sds() if d.phase is not Phase.RETURNING]
         if len(targets) > len(available):

@@ -103,8 +103,6 @@ class TestEventQueue:
     ), max_size=10))
     def test_series_order_equals_prescheduled_slots(self, items):
         def prescheduled(q, first, period, last, fn):
-            if first < q.now:
-                raise SchedulingError("past")
             for t in range(first, last + 1, period):
                 q.schedule(t, lambda t=t: fn(t))
 
