@@ -3,7 +3,7 @@
 Subcommands:
   run      execute one scenario, write CSV metrics and a text report
   sweep    rerun a scenario across values of one config field
-  energy   print the battery durability table for a scenario
+  energy   price a scenario's mission against the batteries
   presets  list the bundled scenario configurations
 
 Configs are JSON files; an argument that is not an existing file is looked
@@ -19,13 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, to_dict
-from .energy import (
-    ComputeRadioPower,
-    EnergyParams,
-    battery_feasible,
-    durability_report,
-    format_durability,
-)
+from .energy import battery_feasible, durability_report, format_durability, mission_plan
 from .runner import RunResult, emit_csv, emit_report, run_scenario, sweep
 
 EXIT_OK = 0
@@ -128,15 +122,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_energy(args) -> int:
     cfg = _resolve_config(args.config)
-    params = EnergyParams(
-        dmc_leg_min=cfg.energy.dmc_leg_min,
-        reposition_min=cfg.energy.reposition_min,
-        session_min=cfg.mission.session_duration_s / 60.0,
-    )
-    power = ComputeRadioPower(video_multiplier=cfg.energy.video_multiplier)
-    report = durability_report(params=params, power=power)
-    print(format_durability(report))
-    ok, max_sessions = battery_feasible(cfg.mission, power=power, params=params)
+    plan = mission_plan(cfg.mission)
+    print(format_durability(durability_report(plan)))
+    ok, max_sessions = battery_feasible(cfg.mission, plan)
     verdict = "fits" if ok else "does NOT fit"
     print(
         f"planned {cfg.mission.n_sessions} session(s) of "
@@ -175,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default="out", help="output directory (default: out)")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_energy = sub.add_parser("energy", help="print the battery durability table")
+    p_energy = sub.add_parser("energy",
+                              help="price a scenario's mission against the batteries")
     p_energy.add_argument("config", help="config file path or preset name")
     p_energy.set_defaults(fn=_cmd_energy)
 

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
-from .energy import DEFAULT_PARAMS, DEFAULT_POWER
+from .energy import MAX_SESSIONS, VIDEO_MULTIPLIER
 from .failure import FailureEvent, FailureKind
 from .netsim import WlanParams, WimaxParams
 
@@ -55,9 +55,7 @@ class MissionSettings:
 
 @dataclass(frozen=True)
 class EnergySettings:
-    dmc_leg_min: float = DEFAULT_PARAMS.dmc_leg_min
-    reposition_min: float = DEFAULT_PARAMS.reposition_min
-    video_multiplier: float = DEFAULT_POWER.video_multiplier
+    video_multiplier: float = VIDEO_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         speed_kmh=_num(m["speed_kmh"], "mission.speed_kmh", 0.001, None),
         session_duration_s=_seconds(m["session_duration_s"], "mission.session_duration_s",
                                     0.001),
-        n_sessions=_num(m["n_sessions"], "mission.n_sessions", 1, 1000, True),
+        n_sessions=_num(m["n_sessions"], "mission.n_sessions", 1, MAX_SESSIONS, True),
         reposition_s=_seconds(m["reposition_s"], "mission.reposition_s", 0),
         transit_distance_m=_num(m["transit_distance_m"], "mission.transit_distance_m",
                                 0, None),
@@ -220,8 +218,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
 
     e = _expect(top["energy"], "energy", _DEFAULTS["energy"])
     energy = EnergySettings(
-        dmc_leg_min=_num(e["dmc_leg_min"], "energy.dmc_leg_min", 0, None),
-        reposition_min=_num(e["reposition_min"], "energy.reposition_min", 0.001, None),
         video_multiplier=_num(e["video_multiplier"], "energy.video_multiplier", 1.0, None),
     )
 

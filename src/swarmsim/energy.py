@@ -1,22 +1,41 @@
 """Energy budgeting and battery sizing.
 
-Rotor energy follows a linear drain model: carrying payload raises power
-draw along a piecewise-linear derating curve, shrinking the base flight
-time; flying a fraction of the derated budget consumes that fraction of
-the battery. The onboard computer and radios draw from a separate battery
-pair whose average power defaults are back-calculated from the session
-counts each battery sustains (14 h for a leader, 7.5 h for a worker on a
-22.2 Wh pack), since no direct wattage is available.
+One function, ``price``, turns a drone's role and the seconds it spent
+airborne, powered and in video calls into the Wh drawn from its two
+batteries:
 
-The mission shape priced here: a round trip to the operating area plus one
-repositioning hop per 30-minute collection session, all flown; collection
-itself happens landed.
+- Rotor energy follows a linear drain model. Carrying payload raises the
+  rotor power by 25% per 15% of payload ratio, which shrinks the base
+  flight time; flying a fraction of the derated budget consumes that
+  fraction of the flight battery.
+- The onboard computer and radios draw from a separate battery pair whose
+  average power is back-calculated from the session counts each battery
+  sustains (14 h for a leader, 7.5 h for a worker on a 22.2 Wh pack),
+  since no direct wattage is available. Video time draws a multiple of it.
+
+The runner's per-drone ledger prices the time a run simulated. The session
+limits price a plan instead: a plan maps a session count to (airborne s,
+alive s), and there are two of them.
+
+- ``reference_plan`` is the paper's table: 6-minute legs each way and one
+  1-minute hop per 30-minute session, all flown, with collection landed.
+  Compute is priced over session time only. Its limits are 12 sessions on
+  either drone battery, 28 on a leader's compute battery and 15 on a
+  worker's.
+- ``mission_plan(mission)`` is the mission a config describes, with the
+  legs the runner's timeline flies: out is formation + transit +
+  deployment, back is transit, and n sessions have n - 1 hops of
+  ``reposition_s`` between them. Compute is priced over the whole mission.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 _EPS = 1e-9
+# the parser's n_sessions maximum; it also bounds the session-limit search,
+# so a plan whose flight does not grow with the sessions still ends
+MAX_SESSIONS = 1000
 
 
 class EnergyError(ValueError):
@@ -82,76 +101,14 @@ class PayloadManifest:
         raise EnergyError(f"unknown role {role!r}")
 
 
-@dataclass(frozen=True)
-class DeratingCurve:
-    """Payload percentage -> rotor power increase percentage.
-
-    Anchored so that a 15% payload ratio costs one fifth of the flight time
-    (30 -> 24 min), i.e. a 25% power increase; linear between and beyond
-    anchors.
-    """
-
-    anchors: tuple[tuple[float, float], ...] = ((0.0, 0.0), (15.0, 25.0))
-
-    def __post_init__(self):
-        pts = sorted(self.anchors)
-        if pts[0] != (0.0, 0.0):
-            raise EnergyError("derating curve must pass through (0, 0)")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0 or y1 < y0:
-                raise EnergyError("derating anchors must be increasing")
-        object.__setattr__(self, "anchors", tuple(pts))
-
-    def power_increase(self, payload_pct: float) -> float:
-        if payload_pct < 0:
-            raise EnergyError("payload percentage must be non-negative")
-        pts = self.anchors
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if payload_pct <= x1:
-                return y0 + (y1 - y0) * (payload_pct - x0) / (x1 - x0)
-        # extrapolate along the last segment
-        (x0, y0), (x1, y1) = pts[-2], pts[-1]
-        return y0 + (y1 - y0) * (payload_pct - x0) / (x1 - x0)
-
-
-@dataclass(frozen=True)
-class ComputeRadioPower:
-    """Average compute+radio draw per role and the battery pair feeding it
-    (two 3000 mAh 3.7 V packs = 22.2 Wh)."""
-
-    ld_avg_w: float = 22.2 / 14.0   # sustains 28 half-hour sessions
-    sd_avg_w: float = 22.2 / 7.5    # sustains 15 half-hour sessions
-    pi_battery_wh: float = 3.7 * 3.0 * 2
-    video_multiplier: float = 1.5
-
-    def __post_init__(self):
-        if self.ld_avg_w <= 0 or self.sd_avg_w <= 0 or self.pi_battery_wh <= 0:
-            raise EnergyError("powers and battery capacity must be positive")
-
-    def avg_for(self, role: str) -> float:
-        if role == "ld":
-            return self.ld_avg_w
-        if role == "sd":
-            return self.sd_avg_w
-        raise EnergyError(f"unknown role {role!r}")
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Mission legs priced by the budget: base round trip plus one
-    repositioning hop per session. The 6-minute leg makes a 12-session
-    mission use the 24-minute derated budget exactly."""
-
-    dmc_leg_min: float = 6.0
-    reposition_min: float = 1.0
-    session_min: float = 30.0
-
-
 DEFAULT_SPEC = DroneSpec()
 DEFAULT_MANIFEST = PayloadManifest()
-DEFAULT_CURVE = DeratingCurve()
-DEFAULT_POWER = ComputeRadioPower()
-DEFAULT_PARAMS = EnergyParams()
+# average compute+radio draw per role, and the battery pair feeding it (two
+# 3000 mAh 3.7 V packs = 22.2 Wh); a leader sustains 28 half-hour sessions,
+# a worker 15
+COMPUTE_W = {"ld": 22.2 / 14.0, "sd": 22.2 / 7.5}
+COMPUTE_BATTERY_WH = 3.7 * 3.0 * 2
+VIDEO_MULTIPLIER = 1.5
 
 
 def payload_ratio(payload_g: float, drone_g: float) -> float:
@@ -163,106 +120,116 @@ def payload_ratio(payload_g: float, drone_g: float) -> float:
     return 100.0 * payload_g / drone_g
 
 
-def derate_flight_time(
-    base_min: float, payload_pct: float, curve: DeratingCurve = DEFAULT_CURVE
-) -> float:
-    """Flight time under payload: base time divided by the power ratio."""
+def derate_flight_time(base_min: float, payload_pct: float) -> float:
+    """Flight time under payload: base time divided by the power ratio.
+
+    A 15% payload ratio raises the rotor power by 25%, which cuts 30
+    minutes to 24; the increase is linear in the payload ratio.
+    """
     if base_min <= 0:
         raise EnergyError("base flight time must be positive")
-    return base_min / (1.0 + curve.power_increase(payload_pct) / 100.0)
+    if payload_pct < 0:
+        raise EnergyError("payload percentage must be non-negative")
+    return base_min / (1.0 + 25.0 * payload_pct / 15.0 / 100.0)
 
 
-def total_flight_time(dmc_leg_min: float, n_sessions: int, reposition_min: float) -> float:
-    """Minutes flown over a mission: both base legs plus one hop per session."""
-    if dmc_leg_min < 0 or n_sessions < 0 or reposition_min < 0:
-        raise EnergyError("flight-time components must be non-negative")
-    return 2.0 * dmc_leg_min + n_sessions * reposition_min
+def flight_budget_min(role: str) -> float:
+    """Minutes a drone of ``role`` ('ld' or 'sd') flies on a full battery
+    carrying its role's stock payload."""
+    pct = payload_ratio(DEFAULT_MANIFEST.total_for(role), DEFAULT_SPEC.base_weight_g)
+    return derate_flight_time(DEFAULT_SPEC.base_flight_min, pct)
 
 
-def rotor_energy(
-    flight_min: float,
-    spec: DroneSpec = DEFAULT_SPEC,
-    payload_pct: float = 0.0,
-    curve: DeratingCurve = DEFAULT_CURVE,
-) -> float:
-    """Wh drawn from the flight battery: linear drain over the derated budget."""
-    if flight_min < 0:
-        raise EnergyError("flight time must be non-negative")
-    budget = derate_flight_time(spec.base_flight_min, payload_pct, curve)
-    return flight_min / budget * spec.battery_wh
+def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
+          video_multiplier: float = VIDEO_MULTIPLIER) -> tuple[float, float]:
+    """(rotor Wh, compute Wh) of a drone of ``role`` that flew
+    ``airborne_s`` and was powered for ``alive_s`` seconds, ``video_s`` of
+    them in a video call."""
+    if airborne_s < 0 or alive_s < 0 or video_s < 0:
+        raise EnergyError("durations must be non-negative")
+    rotor = airborne_s / 60.0 / flight_budget_min(role) * DEFAULT_SPEC.battery_wh
+    watts = COMPUTE_W[role]
+    compute = watts * alive_s / 3600.0
+    # the video surcharge, summed in this order so ledgers stay byte-stable
+    compute += watts * video_multiplier * video_s / 3600.0 - watts * video_s / 3600.0
+    return rotor, compute
 
 
-def network_compute_energy(
-    duration_s: float,
-    role: str,
-    power: ComputeRadioPower = DEFAULT_POWER,
-    session_kind: str = "idle",
-) -> float:
-    """Wh drawn by compute and radios over a stretch of mission time."""
-    if duration_s < 0:
-        raise EnergyError("duration must be non-negative")
-    if session_kind not in ("idle", "video"):
-        raise EnergyError(f"unknown session kind {session_kind!r}")
-    watts = power.avg_for(role)
-    if session_kind == "video":
-        watts *= power.video_multiplier
-    return watts * duration_s / 3600.0
+def overdrawn(rotor_wh: float, compute_wh: float) -> list[str]:
+    """The batteries, 'flight' and 'compute', that these draws exceed."""
+    return [name for name, wh, capacity in (
+        ("flight", rotor_wh, DEFAULT_SPEC.battery_wh),
+        ("compute", compute_wh, COMPUTE_BATTERY_WH),
+    ) if wh > capacity + _EPS]
 
 
-def max_rotor_sessions(
-    spec: DroneSpec = DEFAULT_SPEC,
-    payload_g: float | None = None,
-    curve: DeratingCurve = DEFAULT_CURVE,
-    params: EnergyParams = DEFAULT_PARAMS,
-    role: str = "sd",
-    manifest: PayloadManifest = DEFAULT_MANIFEST,
-) -> int:
-    """Largest session count whose flight time fits the flight battery."""
-    if params.reposition_min <= 0:
-        raise EnergyError("reposition time must be positive to bound the sessions")
-    if payload_g is None:
-        payload_g = manifest.total_for(role)
-    pct = payload_ratio(payload_g, spec.base_weight_g)
-    n = 0
-    while rotor_energy(
-        total_flight_time(params.dmc_leg_min, n + 1, params.reposition_min),
-        spec, pct, curve,
-    ) <= spec.battery_wh + _EPS:
-        n += 1
-    return n
+# -- plans -------------------------------------------------------------------
+
+Plan = Callable[[int], tuple[float, float]]
 
 
-def max_compute_sessions(
-    role: str,
-    power: ComputeRadioPower = DEFAULT_POWER,
-    params: EnergyParams = DEFAULT_PARAMS,
-) -> int:
-    """Largest session count the compute battery pair sustains."""
-    per_session = network_compute_energy(params.session_min * 60.0, role, power)
-    return int((power.pi_battery_wh + _EPS) / per_session)
+# the paper's table: a 6-minute leg each way, one 1-minute hop per
+# 30-minute session; its 12 sessions fly the 24-minute derated budget
+REFERENCE_LEG_MIN, REFERENCE_HOP_MIN, REFERENCE_SESSION_MIN = 6, 1, 30
 
 
-def battery_feasible(
-    plan,
-    spec: DroneSpec = DEFAULT_SPEC,
-    payload_g: float | None = None,
-    curve: DeratingCurve = DEFAULT_CURVE,
-    power: ComputeRadioPower = DEFAULT_POWER,
-    role: str = "sd",
-    params: EnergyParams = DEFAULT_PARAMS,
-    manifest: PayloadManifest = DEFAULT_MANIFEST,
-) -> tuple[bool, int]:
-    """Whether both batteries cover the planned sessions.
+def reference_plan(n: int) -> tuple[float, float]:
+    """(airborne s, alive s) of the paper's table for ``n`` sessions."""
+    airborne_min = 2 * REFERENCE_LEG_MIN + n * REFERENCE_HOP_MIN
+    return airborne_min * 60.0, n * REFERENCE_SESSION_MIN * 60.0
 
-    ``plan`` needs an ``n_sessions`` attribute (a config's mission settings
-    work); the returned count is the binding minimum of the flight-battery
-    and compute-battery limits.
-    """
-    n_rotor = max_rotor_sessions(spec, payload_g, curve, params, role, manifest)
-    n_compute = max_compute_sessions(role, power, params)
-    max_sessions = min(n_rotor, n_compute)
-    n_needed = plan.n_sessions if hasattr(plan, "n_sessions") else int(plan)
-    return max_sessions >= n_needed, max_sessions
+
+class MissionTimes(NamedTuple):
+    """The durations a mission's timeline schedules, in microseconds."""
+    formation_us: int
+    transit_us: int
+    deploy_us: int
+    session_us: int
+    hop_us: int
+
+
+def mission_times(mission) -> MissionTimes:
+    """The timeline durations of ``mission`` (a config's mission settings)."""
+    speed_ms = mission.speed_kmh * 1000.0 / 3600.0
+    return MissionTimes(
+        formation_us=int(mission.formation_time_s * 1e6),
+        transit_us=int(round(mission.transit_distance_m / speed_ms * 1e6)),
+        deploy_us=int(mission.deploy_time_s * 1e6),
+        session_us=int(mission.session_duration_s * 1e6),
+        hop_us=int(mission.reposition_s * 1e6),
+    )
+
+
+def mission_plan(mission) -> Plan:
+    """The plan of the mission a config describes."""
+    t = mission_times(mission)
+    legs_us = t.formation_us + 2 * t.transit_us + t.deploy_us
+
+    def plan(n: int) -> tuple[float, float]:
+        airborne_us = legs_us + max(n - 1, 0) * t.hop_us
+        return airborne_us / 1e6, (airborne_us + n * t.session_us) / 1e6
+
+    return plan
+
+
+def session_limits(role: str, plan: Plan = reference_plan) -> tuple[int, int]:
+    """Largest session counts, up to ``MAX_SESSIONS``, that the flight and
+    the compute battery of a ``role`` drone each cover under ``plan``."""
+    n_flight = n_compute = 0
+    for n in range(1, MAX_SESSIONS + 1):
+        over = overdrawn(*price(role, *plan(n)))
+        if len(over) == 2:  # both exhausted; a plan's draws only grow with n
+            break
+        n_flight += "flight" not in over
+        n_compute += "compute" not in over
+    return n_flight, n_compute
+
+
+def battery_feasible(mission, plan: Plan = reference_plan) -> tuple[bool, int]:
+    """Whether every battery covers ``mission.n_sessions`` sessions under
+    ``plan``, and the binding session limit."""
+    limit = durability_report(plan).system_limit_sessions
+    return limit >= mission.n_sessions, limit
 
 
 @dataclass(frozen=True)
@@ -286,23 +253,17 @@ class DurabilityReport:
         return min(r.max_hours for r in self.rows)
 
 
-def durability_report(
-    spec: DroneSpec = DEFAULT_SPEC,
-    manifest: PayloadManifest = DEFAULT_MANIFEST,
-    curve: DeratingCurve = DEFAULT_CURVE,
-    power: ComputeRadioPower = DEFAULT_POWER,
-    params: EnergyParams = DEFAULT_PARAMS,
-) -> DurabilityReport:
-    """Session and hour ceilings per battery; the system limit is the
+def durability_report(plan: Plan = reference_plan) -> DurabilityReport:
+    """Session and hour ceilings per battery under ``plan``; the hours are
+    the powered time of that many sessions, and the system limit is the
     minimum across rows."""
-    session_h = params.session_min / 60.0
+    limits = {role: session_limits(role, plan) for role in ("ld", "sd")}
     rows = []
-    for role in ("ld", "sd"):
-        n = max_rotor_sessions(spec, None, curve, params, role, manifest)
-        rows.append(DurabilityRow(f"drone battery ({role.upper()})", role, n, n * session_h))
-    for role in ("ld", "sd"):
-        n = max_compute_sessions(role, power, params)
-        rows.append(DurabilityRow(f"compute battery ({role.upper()})", role, n, n * session_h))
+    for i, battery in enumerate(("drone", "compute")):
+        for role in ("ld", "sd"):
+            n = limits[role][i]
+            hours = plan(n)[1] / 3600.0 if n else 0.0
+            rows.append(DurabilityRow(f"{battery} battery ({role.upper()})", role, n, hours))
     return DurabilityReport(rows=tuple(rows))
 
 

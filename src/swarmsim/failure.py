@@ -103,16 +103,20 @@ def predict_failure(
     )
 
 
-def _promotion_candidate(state: SwarmState) -> tuple[Drone | None, bool]:
-    """The designated backup if usable, else the lowest-id alive SD.
+def _promotion_candidate(
+    state: SwarmState, thresholds: PredictionThresholds | None = None
+) -> tuple[Drone | None, bool]:
+    """The designated backup if usable, else the lowest-id usable SD.
 
+    Any alive SD is usable; with ``thresholds`` (a soft handover), only one
+    that is not returning and whose own telemetry predicts no failure.
     Returns (candidate, fell_back).
     """
-    if state.backup_id is not None:
-        backup = state.drones.get(state.backup_id)
-        if backup is not None and backup.alive and backup.phase is not Phase.ISOLATED:
-            return backup, False
-    sds = state.alive_sds()
+    sds = [d for d in state.alive_sds() if thresholds is None or (
+        d.phase is not Phase.RETURNING and not predict_failure(d.telemetry, thresholds))]
+    for d in sds:
+        if d.id == state.backup_id:
+            return d, False
     return (sds[0] if sds else None), True
 
 
@@ -149,17 +153,21 @@ def soft_handover(
 
     The backup inherits the aggregation buffer, so no report is lost. The
     old leader demotes to an SD and heads home if its battery is below the
-    floor. Requires the prediction to actually hold; a dead backup falls
-    back to the lowest-id alive SD and is recorded as a deviation.
+    floor. Requires the prediction to actually hold. An unusable backup
+    falls back to the lowest-id SD that is not returning and predicts no
+    failure of its own, and is recorded as a deviation; with no such SD the
+    leader keeps command, also recorded.
     """
     old = state.leader()
     if not old.alive:
         raise FailureError("soft handover needs a live leader; use hard_handover")
     if not predict_failure(old.telemetry, thresholds, now_us):
         raise FailureError("soft handover without a failure prediction")
-    candidate, fell_back = _promotion_candidate(state)
+    candidate, fell_back = _promotion_candidate(state, thresholds)
     if candidate is None:
-        state.deviations.append(f"t={now_us}us soft handover found no SD to promote")
+        state.deviations.append(
+            f"t={now_us}us soft handover found no SD fit to lead; "
+            f"leader {old.id} keeps command")
         return state
     if fell_back:
         state.deviations.append(

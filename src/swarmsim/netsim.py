@@ -13,9 +13,11 @@ Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
 with EDCA priorities. The long-range link is served per direction at its
 sustained rate with real-time flows (video, case reports) strictly
-prioritized over best effort, which keeps the reserved-rate guarantee
-trivially true; at a sustained-rate server the shaped token bucket never
-becomes the binding constraint, so it is not simulated separately.
+prioritized over best effort; at a sustained-rate server the shaped token
+bucket never becomes the binding constraint, so it is not simulated
+separately. Priority orders service only: all classes share one buffer,
+so video that fills it crowds out the leader's control flushes, which
+are then dropped.
 
 All timestamps are integer microseconds. Runs with the same seed and
 configuration produce identical event traces.

@@ -5,9 +5,10 @@ A run executes the mission timeline on one event queue: launch, formation
 sessions separated by repositioning hops, and the return leg. Periodic
 traffic rides role-resolved boundary ticks so that leadership changes take
 effect mid-stream: every 10 s each live worker beacons its status to the
-acting leader, who aggregates and flushes to the ground station every 30 s;
-in flight the leader broadcasts a waypoint update every 0.2 s and every
-worker acknowledges it. Escalated cases file a 500-byte report and, when
+acting leader, who aggregates and flushes to the ground station every 30 s
+(the reports of a flush the long-range link drops are lost); in flight
+the leader broadcasts a waypoint update every 0.2 s and every worker
+acknowledges it. Escalated cases file a 500-byte report and, when
 enabled, a bidirectional video call relayed through the leader.
 
 Each periodic process (the status tick, each drone's beacon, the flush,
@@ -17,8 +18,10 @@ entry per process instead of one per slot of the horizon.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
-soft handover directly. Results serialize to a fixed-column CSV and a plain
-text report; identical (config, seed) pairs produce byte-identical files.
+soft handover directly. At the end, each drone's airborne, powered and
+video time is priced against its batteries; an overdraw is a deviation.
+Results serialize to a fixed-column CSV and a plain text report; identical
+(config, seed) pairs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -143,19 +146,15 @@ class _Mission:
         self.active_calls = 0
         self.leader_killed_at: int | None = None
         self.handover_pending = False
+        self.kept_command: int | None = None  # leader that found no SD fit to lead
         self.warned_no_sds = False
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
 
         # battery drain per airborne second, from the derated budget per role
-        manifest = energy_mod.DEFAULT_MANIFEST
-        spec = energy_mod.DEFAULT_SPEC
-        self.drain_pct_per_s = {}
-        for role in ("ld", "sd"):
-            pct = energy_mod.payload_ratio(manifest.total_for(role), spec.base_weight_g)
-            budget_s = energy_mod.derate_flight_time(spec.base_flight_min, pct) * 60.0
-            self.drain_pct_per_s[role] = 100.0 / budget_s
+        self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
+                                for role in ("ld", "sd")}
 
         if cfg.video.enabled and cfg.video.max_calls is None:
             call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate)
@@ -168,15 +167,13 @@ class _Mission:
     # -- timeline ---------------------------------------------------------
 
     def _build_timeline(self) -> None:
-        cfg = self.cfg
-        m = cfg.mission
-        speed = self.state.plan.speed_ms
-        transit_us = int(round(m.transit_distance_m / speed * 1e6))
-        form_end = int(m.formation_time_s * 1e6)
+        m = self.cfg.mission
+        times = energy_mod.mission_times(m)
+        transit_us, session_us, reposition_us = (
+            times.transit_us, times.session_us, times.hop_us)
+        form_end = times.formation_us
         area_at = form_end + transit_us
-        collect_start = area_at + int(m.deploy_time_s * 1e6)
-        session_us = int(m.session_duration_s * 1e6)
-        reposition_us = int(m.reposition_s * 1e6)
+        collect_start = area_at + times.deploy_us
 
         self.flight_windows: list[tuple[int, int]] = [(0, collect_start)]
         self.collection_windows: list[tuple[int, int]] = []
@@ -421,7 +418,8 @@ class _Mission:
         self._mark_leader_activity()
         pkt = Packet(now, HEADER_LEN + status_report_ld_length(n), CONTROL,
                      "ld_status", src=state.leader_id, dst=DMC_ID)
-        self.wimax_ul.send(pkt, lambda p, batch=batch: self._on_flush_delivered(p, batch))
+        if not self.wimax_ul.send(pkt, lambda p: self._on_flush_delivered(p, batch)):
+            state.lost_reports += len(batch)
 
     def _on_flush_delivered(self, pkt: Packet, batch: list) -> None:
         self.reports_delivered += len(batch)
@@ -496,8 +494,8 @@ class _Mission:
 
     def _end_call(self, sd_id: int, start: int, end: int) -> None:
         self.active_calls = max(0, self.active_calls - 1)
-        if sd_id in self.video_us:
-            self.video_us[sd_id] += end - start
+        # a call staggered past the horizon never ran
+        self.video_us[sd_id] += max(0, end - start)
 
     def _video_frame(self, now: int, sd_id: int, up: list[int], down: list[int]) -> None:
         state = self.state
@@ -545,9 +543,13 @@ class _Mission:
         if not leader.alive or state.aborted:
             return
         if failure_mod.predict_failure(leader.telemetry):
-            if state.alive_sds():
+            # a leader that found no SD fit to lead keeps command; no SD
+            # becomes fit later, so it does not ask again
+            if state.alive_sds() and leader.id != self.kept_command:
                 leader.telemetry.last_heard = now  # its own reading is fresh
                 failure_mod.soft_handover(state, now)
+                if state.leader_id == leader.id:
+                    self.kept_command = leader.id
                 state.leader().telemetry.last_heard = now
                 self._update_waypoints()
 
@@ -641,6 +643,12 @@ class _Mission:
         state = self.state
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
+        for drone_id, entry in sorted(ledger.items()):
+            over = energy_mod.overdrawn(entry["rotor_wh"], entry["compute_wh"])
+            if over:
+                state.deviations.append(
+                    f"drone {drone_id} overdrew its {' and '.join(over)} battery: "
+                    f"rotor {entry['rotor_wh']:.1f} Wh, compute {entry['compute_wh']:.1f} Wh")
         return RunResult(
             config=to_dict(self.cfg),
             seed=self.cfg.seed,
@@ -659,21 +667,13 @@ class _Mission:
         )
 
     def _energy_ledger(self) -> dict[int, dict[str, float]]:
-        manifest = energy_mod.DEFAULT_MANIFEST
-        spec = energy_mod.DEFAULT_SPEC
-        power = energy_mod.ComputeRadioPower(
-            video_multiplier=self.cfg.energy.video_multiplier)
+        """Each drone's draw over the simulated time, priced by its final role."""
         ledger = {}
         for d in self.state.drones.values():
             role = "ld" if d.role is Role.LEADER else "sd"
-            pct = energy_mod.payload_ratio(manifest.total_for(role), spec.base_weight_g)
-            rotor = energy_mod.rotor_energy(self.airborne_us[d.id] / 6e7, spec, pct)
-            compute = energy_mod.network_compute_energy(
-                self.alive_us[d.id] / 1e6, role, power)
-            extra = energy_mod.network_compute_energy(
-                self.video_us[d.id] / 1e6, role, power, "video"
-            ) - energy_mod.network_compute_energy(self.video_us[d.id] / 1e6, role, power)
-            compute += extra
+            rotor, compute = energy_mod.price(
+                role, self.airborne_us[d.id] / 1e6, self.alive_us[d.id] / 1e6,
+                self.video_us[d.id] / 1e6, self.cfg.energy.video_multiplier)
             ledger[d.id] = {
                 "role": role,
                 "rotor_wh": rotor,

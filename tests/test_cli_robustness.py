@@ -31,6 +31,13 @@ ROWS = [
     ("leader_kind_naming_an_sd", "run",
      {**SHORT, "n_sds": 4, "failures": [{"kind": "ld_sudden", "drone_id": 3, "at_s": 150}]},
      0),
+    ("zero_reposition_seconds", "energy", {"mission": {"reposition_s": 0}}, 0),
+    ("removed_leg_knob", "energy", {"energy": {"dmc_leg_min": 6}}, 1),
+    # the session is classified at the 150 s horizon, so the call starts after it
+    ("video_call_staggered_past_the_horizon", "run",
+     {"duration_s": 150, "n_sds": 2, "infection_rate": 0.0,
+      "video": {"enabled": True, "forced_calls": 1},
+      "mission": {"session_duration_s": 600, "transit_distance_m": 100}}, 0),
 ]
 
 TIME_LIMIT_S = 120

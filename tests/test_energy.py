@@ -2,23 +2,21 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from swarmsim.config import ConfigError, parse_config
 from swarmsim.energy import (
-    ComputeRadioPower,
-    DeratingCurve,
-    DroneSpec,
+    MAX_SESSIONS,
     EnergyError,
-    EnergyParams,
     PayloadManifest,
     battery_feasible,
     derate_flight_time,
     durability_report,
+    flight_budget_min,
     format_durability,
-    max_compute_sessions,
-    max_rotor_sessions,
-    network_compute_energy,
+    mission_plan,
     payload_ratio,
-    rotor_energy,
-    total_flight_time,
+    price,
+    reference_plan,
+    session_limits,
 )
 
 
@@ -64,61 +62,111 @@ class TestDerating:
 
 class TestFlightTime:
     def test_full_mission_uses_the_derated_budget_exactly(self):
-        assert total_flight_time(6, 12, 1) == 24.0
+        # the reference plan's 12 sessions fly 24 minutes: both legs and 12 hops
+        assert reference_plan(12) == (24.0 * 60, 12 * 1800.0)
 
     def test_round_trip_only(self):
-        assert total_flight_time(6, 0, 1) == 12.0
+        assert reference_plan(0) == (12.0 * 60, 0.0)
 
     def test_short_leg_variant(self):
-        assert total_flight_time(5, 12, 1) == 22.0
+        # 5-minute legs each way; a mission hops between sessions, not after
+        # the last one, so 12 sessions fly 11 hops
+        mission = parse_config({"mission": {
+            "formation_time_s": 0, "deploy_time_s": 0, "transit_distance_m": 1000,
+            "session_duration_s": 1800, "reposition_s": 60}}).mission
+        assert mission_plan(mission)(12) == (21.0 * 60, 21.0 * 60 + 12 * 1800.0)
 
 
 class TestRotorEnergy:
     def test_full_budget_drains_the_battery(self):
-        assert rotor_energy(24.0, payload_pct=15.0) == pytest.approx(89.2)
+        for role in ("ld", "sd"):
+            assert flight_budget_min(role) == pytest.approx(24.0, abs=0.2)
+            rotor, _ = price(role, flight_budget_min(role) * 60, 0)
+            assert rotor == pytest.approx(89.2)
 
     def test_no_flight_no_energy(self):
-        assert rotor_energy(0.0, payload_pct=15.0) == 0.0
+        assert price("sd", 0, 0) == (0.0, 0.0)
 
     def test_linear_in_flight_time(self):
-        assert rotor_energy(12.0, payload_pct=15.0) == pytest.approx(44.6)
+        rotor, _ = price("sd", flight_budget_min("sd") * 30, 0)
+        assert rotor == pytest.approx(44.6)
 
 
 class TestComputeEnergy:
     def test_leader_idle_session(self):
-        assert network_compute_energy(1800, "ld") == pytest.approx(0.7928571428, abs=1e-6)
+        assert price("ld", 0, 1800)[1] == pytest.approx(0.7928571428, abs=1e-6)
 
     def test_slave_session(self):
-        assert network_compute_energy(1800, "sd") == pytest.approx(1.48)
+        assert price("sd", 0, 1800)[1] == pytest.approx(1.48)
 
     def test_zero_duration(self):
-        assert network_compute_energy(0, "sd") == 0.0
+        assert price("sd", 0, 0)[1] == 0.0
 
     def test_video_session_costs_more(self):
-        idle = network_compute_energy(1800, "sd", session_kind="idle")
-        video = network_compute_energy(1800, "sd", session_kind="video")
-        assert video > idle
+        idle = price("sd", 0, 1800)[1]
+        video = price("sd", 0, 1800, video_s=1800)[1]
+        assert video == pytest.approx(idle * 1.5)
+        assert price("sd", 0, 1800, video_s=1800, video_multiplier=1.0)[1] == idle
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(EnergyError):
+            price("sd", -1, 0)
 
 
 class TestSessionLimits:
     def test_drone_battery_supports_12_sessions(self):
-        assert max_rotor_sessions(role="sd") == 12
-        assert max_rotor_sessions(role="ld") == 12
+        assert session_limits("sd")[0] == 12
+        assert session_limits("ld")[0] == 12
 
     def test_leader_compute_battery_supports_28_sessions(self):
-        assert max_compute_sessions("ld") == 28
+        assert session_limits("ld")[1] == 28
 
     def test_slave_compute_battery_supports_15_sessions(self):
-        assert max_compute_sessions("sd") == 15
+        assert session_limits("sd")[1] == 15
 
     def test_lighter_payload_extends_the_limit(self):
-        assert max_rotor_sessions(role="sd", payload_g=0.0) >= 12
+        # a worker carries 198 g, a leader 201.6 g
+        assert flight_budget_min("sd") > flight_budget_min("ld")
+        assert derate_flight_time(30, 0) > flight_budget_min("sd")
 
-    @pytest.mark.parametrize("reposition_min", [0.0, -1.0])
-    def test_free_repositioning_has_no_session_limit(self, reposition_min):
-        # with no flight time per session the count would grow forever
-        with pytest.raises(EnergyError, match="reposition time must be positive"):
-            max_rotor_sessions(params=EnergyParams(reposition_min=reposition_min))
+    @pytest.mark.parametrize("reposition_s", [0.0, -1.0])
+    def test_free_repositioning_has_no_session_limit(self, reposition_s):
+        # with no flight per session the drone battery never binds, so the
+        # search stops at the parser's session maximum; the parser refuses
+        # a negative hop
+        data = {"mission": {"reposition_s": reposition_s, "session_duration_s": 60}}
+        if reposition_s < 0:
+            with pytest.raises(ConfigError, match="reposition_s'=-1.0 below minimum 0"):
+                parse_config(data)
+            return
+        plan = mission_plan(parse_config(data).mission)
+        # 660 s of legs plus 439 one-minute sessions drain 22.2 Wh at 2.96 W
+        assert session_limits("sd", plan) == (MAX_SESSIONS, 439)
+
+
+class TestMissionPlan:
+    # 4 SDs, 30 sessions of 5 min, 10 s hops, 100 m transit
+    MISSION = {"session_duration_s": 300, "n_sessions": 30, "reposition_s": 10,
+               "transit_distance_m": 100}
+
+    def test_legs_come_from_the_mission_fields(self):
+        mission = parse_config({"mission": self.MISSION}).mission
+        # out: 30 s formation + 30 s transit + 30 s deployment; back: 30 s
+        airborne, alive = mission_plan(mission)(30)
+        assert airborne == 120 + 29 * 10
+        assert alive == airborne + 30 * 300
+
+    def test_thirty_short_sessions_fit(self):
+        mission = parse_config({"mission": self.MISSION}).mission
+        ok, limit = battery_feasible(mission, mission_plan(mission))
+        assert ok and limit == 86  # the worker's compute battery binds
+
+    def test_long_hops_exhaust_the_drone_battery(self):
+        mission = parse_config({"mission": {
+            "n_sessions": 3, "session_duration_s": 60, "reposition_s": 700,
+            "transit_distance_m": 100}}).mission
+        ok, limit = battery_feasible(mission, mission_plan(mission))
+        assert not ok and limit == 2
 
 
 class TestDurability:

@@ -83,6 +83,26 @@ class TestSoftHandover:
         assert out.leader_id == 2
         assert any("backup" in d for d in out.deviations)
 
+    def test_returning_or_failing_sds_are_not_promoted(self):
+        state = collecting_swarm(n=3)
+        state.leader().telemetry = Telemetry(14.0, 30.0, 0)
+        state.drones[3].phase = Phase.RETURNING
+        state.drones[2].telemetry = Telemetry(10.0, 30.0, 0)
+        out = soft_handover(state, now_us=1_000)
+        assert out.leader_id == 4
+        assert any("backup unavailable" in d for d in out.deviations)
+
+    def test_leader_keeps_command_when_no_sd_is_fit_to_lead(self):
+        state = collecting_swarm(n=2)
+        state.leader().telemetry = Telemetry(14.0, 30.0, 0)
+        state.drones[2].telemetry = Telemetry(14.0, 30.0, 0)
+        state.drones[3].telemetry = Telemetry(80.0, 70.0, 0)
+        out = soft_handover(state, now_us=1_000)
+        assert out.leader_id == 1
+        assert out.drones[1].role is Role.LEADER
+        assert out.deviations == ["t=1000us soft handover found no SD fit to lead; "
+                                  "leader 1 keeps command"]
+
 
 class TestDetection:
     def test_flight_timeout_is_three_missed_broadcasts(self):

@@ -6,15 +6,26 @@ import pytest
 
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
+from swarmsim.energy import mission_plan, price
 from swarmsim.runner import (
     CSV_HEADER,
     SWEEPABLE_AXES,
+    _Mission,
     emit_csv,
     emit_report,
     run_scenario,
     sweep,
 )
 from swarmsim.swarm import Phase, validate_phase_trace
+
+
+# 4 SDs fly 30 sessions of 5 min with 10 s hops: well inside both batteries
+THIRTY_SESSIONS = {"session_duration_s": 300, "n_sessions": 30, "reposition_s": 10,
+                   "transit_distance_m": 100}
+# two 700 s hops fly longer than a full flight battery lasts
+LONG_HOPS = {"n_sds": 2, "duration_s": 5000, "mission": {
+    "n_sessions": 3, "session_duration_s": 60, "reposition_s": 700,
+    "transit_distance_m": 100}}
 
 
 def small_scenario(**overrides):
@@ -112,9 +123,11 @@ class TestConfigParsing:
             parse_config(data)
 
     def test_reposition_minutes_must_be_positive(self):
-        with pytest.raises(ConfigError, match="energy.reposition_min'=0 below minimum"):
-            parse_config({"energy": {"reposition_min": 0}})
-        parse_config({"energy": {"reposition_min": 0.001}})
+        # the energy model prices the mission's own legs and hops, so the
+        # two leg knobs it once had are unknown fields
+        for knob in ("reposition_min", "dmc_leg_min"):
+            with pytest.raises(ConfigError, match=f"unknown field 'energy.{knob}'"):
+                parse_config({"energy": {knob: 1}})
 
     def test_failure_drone_id_must_name_a_drone(self):
         with pytest.raises(ConfigError, match=r"failures\[0\].drone_id'=999 above maximum 5"):
@@ -262,6 +275,61 @@ class TestRunScenario:
             assert entry["total_wh"] == pytest.approx(
                 entry["rotor_wh"] + entry["compute_wh"])
             assert entry["rotor_wh"] > 0
+
+    def test_ledger_prices_the_mission_plan(self):
+        cfg = parse_config({"n_sds": 4, "duration_s": 9500, "infection_rate": 0.0,
+                            "mission": THIRTY_SESSIONS})
+        result = run_scenario(cfg)
+        assert len(result.collected_targets) == 120
+        # the ledger samples the drones every 10 s status period, so it
+        # prices the plan to within one period
+        planned = price("sd", *mission_plan(cfg.mission)(30))
+        period = price("sd", 10, 10)
+        for key, wh, tick in zip(("rotor_wh", "compute_wh"), planned, period):
+            assert abs(result.energy[2][key] - wh) <= tick + 1e-9
+        assert not any("overdrew" in d for d in result.deviations)
+
+    def test_hops_longer_than_the_battery_record_an_overdraw(self):
+        result = run_scenario(parse_config(LONG_HOPS))
+        overdraws = [d for d in result.deviations if "overdrew" in d]
+        assert overdraws
+        assert all("flight battery" in d for d in overdraws)
+        for drone_id, entry in result.energy.items():
+            flagged = any(d.startswith(f"drone {drone_id} ") for d in overdraws)
+            assert flagged == (entry["rotor_wh"] > 89.2)
+
+    def test_every_report_reaching_the_leader_is_accounted_for(self):
+        # 13 forced 2 Mbps calls start 5 s before the 90 s flush and fill the
+        # long-range buffer that flushes share with video; that flush drops
+        cfg = parse_config({
+            "duration_s": 91, "n_sds": 14, "infection_rate": 0.0,
+            "video": {"enabled": True, "forced_calls": 13, "call_duration_s": 60},
+            "mission": {"session_duration_s": 600, "transit_distance_m": 0,
+                        "formation_time_s": 25, "deploy_time_s": 0},
+        })
+        mission = _Mission(cfg)
+        reached = []
+        deliver = mission._on_status_delivered
+
+        def counting(pkt):
+            reached.append(pkt)
+            deliver(pkt)
+
+        mission._on_status_delivered = counting
+        result = mission.run()
+        assert result.sd_reports_lost > 0
+        assert len(reached) == (result.sd_reports_delivered + result.sd_reports_lost
+                                + len(mission.state.aggregation_buffer))
+
+    def test_soft_handover_skips_returning_and_failing_sds(self):
+        # every drone runs low on the long hops; a soft handover used to
+        # promote a returning or failing SD, and leadership then bounced
+        # between drones every status period. Now the leader hands over to
+        # the backup once, and the backup keeps command when it runs low.
+        result = run_scenario(parse_config(LONG_HOPS))
+        assert not any("promoted SD" in d for d in result.deviations)
+        assert [d for d in result.deviations if "keeps command" in d] == [
+            "t=1360000000us soft handover found no SD fit to lead; leader 3 keeps command"]
 
 
 class TestSweep:
@@ -434,6 +502,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "drone battery (LD)" in out
         assert "system limit" in out
+
+    @pytest.mark.parametrize("data, verdict", [
+        ({"n_sds": 4, "mission": THIRTY_SESSIONS}, "fits (limit 86)"),
+        (LONG_HOPS, "does NOT fit (limit 2)"),
+    ])
+    def test_energy_command_prices_the_configs_mission(self, data, verdict, tmp_path,
+                                                        capsys):
+        path = tmp_path / "mission.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["energy", str(path)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(verdict)
 
 
 class TestPresets:
