@@ -18,6 +18,7 @@ from swarmsim.netsim import (
     Link,
     Metrics,
     MetricsError,
+    MetricsRecord,
     NetSimError,
     Packet,
     SchedulingError,
@@ -260,6 +261,158 @@ class TestWimaxLink:
                   on_deliver=lambda p: order.append(p.flow))
         q.run_all()
         assert order.index("case_report") == 1
+
+
+COUNTER_FIELDS = ("offered_pkts", "offered_bits", "delivered_pkts",
+                  "delivered_bits", "dropped_pkts", "dropped_bits")
+
+
+class ReferenceServer:
+    """The link model written plainly: enqueue behind the buffer check,
+    serve the highest non-empty class, finish after ``tx_time_us``, release
+    the buffer at finish and deliver after the processing delay. Counts go
+    to ``tally`` and ``latencies`` for packets created at or after
+    ``measure_from``."""
+
+    def __init__(self, q, name, rate_bps, buffer_bits, overhead_bytes,
+                 proc_delay_us, class_order, class_key, measure_from):
+        self.q, self.name = q, name
+        self.rate_bps, self.buffer_bits = rate_bps, buffer_bits
+        self.overhead_bytes, self.proc_delay_us = overhead_bytes, proc_delay_us
+        self.class_order, self.class_key = class_order, class_key
+        self.measure_from = measure_from
+        self.waiting = {cls: [] for cls in class_order}
+        self.buffered = 0
+        self.busy = False
+        self.tally: dict = {}
+        self.latencies: dict = {}
+
+    def _count(self, pkt, field, bits):
+        if pkt.created_at < self.measure_from:
+            return
+        key = (self.name, pkt.access_class, pkt.flow, pkt.src)
+        c = self.tally.setdefault(key, dict.fromkeys(COUNTER_FIELDS, 0))
+        c[f"{field}_pkts"] += 1
+        c[f"{field}_bits"] += bits
+
+    def send(self, pkt, on_deliver=None):
+        wire = (pkt.size_bytes + self.overhead_bytes) * 8
+        self._count(pkt, "offered", wire)
+        if self.buffered + wire > self.buffer_bits:
+            self._count(pkt, "dropped", wire)
+            return False
+        self.buffered += wire
+        cls = self.class_key(pkt)
+        if cls not in self.waiting:
+            cls = self.class_order[-1]
+        self.waiting[cls].append((pkt, wire, on_deliver))
+        if not self.busy:
+            self._start()
+        return True
+
+    def _start(self):
+        for cls in self.class_order:
+            if self.waiting[cls]:
+                pkt, wire, cb = self.waiting[cls].pop(0)
+                self.busy = True
+                self.q.schedule(self.q.now + tx_time_us(wire, self.rate_bps),
+                                lambda: self._finish(pkt, wire, cb))
+                return
+        self.busy = False
+
+    def _finish(self, pkt, wire, cb):
+        self.buffered -= wire
+        deliver_at = self.q.now + self.proc_delay_us
+        self._count(pkt, "delivered", wire)
+        if pkt.created_at >= self.measure_from:
+            self.latencies.setdefault((self.name, pkt.access_class), []).append(
+                deliver_at - pkt.created_at)
+        if cb is not None:
+            self.q.schedule(deliver_at, lambda: cb(pkt))
+        self._start()
+
+    def record(self, window_us):
+        def sum_by(group):
+            out = {}
+            for key, c in self.tally.items():
+                total = out.setdefault(group(key), dict.fromkeys(COUNTER_FIELDS, 0))
+                for field in COUNTER_FIELDS:
+                    total[field] += c[field]
+            return out
+
+        return MetricsRecord(
+            window_us=window_us,
+            links=sum_by(lambda k: k[0]),
+            by_class=sum_by(lambda k: k[:2]),
+            by_flow=sum_by(lambda k: (k[0], k[2])),
+            latency={k: LatencyStats.from_counts(dict(Counter(v)))
+                     for k, v in self.latencies.items()},
+            offered_bits_by_src={k: c["offered_bits"]
+                                 for k, c in sum_by(lambda k: (k[0], k[2], k[3])).items()},
+        )
+
+
+LINK_KINDS = {
+    # name: (builder, params, class order, class key)
+    "fifo": (build_wlan_link, WlanParams, ("fifo",), lambda p: p.access_class),
+    "edca": (build_wlan_link, lambda **kw: WlanParams(edca=True, **kw),
+             ("control", "video", "best_effort"), lambda p: p.access_class),
+    "long_range": (build_wimax_link, WimaxParams, ("rt", "be"),
+                   lambda p: "rt" if p.access_class == "video"
+                   or p.flow == "case_report" else "be"),
+}
+
+
+class TestLinkAgainstReferenceServer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LINK_KINDS)),
+        buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
+        measure_from=st.sampled_from([0, 120]),
+        sends=st.lists(st.tuples(
+            st.integers(0, 200),                                   # send time
+            st.integers(0, 100),                                   # created this much earlier
+            st.sampled_from(["control", "video", "best_effort"]),
+            st.sampled_from(["sd_status", "case_report", "video_up"]),
+            st.integers(0, 3),                                     # source
+            st.integers(1, 1500),                                  # bytes
+            st.sampled_from(["none", "record", "reply"]),          # delivery callback
+        ), min_size=1, max_size=40),
+    )
+    def test_same_returns_deliveries_and_snapshot(self, kind, buffer_bits,
+                                                  measure_from, sends):
+        builder, params, class_order, class_key = LINK_KINDS[kind]
+        p = params(buffer_bits=buffer_bits)
+        real_q, ref_q = EventQueue(), EventQueue()
+        metrics = Metrics(measure_from_us=measure_from)
+        real = builder(real_q, p, metrics, "link")
+        ref = ReferenceServer(
+            ref_q, "link", real.rate_bps, buffer_bits, p.overhead_bytes,
+            real.proc_delay_us, class_order, class_key, measure_from)
+
+        def drive(q, link):
+            returns, deliveries = [], []
+
+            def record(pkt):
+                deliveries.append((q.now, pkt))
+
+            def reply(pkt):
+                record(pkt)
+                answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
+                returns.append(link.send(answer, record))
+
+            callbacks = {"none": None, "record": record, "reply": reply}
+            for t, back, cls, flow, src, size, mode in sends:
+                pkt = Packet(max(0, t - back), size, cls, flow, src, 1)
+                q.schedule(t, lambda pkt=pkt, cb=callbacks[mode]:
+                           returns.append(link.send(pkt, cb)))
+            events = q.run_all()
+            return returns, deliveries, events
+
+        assert drive(real_q, real) == drive(ref_q, ref)
+        assert real_q.now == ref_q.now
+        assert metrics_snapshot(metrics, real_q.now) == ref.record(
+            max(0, real_q.now - measure_from))
 
 
 class TestCapacity:
