@@ -7,7 +7,9 @@ wire. No carrier-sense or PHY contention is modeled; rates, buffers, and
 processing rates drive every metric. Arrivals that would overflow the
 buffer are dropped and counted, never raised, each in one counter per
 (link, class, flow, source); every coarser figure is a sum taken at
-snapshot time.
+snapshot time. Each packet's counter is resolved once, when it is
+offered, and rides with the packet to its drop or delivery. A packet
+offered to an idle link starts service at once.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -29,6 +31,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .protocol import HEADER_LEN, VideoCallSpec, fragment_payload
@@ -102,25 +105,24 @@ class EventQueue:
 
         heapq.heappush(heap, (first, tie, tick))
 
-    def _step(self) -> None:
-        t, _, fn = heapq.heappop(self._heap)
-        self.now = t
-        fn()
-
     def run_until(self, t_end: int) -> int:
         """Process every event with timestamp <= t_end; now ends at t_end."""
+        heap, pop = self._heap, heapq.heappop
         count = 0
-        while self._heap and self._heap[0][0] <= t_end:
-            self._step()
+        while heap and heap[0][0] <= t_end:
+            self.now, _, fn = pop(heap)
+            fn()
             count += 1
         self.now = max(self.now, t_end)
         return count
 
     def run_all(self) -> int:
         """Drain the queue completely."""
+        heap, pop = self._heap, heapq.heappop
         count = 0
-        while self._heap:
-            self._step()
+        while heap:
+            self.now, _, fn = pop(heap)
+            fn()
             count += 1
         return count
 
@@ -167,17 +169,23 @@ def _percentile_rank(q: float, n: int) -> int:
     return max(0, math.ceil(q / 100.0 * n) - 1)
 
 
-class _Counter:
-    __slots__ = ("offered_pkts", "offered_bits", "delivered_pkts",
-                 "delivered_bits", "dropped_pkts", "dropped_bits")
+_FIELDS = ("offered_pkts", "offered_bits", "delivered_pkts",
+           "delivered_bits", "dropped_pkts", "dropped_bits")
 
-    def __init__(self):
+
+class _Counter:
+    """One key's counts and its (link, class) latency table."""
+
+    __slots__ = _FIELDS + ("latencies",)
+
+    def __init__(self, latencies: dict[int, int]):
         self.offered_pkts = 0
         self.offered_bits = 0
         self.delivered_pkts = 0
         self.delivered_bits = 0
         self.dropped_pkts = 0
         self.dropped_bits = 0
+        self.latencies = latencies
 
 
 class Metrics:
@@ -195,37 +203,29 @@ class Metrics:
         self.counters: dict[tuple[str, str, str, int], _Counter] = {}
         self.latencies: dict[tuple[str, str], dict[int, int]] = {}
 
-    def _counter(self, link: str, pkt: Packet) -> _Counter:
+    def offered(self, link: str, pkt: Packet, wire_bits: int) -> _Counter | None:
+        """Count an offer and return the packet's counter, which its drop
+        or delivery then updates; None before the window."""
+        self.started = True
+        if pkt.created_at < self.measure_from_us:
+            return None
         key = (link, pkt.access_class, pkt.flow, pkt.src)
         c = self.counters.get(key)
         if c is None:
-            c = self.counters[key] = _Counter()
-        return c
-
-    def offered(self, link: str, pkt: Packet, wire_bits: int) -> None:
-        self.started = True
-        if pkt.created_at < self.measure_from_us:
-            return
-        c = self._counter(link, pkt)
+            table = self.latencies.setdefault((link, pkt.access_class), {})
+            c = self.counters[key] = _Counter(table)
         c.offered_pkts += 1
         c.offered_bits += wire_bits
+        return c
 
-    def dropped(self, link: str, pkt: Packet, wire_bits: int) -> None:
-        if pkt.created_at < self.measure_from_us:
-            return
-        c = self._counter(link, pkt)
+    def dropped(self, c: _Counter, wire_bits: int) -> None:
         c.dropped_pkts += 1
         c.dropped_bits += wire_bits
 
-    def delivered(self, link: str, pkt: Packet, wire_bits: int, latency_us: int) -> None:
-        if pkt.created_at < self.measure_from_us:
-            return
-        c = self._counter(link, pkt)
+    def delivered(self, c: _Counter, wire_bits: int, latency_us: int) -> None:
         c.delivered_pkts += 1
         c.delivered_bits += wire_bits
-        table = self.latencies.get((link, pkt.access_class))
-        if table is None:
-            table = self.latencies[(link, pkt.access_class)] = {}
+        table = c.latencies
         table[latency_us] = table.get(latency_us, 0) + 1
 
 
@@ -283,8 +283,8 @@ def _sum_by(counters: dict, group) -> dict:
     """Counter fields summed per ``group(key)``, sorted by group."""
     out: dict = {}
     for key, c in counters.items():
-        total = out.setdefault(group(key), dict.fromkeys(_Counter.__slots__, 0))
-        for field in _Counter.__slots__:
+        total = out.setdefault(group(key), dict.fromkeys(_FIELDS, 0))
+        for field in _FIELDS:
             total[field] += getattr(c, field)
     return dict(sorted(out.items()))
 
@@ -308,7 +308,7 @@ def metrics_snapshot(metrics: Metrics, now_us: int) -> MetricsRecord:
         by_class=_sum_by(counters, lambda k: k[:2]),
         by_flow=_sum_by(counters, lambda k: (k[0], k[2])),
         latency={k: LatencyStats.from_counts(v)
-                 for k, v in sorted(metrics.latencies.items())},
+                 for k, v in sorted(metrics.latencies.items()) if v},
         offered_bits_by_src={k: c["offered_bits"] for k, c in by_src.items()},
     )
 
@@ -345,8 +345,10 @@ class Link:
         self._buffered_bits = 0
         self._busy = False
 
-    def wire_bits(self, pkt: Packet) -> int:
-        return (pkt.size_bytes + self.overhead_bytes) * 8
+    @property
+    def idle(self) -> bool:
+        """Not serving, nothing queued and no buffered bits."""
+        return not (self._busy or any(self._by_priority) or self._buffered_bits)
 
     def send(self, pkt: Packet, on_deliver: Callable[[Packet], None] | None = None) -> bool:
         """Offer a packet at the current simulation time.
@@ -357,40 +359,38 @@ class Link:
             raise NetSimError(
                 f"{pkt.size_bytes}-byte packet exceeds MTU {self.mtu}; fragment first"
             )
-        wire = self.wire_bits(pkt)
-        self.metrics.offered(self.name, pkt, wire)
+        wire = (pkt.size_bytes + self.overhead_bytes) * 8
+        counter = self.metrics.offered(self.name, pkt, wire)
         if self._buffered_bits + wire > self.buffer_bits:
-            self.metrics.dropped(self.name, pkt, wire)
+            if counter is not None:
+                self.metrics.dropped(counter, wire)
             return False
         self._buffered_bits += wire
-        self._queues.get(self.class_key(pkt), self._lowest).append((pkt, wire, on_deliver))
-        if not self._busy:
-            self._serve_next()
+        item = (pkt, wire, on_deliver, counter)
+        if self._busy:
+            self._queues.get(self.class_key(pkt), self._lowest).append(item)
+        else:
+            self._serve(item)  # an idle link has nothing queued ahead
         return True
 
-    def _pick(self):
-        for q in self._by_priority:
-            if q:
-                return q.popleft()
-        return None
-
-    def _serve_next(self) -> None:
-        item = self._pick()
-        if item is None:
-            self._busy = False
-            return
+    def _serve(self, item: tuple) -> None:
         self._busy = True
-        pkt, wire, cb = item
-        finish = self.queue.now + tx_time_us(wire, self.rate_bps)
-        self.queue.schedule(finish, lambda: self._finish(pkt, wire, cb))
+        finish = self.queue.now + tx_time_us(item[1], self.rate_bps)
+        self.queue.schedule(finish, partial(self._finish, item))
 
-    def _finish(self, pkt: Packet, wire: int, cb) -> None:
+    def _finish(self, item: tuple) -> None:
+        pkt, wire, cb, counter = item
         self._buffered_bits -= wire
         deliver_at = self.queue.now + self.proc_delay_us
-        self.metrics.delivered(self.name, pkt, wire, deliver_at - pkt.created_at)
+        if counter is not None:
+            self.metrics.delivered(counter, wire, deliver_at - pkt.created_at)
         if cb is not None:
-            self.queue.schedule(deliver_at, lambda: cb(pkt))
-        self._serve_next()
+            self.queue.schedule(deliver_at, partial(cb, pkt))
+        for q in self._by_priority:
+            if q:
+                self._serve(q.popleft())
+                return
+        self._busy = False
 
 
 def build_wlan_link(queue: EventQueue, params: WlanParams, metrics: Metrics,

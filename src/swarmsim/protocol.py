@@ -2,10 +2,10 @@
 
 Every message is an 8-byte header followed by the payload (see
 docs/wire-format.md). Only sizes are modeled; no message is ever encoded.
-Payload lengths are fixed per message kind except for leader status
-aggregates (12 bytes of leader state plus 12 bytes per follower), waypoint
-broadcasts (configurable, 24 bytes by default) and video frames (derived
-from the call bandwidth). All timestamps are integer microseconds.
+Payload lengths are fixed per message kind (a waypoint broadcast carries
+``MOVE_TO_WAYPOINT_LEN`` = 24 bytes) except for leader status aggregates
+(12 bytes of leader state plus 12 bytes per follower) and video frames
+(derived from the call bandwidth). All timestamps are integer microseconds.
 """
 from __future__ import annotations
 

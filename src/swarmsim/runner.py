@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import energy as energy_mod
@@ -72,12 +73,19 @@ from .swarm import (
     advance_kinematics,
     init_swarm,
     transition_phase,
+    validate_phase_trace,
 )
 
 WATCHDOG_MARGIN_US = 2_000
 CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
+# phases in which a live SD sends no beacon or acknowledgement
+SILENT_PHASES = frozenset({Phase.ISOLATED, Phase.FAILED, Phase.LANDED})
+
+
+class RunInvariantError(RuntimeError):
+    """A finished run broke an end-of-run invariant: a simulator defect."""
 
 
 @dataclass
@@ -369,8 +377,7 @@ class _Mission:
         self.state.leader().telemetry.last_heard = self.q.now
 
     def _beacon_allowed(self, d) -> bool:
-        return (d.alive and d.role is Role.SLAVE
-                and d.phase not in (Phase.ISOLATED, Phase.FAILED, Phase.LANDED))
+        return d.alive and d.role is Role.SLAVE and d.phase not in SILENT_PHASES
 
     def _status_tick(self, now: int) -> None:
         if self.state.aborted or self.mission_over:
@@ -438,14 +445,12 @@ class _Mission:
         self.wlan.send(pkt, self._on_waypoint_delivered)
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
+        q = self.q
         for d in self.state.alive_sds():
-            if not self._beacon_allowed(d):
-                continue
-            self.q.schedule(self.q.now + d.id * ACK_STAGGER_US,
-                            lambda d=d: self._send_flight_ack(d.id))
+            if d.phase not in SILENT_PHASES:
+                q.schedule(q.now + d.id * ACK_STAGGER_US, partial(self._send_flight_ack, d))
 
-    def _send_flight_ack(self, drone_id: int) -> None:
-        d = self.state.drones[drone_id]
+    def _send_flight_ack(self, d) -> None:
         if not self._beacon_allowed(d):
             return
         ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack",
@@ -641,6 +646,13 @@ class _Mission:
         self.q.run_until(self.horizon)
         self.q.run_all()
         state = self.state
+        for link in (self.wlan, self.wimax_ul, self.wimax_dl):
+            if not link.idle:
+                raise RunInvariantError(f"link {link.name} is not idle after the run")
+        if self.mission_over and not state.aborted and not validate_phase_trace(self.trace):
+            raise RunInvariantError(
+                "landed mission has a malformed phase trace: "
+                + " ".join(p.value for p in self.trace))
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

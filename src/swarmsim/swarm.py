@@ -192,11 +192,10 @@ class SwarmState:
         return self.drones[self.leader_id]
 
     def alive_sds(self) -> list[Drone]:
-        return sorted(
-            (d for d in self.drones.values()
-             if d.alive and d.role is Role.SLAVE and d.phase is not Phase.ISOLATED),
-            key=lambda d: d.id,
-        )
+        """Live, unisolated SDs in id order, which is the order ``init_swarm``
+        inserts ``drones`` in; nothing re-keys it."""
+        return [d for d in self.drones.values()
+                if d.alive and d.role is Role.SLAVE and d.phase is not Phase.ISOLATED]
 
 
 def init_swarm(plan: MissionPlan, n: int, backup_id: int) -> SwarmState:

@@ -10,6 +10,7 @@ from swarmsim.energy import mission_plan, price
 from swarmsim.runner import (
     CSV_HEADER,
     SWEEPABLE_AXES,
+    RunInvariantError,
     _Mission,
     emit_csv,
     emit_report,
@@ -330,6 +331,20 @@ class TestRunScenario:
         assert not any("promoted SD" in d for d in result.deviations)
         assert [d for d in result.deviations if "keeps command" in d] == [
             "t=1360000000us soft handover found no SD fit to lead; leader 3 keeps command"]
+
+    def test_link_left_busy_is_an_internal_error(self):
+        mission = _Mission(small_scenario())
+        # every packet now queues behind a transmission that never ends
+        mission.wlan._busy = True
+        with pytest.raises(RunInvariantError, match="link wlan is not idle"):
+            mission.run()
+        assert not issubclass(RunInvariantError, ConfigError)
+
+    def test_malformed_phase_trace_of_a_landed_mission_is_an_internal_error(self):
+        mission = _Mission(small_scenario())
+        mission.q.schedule(mission.horizon, lambda: mission.trace.append(Phase.TRANSIT))
+        with pytest.raises(RunInvariantError, match="malformed phase trace"):
+            mission.run()
 
 
 class TestSweep:
