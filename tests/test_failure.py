@@ -92,6 +92,19 @@ class TestSoftHandover:
         assert out.leader_id == 4
         assert any("backup unavailable" in d for d in out.deviations)
 
+    def test_promoted_sds_target_is_pending_when_every_sd_holds_one(self):
+        # an overheating leader stays in the swarm as an SD; it must not
+        # inherit the target of the SD that replaces it
+        state = collecting_swarm(n=4)
+        state.leader().telemetry = Telemetry(80.0, 70.0, 0)
+        state.assignments = {2: 10, 3: 11, 4: 12, 5: 13}
+        for sd_id, target in state.assignments.items():
+            state.drones[sd_id].assigned_target = target
+        out = soft_handover(state, now_us=1_000)
+        assert out.leader_id == 3
+        assert out.assignments == {2: 10, 4: 12, 5: 13}
+        assert out.pending_targets == [11]
+
     def test_leader_keeps_command_when_no_sd_is_fit_to_lead(self):
         state = collecting_swarm(n=2)
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)

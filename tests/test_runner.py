@@ -245,6 +245,19 @@ class TestRunScenario:
         assert result.pending_targets == []
         assert set(result.collected_targets) == {0, 1, 2, 3}
 
+    def test_promoted_sds_target_is_not_inherited_by_the_old_leader(self):
+        # every SD holds a target when the backup (drone 3, target 1) takes
+        # over; the overheated old leader stays an SD but is not handed it
+        result = run_scenario(parse_config({
+            "n_sds": 4, "duration_s": 430, "infection_rate": 0.0,
+            "mission": {"n_sessions": 1, "session_duration_s": 300,
+                        "transit_distance_m": 100},
+            "failures": [{"kind": "ld_predicted", "drone_id": None, "at_s": 150}],
+        }))
+        assert not result.aborted
+        assert result.collected_targets == [0, 2, 3]
+        assert result.pending_targets == [1]
+
     def test_target_deferred_with_no_sd_left_is_pending_once(self):
         mission = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
                    "transit_distance_m": 100}
