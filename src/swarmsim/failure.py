@@ -7,6 +7,10 @@ nothing is lost. A hard handover follows an unplanned leader loss detected
 by watchdog timeout: the in-flight aggregate dies with the old leader and is
 charged to the loss metrics, and the detection-to-promotion gap is recorded
 as the recovery time.
+
+Leadership is ``SwarmState.leader_id`` alone: a handover only moves that id,
+and the demoted leader is an SD from then on. Targets orphaned by a
+promotion or an SD failure go back through ``swarm.assign_targets``.
 """
 from __future__ import annotations
 
@@ -17,9 +21,9 @@ from .swarm import (
     Drone,
     Phase,
     PhaseEvent,
-    Role,
     SwarmState,
     SwarmError,
+    assign_targets,
     transition_phase,
 )
 
@@ -84,7 +88,6 @@ def predict_failure(
     telemetry,
     thresholds: PredictionThresholds = DEFAULT_THRESHOLDS,
     now_us: int | None = None,
-    reporting_period_us: int = SD_STATUS_PERIOD_US,
 ) -> bool:
     """True iff battery or temperature crossed its threshold.
 
@@ -92,10 +95,10 @@ def predict_failure(
     old at ``now_us`` (defaults to the reading's own timestamp).
     """
     now = telemetry.last_heard if now_us is None else now_us
-    if now - telemetry.last_heard > reporting_period_us:
+    if now - telemetry.last_heard > SD_STATUS_PERIOD_US:
         raise StaleTelemetryError(
             f"telemetry is {(now - telemetry.last_heard) / 1e6:.1f} s old, "
-            f"limit {reporting_period_us / 1e6:.1f} s"
+            f"limit {SD_STATUS_PERIOD_US / 1e6:.1f} s"
         )
     return (
         telemetry.battery_pct < thresholds.battery_floor_pct
@@ -120,28 +123,15 @@ def _promotion_candidate(
     return (sds[0] if sds else None), True
 
 
-def _reassign_target(state: SwarmState, target: int) -> None:
-    """Keep an orphaned target covered: idle SD first, else next session."""
-    idle = [
-        d for d in state.alive_sds()
-        if d.assigned_target is None and d.phase is not Phase.RETURNING
-    ]
-    if idle:
-        idle[0].assigned_target = target
-        state.assignments[idle[0].id] = target
-    else:
-        state.pending_targets.append(target)
-
-
 def _promote(state: SwarmState, new_leader: Drone) -> None:
-    new_leader.role = Role.LEADER
+    # hand the target on while the old leader still leads and the new one
+    # still holds it, so neither of them is given it
+    if new_leader.id in state.assignments:
+        assign_targets(state, [state.assignments[new_leader.id]])
+        del state.assignments[new_leader.id]
     state.leader_id = new_leader.id
-    orphaned = state.assignments.pop(new_leader.id, None)
-    new_leader.assigned_target = None
     if new_leader.id == state.backup_id:
         state.backup_id = None  # slot consumed; next failure falls back
-    if orphaned is not None:
-        _reassign_target(state, orphaned)
 
 
 def soft_handover(
@@ -174,7 +164,6 @@ def soft_handover(
             f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
         )
     _promote(state, candidate)
-    old.role = Role.SLAVE
     if old.telemetry.battery_pct < thresholds.battery_floor_pct:
         old.phase = Phase.RETURNING
         old.waypoint = state.plan.dmc_position
@@ -208,8 +197,6 @@ def hard_handover(
             f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
         )
     _promote(state, candidate)
-    if old.role is Role.LEADER:
-        old.role = Role.SLAVE
     origin = detection.last_heard_us if failed_at_us is None else failed_at_us
     state.recovery_times_us.append(now_us - origin)
     return state
@@ -237,13 +224,11 @@ def detect_ld_loss(state: SwarmState, now_us: int, mode: str) -> DetectionRecord
 def reallocate_tasks(state: SwarmState, failed_sd: int) -> SwarmState:
     """Move a failed SD's target to an idle alive SD, else queue it for the
     next session so coverage is preserved."""
-    drone = state.drones[failed_sd]
-    if drone.role is Role.LEADER:
+    if failed_sd == state.leader_id:
         raise FailureError("reallocate_tasks applies to SDs; leaders hand over")
     target = state.assignments.pop(failed_sd, None)
-    drone.assigned_target = None
     if target is not None:
-        _reassign_target(state, target)
+        assign_targets(state, [target])
     return state
 
 

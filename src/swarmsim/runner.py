@@ -66,7 +66,7 @@ from .swarm import (
     MissionPlan,
     Phase,
     PhaseEvent,
-    Role,
+    assign_targets,
     classify_case,
     escalates,
     formation_positions,
@@ -146,7 +146,6 @@ class _Mission:
         self.n_targets = n_targets
         self.mission_phase = Phase.CONFIGURED
         self.trace: list[Phase] = [Phase.CONFIGURED]
-        self.mission_over = False
 
         self.reports_delivered = 0
         self.case_counts: dict[str, int] = {}
@@ -257,12 +256,10 @@ class _Mission:
     # -- mission phases ---------------------------------------------------
 
     def _mission_transition(self, event: PhaseEvent) -> None:
-        if self.state.aborted or self.mission_over:
+        if self.state.aborted or self.mission_phase is Phase.LANDED:
             return
         self.mission_phase = transition_phase(self.mission_phase, event)
         self.trace.append(self.mission_phase)
-        if self.mission_phase is Phase.LANDED:
-            self.mission_over = True
         self._sync_drone_phases()
         self._update_waypoints()
 
@@ -305,23 +302,14 @@ class _Mission:
             return
         # every session visits every target, so a target deferred or
         # orphaned in the last session is among them
-        targets = list(range(self.n_targets))
         state.pending_targets = []
-        available = [d for d in state.alive_sds() if d.phase is not Phase.RETURNING]
-        if len(targets) > len(available):
-            overflow = targets[len(available):]
-            targets = targets[:len(available)]
-            state.pending_targets.extend(overflow)
-            state.deviations.append(
-                f"session {index}: {len(overflow)} targets deferred; "
-                f"only {len(available)} SDs available"
-            )
-        for d in available:
-            d.assigned_target = None
         state.assignments = {}
-        for d, target in zip(available, targets):
-            d.assigned_target = target
-            state.assignments[d.id] = target
+        deferred = assign_targets(state, list(range(self.n_targets)))
+        if deferred:
+            state.deviations.append(
+                f"session {index}: {len(deferred)} targets deferred; "
+                f"only {self.n_targets - len(deferred)} SDs available"
+            )
         self._update_waypoints()
 
     def _classify_session(self, index: int, now: int) -> None:
@@ -365,8 +353,6 @@ class _Mission:
             if d.alive and d.phase not in (Phase.RETURNING, Phase.FAILED, Phase.ISOLATED):
                 state.collected.append(target)
         state.assignments = {}
-        for d in state.drones.values():
-            d.assigned_target = None
 
     # -- traffic ----------------------------------------------------------
 
@@ -377,10 +363,10 @@ class _Mission:
         self.state.leader().telemetry.last_heard = self.q.now
 
     def _beacon_allowed(self, d) -> bool:
-        return d.alive and d.role is Role.SLAVE and d.phase not in SILENT_PHASES
+        return d.alive and d.id != self.state.leader_id and d.phase not in SILENT_PHASES
 
     def _status_tick(self, now: int) -> None:
-        if self.state.aborted or self.mission_over:
+        if self.state.aborted or self.mission_phase is Phase.LANDED:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
@@ -388,7 +374,7 @@ class _Mission:
                            self.cfg.mission.position_noise_m)
 
     def _send_beacon(self, now: int, drone_id: int) -> None:
-        if self.state.aborted or self.mission_over:
+        if self.state.aborted or self.mission_phase is Phase.LANDED:
             return
         d = self.state.drones[drone_id]
         if not self._beacon_allowed(d):
@@ -412,7 +398,7 @@ class _Mission:
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
-        if state.aborted or self.mission_over or not self._leader_alive():
+        if state.aborted or self.mission_phase is Phase.LANDED or not self._leader_alive():
             return
         n = len(state.alive_sds())
         if n == 0:
@@ -436,7 +422,7 @@ class _Mission:
             self.wimax_dl.send(ack)
 
     def _broadcast_tick(self, now: int) -> None:
-        if self.state.aborted or self.mission_over or not self._leader_alive():
+        if self.state.aborted or self.mission_phase is Phase.LANDED or not self._leader_alive():
             return
         state = self.state
         self._mark_leader_activity()
@@ -535,7 +521,7 @@ class _Mission:
             self.alive_us[d.id] += SD_STATUS_PERIOD_US
             if d.airborne:
                 self.airborne_us[d.id] += SD_STATUS_PERIOD_US
-                role = "ld" if d.role is Role.LEADER else "sd"
+                role = "ld" if d.id == self.state.leader_id else "sd"
                 drain = self.drain_pct_per_s[role] * (SD_STATUS_PERIOD_US / 1e6)
                 d.telemetry.battery_pct = max(0.0, d.telemetry.battery_pct - drain)
             if d.phase is Phase.RETURNING and d.waypoint is not None:
@@ -561,7 +547,7 @@ class _Mission:
     def _watchdog(self, now: int, mode: str) -> None:
         state = self.state
         # the watchdog runs on an SD, so it stops when none is left
-        if (state.aborted or self.mission_over or self.handover_pending
+        if (state.aborted or self.mission_phase is Phase.LANDED or self.handover_pending
                 or not state.alive_sds()):
             return
         detection = failure_mod.detect_ld_loss(state, now, mode)
@@ -589,7 +575,7 @@ class _Mission:
     def _apply_failure(self, f) -> None:
         state = self.state
         now = self.q.now
-        if state.aborted or self.mission_over:
+        if state.aborted or self.mission_phase is Phase.LANDED:
             self._failure_not_applied(
                 f, "mission aborted" if state.aborted else "mission over")
             return
@@ -649,7 +635,8 @@ class _Mission:
         for link in (self.wlan, self.wimax_ul, self.wimax_dl):
             if not link.idle:
                 raise RunInvariantError(f"link {link.name} is not idle after the run")
-        if self.mission_over and not state.aborted and not validate_phase_trace(self.trace):
+        if (self.mission_phase is Phase.LANDED and not state.aborted
+                and not validate_phase_trace(self.trace)):
             raise RunInvariantError(
                 "landed mission has a malformed phase trace: "
                 + " ".join(p.value for p in self.trace))
@@ -682,7 +669,7 @@ class _Mission:
         """Each drone's draw over the simulated time, priced by its final role."""
         ledger = {}
         for d in self.state.drones.values():
-            role = "ld" if d.role is Role.LEADER else "sd"
+            role = "ld" if d.id == self.state.leader_id else "sd"
             rotor, compute = energy_mod.price(
                 role, self.airborne_us[d.id] / 1e6, self.alive_us[d.id] / 1e6,
                 self.video_us[d.id] / 1e6, self.cfg.energy.video_multiplier)

@@ -1,11 +1,16 @@
 """Swarm state: operational phase machine, formation geometry, kinematics,
-and the stochastic case-classification stub.
+target assignment, and the stochastic case-classification stub.
 
 One leader drone (LD) coordinates n slave drones (SDs) over a 2 km x 2 km
 plane anchored at a ground station (the DMC). Drones fly at a fixed cruise
 speed, land at assigned targets to collect data, and report through the
 leader. A pre-designated backup SD takes over leadership on failure (see
 the failure module).
+
+``SwarmState`` holds both swarm-wide facts once: ``leader_id`` names the
+acting leader, so an SD is any drone with another id, and ``assignments``
+maps each SD to the target it collects. Only ``assign_targets`` adds to
+``assignments``; everything else clears or pops it.
 """
 from __future__ import annotations
 
@@ -26,14 +31,7 @@ class PhaseError(SwarmError):
     """Illegal phase-machine transition."""
 
 
-class Role(Enum):
-    LEADER = "leader"
-    SLAVE = "slave"
-
-
 class Phase(Enum):
-    POWERED_UP = "powered_up"
-    CONNECTED = "connected"
     CONFIGURED = "configured"
     LAUNCHING = "launching"
     IN_FORMATION = "in_formation"
@@ -56,8 +54,6 @@ AIRBORNE_PHASES = frozenset({
 
 
 class PhaseEvent(Enum):
-    CONNECTION_ESTABLISHED = "connection_established"
-    CONFIGURATION_COMPLETE = "configuration_complete"
     LAUNCH_COMMAND = "launch_command"
     FORMATION_FORMED = "formation_formed"
     TRANSIT_STARTED = "transit_started"
@@ -72,8 +68,6 @@ class PhaseEvent(Enum):
 
 
 _EDGES: dict[tuple[Phase, PhaseEvent], Phase] = {
-    (Phase.POWERED_UP, PhaseEvent.CONNECTION_ESTABLISHED): Phase.CONNECTED,
-    (Phase.CONNECTED, PhaseEvent.CONFIGURATION_COMPLETE): Phase.CONFIGURED,
     (Phase.CONFIGURED, PhaseEvent.LAUNCH_COMMAND): Phase.LAUNCHING,
     (Phase.LAUNCHING, PhaseEvent.FORMATION_FORMED): Phase.IN_FORMATION,
     (Phase.IN_FORMATION, PhaseEvent.TRANSIT_STARTED): Phase.TRANSIT,
@@ -133,10 +127,8 @@ class Telemetry:
 @dataclass
 class Drone:
     id: int
-    role: Role
     position: tuple[float, float] = (0.0, 0.0)
     phase: Phase = Phase.CONFIGURED
-    assigned_target: int | None = None
     alive: bool = True
     telemetry: Telemetry = field(default_factory=Telemetry)
     waypoint: tuple[float, float] | None = None
@@ -194,8 +186,20 @@ class SwarmState:
     def alive_sds(self) -> list[Drone]:
         """Live, unisolated SDs in id order, which is the order ``init_swarm``
         inserts ``drones`` in; nothing re-keys it."""
+        leader_id = self.leader_id
         return [d for d in self.drones.values()
-                if d.alive and d.role is Role.SLAVE and d.phase is not Phase.ISOLATED]
+                if d.alive and d.id != leader_id and d.phase is not Phase.ISOLATED]
+
+
+def assign_targets(state: SwarmState, targets: list[int]) -> list[int]:
+    """Give each target, in order, to the next live SD in id order that is
+    not returning and holds no target; pend the rest and return them."""
+    free = [d.id for d in state.alive_sds()
+            if d.phase is not Phase.RETURNING and d.id not in state.assignments]
+    state.assignments.update(zip(free, targets))
+    deferred = targets[len(free):]
+    state.pending_targets.extend(deferred)
+    return deferred
 
 
 def init_swarm(plan: MissionPlan, n: int, backup_id: int) -> SwarmState:
@@ -207,9 +211,7 @@ def init_swarm(plan: MissionPlan, n: int, backup_id: int) -> SwarmState:
         raise SwarmError(
             f"backup_id={backup_id} must name an SD (ids {sd_ids.start}..{sd_ids.stop - 1})"
         )
-    drones = {LEADER_ID: Drone(LEADER_ID, Role.LEADER, plan.dmc_position)}
-    for i in sd_ids:
-        drones[i] = Drone(i, Role.SLAVE, plan.dmc_position)
+    drones = {i: Drone(i, plan.dmc_position) for i in range(LEADER_ID, sd_ids.stop)}
     return SwarmState(plan=plan, drones=drones, leader_id=LEADER_ID, backup_id=backup_id)
 
 

@@ -20,7 +20,6 @@ from swarmsim.failure import (
 from swarmsim.swarm import (
     MissionPlan,
     Phase,
-    Role,
     Telemetry,
     init_swarm,
 )
@@ -63,8 +62,7 @@ class TestSoftHandover:
         state.aggregation_buffer.append(object())
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 3
-        assert out.drones[3].role is Role.LEADER
-        assert out.drones[1].role is Role.SLAVE
+        assert 1 in [d.id for d in out.alive_sds()]
         # lossless by design: buffer survives, nothing charged to losses
         assert len(out.aggregation_buffer) == 1
         assert out.lost_reports == 0
@@ -98,8 +96,6 @@ class TestSoftHandover:
         state = collecting_swarm(n=4)
         state.leader().telemetry = Telemetry(80.0, 70.0, 0)
         state.assignments = {2: 10, 3: 11, 4: 12, 5: 13}
-        for sd_id, target in state.assignments.items():
-            state.drones[sd_id].assigned_target = target
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 3
         assert out.assignments == {2: 10, 4: 12, 5: 13}
@@ -112,7 +108,6 @@ class TestSoftHandover:
         state.drones[3].telemetry = Telemetry(80.0, 70.0, 0)
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 1
-        assert out.drones[1].role is Role.LEADER
         assert out.deviations == ["t=1000us soft handover found no SD fit to lead; "
                                   "leader 1 keeps command"]
 
@@ -151,7 +146,6 @@ class TestHardHandover:
         out = hard_handover(state, detection, now_us=61_000_000,
                             failed_at_us=30_000_000)
         assert out.leader_id == 3
-        assert out.drones[3].role is Role.LEADER
         # the in-flight aggregate dies with the old leader
         assert out.aggregation_buffer == []
         assert out.lost_reports == 2
@@ -178,7 +172,6 @@ class TestHardHandover:
         state = collecting_swarm(n=3)
         state.drones[1].alive = False
         state.assignments = {3: 7}
-        state.drones[3].assigned_target = 7
         detection = DetectionRecord(1, 61_000_000, 0, "collection")
         out = hard_handover(state, detection, now_us=61_000_000)
         assert out.leader_id == 3
@@ -190,8 +183,6 @@ class TestReallocation:
     def test_failed_sds_target_moves_to_idle_sd(self):
         state = collecting_swarm(n=4)
         state.assignments = {2: 11, 3: 12}
-        state.drones[2].assigned_target = 11
-        state.drones[3].assigned_target = 12
         state.drones[2].alive = False
         out = reallocate_tasks(state, 2)
         assert 2 not in out.assignments
@@ -200,8 +191,6 @@ class TestReallocation:
     def test_no_idle_sd_queues_target_for_next_session(self):
         state = collecting_swarm(n=2)
         state.assignments = {2: 11, 3: 12}
-        state.drones[2].assigned_target = 11
-        state.drones[3].assigned_target = 12
         state.drones[2].alive = False
         out = reallocate_tasks(state, 2)
         assert out.pending_targets == [11]

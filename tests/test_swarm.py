@@ -10,7 +10,6 @@ from swarmsim.swarm import (
     Phase,
     PhaseError,
     PhaseEvent,
-    Role,
     SwarmError,
     advance_kinematics,
     classify_case,
@@ -68,8 +67,7 @@ class TestInitSwarm:
     def test_ten_sds_builds_eleven_drones(self):
         state = init_swarm(MissionPlan(), 10, backup_id=3)
         assert len(state.drones) == 11
-        leaders = [d for d in state.drones.values() if d.role is Role.LEADER]
-        assert [d.id for d in leaders] == [1]
+        assert state.leader_id == 1
         assert state.backup_id == 3
 
     def test_minimal_swarm(self):
