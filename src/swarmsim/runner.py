@@ -620,6 +620,10 @@ class _Mission:
             sd.phase = transition_phase(sd.phase, PhaseEvent.FAILURE_DETECTED)
             failure_mod.isolate_drone(state, sd.id)
             failure_mod.reallocate_tasks(state, sd.id)
+            if not state.leader().alive and not state.alive_sds():
+                state.aborted = True
+                state.deviations.append(
+                    f"t={now}us last SD lost with the leader down; mission aborted")
 
     def _failure_not_applied(self, f, reason: str) -> None:
         drone = self.state.leader_id if f.drone_id is None else f.drone_id

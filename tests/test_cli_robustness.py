@@ -28,6 +28,10 @@ ROWS = [
     ("leader_loss_with_a_single_sd", "run",
      {**SHORT, "n_sds": 1, "failures": [{"kind": "ld_sudden", "drone_id": None, "at_s": 50}]},
      0),
+    ("last_sd_lost_while_the_leader_is_down", "run",
+     {**SHORT, "n_sds": 1,
+      "failures": [{"kind": "ld_sudden", "at_s": 120},
+                   {"kind": "sd_sudden", "drone_id": 2, "at_s": 130}]}, 2),
     ("leader_kind_naming_an_sd", "run",
      {**SHORT, "n_sds": 4, "failures": [{"kind": "ld_sudden", "drone_id": 3, "at_s": 150}]},
      0),

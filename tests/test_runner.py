@@ -185,6 +185,20 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert result.aborted
 
+    def test_mission_aborts_when_the_last_sd_dies_after_the_leader(self):
+        # the reverse order of the two failures above: the leader is down
+        # and its handover not yet complete when the only SD dies
+        result = run_scenario(small_scenario(
+            n_sds=1,
+            mission={"session_duration_s": 120, "n_sessions": 2,
+                     "reposition_s": 60, "transit_distance_m": 100},
+            failures=[{"kind": "ld_sudden", "drone_id": None, "at_s": 120.0},
+                      {"kind": "sd_sudden", "drone_id": 2, "at_s": 130.0}],
+        ))
+        assert result.aborted
+        assert ("t=130000000us last SD lost with the leader down; mission aborted"
+                in result.deviations)
+
     @pytest.mark.parametrize("failures, deviation", [
         ([{"kind": "sd_sudden", "drone_id": 1, "at_s": 95.0}],
          "t=95000000us sd_sudden of drone 1 not applied: drone is the acting leader"),
