@@ -58,18 +58,18 @@ class VideoCallSpec:
         return video_frame_length(self.bandwidth_bps, self.frame_rate)
 
 
-def fragment_payload(size: int, mtu: int, header: int = HEADER_LEN) -> list[int]:
+def fragment_payload(size: int, mtu: int) -> list[int]:
     """Split a payload into fragment payload lengths fitting the MTU.
 
-    Each fragment carries its own ``header`` bytes on the wire, so all
-    fragments except the last are ``mtu - header`` long.
+    Each fragment carries its own ``HEADER_LEN`` bytes on the wire, so all
+    fragments except the last are ``mtu - HEADER_LEN`` long.
     """
     if size < 0:
         raise ProtocolError(f"negative payload size {size}")
-    if mtu <= header:
-        raise ProtocolError(f"mtu={mtu} leaves no room after {header}-byte header")
+    if mtu <= HEADER_LEN:
+        raise ProtocolError(f"mtu={mtu} leaves no room after {HEADER_LEN}-byte header")
     if size == 0:
         return []
-    chunk = mtu - header
+    chunk = mtu - HEADER_LEN
     full, rest = divmod(size, chunk)
     return [chunk] * full + ([rest] if rest else [])

@@ -21,6 +21,8 @@ from enum import Enum
 
 SPAN_M = 2000.0
 LEADER_ID = 1  # initial leader; DMC is address 0, SDs are 2..n+1
+ESCALATION_SPLIT = 0.5  # share of escalated cases that are infected
+SUSPICIOUS_SHARE = 0.1  # share of unescalated cases that are suspicious
 
 
 class SwarmError(ValueError):
@@ -220,9 +222,8 @@ def formation_positions(
     n: int,
     spacing: float,
     leader_pos: tuple[float, float],
-    heading: tuple[float, float] = (1.0, 0.0),
 ) -> list[tuple[float, float]]:
-    """Slot positions for n SDs relative to the leader.
+    """Slot positions for n SDs relative to a leader heading along +x.
 
     linear: one row a single spacing behind the leader, slots fanned out
     laterally (the center slot directly behind is used only for odd counts,
@@ -233,15 +234,10 @@ def formation_positions(
         raise SwarmError("formation needs at least one SD")
     if spacing <= 0:
         raise SwarmError("spacing must be positive")
-    norm = math.hypot(*heading)
-    if norm == 0:
-        raise SwarmError("heading must be a nonzero vector")
-    hx, hy = heading[0] / norm, heading[1] / norm
-    px, py = -hy, hx  # lateral (perpendicular) unit vector
     lx, ly = leader_pos
 
     def slot(back: float, lateral: float) -> tuple[float, float]:
-        return (lx - back * hx + lateral * px, ly - back * hy + lateral * py)
+        return (lx - back, ly + lateral)
 
     if formation == "linear":
         if n % 2 == 1:
@@ -292,12 +288,7 @@ def advance_kinematics(state: SwarmState, dt_us: int, rng=None, noise_sigma_m: f
     return state
 
 
-def classify_case(
-    draw: float,
-    infection_rate: float,
-    escalation_split: float = 0.5,
-    suspicious_share: float = 0.1,
-) -> CaseClass:
+def classify_case(draw: float, infection_rate: float) -> CaseClass:
     """Map a uniform draw to a case class.
 
     A fraction ``infection_rate`` of cases escalates (split between
@@ -308,12 +299,12 @@ def classify_case(
         raise SwarmError(f"infection_rate={infection_rate} outside [0, 1]")
     if not 0.0 <= draw < 1.0:
         raise SwarmError(f"draw={draw} outside [0, 1)")
-    if draw < infection_rate * escalation_split:
+    if draw < infection_rate * ESCALATION_SPLIT:
         return CaseClass.INFECTED
     if draw < infection_rate:
         return CaseClass.EMERGENCY
     rest = draw - infection_rate
-    if rest < (1.0 - infection_rate) * (1.0 - suspicious_share):
+    if rest < (1.0 - infection_rate) * (1.0 - SUSPICIOUS_SHARE):
         return CaseClass.HEALTHY
     return CaseClass.SUSPICIOUS
 

@@ -85,7 +85,7 @@ class TestInitSwarm:
 
 class TestFormationGeometry:
     def test_linear_pair_straddles_the_axis(self):
-        slots = formation_positions("linear", 2, 12.0, (100.0, 100.0), heading=(1.0, 0.0))
+        slots = formation_positions("linear", 2, 12.0, (100.0, 100.0))
         laterals = sorted(round(y - 100.0, 9) for _, y in slots)
         assert laterals == [-12.0, 12.0]
         assert all(x == 88.0 for x, _ in slots)
@@ -96,7 +96,7 @@ class TestFormationGeometry:
         assert min(dists) == pytest.approx(12.0)
 
     def test_single_sd_sits_one_spacing_behind(self):
-        (slot,) = formation_positions("linear", 1, 12.0, (50.0, 50.0), heading=(1.0, 0.0))
+        (slot,) = formation_positions("linear", 1, 12.0, (50.0, 50.0))
         assert slot == (38.0, 50.0)
 
     def test_unknown_formation_rejected(self):
