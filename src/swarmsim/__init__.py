@@ -16,7 +16,7 @@ from .swarm import (
     validate_phase_trace,
 )
 from .netsim import EventQueue, WlanParams, WimaxParams, max_simultaneous_calls
-from .energy import DroneSpec, PayloadManifest, durability_report
+from .energy import durability_report
 from .config import ConfigError, ScenarioConfig, load_config
 from .runner import RunResult, run_scenario, sweep
 
@@ -25,7 +25,7 @@ __all__ = [
     "CaseClass", "Drone", "MissionPlan", "Phase", "SwarmState", "init_swarm",
     "validate_phase_trace",
     "EventQueue", "WlanParams", "WimaxParams", "max_simultaneous_calls",
-    "DroneSpec", "PayloadManifest", "durability_report",
+    "durability_report",
     "ConfigError", "ScenarioConfig", "load_config",
     "RunResult", "run_scenario", "sweep",
 ]

@@ -20,6 +20,8 @@ WLAN_PROC_RATES_PPS = (5000, 10000, 20000)
 VIDEO_BANDWIDTHS_MBPS = (2, 4, 6)
 MAX_SDS_NO_VIDEO = 100
 MAX_SDS_VIDEO = 14
+# the run name is a cell of every CSV row and the stem of the output files
+_NAME_FORBIDDEN = (",", "\n", "\r", "/", "\\")
 
 
 class ConfigError(ValueError):
@@ -33,7 +35,6 @@ class VideoSettings:
     max_calls: int | None = None  # None: derived from link capacity
     forced_calls: int = 0          # load-testing knob: start this many calls per session
     call_duration_s: float = 300.0
-    frame_rate: int = 30
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,8 @@ class MissionSettings:
     reposition_s: float = 60.0
     transit_distance_m: float = 1000.0
     n_targets: int | None = None   # None: one per SD
-    span_m: float = 2000.0
-    backup_id: int | None = None   # None: lowest-id SD after the first
     formation_time_s: float = 30.0
     deploy_time_s: float = 30.0
-    position_noise_m: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -73,11 +71,6 @@ class ScenarioConfig:
     mission: MissionSettings = MissionSettings()
     energy: EnergySettings = EnergySettings()
     failures: tuple[FailureEvent, ...] = ()
-
-    def resolved_backup_id(self) -> int:
-        if self.mission.backup_id is not None:
-            return self.mission.backup_id
-        return 3 if self.n_sds >= 2 else 2
 
 
 # the two link rates are stored in bps but written in Mbps in config files
@@ -188,7 +181,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
                    else _num(v["max_calls"], "video.max_calls", 1, None, True)),
         forced_calls=_num(v["forced_calls"], "video.forced_calls", 0, None, True),
         call_duration_s=_seconds(v["call_duration_s"], "video.call_duration_s", 0.001),
-        frame_rate=_num(v["frame_rate"], "video.frame_rate", 1, 240, True),
     )
 
     m = _expect(top["mission"], "mission", _DEFAULTS["mission"])
@@ -204,12 +196,8 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
                                 0, None),
         n_targets=(None if m["n_targets"] is None
                    else _num(m["n_targets"], "mission.n_targets", 0, None, True)),
-        span_m=_num(m["span_m"], "mission.span_m", 1, None),
-        backup_id=(None if m["backup_id"] is None
-                   else _num(m["backup_id"], "mission.backup_id", 2, None, True)),
         formation_time_s=_seconds(m["formation_time_s"], "mission.formation_time_s", 0),
         deploy_time_s=_seconds(m["deploy_time_s"], "mission.deploy_time_s", 0),
-        position_noise_m=_num(m["position_noise_m"], "mission.position_noise_m", 0, None),
     )
     if not _finite_us(mission.transit_distance_m, mission.speed_kmh / 3.6):
         raise ConfigError(
@@ -244,8 +232,12 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         failures.append(FailureEvent(kind=kind, drone_id=drone_id, at_us=int(at_s * 1e6)))
     failures.sort(key=lambda fe: fe.at_us)
 
+    name = str(top["name"])
+    if any(c in name for c in _NAME_FORBIDDEN):
+        raise ConfigError(f"field 'name'={name!r} must not contain ',', a line break, "
+                          "'/' or '\\'")
     cfg = ScenarioConfig(
-        name=str(top["name"]),
+        name=name,
         seed=_num(top["seed"], "seed", 0, None, True),
         duration_s=duration_s,
         n_sds=n_sds,
@@ -255,11 +247,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         wlan=wlan, wimax=wimax, video=video, mission=mission, energy=energy,
         failures=tuple(failures),
     )
-    backup = cfg.resolved_backup_id()
-    if not 2 <= backup <= n_sds + 1:
-        raise ConfigError(
-            f"mission.backup_id={backup} must name an SD (2..{n_sds + 1})"
-        )
     if mission.n_targets is not None and mission.n_targets > n_sds:
         raise ConfigError(
             f"mission.n_targets={mission.n_targets} exceeds n_sds={n_sds}"

@@ -42,67 +42,29 @@ class EnergyError(ValueError):
     """Invalid energy-model arguments."""
 
 
-@dataclass(frozen=True)
-class DroneSpec:
-    base_weight_g: float = 1375.0
-    base_flight_min: float = 30.0
-    battery_wh: float = 89.2
-    battery_voltage_v: float = 15.2
-    battery_charge_mah: float = 5870.0
+# the airframe: bare weight, endurance without payload, and its flight
+# battery, whose energy is its voltage times its charge
+BASE_WEIGHT_G = 1375.0
+BASE_FLIGHT_MIN = 30.0
+BATTERY_WH = 89.2
+BATTERY_VOLTAGE_V = 15.2
+BATTERY_CHARGE_MAH = 5870.0
 
-    def __post_init__(self):
-        if self.base_weight_g <= 0 or self.base_flight_min <= 0:
-            raise EnergyError("weight and base flight time must be positive")
-        nominal = self.battery_voltage_v * self.battery_charge_mah / 1000.0
-        if abs(nominal - self.battery_wh) > 0.01 * self.battery_wh:
-            raise EnergyError(
-                f"battery energy {self.battery_wh} Wh disagrees with "
-                f"voltage x charge = {nominal:.1f} Wh by more than 1%"
-            )
-
-
-@dataclass(frozen=True)
-class PayloadElement:
-    name: str
-    weight_g: float
-    on_ld: bool
-    on_sd: bool
-
-
-# Stock loadout: compute board, camera (workers only), battery hat + spare
-# battery, autopilot, and the long-range radio (leader only).
-DEFAULT_MANIFEST_ELEMENTS = (
-    PayloadElement("compute board", 42.0, True, True),
-    PayloadElement("camera", 9.0, False, True),
-    PayloadElement("battery hat", 76.0, True, True),
-    PayloadElement("spare compute battery", 48.0, True, True),
-    PayloadElement("autopilot controller", 23.0, True, True),
-    PayloadElement("long-range radio adapter", 12.6, True, False),
+# Stock loadout as (element, grams, on the leader, on a worker): compute
+# board, camera (workers only), battery hat + spare battery, autopilot, and
+# the long-range radio (leader only).
+PAYLOAD = (
+    ("compute board", 42.0, True, True),
+    ("camera", 9.0, False, True),
+    ("battery hat", 76.0, True, True),
+    ("spare compute battery", 48.0, True, True),
+    ("autopilot controller", 23.0, True, True),
+    ("long-range radio adapter", 12.6, True, False),
 )
-
-
-@dataclass(frozen=True)
-class PayloadManifest:
-    elements: tuple[PayloadElement, ...] = DEFAULT_MANIFEST_ELEMENTS
-
-    @property
-    def ld_total_g(self) -> float:
-        return sum(e.weight_g for e in self.elements if e.on_ld)
-
-    @property
-    def sd_total_g(self) -> float:
-        return sum(e.weight_g for e in self.elements if e.on_sd)
-
-    def total_for(self, role: str) -> float:
-        if role == "ld":
-            return self.ld_total_g
-        if role == "sd":
-            return self.sd_total_g
-        raise EnergyError(f"unknown role {role!r}")
-
-
-DEFAULT_SPEC = DroneSpec()
-DEFAULT_MANIFEST = PayloadManifest()
+PAYLOAD_G = {
+    "ld": sum(grams for _, grams, on_ld, _ in PAYLOAD if on_ld),
+    "sd": sum(grams for _, grams, _, on_sd in PAYLOAD if on_sd),
+}
 # average compute+radio draw per role, and the battery pair feeding it (two
 # 3000 mAh 3.7 V packs = 22.2 Wh); a leader sustains 28 half-hour sessions,
 # a worker 15
@@ -136,8 +98,8 @@ def derate_flight_time(base_min: float, payload_pct: float) -> float:
 def flight_budget_min(role: str) -> float:
     """Minutes a drone of ``role`` ('ld' or 'sd') flies on a full battery
     carrying its role's stock payload."""
-    pct = payload_ratio(DEFAULT_MANIFEST.total_for(role), DEFAULT_SPEC.base_weight_g)
-    return derate_flight_time(DEFAULT_SPEC.base_flight_min, pct)
+    pct = payload_ratio(PAYLOAD_G[role], BASE_WEIGHT_G)
+    return derate_flight_time(BASE_FLIGHT_MIN, pct)
 
 
 def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
@@ -147,7 +109,7 @@ def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
     them in a video call."""
     if airborne_s < 0 or alive_s < 0 or video_s < 0:
         raise EnergyError("durations must be non-negative")
-    rotor = airborne_s / 60.0 / flight_budget_min(role) * DEFAULT_SPEC.battery_wh
+    rotor = airborne_s / 60.0 / flight_budget_min(role) * BATTERY_WH
     watts = COMPUTE_W[role]
     compute = watts * alive_s / 3600.0
     # the video surcharge, summed in this order so ledgers stay byte-stable
@@ -158,7 +120,7 @@ def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
 def overdrawn(rotor_wh: float, compute_wh: float) -> list[str]:
     """The batteries, 'flight' and 'compute', that these draws exceed."""
     return [name for name, wh, capacity in (
-        ("flight", rotor_wh, DEFAULT_SPEC.battery_wh),
+        ("flight", rotor_wh, BATTERY_WH),
         ("compute", compute_wh, COMPUTE_BATTERY_WH),
     ) if wh > capacity + _EPS]
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .protocol import SD_STATUS_PERIOD_US
 from .swarm import (
     Drone,
     Phase,
@@ -33,27 +32,14 @@ FLIGHT_DETECTION_TIMEOUT_US = 600_000
 COLLECTION_DETECTION_TIMEOUT_US = 60_000_000
 # Simulated processing between detection and the backup assuming command.
 PROMOTION_PROCESSING_US = 1_000
+# Telemetry that predicts a failure: battery below the floor or temperature
+# above the ceiling.
+BATTERY_FLOOR_PCT = 15.0
+TEMPERATURE_CEILING_C = 60.0
 
 
 class FailureError(SwarmError):
     """Invalid failure-handling operation."""
-
-
-class StaleTelemetryError(FailureError):
-    """Prediction refused: telemetry older than one reporting period."""
-
-
-@dataclass(frozen=True)
-class PredictionThresholds:
-    battery_floor_pct: float = 15.0
-    temperature_ceiling_c: float = 60.0
-
-    def __post_init__(self):
-        if not 0.0 < self.battery_floor_pct < 100.0:
-            raise FailureError("battery floor must lie strictly inside 0-100%")
-
-
-DEFAULT_THRESHOLDS = PredictionThresholds()
 
 
 class FailureKind:
@@ -84,39 +70,23 @@ class DetectionRecord:
     mode: str  # 'flight' or 'collection'
 
 
-def predict_failure(
-    telemetry,
-    thresholds: PredictionThresholds = DEFAULT_THRESHOLDS,
-    now_us: int | None = None,
-) -> bool:
-    """True iff battery or temperature crossed its threshold.
-
-    Refuses stale input: the reading must be at most one reporting period
-    old at ``now_us`` (defaults to the reading's own timestamp).
-    """
-    now = telemetry.last_heard if now_us is None else now_us
-    if now - telemetry.last_heard > SD_STATUS_PERIOD_US:
-        raise StaleTelemetryError(
-            f"telemetry is {(now - telemetry.last_heard) / 1e6:.1f} s old, "
-            f"limit {SD_STATUS_PERIOD_US / 1e6:.1f} s"
-        )
+def predict_failure(telemetry) -> bool:
+    """True iff battery or temperature crossed its threshold."""
     return (
-        telemetry.battery_pct < thresholds.battery_floor_pct
-        or telemetry.temperature_c > thresholds.temperature_ceiling_c
+        telemetry.battery_pct < BATTERY_FLOOR_PCT
+        or telemetry.temperature_c > TEMPERATURE_CEILING_C
     )
 
 
-def _promotion_candidate(
-    state: SwarmState, thresholds: PredictionThresholds | None = None
-) -> tuple[Drone | None, bool]:
+def _promotion_candidate(state: SwarmState, soft: bool) -> tuple[Drone | None, bool]:
     """The designated backup if usable, else the lowest-id usable SD.
 
-    Any alive SD is usable; with ``thresholds`` (a soft handover), only one
-    that is not returning and whose own telemetry predicts no failure.
+    Any alive SD is usable; in a ``soft`` handover, only one that is not
+    returning and whose own telemetry predicts no failure.
     Returns (candidate, fell_back).
     """
-    sds = [d for d in state.alive_sds() if thresholds is None or (
-        d.phase is not Phase.RETURNING and not predict_failure(d.telemetry, thresholds))]
+    sds = [d for d in state.alive_sds() if not soft or (
+        d.phase is not Phase.RETURNING and not predict_failure(d.telemetry))]
     for d in sds:
         if d.id == state.backup_id:
             return d, False
@@ -134,11 +104,7 @@ def _promote(state: SwarmState, new_leader: Drone) -> None:
         state.backup_id = None  # slot consumed; next failure falls back
 
 
-def soft_handover(
-    state: SwarmState,
-    now_us: int,
-    thresholds: PredictionThresholds = DEFAULT_THRESHOLDS,
-) -> SwarmState:
+def soft_handover(state: SwarmState, now_us: int) -> SwarmState:
     """Proactive leadership transfer ahead of a predicted leader failure.
 
     The backup inherits the aggregation buffer, so no report is lost. The
@@ -151,9 +117,9 @@ def soft_handover(
     old = state.leader()
     if not old.alive:
         raise FailureError("soft handover needs a live leader; use hard_handover")
-    if not predict_failure(old.telemetry, thresholds, now_us):
+    if not predict_failure(old.telemetry):
         raise FailureError("soft handover without a failure prediction")
-    candidate, fell_back = _promotion_candidate(state, thresholds)
+    candidate, fell_back = _promotion_candidate(state, soft=True)
     if candidate is None:
         state.deviations.append(
             f"t={now_us}us soft handover found no SD fit to lead; "
@@ -164,7 +130,7 @@ def soft_handover(
             f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
         )
     _promote(state, candidate)
-    if old.telemetry.battery_pct < thresholds.battery_floor_pct:
+    if old.telemetry.battery_pct < BATTERY_FLOOR_PCT:
         old.phase = Phase.RETURNING
         old.waypoint = state.plan.dmc_position
     return state
@@ -187,7 +153,7 @@ def hard_handover(
         raise FailureError("hard handover requires a dead or long-unheard leader")
     state.lost_reports += len(state.aggregation_buffer)
     state.aggregation_buffer.clear()
-    candidate, fell_back = _promotion_candidate(state)
+    candidate, fell_back = _promotion_candidate(state, soft=False)
     if candidate is None:
         state.aborted = True
         state.deviations.append(f"t={now_us}us no drone left to lead; mission aborted")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .protocol import HEADER_LEN, VideoCallSpec, fragment_payload
+from .protocol import HEADER_LEN, VIDEO_FRAME_RATE, VideoCallSpec, fragment_payload
 
 logger = logging.getLogger(__name__)
 
@@ -431,7 +431,7 @@ def _per_call_wire_bps(call: VideoCallSpec, overhead_bytes: int, mtu: int) -> fl
     """One direction's offered load including fragment headers and overhead."""
     frags = fragment_payload(call.frame_len, mtu)
     wire_bytes = call.frame_len + len(frags) * (HEADER_LEN + overhead_bytes)
-    return wire_bytes * 8 * call.frame_rate
+    return wire_bytes * 8 * VIDEO_FRAME_RATE
 
 
 def max_simultaneous_calls(wlan: WlanParams, wimax: WimaxParams,

@@ -24,6 +24,7 @@ MOVE_TO_WAYPOINT_LEN = 24  # 3 x 64-bit coordinates
 SD_STATUS_PERIOD_US = 10_000_000       # 0.1 packet/s
 LD_STATUS_PERIOD_US = 30_000_000       # nominally 0.033 packet/s
 MOVE_TO_WAYPOINT_PERIOD_US = 200_000   # broadcast every 0.2 s in flight
+VIDEO_FRAME_RATE = 30                  # frames per second of every call
 
 
 class ProtocolError(ValueError):
@@ -37,17 +38,16 @@ def status_report_ld_length(n: int) -> int:
     return 12 + 12 * n
 
 
-def video_frame_length(bandwidth_bps: float, frame_rate: int = 30) -> int:
+def video_frame_length(bandwidth_bps: float) -> int:
     """Per-frame payload bytes for a video stream, rounded up."""
-    if bandwidth_bps <= 0 or frame_rate <= 0:
-        raise ProtocolError("bandwidth and frame rate must be positive")
-    return math.ceil(bandwidth_bps / (8 * frame_rate))
+    if bandwidth_bps <= 0:
+        raise ProtocolError("bandwidth must be positive")
+    return math.ceil(bandwidth_bps / (8 * VIDEO_FRAME_RATE))
 
 
 @dataclass(frozen=True)
 class VideoCallSpec:
     bandwidth_bps: float
-    frame_rate: int = 30
 
     def __post_init__(self):
         if self.bandwidth_bps <= 0:
@@ -55,7 +55,7 @@ class VideoCallSpec:
 
     @property
     def frame_len(self) -> int:
-        return video_frame_length(self.bandwidth_bps, self.frame_rate)
+        return video_frame_length(self.bandwidth_bps)
 
 
 def fragment_payload(size: int, mtu: int) -> list[int]:

@@ -58,15 +58,18 @@ from .protocol import (
     MOVE_TO_WAYPOINT_PERIOD_US,
     SD_STATUS_PERIOD_US,
     STATUS_SD_LEN,
+    VIDEO_FRAME_RATE,
     VideoCallSpec,
     fragment_payload,
     status_report_ld_length,
 )
 from .swarm import (
+    SPAN_M,
     MissionPlan,
     Phase,
     PhaseEvent,
     assign_targets,
+    can_collect,
     classify_case,
     escalates,
     formation_positions,
@@ -102,7 +105,6 @@ class RunResult:
     recovery_times_s: list[float]
     sd_reports_delivered: int
     sd_reports_lost: int
-    case_counts: dict[str, int]
     calls_started: int
 
 
@@ -131,24 +133,20 @@ class _Mission:
         self.horizon = int(cfg.duration_s * 1e6)
 
         m = cfg.mission
-        dmc = (0.0, m.span_m / 2.0)
-        center = (min(m.transit_distance_m, m.span_m), m.span_m / 2.0)
+        center = (min(m.transit_distance_m, SPAN_M), SPAN_M / 2.0)
         n_targets = cfg.n_sds if m.n_targets is None else m.n_targets
         plan = MissionPlan(
-            dmc_position=dmc,
             target_positions=_target_grid(max(n_targets, 1), center),
             formation=m.formation,
             spacing_m=m.spacing_m,
             speed_kmh=m.speed_kmh,
-            span_m=m.span_m,
         )
-        self.state = init_swarm(plan, cfg.n_sds, cfg.resolved_backup_id())
+        self.state = init_swarm(plan, cfg.n_sds)
         self.n_targets = n_targets
         self.mission_phase = Phase.CONFIGURED
         self.trace: list[Phase] = [Phase.CONFIGURED]
 
         self.reports_delivered = 0
-        self.case_counts: dict[str, int] = {}
         self.calls_started = 0
         self.active_calls = 0
         self.leader_killed_at: int | None = None
@@ -164,7 +162,7 @@ class _Mission:
                                 for role in ("ld", "sd")}
 
         if cfg.video.enabled and cfg.video.max_calls is None:
-            call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate)
+            call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
             self.max_calls = max_simultaneous_calls(cfg.wlan, cfg.wimax, call)
         else:
             self.max_calls = cfg.video.max_calls or 0
@@ -322,10 +320,7 @@ class _Mission:
             drone = state.drones[sd_id]
             if not drone.alive:
                 continue
-            draw = self.rng.random()
-            case = classify_case(draw, cfg.infection_rate)
-            self.case_counts[case.value] = self.case_counts.get(case.value, 0) + 1
-            if escalates(case):
+            if escalates(classify_case(self.rng.random(), cfg.infection_rate)):
                 self._send_case_report(sd_id, now)
                 callers.append(sd_id)
         if cfg.video.enabled:
@@ -349,8 +344,7 @@ class _Mission:
         if state.aborted:
             return
         for sd_id, target in sorted(state.assignments.items()):
-            d = state.drones[sd_id]
-            if d.alive and d.phase not in (Phase.RETURNING, Phase.FAILED, Phase.ISOLATED):
+            if can_collect(state.drones[sd_id]):
                 state.collected.append(target)
         state.assignments = {}
 
@@ -370,8 +364,7 @@ class _Mission:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
-        advance_kinematics(self.state, SD_STATUS_PERIOD_US, self.rng,
-                           self.cfg.mission.position_noise_m)
+        advance_kinematics(self.state, SD_STATUS_PERIOD_US)
 
     def _send_beacon(self, now: int, drone_id: int) -> None:
         if self.state.aborted or self.mission_phase is Phase.LANDED:
@@ -471,14 +464,14 @@ class _Mission:
 
     def _start_call(self, sd_id: int, start: int) -> None:
         cfg = self.cfg
-        spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6, cfg.video.frame_rate)
+        spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
         # every frame of a call has the same length, so one fragment list
         # per direction serves the whole call
         up = fragment_payload(spec.frame_len, cfg.wlan.mtu)
         down = fragment_payload(spec.frame_len, cfg.wimax.mtu)
         dur_us = int(cfg.video.call_duration_s * 1e6)
         end = start + dur_us
-        frame_gap = 1_000_000 // spec.frame_rate
+        frame_gap = 1_000_000 // VIDEO_FRAME_RATE
         self.q.every(start, frame_gap, min(end - 1, self.horizon),
                      lambda t: self._video_frame(t, sd_id, up, down))
         self._at(min(end, self.horizon), lambda: self._end_call(sd_id, start, min(end, self.horizon)))
@@ -537,7 +530,6 @@ class _Mission:
             # a leader that found no SD fit to lead keeps command; no SD
             # becomes fit later, so it does not ask again
             if state.alive_sds() and leader.id != self.kept_command:
-                leader.telemetry.last_heard = now  # its own reading is fresh
                 failure_mod.soft_handover(state, now)
                 if state.leader_id == leader.id:
                     self.kept_command = leader.id
@@ -606,8 +598,7 @@ class _Mission:
             # leader home, so it stays in the swarm as an SD; the handover
             # itself runs at the next status cycle, where the leader
             # evaluates its own telemetry
-            leader.telemetry.temperature_c = (
-                failure_mod.DEFAULT_THRESHOLDS.temperature_ceiling_c + 15.0)
+            leader.telemetry.temperature_c = failure_mod.TEMPERATURE_CEILING_C + 15.0
         elif f.kind == failure_mod.FailureKind.SD_SUDDEN:
             sd = state.drones.get(f.drone_id)
             if sd is None or not sd.alive:
@@ -665,7 +656,6 @@ class _Mission:
             recovery_times_s=[t / 1e6 for t in state.recovery_times_us],
             sd_reports_delivered=self.reports_delivered,
             sd_reports_lost=state.lost_reports,
-            case_counts=dict(sorted(self.case_counts.items())),
             calls_started=self.calls_started,
         )
 

@@ -154,7 +154,6 @@ class MissionPlan:
     formation: str = "linear"
     spacing_m: float = 12.0
     speed_kmh: float = 12.0
-    span_m: float = SPAN_M
 
     def __post_init__(self):
         if self.spacing_m <= 0 or self.speed_kmh <= 0:
@@ -193,28 +192,37 @@ class SwarmState:
                 if d.alive and d.id != leader_id and d.phase is not Phase.ISOLATED]
 
 
+# phases in which a drone collects nothing: on its way home, back at the
+# DMC, or lost
+_NOT_COLLECTING = frozenset({Phase.RETURNING, Phase.LANDED, Phase.FAILED, Phase.ISOLATED})
+
+
+def can_collect(drone: Drone) -> bool:
+    """Whether a drone can collect a target: alive and not in a
+    ``_NOT_COLLECTING`` phase. Assignment and crediting both ask this."""
+    return drone.alive and drone.phase not in _NOT_COLLECTING
+
+
 def assign_targets(state: SwarmState, targets: list[int]) -> list[int]:
-    """Give each target, in order, to the next live SD in id order that is
-    not returning and holds no target; pend the rest and return them."""
+    """Give each target, in order, to the next SD in id order that can
+    collect and holds no target; pend the rest and return them."""
     free = [d.id for d in state.alive_sds()
-            if d.phase is not Phase.RETURNING and d.id not in state.assignments]
+            if can_collect(d) and d.id not in state.assignments]
     state.assignments.update(zip(free, targets))
     deferred = targets[len(free):]
     state.pending_targets.extend(deferred)
     return deferred
 
 
-def init_swarm(plan: MissionPlan, n: int, backup_id: int) -> SwarmState:
-    """Build a configured swarm: leader id 1, SDs ids 2..n+1."""
+def init_swarm(plan: MissionPlan, n: int) -> SwarmState:
+    """Build a configured swarm: leader id 1, SDs ids 2..n+1. The backup is
+    the second SD, or the only one."""
     if n < 1:
         raise SwarmError("swarm needs at least one SD")
     sd_ids = range(LEADER_ID + 1, LEADER_ID + 1 + n)
-    if backup_id not in sd_ids:
-        raise SwarmError(
-            f"backup_id={backup_id} must name an SD (ids {sd_ids.start}..{sd_ids.stop - 1})"
-        )
     drones = {i: Drone(i, plan.dmc_position) for i in range(LEADER_ID, sd_ids.stop)}
-    return SwarmState(plan=plan, drones=drones, leader_id=LEADER_ID, backup_id=backup_id)
+    return SwarmState(plan=plan, drones=drones, leader_id=LEADER_ID,
+                      backup_id=sd_ids[min(1, n - 1)])
 
 
 def formation_positions(
@@ -258,18 +266,15 @@ def formation_positions(
     raise SwarmError(f"unknown formation {formation!r}")
 
 
-def advance_kinematics(state: SwarmState, dt_us: int, rng=None, noise_sigma_m: float = 0.0) -> SwarmState:
+def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
     """Move airborne drones toward their waypoints at cruise speed.
 
     Displacement per step is capped at speed * dt; landed, failed, and
-    isolated drones hold position. Optional zero-mean Gaussian position
-    noise stands in for environmental disturbance. Positions are clamped
-    to the span area.
+    isolated drones hold position. Positions are clamped to the span area.
     """
     if dt_us <= 0:
         raise SwarmError("dt must be positive")
     step = state.plan.speed_ms * dt_us / 1e6
-    span = state.plan.span_m
     for drone in state.drones.values():
         if not drone.airborne or drone.waypoint is None:
             continue
@@ -281,10 +286,7 @@ def advance_kinematics(state: SwarmState, dt_us: int, rng=None, noise_sigma_m: f
         else:
             f = step / dist
             nx, ny = x + (wx - x) * f, y + (wy - y) * f
-        if noise_sigma_m > 0.0 and rng is not None:
-            nx += rng.gauss(0.0, noise_sigma_m)
-            ny += rng.gauss(0.0, noise_sigma_m)
-        drone.position = (min(max(nx, 0.0), span), min(max(ny, 0.0), span))
+        drone.position = (min(max(nx, 0.0), SPAN_M), min(max(ny, 0.0), SPAN_M))
     return state
 
 

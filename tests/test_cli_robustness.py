@@ -42,6 +42,12 @@ ROWS = [
      {"duration_s": 150, "n_sds": 2, "infection_rate": 0.0,
       "video": {"enabled": True, "forced_calls": 1},
       "mission": {"session_duration_s": 600, "transit_distance_m": 100}}, 0),
+    # the name is a CSV cell and the stem of the output files
+    ("name_with_a_comma", "run", {"name": "north,east", "duration_s": 10}, 1),
+    ("name_with_a_line_break", "run", {"name": "two\nlines", "duration_s": 10}, 1),
+    ("name_with_a_carriage_return", "run", {"name": "two\rlines", "duration_s": 10}, 1),
+    ("name_leaving_the_output_directory", "run", {"name": "../escaped", "duration_s": 10}, 1),
+    ("name_with_a_backslash", "run", {"name": "a\\b", "duration_s": 10}, 1),
 ]
 
 TIME_LIMIT_S = 120

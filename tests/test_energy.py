@@ -4,9 +4,13 @@ from hypothesis import given, strategies as st
 
 from swarmsim.config import ConfigError, parse_config
 from swarmsim.energy import (
+    BATTERY_CHARGE_MAH,
+    BATTERY_VOLTAGE_V,
+    BATTERY_WH,
     MAX_SESSIONS,
+    PAYLOAD,
+    PAYLOAD_G,
     EnergyError,
-    PayloadManifest,
     battery_feasible,
     derate_flight_time,
     durability_report,
@@ -33,11 +37,15 @@ class TestPayloadRatio:
         assert payload_ratio(0, 1375) == 0.0
 
     def test_manifest_totals_match_the_published_ratios(self):
-        manifest = PayloadManifest()
-        ld = sum(e.weight_g for e in manifest.elements if e.on_ld)
-        sd = sum(e.weight_g for e in manifest.elements if e.on_sd)
+        ld = sum(grams for _, grams, on_ld, _ in PAYLOAD if on_ld)
+        sd = sum(grams for _, grams, _, on_sd in PAYLOAD if on_sd)
+        assert (PAYLOAD_G["ld"], PAYLOAD_G["sd"]) == (ld, sd)
         assert round(payload_ratio(ld, 1375), 1) == 14.7
         assert round(payload_ratio(sd, 1375), 1) == 14.4
+
+    def test_flight_battery_energy_is_voltage_times_charge(self):
+        nominal = BATTERY_VOLTAGE_V * BATTERY_CHARGE_MAH / 1000.0
+        assert abs(nominal - BATTERY_WH) <= 0.01 * BATTERY_WH
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(EnergyError):

@@ -8,8 +8,6 @@ from swarmsim.failure import (
     DetectionRecord,
     FailureError,
     FailureEvent,
-    PredictionThresholds,
-    StaleTelemetryError,
     detect_ld_loss,
     hard_handover,
     isolate_drone,
@@ -25,8 +23,8 @@ from swarmsim.swarm import (
 )
 
 
-def collecting_swarm(n=5, backup_id=3):
-    state = init_swarm(MissionPlan(dmc_position=(0.0, 1000.0)), n, backup_id=backup_id)
+def collecting_swarm(n=5):
+    state = init_swarm(MissionPlan(dmc_position=(0.0, 1000.0)), n)
     for d in state.drones.values():
         d.phase = Phase.COLLECTING
     return state
@@ -34,25 +32,13 @@ def collecting_swarm(n=5, backup_id=3):
 
 class TestPrediction:
     def test_healthy_telemetry_predicts_nothing(self):
-        assert not predict_failure(Telemetry(80.0, 30.0, 0), now_us=0)
+        assert not predict_failure(Telemetry(80.0, 30.0, 0))
 
     def test_battery_below_floor_predicts_failure(self):
-        assert predict_failure(Telemetry(10.0, 30.0, 0), now_us=0)
+        assert predict_failure(Telemetry(10.0, 30.0, 0))
 
     def test_temperature_above_ceiling_predicts_failure(self):
-        assert predict_failure(Telemetry(80.0, 70.0, 0), now_us=0)
-
-    def test_stale_telemetry_refused(self):
-        with pytest.raises(StaleTelemetryError):
-            predict_failure(Telemetry(10.0, 30.0, 0), now_us=20_000_000)
-
-    def test_thresholds_are_configurable(self):
-        strict = PredictionThresholds(battery_floor_pct=50.0)
-        assert predict_failure(Telemetry(40.0, 30.0, 0), strict, now_us=0)
-
-    def test_degenerate_battery_floor_rejected(self):
-        with pytest.raises(FailureError):
-            PredictionThresholds(battery_floor_pct=0.0)
+        assert predict_failure(Telemetry(80.0, 70.0, 0))
 
 
 class TestSoftHandover:
@@ -161,7 +147,7 @@ class TestHardHandover:
         assert out.leader_id == 2
 
     def test_all_sds_dead_aborts_the_mission(self):
-        state = collecting_swarm(n=1, backup_id=2)
+        state = collecting_swarm(n=1)
         state.drones[1].alive = False
         state.drones[2].alive = False
         detection = DetectionRecord(1, 61_000_000, 0, "collection")

@@ -7,6 +7,7 @@ import pytest
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
 from swarmsim.energy import mission_plan, price
+from swarmsim.netsim import Link
 from swarmsim.runner import (
     CSV_HEADER,
     SWEEPABLE_AXES,
@@ -27,6 +28,11 @@ THIRTY_SESSIONS = {"session_duration_s": 300, "n_sessions": 30, "reposition_s": 
 LONG_HOPS = {"n_sds": 2, "duration_s": 5000, "mission": {
     "n_sessions": 3, "session_duration_s": 60, "reposition_s": 700,
     "transit_distance_m": 100}}
+# every SD calls from the 150 s classification of session 0 until 180 s
+FOUR_CALLS = {"duration_s": 430, "n_sds": 4, "infection_rate": 1.0,
+              "video": {"enabled": True, "forced_calls": 2, "call_duration_s": 30},
+              "mission": {"session_duration_s": 120, "n_sessions": 2,
+                          "reposition_s": 60, "transit_distance_m": 100}}
 
 
 def small_scenario(**overrides):
@@ -84,9 +90,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wlan.data_rate_mbps"):
             parse_config({"wlan": {"data_rate_mbps": 11}})
 
-    def test_backup_must_name_an_sd(self):
-        with pytest.raises(ConfigError, match="backup_id"):
-            parse_config({"n_sds": 2, "mission": {"backup_id": 9}})
+    @pytest.mark.parametrize("field", [
+        "mission.position_noise_m", "mission.span_m", "mission.backup_id",
+        "video.frame_rate"])
+    def test_fixed_values_are_unknown_fields(self, field):
+        section, key = field.split(".")
+        with pytest.raises(ConfigError, match=f"unknown field '{field}'"):
+            parse_config({section: {key: 1}})
 
     def test_targets_cannot_exceed_sds(self):
         with pytest.raises(ConfigError, match="n_targets"):
@@ -358,6 +368,50 @@ class TestRunScenario:
         assert not any("promoted SD" in d for d in result.deviations)
         assert [d for d in result.deviations if "keeps command" in d] == [
             "t=1360000000us soft handover found no SD fit to lead; leader 3 keeps command"]
+
+    def test_a_drone_that_landed_alone_is_given_no_target(self):
+        # the demoted leader 1 flies home after its soft handover and lands
+        # at 1,380 s, before the last session starts at 1,610 s
+        result = run_scenario(parse_config(LONG_HOPS))
+        assert result.collected_targets == [0, 0, 0, 1, 1]
+        assert result.pending_targets == [1]
+        assert "session 2: 1 targets deferred; only 1 SDs available" in result.deviations
+
+    @pytest.mark.parametrize("failures", [
+        # drone 2 dies mid-call, then the leader while the calls run
+        [{"kind": "sd_sudden", "drone_id": 2, "at_s": 160},
+         {"kind": "ld_sudden", "drone_id": None, "at_s": 170}],
+        # the leader dies at the classification instant, after the case
+        # reports are offered and before they reach it
+        [{"kind": "ld_sudden", "drone_id": None, "at_s": 150}],
+    ], ids=["caller_then_leader", "leader_at_classification"])
+    def test_dead_callers_and_dead_leaders_relay_nothing(self, failures, monkeypatch):
+        mission = _Mission(parse_config(dict(FOUR_CALLS, failures=failures)))
+        offers = []  # (now, link, packet)
+        send = Link.send
+
+        def recording_send(link, pkt, on_deliver=None):
+            offers.append((mission.q.now, link.name, pkt))
+            return send(link, pkt, on_deliver)
+
+        monkeypatch.setattr(Link, "send", recording_send)
+        result = mission.run()
+        for link, c in result.metrics.links.items():
+            assert c["offered_pkts"] == c["delivered_pkts"] + c["dropped_pkts"], link
+        for f in failures:
+            if f["kind"] == "sd_sudden":
+                up = [pkt.created_at for _, _, pkt in offers
+                      if pkt.flow == "video_up" and pkt.src == f["drone_id"]]
+                assert up and max(up) < f["at_s"] * 1e6
+        (killed_at,) = [f["at_s"] * 1e6 for f in failures if f["kind"] == "ld_sudden"]
+        (recovery_s,) = result.recovery_times_s
+        promoted_at = killed_at + recovery_s * 1e6
+        down = {(link, pkt.flow) for now, link, pkt in offers
+                if killed_at < now < promoted_at}
+        assert ("wlan", "video_up") in down  # the SDs kept offering frames
+        assert ("wimax_dl", "video_down") in down  # and so did the DMC
+        # nothing went up the long-range link or down the WLAN
+        assert [x for x in down if x[0] == "wimax_ul" or x == ("wlan", "video_down")] == []
 
     def test_link_left_busy_is_an_internal_error(self):
         mission = _Mission(small_scenario())

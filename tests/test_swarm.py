@@ -65,22 +65,19 @@ class TestPhaseMachine:
 
 class TestInitSwarm:
     def test_ten_sds_builds_eleven_drones(self):
-        state = init_swarm(MissionPlan(), 10, backup_id=3)
+        state = init_swarm(MissionPlan(), 10)
         assert len(state.drones) == 11
         assert state.leader_id == 1
         assert state.backup_id == 3
 
     def test_minimal_swarm(self):
-        state = init_swarm(MissionPlan(), 1, backup_id=2)
+        state = init_swarm(MissionPlan(), 1)
         assert sorted(state.drones) == [1, 2]
-
-    def test_backup_must_be_an_sd(self):
-        with pytest.raises(SwarmError):
-            init_swarm(MissionPlan(), 3, backup_id=1)
+        assert state.backup_id == 2
 
     def test_empty_swarm_rejected(self):
         with pytest.raises(SwarmError):
-            init_swarm(MissionPlan(), 0, backup_id=2)
+            init_swarm(MissionPlan(), 0)
 
 
 class TestFormationGeometry:
@@ -112,7 +109,7 @@ class TestFormationGeometry:
 
 class TestKinematics:
     def _flying_state(self):
-        state = init_swarm(MissionPlan(dmc_position=(0.0, 0.0)), 1, backup_id=2)
+        state = init_swarm(MissionPlan(dmc_position=(0.0, 0.0)), 1)
         for d in state.drones.values():
             d.phase = Phase.TRANSIT
         return state
