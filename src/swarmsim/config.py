@@ -160,7 +160,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         edca=_bool(w["edca"], "wlan.edca"),
         overhead_bytes=_num(w["overhead_bytes"], "wlan.overhead_bytes", 0, 10_000, True),
         buffer_bits=_num(w["buffer_bits"], "wlan.buffer_bits", 1, None, True),
-        mtu=_num(w["mtu"], "wlan.mtu", 64, 65_535, True),
     )
 
     x = _expect(top["wimax"], "wimax", _DEFAULTS["wimax"])
@@ -169,7 +168,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
                                1, 1000, True) * 1_000_000,
         overhead_bytes=_num(x["overhead_bytes"], "wimax.overhead_bytes", 0, 10_000, True),
         buffer_bits=_num(x["buffer_bits"], "wimax.buffer_bits", 1, None, True),
-        mtu=_num(x["mtu"], "wimax.mtu", 64, 65_535, True),
     )
 
     v = _expect(top["video"], "video", _DEFAULTS["video"])
@@ -233,6 +231,8 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
     failures.sort(key=lambda fe: fe.at_us)
 
     name = str(top["name"])
+    if not name:
+        raise ConfigError("field 'name' must not be empty")
     if any(c in name for c in _NAME_FORBIDDEN):
         raise ConfigError(f"field 'name'={name!r} must not contain ',', a line break, "
                           "'/' or '\\'")

@@ -8,6 +8,11 @@ by watchdog timeout: the in-flight aggregate dies with the old leader and is
 charged to the loss metrics, and the detection-to-promotion gap is recorded
 as the recovery time.
 
+One rule, ``can_lead``, decides who may take command: a live drone that has
+not landed and predicts no failure of its own. Both handovers and the
+runner's abort checks ask it. A drone sent home alone needs no test of its
+own: it went because its battery is below the floor, and battery never rises.
+
 Leadership is ``SwarmState.leader_id`` alone: a handover only moves that id,
 and the demoted leader is an SD from then on. Targets orphaned by a
 promotion or an SD failure go back through ``swarm.assign_targets``.
@@ -65,9 +70,8 @@ class FailureEvent:
 @dataclass(frozen=True)
 class DetectionRecord:
     leader_id: int
-    detected_at_us: int
     last_heard_us: int
-    mode: str  # 'flight' or 'collection'
+    timeout_us: int  # the watchdog timeout the silence exceeded
 
 
 def predict_failure(telemetry) -> bool:
@@ -78,15 +82,18 @@ def predict_failure(telemetry) -> bool:
     )
 
 
-def _promotion_candidate(state: SwarmState, soft: bool) -> tuple[Drone | None, bool]:
-    """The designated backup if usable, else the lowest-id usable SD.
+def can_lead(drone: Drone) -> bool:
+    """Whether a drone may take command: alive, not landed, and predicting
+    no failure of its own."""
+    return (drone.alive and drone.phase is not Phase.LANDED
+            and not predict_failure(drone.telemetry))
 
-    Any alive SD is usable; in a ``soft`` handover, only one that is not
-    returning and whose own telemetry predicts no failure.
+
+def _promotion_candidate(state: SwarmState) -> tuple[Drone | None, bool]:
+    """The designated backup if it can lead, else the lowest-id SD that can.
     Returns (candidate, fell_back).
     """
-    sds = [d for d in state.alive_sds() if not soft or (
-        d.phase is not Phase.RETURNING and not predict_failure(d.telemetry))]
+    sds = [d for d in state.alive_sds() if can_lead(d)]
     for d in sds:
         if d.id == state.backup_id:
             return d, False
@@ -109,17 +116,16 @@ def soft_handover(state: SwarmState, now_us: int) -> SwarmState:
 
     The backup inherits the aggregation buffer, so no report is lost. The
     old leader demotes to an SD and heads home if its battery is below the
-    floor. Requires the prediction to actually hold. An unusable backup
-    falls back to the lowest-id SD that is not returning and predicts no
-    failure of its own, and is recorded as a deviation; with no such SD the
-    leader keeps command, also recorded.
+    floor. Requires the prediction to actually hold. A backup that cannot
+    lead falls back to the lowest-id SD that can, recorded as a deviation;
+    with no such SD the leader keeps command, also recorded.
     """
     old = state.leader()
     if not old.alive:
         raise FailureError("soft handover needs a live leader; use hard_handover")
     if not predict_failure(old.telemetry):
         raise FailureError("soft handover without a failure prediction")
-    candidate, fell_back = _promotion_candidate(state, soft=True)
+    candidate, fell_back = _promotion_candidate(state)
     if candidate is None:
         state.deviations.append(
             f"t={now_us}us soft handover found no SD fit to lead; "
@@ -145,15 +151,15 @@ def hard_handover(
     """Takeover after an unplanned leader loss.
 
     The dead leader's buffered aggregate is charged to the loss counters,
-    the backup (or fallback SD) assumes command, and the failure-to-command
-    gap is recorded as a recovery-time sample.
+    the backup (or the lowest-id SD that can lead) assumes command, and the
+    failure-to-command gap is recorded as a recovery-time sample.
     """
     old = state.drones[detection.leader_id]
-    if old.alive and now_us - old.telemetry.last_heard <= _timeout_for(detection.mode):
+    if old.alive and now_us - old.telemetry.last_heard <= detection.timeout_us:
         raise FailureError("hard handover requires a dead or long-unheard leader")
     state.lost_reports += len(state.aggregation_buffer)
     state.aggregation_buffer.clear()
-    candidate, fell_back = _promotion_candidate(state, soft=False)
+    candidate, fell_back = _promotion_candidate(state)
     if candidate is None:
         state.aborted = True
         state.deviations.append(f"t={now_us}us no drone left to lead; mission aborted")
@@ -168,22 +174,14 @@ def hard_handover(
     return state
 
 
-def _timeout_for(mode: str) -> int:
-    if mode == "flight":
-        return FLIGHT_DETECTION_TIMEOUT_US
-    if mode == "collection":
-        return COLLECTION_DETECTION_TIMEOUT_US
-    raise FailureError(f"unknown detection mode {mode!r}")
-
-
-def detect_ld_loss(state: SwarmState, now_us: int, mode: str) -> DetectionRecord | None:
+def detect_ld_loss(state: SwarmState, now_us: int,
+                   timeout_us: int) -> DetectionRecord | None:
     """Watchdog check run by the backup against the leader's last activity."""
     leader = state.leader()
     last = leader.telemetry.last_heard
-    if now_us - last > _timeout_for(mode):
-        return DetectionRecord(
-            leader_id=leader.id, detected_at_us=now_us, last_heard_us=last, mode=mode
-        )
+    if now_us - last > timeout_us:
+        return DetectionRecord(leader_id=leader.id, last_heard_us=last,
+                               timeout_us=timeout_us)
     return None
 
 
@@ -205,9 +203,7 @@ def isolate_drone(state: SwarmState, drone_id: int) -> SwarmState:
         return state
     if drone_id == state.leader_id:
         raise FailureError("cannot isolate the acting leader; hand over first")
-    if drone.alive and drone.phase is not Phase.FAILED:
-        raise FailureError(f"drone {drone_id} is not failed; refusing to isolate")
     if drone.phase is not Phase.FAILED:
-        drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
+        raise FailureError(f"drone {drone_id} is not failed; refusing to isolate")
     drone.phase = transition_phase(drone.phase, PhaseEvent.ISOLATE)
     return state

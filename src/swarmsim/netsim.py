@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .protocol import HEADER_LEN, VIDEO_FRAME_RATE, VideoCallSpec, fragment_payload
+from .protocol import HEADER_LEN, MTU, VIDEO_FRAME_RATE, VideoCallSpec, fragment_payload
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +55,7 @@ class SchedulingError(NetSimError):
 
 
 class MetricsError(NetSimError):
-    """Metrics requested from an unstarted run."""
+    """Metrics requested while packets are still queued."""
 
 
 def tx_time_us(bits: int, rate_bps: int) -> int:
@@ -145,7 +145,6 @@ class WlanParams:
     proc_rate_pps: int = 10_000
     overhead_bytes: int = 90     # MAC + LLC + IPv6 + UDP
     edca: bool = False
-    mtu: int = 1500
 
     def __post_init__(self):
         if min(self.data_rate_bps, self.buffer_bits, self.proc_rate_pps) <= 0:
@@ -157,7 +156,6 @@ class WimaxParams:
     max_sustained_bps: int = 10_000_000
     buffer_bits: int = 1_000_000
     overhead_bytes: int = 54
-    mtu: int = 1500
 
     def __post_init__(self):
         if self.max_sustained_bps <= 0:
@@ -199,14 +197,12 @@ class Metrics:
 
     def __init__(self, measure_from_us: int = 0):
         self.measure_from_us = measure_from_us
-        self.started = False
         self.counters: dict[tuple[str, str, str, int], _Counter] = {}
         self.latencies: dict[tuple[str, str], dict[int, int]] = {}
 
     def offered(self, link: str, pkt: Packet, wire_bits: int) -> _Counter | None:
         """Count an offer and return the packet's counter, which its drop
         or delivery then updates; None before the window."""
-        self.started = True
         if pkt.created_at < self.measure_from_us:
             return None
         key = (link, pkt.access_class, pkt.flow, pkt.src)
@@ -290,9 +286,7 @@ def _sum_by(counters: dict, group) -> dict:
 
 
 def metrics_snapshot(metrics: Metrics, now_us: int) -> MetricsRecord:
-    """Freeze counters into a record; valid only once traffic has flowed."""
-    if not metrics.started:
-        raise MetricsError("metrics snapshot of an unstarted run")
+    """Freeze counters into a record; valid only once every link drained."""
     counters = metrics.counters
     links = _sum_by(counters, lambda k: k[0])
     for link, c in links.items():
@@ -326,7 +320,6 @@ class Link:
         overhead_bytes: int,
         metrics: Metrics,
         proc_delay_us: int = 0,
-        mtu: int = 1500,
         class_order: tuple[str, ...] = FIFO_ORDER,
         class_key: Callable[[Packet], str] | None = None,
     ):
@@ -337,7 +330,6 @@ class Link:
         self.overhead_bytes = overhead_bytes
         self.metrics = metrics
         self.proc_delay_us = proc_delay_us
-        self.mtu = mtu
         self.class_key = class_key or (lambda p: p.access_class)
         self._queues = {cls: deque() for cls in class_order}
         self._by_priority = tuple(self._queues.values())
@@ -355,9 +347,9 @@ class Link:
 
         Returns False when the buffer is full (counted as a drop).
         """
-        if pkt.size_bytes > self.mtu:
+        if pkt.size_bytes > MTU:
             raise NetSimError(
-                f"{pkt.size_bytes}-byte packet exceeds MTU {self.mtu}; fragment first"
+                f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
             )
         wire = (pkt.size_bytes + self.overhead_bytes) * 8
         counter = self.metrics.offered(self.name, pkt, wire)
@@ -402,7 +394,6 @@ def build_wlan_link(queue: EventQueue, params: WlanParams, metrics: Metrics,
         overhead_bytes=params.overhead_bytes,
         metrics=metrics,
         proc_delay_us=1_000_000 // params.proc_rate_pps,
-        mtu=params.mtu,
         class_order=EDCA_ORDER if params.edca else FIFO_ORDER,
     )
 
@@ -421,15 +412,14 @@ def build_wimax_link(queue: EventQueue, params: WimaxParams, metrics: Metrics,
         overhead_bytes=params.overhead_bytes,
         metrics=metrics,
         proc_delay_us=0,
-        mtu=params.mtu,
         class_order=WIMAX_ORDER,
         class_key=_wimax_class,
     )
 
 
-def _per_call_wire_bps(call: VideoCallSpec, overhead_bytes: int, mtu: int) -> float:
+def _per_call_wire_bps(call: VideoCallSpec, overhead_bytes: int) -> float:
     """One direction's offered load including fragment headers and overhead."""
-    frags = fragment_payload(call.frame_len, mtu)
+    frags = fragment_payload(call.frame_len, MTU)
     wire_bytes = call.frame_len + len(frags) * (HEADER_LEN + overhead_bytes)
     return wire_bytes * 8 * VIDEO_FRAME_RATE
 
@@ -446,9 +436,9 @@ def max_simultaneous_calls(wlan: WlanParams, wimax: WimaxParams,
     """
     bw = int(call.bandwidth_bps)
     radio_bound = int(wlan.data_rate_bps // (2 * bw))
-    wlan_hdr_bps = _per_call_wire_bps(call, wlan.overhead_bytes, wlan.mtu)
+    wlan_hdr_bps = _per_call_wire_bps(call, wlan.overhead_bytes)
     wlan_hdr_bound = int(wlan.data_rate_bps // (2 * wlan_hdr_bps))
-    wimax_bps = _per_call_wire_bps(call, wimax.overhead_bytes, wimax.mtu)
+    wimax_bps = _per_call_wire_bps(call, wimax.overhead_bytes)
     wimax_bound = int(wimax.max_sustained_bps // wimax_bps)
     if min(wlan_hdr_bound, wimax_bound) < radio_bound:
         logger.warning(

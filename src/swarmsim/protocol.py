@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 
 HEADER_LEN = 8
+# largest packet any link carries, header included; only video frames are
+# fragmented to fit, so every other message must fit whole
+MTU = 1500
 DMC_ID = 0
 BROADCAST_ID = 255
 

@@ -56,6 +56,7 @@ from .protocol import (
     LD_STATUS_PERIOD_US,
     MOVE_TO_WAYPOINT_LEN,
     MOVE_TO_WAYPOINT_PERIOD_US,
+    MTU,
     SD_STATUS_PERIOD_US,
     STATUS_SD_LEN,
     VIDEO_FRAME_RATE,
@@ -83,7 +84,7 @@ WATCHDOG_MARGIN_US = 2_000
 CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
-# phases in which a live SD sends no beacon or acknowledgement
+# phases in which an SD sends no beacon or acknowledgement: landed or lost
 SILENT_PHASES = frozenset({Phase.ISOLATED, Phase.FAILED, Phase.LANDED})
 
 
@@ -238,10 +239,12 @@ class _Mission:
             first = a + MOVE_TO_WAYPOINT_PERIOD_US
             every(first, MOVE_TO_WAYPOINT_PERIOD_US, min(b, H), self._broadcast_tick)
             every(first + WATCHDOG_MARGIN_US, MOVE_TO_WAYPOINT_PERIOD_US,
-                  min(b + WATCHDOG_MARGIN_US, H), lambda t: self._watchdog(t, "flight"))
+                  min(b + WATCHDOG_MARGIN_US, H),
+                  lambda t: self._watchdog(t, failure_mod.FLIGHT_DETECTION_TIMEOUT_US))
         for a, b in self.collection_windows:
             every(a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US, LD_STATUS_PERIOD_US,
-                  min(b + WATCHDOG_MARGIN_US, H), lambda t: self._watchdog(t, "collection"))
+                  min(b + WATCHDOG_MARGIN_US, H),
+                  lambda t: self._watchdog(t, failure_mod.COLLECTION_DETECTION_TIMEOUT_US))
 
         for f in self.cfg.failures:
             if f.at_us <= H:
@@ -263,7 +266,7 @@ class _Mission:
 
     def _sync_drone_phases(self) -> None:
         for d in self.state.drones.values():
-            if not d.alive or d.phase in (Phase.FAILED, Phase.ISOLATED, Phase.LANDED):
+            if d.phase in (Phase.FAILED, Phase.ISOLATED, Phase.LANDED):
                 continue
             if d.phase is Phase.RETURNING and self.mission_phase not in (
                     Phase.RETURNING, Phase.LANDED):
@@ -357,7 +360,7 @@ class _Mission:
         self.state.leader().telemetry.last_heard = self.q.now
 
     def _beacon_allowed(self, d) -> bool:
-        return d.alive and d.id != self.state.leader_id and d.phase not in SILENT_PHASES
+        return d.id != self.state.leader_id and d.phase not in SILENT_PHASES
 
     def _status_tick(self, now: int) -> None:
         if self.state.aborted or self.mission_phase is Phase.LANDED:
@@ -465,15 +468,14 @@ class _Mission:
     def _start_call(self, sd_id: int, start: int) -> None:
         cfg = self.cfg
         spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
-        # every frame of a call has the same length, so one fragment list
-        # per direction serves the whole call
-        up = fragment_payload(spec.frame_len, cfg.wlan.mtu)
-        down = fragment_payload(spec.frame_len, cfg.wimax.mtu)
+        # every frame of a call has the same length and every link the same
+        # MTU, so one fragment list serves the whole call in both directions
+        frags = fragment_payload(spec.frame_len, MTU)
         dur_us = int(cfg.video.call_duration_s * 1e6)
         end = start + dur_us
         frame_gap = 1_000_000 // VIDEO_FRAME_RATE
         self.q.every(start, frame_gap, min(end - 1, self.horizon),
-                     lambda t: self._video_frame(t, sd_id, up, down))
+                     lambda t: self._video_frame(t, sd_id, frags))
         self._at(min(end, self.horizon), lambda: self._end_call(sd_id, start, min(end, self.horizon)))
 
     def _end_call(self, sd_id: int, start: int, end: int) -> None:
@@ -481,15 +483,15 @@ class _Mission:
         # a call staggered past the horizon never ran
         self.video_us[sd_id] += max(0, end - start)
 
-    def _video_frame(self, now: int, sd_id: int, up: list[int], down: list[int]) -> None:
+    def _video_frame(self, now: int, sd_id: int, frags: list[int]) -> None:
         state = self.state
         sd = state.drones.get(sd_id)
         if state.aborted or sd is None or not sd.alive:
             return
-        for frag in up:
+        for frag in frags:
             pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_up", src=sd_id, dst=DMC_ID)
             self.wlan.send(pkt, self._relay_video_up)
-        for frag in down:
+        for frag in frags:
             pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_down", src=DMC_ID, dst=sd_id)
             self.wimax_dl.send(pkt, self._relay_video_down)
 
@@ -536,13 +538,13 @@ class _Mission:
                 state.leader().telemetry.last_heard = now
                 self._update_waypoints()
 
-    def _watchdog(self, now: int, mode: str) -> None:
+    def _watchdog(self, now: int, timeout_us: int) -> None:
         state = self.state
         # the watchdog runs on an SD, so it stops when none is left
         if (state.aborted or self.mission_phase is Phase.LANDED or self.handover_pending
                 or not state.alive_sds()):
             return
-        detection = failure_mod.detect_ld_loss(state, now, mode)
+        detection = failure_mod.detect_ld_loss(state, now, timeout_us)
         if detection is None:
             return
         self.handover_pending = True
@@ -579,13 +581,12 @@ class _Mission:
             if target.id != state.leader_id:
                 self._failure_not_applied(f, "drone is not the acting leader")
                 return
-            target.alive = False
             target.phase = transition_phase(target.phase, PhaseEvent.FAILURE_DETECTED)
             self.leader_killed_at = now
-            if not state.alive_sds():
+            if not any(failure_mod.can_lead(sd) for sd in state.alive_sds()):
                 state.aborted = True
                 state.deviations.append(
-                    f"t={now}us leader lost with no SD left; mission aborted")
+                    f"t={now}us leader lost with no SD able to lead; mission aborted")
         elif f.kind == failure_mod.FailureKind.LD_PREDICTED:
             leader = state.leader()
             if not leader.alive:
@@ -607,11 +608,11 @@ class _Mission:
             if sd.id == state.leader_id:
                 self._failure_not_applied(f, "drone is the acting leader")
                 return
-            sd.alive = False
             sd.phase = transition_phase(sd.phase, PhaseEvent.FAILURE_DETECTED)
             failure_mod.isolate_drone(state, sd.id)
             failure_mod.reallocate_tasks(state, sd.id)
-            if not state.leader().alive and not state.alive_sds():
+            if not state.leader().alive and not any(
+                    failure_mod.can_lead(d) for d in state.alive_sds()):
                 state.aborted = True
                 state.deviations.append(
                     f"t={now}us last SD lost with the leader down; mission aborted")

@@ -47,6 +47,10 @@ class Phase(Enum):
     ISOLATED = "isolated"
 
 
+# ``Drone.alive`` is read on hot paths, and looking a member up on an Enum
+# class costs several times a module-global read
+_FAILED, _ISOLATED = Phase.FAILED, Phase.ISOLATED
+
 # Phases in which a drone is airborne; everything else sits on the ground
 # (collection happens landed, in power-saving mode).
 AIRBORNE_PHASES = frozenset({
@@ -131,13 +135,17 @@ class Drone:
     id: int
     position: tuple[float, float] = (0.0, 0.0)
     phase: Phase = Phase.CONFIGURED
-    alive: bool = True
     telemetry: Telemetry = field(default_factory=Telemetry)
     waypoint: tuple[float, float] | None = None
 
     @property
+    def alive(self) -> bool:
+        """Liveness is the phase: a drone is lost once it has failed."""
+        return self.phase is not _FAILED and self.phase is not _ISOLATED
+
+    @property
     def airborne(self) -> bool:
-        return self.alive and self.phase in AIRBORNE_PHASES
+        return self.phase in AIRBORNE_PHASES
 
 
 class CaseClass(Enum):
@@ -188,8 +196,7 @@ class SwarmState:
         """Live, unisolated SDs in id order, which is the order ``init_swarm``
         inserts ``drones`` in; nothing re-keys it."""
         leader_id = self.leader_id
-        return [d for d in self.drones.values()
-                if d.alive and d.id != leader_id and d.phase is not Phase.ISOLATED]
+        return [d for d in self.drones.values() if d.id != leader_id and d.alive]
 
 
 # phases in which a drone collects nothing: on its way home, back at the
@@ -198,9 +205,9 @@ _NOT_COLLECTING = frozenset({Phase.RETURNING, Phase.LANDED, Phase.FAILED, Phase.
 
 
 def can_collect(drone: Drone) -> bool:
-    """Whether a drone can collect a target: alive and not in a
-    ``_NOT_COLLECTING`` phase. Assignment and crediting both ask this."""
-    return drone.alive and drone.phase not in _NOT_COLLECTING
+    """Whether a drone can collect a target: not in a ``_NOT_COLLECTING``
+    phase. Assignment and crediting both ask this."""
+    return drone.phase not in _NOT_COLLECTING
 
 
 def assign_targets(state: SwarmState, targets: list[int]) -> list[int]:

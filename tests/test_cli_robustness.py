@@ -48,6 +48,11 @@ ROWS = [
     ("name_with_a_carriage_return", "run", {"name": "two\rlines", "duration_s": 10}, 1),
     ("name_leaving_the_output_directory", "run", {"name": "../escaped", "duration_s": 10}, 1),
     ("name_with_a_backslash", "run", {"name": "a\\b", "duration_s": 10}, 1),
+    ("empty_name", "run", {"name": "", "duration_s": 10}, 1),
+    # the MTU is fixed: a smaller one could not carry a whole case report
+    ("removed_mtu_setting", "run", {"duration_s": 40, "wimax": {"mtu": 100}}, 1),
+    # the run ends before its first send and emits no link rows
+    ("run_ending_before_the_first_send", "run", {"duration_s": 0.1}, 0),
 ]
 
 TIME_LIMIT_S = 120

@@ -62,7 +62,7 @@ class TestSoftHandover:
     def test_dead_backup_falls_back_to_lowest_id_sd(self):
         state = collecting_swarm()
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
-        state.drones[3].alive = False
+        state.drones[3].phase = Phase.FAILED
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 2
         assert any("backup" in d for d in out.deviations)
@@ -70,7 +70,9 @@ class TestSoftHandover:
     def test_returning_or_failing_sds_are_not_promoted(self):
         state = collecting_swarm(n=3)
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
+        # the runner sends an SD home alone only when its battery is low
         state.drones[3].phase = Phase.RETURNING
+        state.drones[3].telemetry = Telemetry(12.0, 30.0, 0)
         state.drones[2].telemetry = Telemetry(10.0, 30.0, 0)
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 4
@@ -108,27 +110,27 @@ class TestDetection:
     def test_flight_silence_over_timeout_detected(self):
         state = collecting_swarm()
         state.leader().telemetry.last_heard = 0
-        rec = detect_ld_loss(state, 610_000, "flight")
-        assert rec == DetectionRecord(1, 610_000, 0, "flight")
+        rec = detect_ld_loss(state, 610_000, FLIGHT_DETECTION_TIMEOUT_US)
+        assert rec == DetectionRecord(1, 0, FLIGHT_DETECTION_TIMEOUT_US)
 
     def test_flight_silence_under_timeout_ignored(self):
         state = collecting_swarm()
         state.leader().telemetry.last_heard = 0
-        assert detect_ld_loss(state, 390_000, "flight") is None
+        assert detect_ld_loss(state, 390_000, FLIGHT_DETECTION_TIMEOUT_US) is None
 
     def test_collection_silence_over_timeout_detected(self):
         state = collecting_swarm()
         state.leader().telemetry.last_heard = 0
-        rec = detect_ld_loss(state, 61_000_000, "collection")
-        assert rec is not None and rec.mode == "collection"
+        rec = detect_ld_loss(state, 61_000_000, COLLECTION_DETECTION_TIMEOUT_US)
+        assert rec is not None and rec.timeout_us == COLLECTION_DETECTION_TIMEOUT_US
 
 
 class TestHardHandover:
     def test_promotion_recovery_and_aggregate_loss(self):
         state = collecting_swarm()
         state.aggregation_buffer.extend([object(), object()])
-        state.drones[1].alive = False
-        detection = DetectionRecord(1, 61_000_000, 0, "collection")
+        state.drones[1].phase = Phase.FAILED
+        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
         out = hard_handover(state, detection, now_us=61_000_000,
                             failed_at_us=30_000_000)
         assert out.leader_id == 3
@@ -140,25 +142,25 @@ class TestHardHandover:
 
     def test_backup_dead_falls_back_to_lowest_id(self):
         state = collecting_swarm()
-        state.drones[1].alive = False
-        state.drones[3].alive = False
-        detection = DetectionRecord(1, 61_000_000, 0, "collection")
+        state.drones[1].phase = Phase.FAILED
+        state.drones[3].phase = Phase.FAILED
+        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
         out = hard_handover(state, detection, now_us=61_000_000)
         assert out.leader_id == 2
 
     def test_all_sds_dead_aborts_the_mission(self):
         state = collecting_swarm(n=1)
-        state.drones[1].alive = False
-        state.drones[2].alive = False
-        detection = DetectionRecord(1, 61_000_000, 0, "collection")
+        state.drones[1].phase = Phase.FAILED
+        state.drones[2].phase = Phase.FAILED
+        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
         out = hard_handover(state, detection, now_us=61_000_000)
         assert out.aborted
 
     def test_promoted_leaders_own_target_is_reassigned(self):
         state = collecting_swarm(n=3)
-        state.drones[1].alive = False
+        state.drones[1].phase = Phase.FAILED
         state.assignments = {3: 7}
-        detection = DetectionRecord(1, 61_000_000, 0, "collection")
+        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
         out = hard_handover(state, detection, now_us=61_000_000)
         assert out.leader_id == 3
         # target 7 moved to an idle SD rather than dropped
@@ -169,7 +171,7 @@ class TestReallocation:
     def test_failed_sds_target_moves_to_idle_sd(self):
         state = collecting_swarm(n=4)
         state.assignments = {2: 11, 3: 12}
-        state.drones[2].alive = False
+        state.drones[2].phase = Phase.FAILED
         out = reallocate_tasks(state, 2)
         assert 2 not in out.assignments
         assert 11 in out.assignments.values()
@@ -177,14 +179,14 @@ class TestReallocation:
     def test_no_idle_sd_queues_target_for_next_session(self):
         state = collecting_swarm(n=2)
         state.assignments = {2: 11, 3: 12}
-        state.drones[2].alive = False
+        state.drones[2].phase = Phase.FAILED
         out = reallocate_tasks(state, 2)
         assert out.pending_targets == [11]
 
     def test_idle_sd_failure_changes_nothing(self):
         state = collecting_swarm(n=3)
         state.assignments = {2: 11}
-        state.drones[4].alive = False
+        state.drones[4].phase = Phase.FAILED
         out = reallocate_tasks(state, 4)
         assert out.assignments == {2: 11}
         assert out.pending_targets == []
@@ -198,7 +200,6 @@ class TestReallocation:
 class TestIsolation:
     def test_isolated_drone_reaches_isolated_phase(self):
         state = collecting_swarm()
-        state.drones[4].alive = False
         state.drones[4].phase = Phase.FAILED
         out = isolate_drone(state, 4)
         assert out.drones[4].phase is Phase.ISOLATED
@@ -212,7 +213,6 @@ class TestIsolation:
 
     def test_double_isolation_is_idempotent(self):
         state = collecting_swarm()
-        state.drones[4].alive = False
         state.drones[4].phase = Phase.FAILED
         isolate_drone(state, 4)
         out = isolate_drone(state, 4)

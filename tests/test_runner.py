@@ -116,8 +116,8 @@ class TestConfigParsing:
     def test_non_finite_numbers_rejected(self, value):
         with pytest.raises(ConfigError, match="'duration_s' must be finite"):
             parse_config({"duration_s": value})
-        with pytest.raises(ConfigError, match="'wlan.mtu' must be finite"):
-            parse_config({"wlan": {"mtu": value}})
+        with pytest.raises(ConfigError, match="'wlan.overhead_bytes' must be finite"):
+            parse_config({"wlan": {"overhead_bytes": value}})
 
     @pytest.mark.parametrize("data", [
         {"duration_s": 1e308},
@@ -376,6 +376,42 @@ class TestRunScenario:
         assert result.collected_targets == [0, 0, 0, 1, 1]
         assert result.pending_targets == [1]
         assert "session 2: 1 targets deferred; only 1 SDs available" in result.deviations
+
+    def test_leader_lost_with_only_landed_or_failing_sds_aborts(self):
+        # at 1,500 s drone 1 has landed alone and drone 2's battery is below
+        # the floor, so neither may lead
+        result = run_scenario(parse_config(dict(LONG_HOPS, failures=[
+            {"kind": "ld_sudden", "drone_id": None, "at_s": 1500}])))
+        assert result.aborted
+        assert ("t=1500000000us leader lost with no SD able to lead; mission aborted"
+                in result.deviations)
+        assert not any("promoted SD 1" in d for d in result.deviations)
+
+    def test_hard_handover_skips_an_overheated_sd(self):
+        # the overheated leader 1 hands over to the backup 3 and stays an
+        # SD; when 3 dies, SD 2 takes command, not drone 1
+        result = run_scenario(parse_config({
+            "n_sds": 5, "duration_s": 430, "infection_rate": 0.0,
+            "mission": {"n_sessions": 1, "session_duration_s": 300, "reposition_s": 10,
+                        "transit_distance_m": 100},
+            "failures": [{"kind": "ld_predicted", "drone_id": None, "at_s": 18},
+                         {"kind": "ld_sudden", "drone_id": None, "at_s": 218}],
+        }))
+        assert result.deviations == ["t=300003000us backup unavailable; promoted SD 2 instead"]
+
+    @pytest.mark.parametrize("kind, at_s, recovery_s", [
+        ("ld_predicted", 511, []), ("ld_sudden", 515, [0.603])])
+    def test_handover_on_the_return_leg(self, kind, at_s, recovery_s):
+        # every drone is returning, yet the backup 3 is fit to lead
+        result = run_scenario(parse_config({
+            "n_sds": 3, "duration_s": 900, "infection_rate": 0.0,
+            "mission": {"n_sessions": 4, "session_duration_s": 60, "reposition_s": 60,
+                        "transit_distance_m": 100},
+            "failures": [{"kind": kind, "drone_id": None, "at_s": at_s}],
+        }))
+        assert not result.aborted
+        assert result.energy[3]["role"] == "ld"
+        assert result.recovery_times_s == recovery_s
 
     @pytest.mark.parametrize("failures", [
         # drone 2 dies mid-call, then the leader while the calls run
