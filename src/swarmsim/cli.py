@@ -94,11 +94,21 @@ def _print_summary(result: RunResult) -> None:
     )
 
 
+def _output_dir(arg: str) -> Path:
+    """Create the ``--out`` directory before anything runs, so a path that
+    cannot be one is rejected up front."""
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as ex:
+        raise ConfigError(f"--out {arg!r} cannot be a directory: {ex.strerror}") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _with_seed(_resolve_config(args.config), args.seed)
+    out = _output_dir(args.out)
     result = run_scenario(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = emit_csv([result], out / f"{cfg.name}.csv")
     report_path = emit_report([result], out / f"{cfg.name}.txt")
     _print_summary(result)
@@ -108,9 +118,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _with_seed(_resolve_config(args.config), args.seed)
-    results = sweep(cfg, args.axis, _parse_values(args.values))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    values = _parse_values(args.values)
+    out = _output_dir(args.out)
+    results = sweep(cfg, args.axis, values)
     csv_path = emit_csv(results, out / f"{cfg.name}-sweep.csv")
     report_path = emit_report(results, out / f"{cfg.name}-sweep.txt")
     for result in results:

@@ -11,6 +11,13 @@ snapshot time. Each packet's counter is resolved once, when it is
 offered, and rides with the packet to its drop or delivery. A packet
 offered to an idle link starts service at once.
 
+A train (``Link.train``) offers a run of callback-free packets at given
+slots from one heap entry. Its slots take their ties when it is
+registered, so events order exactly as if each slot were its own event.
+While nothing on the heap comes first, it runs its next slot inline, and
+completes inline a packet that found the link idle. The event counts of
+``run_until`` and ``run_all`` include these inline slots and completions.
+
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
 with EDCA priorities. The long-range link is served per direction at its
@@ -72,6 +79,10 @@ class EventQueue:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
+        # time bound of the running run_until/run_all, which a train may
+        # not pass; and the count of train events run without the heap
+        self._limit: float = 0
+        self._inline = 0
 
     def schedule(self, t: int, fn: Callable[[], None]) -> None:
         if t < self.now:
@@ -106,25 +117,34 @@ class EventQueue:
         heapq.heappush(heap, (first, tie, tick))
 
     def run_until(self, t_end: int) -> int:
-        """Process every event with timestamp <= t_end; now ends at t_end."""
+        """Process every event with timestamp <= t_end; now ends at t_end.
+
+        Returns the number of events processed, train slots and
+        completions run inline (see ``Link.train``) included.
+        """
         heap, pop = self._heap, heapq.heappop
+        self._limit = t_end
+        inline = self._inline
         count = 0
         while heap and heap[0][0] <= t_end:
             self.now, _, fn = pop(heap)
             fn()
             count += 1
         self.now = max(self.now, t_end)
-        return count
+        return count + self._inline - inline
 
     def run_all(self) -> int:
-        """Drain the queue completely."""
+        """Drain the queue completely; returns the events processed, train
+        slots and completions run inline included."""
         heap, pop = self._heap, heapq.heappop
+        self._limit = math.inf
+        inline = self._inline
         count = 0
         while heap:
             self.now, _, fn = pop(heap)
             fn()
             count += 1
-        return count
+        return count + self._inline - inline
 
 
 class Packet(NamedTuple):
@@ -307,6 +327,54 @@ def metrics_snapshot(metrics: Metrics, now_us: int) -> MetricsRecord:
     )
 
 
+class _Train:
+    """The pending slots of one ``Link.train``. The heap holds its bound
+    ``step``: a closure that pushed itself would form a reference cycle,
+    which only the cyclic garbage collector frees."""
+
+    __slots__ = ("link", "slots", "times", "packet_for", "tie", "next")
+
+    def __init__(self, link: "Link", slots: list, times: list[int],
+                 packet_for: Callable, tie: int):
+        self.link, self.slots, self.times = link, slots, times
+        self.packet_for, self.tie = packet_for, tie
+        self.next = 0  # index of the slot the next step runs
+
+    def step(self) -> None:
+        link, times, tie = self.link, self.times, self.tie
+        q = link.queue
+        heap, limit = q._heap, q._limit
+        n, i, ran = len(times), self.next, 0
+        while True:
+            pkt = self.packet_for(self.slots[i][1])
+            i += 1
+            item = None if pkt is None else link._train_offer(pkt)
+            if item is not None:
+                # the link was idle and serves the packet now. Its
+                # completion would take a tie later than every pending
+                # one, so it goes first only at a strictly earlier time;
+                # run inline, it takes no tie, which reorders nothing
+                finish = q.now + tx_time_us(item[1], link.rate_bps)
+                link._busy = True
+                if (finish <= limit and (i == n or finish < times[i])
+                        and (not heap or finish < heap[0][0])):
+                    q.now = finish
+                    link._finish(item)
+                    ran += 1
+                else:
+                    q.schedule(finish, partial(link._finish, item))
+            if i == n:
+                break
+            t = times[i]
+            if t > limit or (heap and heap[0] < (t, tie + i)):
+                self.next = i
+                heapq.heappush(heap, (t, tie + i, self.step))
+                break
+            q.now = t
+            ran += 1
+        q._inline += ran
+
+
 class Link:
     """Bounded-buffer rate server over ``class_order``, highest priority
     first; a packet whose ``class_key`` is not listed joins the lowest."""
@@ -336,6 +404,8 @@ class Link:
         self._lowest = self._by_priority[-1]
         self._buffered_bits = 0
         self._busy = False
+        # (class, flow, source) -> the Metrics counter of train packets
+        self._train_counters: dict[tuple[str, str, int], _Counter] = {}
 
     @property
     def idle(self) -> bool:
@@ -364,6 +434,64 @@ class Link:
         else:
             self._serve(item)  # an idle link has nothing queued ahead
         return True
+
+    def train(self, slots: list[tuple[int, object]],
+              packet_for: Callable[[object], Packet | None]) -> None:
+        """Offer ``packet_for(x)`` at each slot ``(t, x)`` of ``slots``, which
+        are in time order; a slot whose ``packet_for`` returns None offers
+        nothing. Train packets have no delivery callback.
+
+        Like ``EventQueue.every``, the train takes one tie per slot now, so
+        its slots order against other events exactly as if each had been
+        scheduled here, and it holds one heap entry. While its next slot
+        comes before the heap's first entry and the running ``run_until``
+        limit, it runs that slot inline. A packet that finds the link idle
+        and would finish before all three is completed inline too; any
+        other completion is scheduled as ``send`` schedules it. Inline
+        slots and completions count as processed events.
+        """
+        q = self.queue
+        times = [t for t, _ in slots]
+        if not times:
+            return
+        if times[0] < q.now:
+            raise SchedulingError(f"cannot schedule at {times[0]} before now={q.now}")
+        if times != sorted(times):
+            raise NetSimError("train slots must be in time order")
+        train = _Train(self, slots, times, packet_for, q._tie)
+        q._tie += len(times)
+        heapq.heappush(q._heap, (times[0], train.tie, train.step))
+
+    def _train_offer(self, pkt: Packet) -> tuple | None:
+        """``send`` without a callback, counted on the link's cached counter
+        of the packet's (class, flow, source); returns the packet's item
+        when the link is idle, for the train to serve."""
+        if pkt.size_bytes > MTU:
+            raise NetSimError(
+                f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
+            )
+        wire = (pkt.size_bytes + self.overhead_bytes) * 8
+        metrics = self.metrics
+        if pkt.created_at < metrics.measure_from_us:
+            counter = None
+        else:
+            key = pkt[2:5]
+            counter = self._train_counters.get(key)
+            if counter is None:
+                counter = self._train_counters[key] = metrics.offered(self.name, pkt, wire)
+            else:
+                counter.offered_pkts += 1
+                counter.offered_bits += wire
+        if self._buffered_bits + wire > self.buffer_bits:
+            if counter is not None:
+                metrics.dropped(counter, wire)
+            return None
+        self._buffered_bits += wire
+        item = (pkt, wire, None, counter)
+        if self._busy:
+            self._queues.get(self.class_key(pkt), self._lowest).append(item)
+            return None
+        return item
 
     def _serve(self, item: tuple) -> None:
         self._busy = True

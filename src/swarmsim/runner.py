@@ -14,7 +14,10 @@ enabled, a bidirectional video call relayed through the leader.
 Each periodic process (the status tick, each drone's beacon, the flush,
 the waypoint broadcast, each watchdog, the frames of each video call) runs
 as one self-rescheduling series on the event queue, so the queue holds one
-entry per process instead of one per slot of the horizon.
+entry per process instead of one per slot of the horizon. The acks of one
+waypoint broadcast go out as one train on the WLAN link, which runs its
+slots inline while no other event intervenes; ``run_until`` and
+``run_all`` count those inline slots and completions as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
@@ -28,7 +31,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from . import energy as energy_mod
@@ -84,8 +86,10 @@ WATCHDOG_MARGIN_US = 2_000
 CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
-# phases in which an SD sends no beacon or acknowledgement: landed or lost
-SILENT_PHASES = frozenset({Phase.ISOLATED, Phase.FAILED, Phase.LANDED})
+# an SD sends no beacon or acknowledgement once landed or lost; the phases
+# are module globals because an identity test against them is cheaper than
+# hashing an Enum member into a set, and these tests run per packet
+_ISOLATED, _FAILED, _LANDED = Phase.ISOLATED, Phase.FAILED, Phase.LANDED
 
 
 class RunInvariantError(RuntimeError):
@@ -147,6 +151,7 @@ class _Mission:
         self.mission_phase = Phase.CONFIGURED
         self.trace: list[Phase] = [Phase.CONFIGURED]
 
+        self.reports_to_leader = 0  # status reports the WLAN delivered to the leader
         self.reports_delivered = 0
         self.calls_started = 0
         self.active_calls = 0
@@ -360,17 +365,19 @@ class _Mission:
         self.state.leader().telemetry.last_heard = self.q.now
 
     def _beacon_allowed(self, d) -> bool:
-        return d.id != self.state.leader_id and d.phase not in SILENT_PHASES
+        phase = d.phase
+        return (d.id != self.state.leader_id and phase is not _LANDED
+                and phase is not _FAILED and phase is not _ISOLATED)
 
     def _status_tick(self, now: int) -> None:
-        if self.state.aborted or self.mission_phase is Phase.LANDED:
+        if self.state.aborted or self.mission_phase is _LANDED:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
         advance_kinematics(self.state, SD_STATUS_PERIOD_US)
 
     def _send_beacon(self, now: int, drone_id: int) -> None:
-        if self.state.aborted or self.mission_phase is Phase.LANDED:
+        if self.state.aborted or self.mission_phase is _LANDED:
             return
         d = self.state.drones[drone_id]
         if not self._beacon_allowed(d):
@@ -380,6 +387,7 @@ class _Mission:
         self.wlan.send(pkt, self._on_status_delivered)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
+        self.reports_to_leader += 1
         state = self.state
         leader = state.leader()
         if not leader.alive:
@@ -394,7 +402,7 @@ class _Mission:
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
-        if state.aborted or self.mission_phase is Phase.LANDED or not self._leader_alive():
+        if state.aborted or self.mission_phase is _LANDED or not self._leader_alive():
             return
         n = len(state.alive_sds())
         if n == 0:
@@ -418,7 +426,7 @@ class _Mission:
             self.wimax_dl.send(ack)
 
     def _broadcast_tick(self, now: int) -> None:
-        if self.state.aborted or self.mission_phase is Phase.LANDED or not self._leader_alive():
+        if self.state.aborted or self.mission_phase is _LANDED or not self._leader_alive():
             return
         state = self.state
         self._mark_leader_activity()
@@ -427,17 +435,17 @@ class _Mission:
         self.wlan.send(pkt, self._on_waypoint_delivered)
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
-        q = self.q
-        for d in self.state.alive_sds():
-            if d.phase not in SILENT_PHASES:
-                q.schedule(q.now + d.id * ACK_STAGGER_US, partial(self._send_flight_ack, d))
+        # alive_sds holds no lost SD, and its id order is the slots' time order
+        now = self.q.now
+        self.wlan.train([(now + d.id * ACK_STAGGER_US, d) for d in self.state.alive_sds()
+                         if d.phase is not _LANDED], self._flight_ack)
 
-    def _send_flight_ack(self, d) -> None:
+    def _flight_ack(self, d) -> Packet | None:
+        """The ack an SD sends at its slot of a waypoint fan-out, if still allowed."""
         if not self._beacon_allowed(d):
-            return
-        ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack",
-                     src=d.id, dst=self.state.leader_id)
-        self.wlan.send(ack)
+            return None
+        return Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack",
+                      d.id, self.state.leader_id)
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
@@ -531,7 +539,7 @@ class _Mission:
         if failure_mod.predict_failure(leader.telemetry):
             # a leader that found no SD fit to lead keeps command; no SD
             # becomes fit later, so it does not ask again
-            if state.alive_sds() and leader.id != self.kept_command:
+            if state.has_alive_sd() and leader.id != self.kept_command:
                 failure_mod.soft_handover(state, now)
                 if state.leader_id == leader.id:
                     self.kept_command = leader.id
@@ -541,8 +549,8 @@ class _Mission:
     def _watchdog(self, now: int, timeout_us: int) -> None:
         state = self.state
         # the watchdog runs on an SD, so it stops when none is left
-        if (state.aborted or self.mission_phase is Phase.LANDED or self.handover_pending
-                or not state.alive_sds()):
+        if (state.aborted or self.mission_phase is _LANDED or self.handover_pending
+                or not state.has_alive_sd()):
             return
         detection = failure_mod.detect_ld_loss(state, now, timeout_us)
         if detection is None:
@@ -636,6 +644,12 @@ class _Mission:
             raise RunInvariantError(
                 "landed mission has a malformed phase trace: "
                 + " ".join(p.value for p in self.trace))
+        buffered = len(state.aggregation_buffer)
+        if self.reports_to_leader != self.reports_delivered + state.lost_reports + buffered:
+            raise RunInvariantError(
+                f"{self.reports_to_leader} status reports reached the leader, but "
+                f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
+                f"and {buffered} are still buffered")
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

@@ -198,6 +198,11 @@ class SwarmState:
         leader_id = self.leader_id
         return [d for d in self.drones.values() if d.id != leader_id and d.alive]
 
+    def has_alive_sd(self) -> bool:
+        """Whether ``alive_sds()`` is non-empty, without building it."""
+        leader_id = self.leader_id
+        return any(d.alive for d in self.drones.values() if d.id != leader_id)
+
 
 # phases in which a drone collects nothing: on its way home, back at the
 # DMC, or lost

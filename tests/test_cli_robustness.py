@@ -17,7 +17,8 @@ SHORT_MISSION = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
                  "transit_distance_m": 100}
 SHORT = {"duration_s": 430, "infection_rate": 0.0, "mission": SHORT_MISSION}
 
-# (row id, subcommand, config, expected exit status)
+# (row id, subcommand, config, expected exit status[, --out below the test's
+# directory, which holds a file named "taken"])
 ROWS = [
     ("predicted_leader_failure_between_profile_1_flushes", "run",
      {**SHORT, "n_sds": 4, "profile": 1,
@@ -53,6 +54,10 @@ ROWS = [
     ("removed_mtu_setting", "run", {"duration_s": 40, "wimax": {"mtu": 100}}, 1),
     # the run ends before its first send and emits no link rows
     ("run_ending_before_the_first_send", "run", {"duration_s": 0.1}, 0),
+    # the output directory is checked before the mission runs
+    ("out_naming_an_existing_file", "run", {"duration_s": 10}, 1, "taken"),
+    ("out_below_an_existing_file", "run", {"duration_s": 10}, 1, "taken/sub"),
+    ("sweep_out_naming_an_existing_file", "sweep", {"duration_s": 10}, 1, "taken"),
 ]
 
 TIME_LIMIT_S = 120
@@ -62,14 +67,22 @@ def _timed_out(signum, frame):
     raise TimeoutError(f"CLI did not return within {TIME_LIMIT_S} s")
 
 
-@pytest.mark.parametrize("command, config, status",
-                         [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
-def test_cli_answers_with_an_exit_status(command, config, status, tmp_path, capsys):
+def _params(row):
+    _, command, config, status, *out = row
+    return command, config, status, out[0] if out else "out"
+
+
+@pytest.mark.parametrize("command, config, status, out",
+                         [_params(row) for row in ROWS], ids=[row[0] for row in ROWS])
+def test_cli_answers_with_an_exit_status(command, config, status, out, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "taken").write_text("", encoding="utf-8")
     argv = [command, str(path)]
-    if command == "run":
-        argv += ["--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "seed", "--values", "1"]
+    if command in ("run", "sweep"):
+        argv += ["--out", str(tmp_path / out)]
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(TIME_LIMIT_S)
     try:
@@ -78,3 +91,5 @@ def test_cli_answers_with_an_exit_status(command, config, status, tmp_path, caps
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code == status
+    if status == 1:
+        assert capsys.readouterr().err.startswith("error: ")

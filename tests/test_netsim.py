@@ -415,6 +415,117 @@ class TestLinkAgainstReferenceServer:
             max(0, real_q.now - measure_from))
 
 
+def one_event_per_slot(server, slots, packet_for):
+    """A train as the reference server takes it: each slot its own event,
+    scheduled at registration."""
+    for t, x in slots:
+        def offer(x=x):
+            pkt = packet_for(x)
+            if pkt is not None:
+                server.send(pkt)
+        server.q.schedule(t, offer)
+
+
+class TestTrainsAgainstReferenceServer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LINK_KINDS)),
+        buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
+        measure_from=st.sampled_from([0, 120]),
+        # times are multiples of 10 us so that slots, sends and completions
+        # often coincide
+        sends=st.lists(st.tuples(
+            st.integers(0, 30).map(lambda k: 10 * k),              # send time
+            st.sampled_from(["control", "video", "best_effort"]),
+            st.sampled_from(["sd_status", "case_report", "video_up"]),
+            st.integers(1, 1500),                                  # bytes
+            st.sampled_from(["none", "record", "reply"]),          # delivery callback
+        ), max_size=20),
+        trains=st.lists(st.tuples(
+            st.integers(0, 20).map(lambda k: 10 * k),              # registration time
+            st.sampled_from(["control", "video", "best_effort"]),
+            st.sampled_from(["flight_ack", "case_report"]),
+            st.integers(1, 600),                                   # bytes
+            st.lists(st.tuples(
+                st.integers(0, 4).map(lambda k: 10 * k),           # gap to the previous slot
+                st.one_of(st.none(), st.tuples(
+                    st.integers(0, 3),                             # source
+                    st.integers(0, 100))),                         # created this much earlier
+            ), min_size=1, max_size=12),
+        ), min_size=1, max_size=4),
+        split=st.integers(0, 80).map(lambda k: 5 * k),             # run_until bound
+    )
+    def test_same_returns_deliveries_events_and_snapshot(self, kind, buffer_bits, measure_from,
+                                                         sends, trains, split):
+        builder, params, class_order, class_key = LINK_KINDS[kind]
+        p = params(buffer_bits=buffer_bits)
+        real_q, ref_q = EventQueue(), EventQueue()
+        metrics = Metrics(measure_from_us=measure_from)
+        real = builder(real_q, p, metrics, "link")
+        ref = ReferenceServer(
+            ref_q, "link", real.rate_bps, buffer_bits, p.overhead_bytes,
+            real.proc_delay_us, class_order, class_key, measure_from)
+
+        def drive(q, link, register):
+            returns, deliveries = [], []
+
+            def record(pkt):
+                deliveries.append((q.now, pkt))
+
+            def reply(pkt):
+                record(pkt)
+                answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
+                returns.append(link.send(answer, record))
+
+            callbacks = {"none": None, "record": record, "reply": reply}
+            for t, cls, flow, size, mode in sends:
+                pkt = Packet(t, size, cls, flow, 9, 1)
+                q.schedule(t, lambda pkt=pkt, cb=callbacks[mode]:
+                           returns.append(link.send(pkt, cb)))
+            for t, cls, flow, size, gaps in trains:
+                slots, at = [], t
+                for gap, sender in gaps:
+                    at += gap
+                    slots.append((at, sender))
+
+                def packet_for(sender, cls=cls, flow=flow, size=size):
+                    if sender is None:  # a skipped slot
+                        return None
+                    src, back = sender
+                    return Packet(max(0, q.now - back), size, cls, flow, src, 1)
+                q.schedule(t, lambda slots=slots, packet_for=packet_for:
+                           register(link, slots, packet_for))
+            first = (q.run_until(split), q.now)
+            return returns, deliveries, first, q.run_all()
+
+        assert drive(real_q, real, Link.train) == drive(ref_q, ref, one_event_per_slot)
+        assert real_q.now == ref_q.now
+        assert metrics_snapshot(metrics, real_q.now) == ref.record(
+            max(0, real_q.now - measure_from))
+
+    def test_slots_out_of_time_order_rejected(self):
+        q = EventQueue()
+        link = build_wlan_link(q, WlanParams(), Metrics())
+        with pytest.raises(NetSimError, match="time order"):
+            link.train([(5, 2), (4, 3)], lambda src: None)
+        q.run_until(10)
+        with pytest.raises(SchedulingError):
+            link.train([(9, 2)], lambda src: None)
+
+    def test_inline_slots_count_as_events(self):
+        q = EventQueue()
+        link = build_wlan_link(q, WlanParams(), Metrics())
+        link.train([(100 * k, k) for k in range(5)],
+                   lambda src: Packet(q.now, 10, flow="flight_ack", src=src))
+        # the first slot comes off the heap, the next two slots and their
+        # completions run inline; the 200 us slot's completion at 215 us
+        # lies past the bound and waits on the heap
+        assert q.run_until(205) == 5
+        assert q.now == 205
+        assert q.run_all() == 5
+        assert link.idle
+
+
 class TestCapacity:
     def test_video_call_bounds_at_54mbps(self):
         wlan = WlanParams()

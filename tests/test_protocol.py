@@ -34,16 +34,26 @@ class TestStatusLengths:
 
 @pytest.fixture(scope="module")
 def wire_lengths_by_flow():
-    """Every packet size offered to a link in a short mission, by flow name."""
+    """Every packet size offered to a link in a short mission, by flow name,
+    whether sent on its own or in a train."""
     sizes = defaultdict(set)
-    send = Link.send
+    send, train = Link.send, Link.train
 
     def recording_send(self, pkt, on_deliver=None):
         sizes[pkt.flow].add(pkt.size_bytes)
         return send(self, pkt, on_deliver)
 
+    def recording_train(self, slots, packet_for):
+        def recording_packet_for(x):
+            pkt = packet_for(x)
+            if pkt is not None:
+                sizes[pkt.flow].add(pkt.size_bytes)
+            return pkt
+        return train(self, slots, recording_packet_for)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Link, "send", recording_send)
+        mp.setattr(Link, "train", recording_train)
         run_scenario(parse_config({"n_sds": 4, "infection_rate": 1.0}))
     return sizes
 

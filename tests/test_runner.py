@@ -463,6 +463,14 @@ class TestRunScenario:
         with pytest.raises(RunInvariantError, match="malformed phase trace"):
             mission.run()
 
+    def test_status_report_the_leader_never_received_is_an_internal_error(self):
+        mission = _Mission(small_scenario())
+        # a report appears in the leader's buffer without a delivery
+        mission.q.schedule(mission.horizon, lambda: mission.state.aggregation_buffer.append(
+            (2, mission.horizon)))
+        with pytest.raises(RunInvariantError, match="status reports reached the leader"):
+            mission.run()
+
 
 class TestSweep:
     def test_data_rate_sweep_latency_non_increasing(self):
