@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, to_dict
 from .energy import battery_feasible, durability_report, format_durability, mission_plan
-from .runner import RunResult, emit_csv, emit_report, run_scenario, sweep
+from .runner import RunResult, emit_csv, emit_report, run_scenario, sweep_points
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -118,9 +118,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _with_seed(_resolve_config(args.config), args.seed)
-    values = _parse_values(args.values)
+    points = sweep_points(cfg, args.axis, _parse_values(args.values))
     out = _output_dir(args.out)
-    results = sweep(cfg, args.axis, values)
+    results = [run_scenario(point) for point in points]
     csv_path = emit_csv(results, out / f"{cfg.name}-sweep.csv")
     report_path = emit_report(results, out / f"{cfg.name}-sweep.txt")
     for result in results:

@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
-from .energy import MAX_SESSIONS, VIDEO_MULTIPLIER
+from .energy import MAX_SESSIONS
 from .failure import FailureEvent, FailureKind
-from .netsim import WlanParams, WimaxParams
+from .netsim import WlanParams
+from .swarm import SPEED_KMH, SPEED_MS
 
 WLAN_DATA_RATES_MBPS = (6, 18, 36, 54)
 WLAN_PROC_RATES_PPS = (5000, 10000, 20000)
@@ -39,21 +40,11 @@ class VideoSettings:
 
 @dataclass(frozen=True)
 class MissionSettings:
-    formation: str = "linear"
-    spacing_m: float = 12.0
-    speed_kmh: float = 12.0
     session_duration_s: float = 1800.0
     n_sessions: int = 1
     reposition_s: float = 60.0
     transit_distance_m: float = 1000.0
     n_targets: int | None = None   # None: one per SD
-    formation_time_s: float = 30.0
-    deploy_time_s: float = 30.0
-
-
-@dataclass(frozen=True)
-class EnergySettings:
-    video_multiplier: float = VIDEO_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -66,15 +57,13 @@ class ScenarioConfig:
     infection_rate: float = 0.025
     measure_from_s: float = 0.0
     wlan: WlanParams = WlanParams()
-    wimax: WimaxParams = WimaxParams()
     video: VideoSettings = VideoSettings()
     mission: MissionSettings = MissionSettings()
-    energy: EnergySettings = EnergySettings()
     failures: tuple[FailureEvent, ...] = ()
 
 
-# the two link rates are stored in bps but written in Mbps in config files
-_MBPS_FIELDS = {"data_rate_bps": "data_rate_mbps", "max_sustained_bps": "max_sustained_mbps"}
+# the WLAN rate is stored in bps but written in Mbps in config files
+_MBPS_FIELDS = {"data_rate_bps": "data_rate_mbps"}
 
 
 def _fields_dict(obj) -> dict:
@@ -162,14 +151,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         buffer_bits=_num(w["buffer_bits"], "wlan.buffer_bits", 1, None, True),
     )
 
-    x = _expect(top["wimax"], "wimax", _DEFAULTS["wimax"])
-    wimax = WimaxParams(
-        max_sustained_bps=_num(x["max_sustained_mbps"], "wimax.max_sustained_mbps",
-                               1, 1000, True) * 1_000_000,
-        overhead_bytes=_num(x["overhead_bytes"], "wimax.overhead_bytes", 0, 10_000, True),
-        buffer_bits=_num(x["buffer_bits"], "wimax.buffer_bits", 1, None, True),
-    )
-
     v = _expect(top["video"], "video", _DEFAULTS["video"])
     video = VideoSettings(
         enabled=_bool(v["enabled"], "video.enabled"),
@@ -183,9 +164,6 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
 
     m = _expect(top["mission"], "mission", _DEFAULTS["mission"])
     mission = MissionSettings(
-        formation=_choice(m["formation"], "mission.formation", ("linear", "grid")),
-        spacing_m=_num(m["spacing_m"], "mission.spacing_m", 0.001, None),
-        speed_kmh=_num(m["speed_kmh"], "mission.speed_kmh", 0.001, None),
         session_duration_s=_seconds(m["session_duration_s"], "mission.session_duration_s",
                                     0.001),
         n_sessions=_num(m["n_sessions"], "mission.n_sessions", 1, MAX_SESSIONS, True),
@@ -194,18 +172,11 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
                                 0, None),
         n_targets=(None if m["n_targets"] is None
                    else _num(m["n_targets"], "mission.n_targets", 0, None, True)),
-        formation_time_s=_seconds(m["formation_time_s"], "mission.formation_time_s", 0),
-        deploy_time_s=_seconds(m["deploy_time_s"], "mission.deploy_time_s", 0),
     )
-    if not _finite_us(mission.transit_distance_m, mission.speed_kmh / 3.6):
+    if not _finite_us(mission.transit_distance_m, SPEED_MS):
         raise ConfigError(
             f"field 'mission.transit_distance_m'={mission.transit_distance_m} at "
-            f"{mission.speed_kmh} km/h overflows the microsecond clock")
-
-    e = _expect(top["energy"], "energy", _DEFAULTS["energy"])
-    energy = EnergySettings(
-        video_multiplier=_num(e["video_multiplier"], "energy.video_multiplier", 1.0, None),
-    )
+            f"{SPEED_KMH} km/h overflows the microsecond clock")
 
     n_sds = _num(top["n_sds"], "n_sds", 1, MAX_SDS_NO_VIDEO, True)
     if video.enabled and n_sds > MAX_SDS_VIDEO:
@@ -244,7 +215,7 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         profile=_choice(top["profile"], "profile", (1, 2)),
         infection_rate=_num(top["infection_rate"], "infection_rate", 0.0, 1.0),
         measure_from_s=_seconds(top["measure_from_s"], "measure_from_s", 0.0),
-        wlan=wlan, wimax=wimax, video=video, mission=mission, energy=energy,
+        wlan=wlan, video=video, mission=mission,
         failures=tuple(failures),
     )
     if mission.n_targets is not None and mission.n_targets > n_sds:

@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .swarm import SPEED_MS
+
 _EPS = 1e-9
 # the parser's n_sessions maximum; it also bounds the session-limit search,
 # so a plan whose flight does not grow with the sessions still ends
@@ -102,8 +104,8 @@ def flight_budget_min(role: str) -> float:
     return derate_flight_time(BASE_FLIGHT_MIN, pct)
 
 
-def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
-          video_multiplier: float = VIDEO_MULTIPLIER) -> tuple[float, float]:
+def price(role: str, airborne_s: float, alive_s: float,
+          video_s: float = 0.0) -> tuple[float, float]:
     """(rotor Wh, compute Wh) of a drone of ``role`` that flew
     ``airborne_s`` and was powered for ``alive_s`` seconds, ``video_s`` of
     them in a video call."""
@@ -113,7 +115,7 @@ def price(role: str, airborne_s: float, alive_s: float, video_s: float = 0.0,
     watts = COMPUTE_W[role]
     compute = watts * alive_s / 3600.0
     # the video surcharge, summed in this order so ledgers stay byte-stable
-    compute += watts * video_multiplier * video_s / 3600.0 - watts * video_s / 3600.0
+    compute += watts * VIDEO_MULTIPLIER * video_s / 3600.0 - watts * video_s / 3600.0
     return rotor, compute
 
 
@@ -133,6 +135,8 @@ Plan = Callable[[int], tuple[float, float]]
 # the paper's table: a 6-minute leg each way, one 1-minute hop per
 # 30-minute session; its 12 sessions fly the 24-minute derated budget
 REFERENCE_LEG_MIN, REFERENCE_HOP_MIN, REFERENCE_SESSION_MIN = 6, 1, 30
+# a mission's fixed legs: forming up after launch, deploying at the area
+FORMATION_US = DEPLOY_US = 30_000_000
 
 
 def reference_plan(n: int) -> tuple[float, float]:
@@ -152,11 +156,10 @@ class MissionTimes(NamedTuple):
 
 def mission_times(mission) -> MissionTimes:
     """The timeline durations of ``mission`` (a config's mission settings)."""
-    speed_ms = mission.speed_kmh * 1000.0 / 3600.0
     return MissionTimes(
-        formation_us=int(mission.formation_time_s * 1e6),
-        transit_us=int(round(mission.transit_distance_m / speed_ms * 1e6)),
-        deploy_us=int(mission.deploy_time_s * 1e6),
+        formation_us=FORMATION_US,
+        transit_us=int(round(mission.transit_distance_m / SPEED_MS * 1e6)),
+        deploy_us=DEPLOY_US,
         session_us=int(mission.session_duration_s * 1e6),
         hop_us=int(mission.reposition_s * 1e6),
     )

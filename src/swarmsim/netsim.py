@@ -12,11 +12,12 @@ offered, and rides with the packet to its drop or delivery. A packet
 offered to an idle link starts service at once.
 
 A train (``Link.train``) offers a run of callback-free packets at given
-slots from one heap entry. Its slots take their ties when it is
-registered, so events order exactly as if each slot were its own event.
-While nothing on the heap comes first, it runs its next slot inline, and
-completes inline a packet that found the link idle. The event counts of
-``run_until`` and ``run_all`` include these inline slots and completions.
+slots from one heap entry. Like an ``EventQueue.every`` series it takes
+one tie when it is registered, so events order exactly as if each slot
+were its own event. While nothing on the heap comes first, it runs its
+next slot inline, and completes inline a packet that found the link idle.
+The event counts of ``run_until`` and ``run_all`` include these inline
+slots and completions.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -348,8 +349,8 @@ class _Train:
         while True:
             pkt = self.packet_for(self.slots[i][1])
             i += 1
-            item = None if pkt is None else link._train_offer(pkt)
-            if item is not None:
+            item = None if pkt is None else link._admit(pkt, None)
+            if item is not None and not link._busy:
                 # the link was idle and serves the packet now. Its
                 # completion would take a tie later than every pending
                 # one, so it goes first only at a strictly earlier time;
@@ -366,9 +367,9 @@ class _Train:
             if i == n:
                 break
             t = times[i]
-            if t > limit or (heap and heap[0] < (t, tie + i)):
+            if t > limit or (heap and heap[0] < (t, tie)):
                 self.next = i
-                heapq.heappush(heap, (t, tie + i, self.step))
+                heapq.heappush(heap, (t, tie, self.step))
                 break
             q.now = t
             ran += 1
@@ -404,8 +405,8 @@ class Link:
         self._lowest = self._by_priority[-1]
         self._buffered_bits = 0
         self._busy = False
-        # (class, flow, source) -> the Metrics counter of train packets
-        self._train_counters: dict[tuple[str, str, int], _Counter] = {}
+        # (class, flow, source) -> the Metrics counter of the link's packets
+        self._counters: dict[tuple[str, str, int], _Counter] = {}
 
     @property
     def idle(self) -> bool:
@@ -417,21 +418,10 @@ class Link:
 
         Returns False when the buffer is full (counted as a drop).
         """
-        if pkt.size_bytes > MTU:
-            raise NetSimError(
-                f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
-            )
-        wire = (pkt.size_bytes + self.overhead_bytes) * 8
-        counter = self.metrics.offered(self.name, pkt, wire)
-        if self._buffered_bits + wire > self.buffer_bits:
-            if counter is not None:
-                self.metrics.dropped(counter, wire)
+        item = self._admit(pkt, on_deliver)
+        if item is None:
             return False
-        self._buffered_bits += wire
-        item = (pkt, wire, on_deliver, counter)
-        if self._busy:
-            self._queues.get(self.class_key(pkt), self._lowest).append(item)
-        else:
+        if not self._busy:
             self._serve(item)  # an idle link has nothing queued ahead
         return True
 
@@ -441,11 +431,11 @@ class Link:
         are in time order; a slot whose ``packet_for`` returns None offers
         nothing. Train packets have no delivery callback.
 
-        Like ``EventQueue.every``, the train takes one tie per slot now, so
-        its slots order against other events exactly as if each had been
-        scheduled here, and it holds one heap entry. While its next slot
-        comes before the heap's first entry and the running ``run_until``
-        limit, it runs that slot inline. A packet that finds the link idle
+        Like ``EventQueue.every``, the train takes one tie now, so its slots
+        order against other events exactly as if each had been scheduled
+        here, and it holds one heap entry. While its next slot comes before
+        the heap's first entry and the running ``run_until`` limit, it runs
+        that slot inline. A packet that finds the link idle
         and would finish before all three is completed inline too; any
         other completion is scheduled as ``send`` schedules it. Inline
         slots and completions count as processed events.
@@ -459,13 +449,14 @@ class Link:
         if times != sorted(times):
             raise NetSimError("train slots must be in time order")
         train = _Train(self, slots, times, packet_for, q._tie)
-        q._tie += len(times)
+        q._tie += 1
         heapq.heappush(q._heap, (times[0], train.tie, train.step))
 
-    def _train_offer(self, pkt: Packet) -> tuple | None:
-        """``send`` without a callback, counted on the link's cached counter
-        of the packet's (class, flow, source); returns the packet's item
-        when the link is idle, for the train to serve."""
+    def _admit(self, pkt: Packet, on_deliver) -> tuple | None:
+        """Count an offer on the link's cached counter of the packet's
+        (class, flow, source) and take it into the buffer, queued if the
+        link is busy. Returns the packet's item, which the caller serves
+        if the link is idle, or None when the buffer is full (a drop)."""
         if pkt.size_bytes > MTU:
             raise NetSimError(
                 f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
@@ -476,9 +467,9 @@ class Link:
             counter = None
         else:
             key = pkt[2:5]
-            counter = self._train_counters.get(key)
+            counter = self._counters.get(key)
             if counter is None:
-                counter = self._train_counters[key] = metrics.offered(self.name, pkt, wire)
+                counter = self._counters[key] = metrics.offered(self.name, pkt, wire)
             else:
                 counter.offered_pkts += 1
                 counter.offered_bits += wire
@@ -487,10 +478,9 @@ class Link:
                 metrics.dropped(counter, wire)
             return None
         self._buffered_bits += wire
-        item = (pkt, wire, None, counter)
+        item = (pkt, wire, on_deliver, counter)
         if self._busy:
             self._queues.get(self.class_key(pkt), self._lowest).append(item)
-            return None
         return item
 
     def _serve(self, item: tuple) -> None:

@@ -44,6 +44,7 @@ from .netsim import (
     Metrics,
     MetricsRecord,
     Packet,
+    WimaxParams,
     build_wlan_link,
     build_wimax_link,
     max_simultaneous_calls,
@@ -132,20 +133,16 @@ class _Mission:
         self.q = EventQueue()
         self.metrics = Metrics(measure_from_us=int(cfg.measure_from_s * 1e6))
         self.wlan = build_wlan_link(self.q, cfg.wlan, self.metrics, "wlan")
-        self.wimax_ul = build_wimax_link(self.q, cfg.wimax, self.metrics, "wimax_ul")
-        self.wimax_dl = build_wimax_link(self.q, cfg.wimax, self.metrics, "wimax_dl")
+        wimax = WimaxParams()
+        self.wimax_ul = build_wimax_link(self.q, wimax, self.metrics, "wimax_ul")
+        self.wimax_dl = build_wimax_link(self.q, wimax, self.metrics, "wimax_dl")
         self.rng = random.Random(cfg.seed)
         self.horizon = int(cfg.duration_s * 1e6)
 
         m = cfg.mission
         center = (min(m.transit_distance_m, SPAN_M), SPAN_M / 2.0)
         n_targets = cfg.n_sds if m.n_targets is None else m.n_targets
-        plan = MissionPlan(
-            target_positions=_target_grid(max(n_targets, 1), center),
-            formation=m.formation,
-            spacing_m=m.spacing_m,
-            speed_kmh=m.speed_kmh,
-        )
+        plan = MissionPlan(target_positions=_target_grid(max(n_targets, 1), center))
         self.state = init_swarm(plan, cfg.n_sds)
         self.n_targets = n_targets
         self.mission_phase = Phase.CONFIGURED
@@ -169,7 +166,7 @@ class _Mission:
 
         if cfg.video.enabled and cfg.video.max_calls is None:
             call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
-            self.max_calls = max_simultaneous_calls(cfg.wlan, cfg.wimax, call)
+            self.max_calls = max_simultaneous_calls(cfg.wlan, wimax, call)
         else:
             self.max_calls = cfg.video.max_calls or 0
 
@@ -286,8 +283,7 @@ class _Mission:
         if self.mission_phase in (Phase.IN_FORMATION, Phase.TRANSIT, Phase.DEPLOYING):
             leader.waypoint = center
             sds = state.alive_sds()
-            slots = formation_positions(plan.formation, max(len(sds), 1),
-                                        plan.spacing_m, center)
+            slots = formation_positions(max(len(sds), 1), center)
             for d, slot in zip(sds, slots):
                 d.waypoint = slot
         elif self.mission_phase in (Phase.COLLECTING, Phase.REPORTING):
@@ -681,7 +677,7 @@ class _Mission:
             role = "ld" if d.id == self.state.leader_id else "sd"
             rotor, compute = energy_mod.price(
                 role, self.airborne_us[d.id] / 1e6, self.alive_us[d.id] / 1e6,
-                self.video_us[d.id] / 1e6, self.cfg.energy.video_multiplier)
+                self.video_us[d.id] / 1e6)
             ledger[d.id] = {
                 "role": role,
                 "rotor_wh": rotor,
@@ -704,16 +700,18 @@ SWEEPABLE_AXES = (
 )
 
 
-def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
-    """One run per value, seeds derived as base seed + index over the sorted
-    values; results come back in value order."""
+def sweep_points(base: ScenarioConfig, axis: str, values) -> list[ScenarioConfig]:
+    """The config of each point of a sweep, in value order, with seeds
+    derived as base seed + index over the sorted values. Every point is
+    parsed here, so a bad axis or value is a ``ConfigError`` before any
+    point runs."""
     if axis not in SWEEPABLE_AXES:
         raise ConfigError(f"axis {axis!r} is not sweepable; pick one of {SWEEPABLE_AXES}")
     try:
         ordered = sorted(values)
     except TypeError as ex:
         raise ConfigError(f"values for axis {axis!r} cannot be ordered: {values!r}") from ex
-    results = []
+    points = []
     for i, value in enumerate(ordered):
         d = to_dict(base)
         node = d
@@ -724,8 +722,13 @@ def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
         if axis != "seed":
             d["seed"] = base.seed + i
         d["name"] = f"{base.name}-{axis.replace('.', '_')}-{value}"
-        results.append(run_scenario(parse_config(d, name=d["name"])))
-    return results
+        points.append(parse_config(d, name=d["name"]))
+    return points
+
+
+def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
+    """One run per point of ``sweep_points``; results come back in value order."""
+    return [run_scenario(cfg) for cfg in sweep_points(base, axis, values)]
 
 
 # -- emission --------------------------------------------------------------

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 SPAN_M = 2000.0
+SPACING_M = 12.0  # formation pitch: the row's distance behind the leader and between slots
+SPEED_KMH = 12.0  # cruise speed of every drone
+SPEED_MS = SPEED_KMH * 1000.0 / 3600.0
 LEADER_ID = 1  # initial leader; DMC is address 0, SDs are 2..n+1
 ESCALATION_SPLIT = 0.5  # share of escalated cases that are infected
 SUSPICIOUS_SHARE = 0.1  # share of unescalated cases that are suspicious
@@ -159,17 +162,6 @@ class CaseClass(Enum):
 class MissionPlan:
     dmc_position: tuple[float, float] = (0.0, SPAN_M / 2)
     target_positions: tuple[tuple[float, float], ...] = ()
-    formation: str = "linear"
-    spacing_m: float = 12.0
-    speed_kmh: float = 12.0
-
-    def __post_init__(self):
-        if self.spacing_m <= 0 or self.speed_kmh <= 0:
-            raise SwarmError("spacing and speed must be positive")
-
-    @property
-    def speed_ms(self) -> float:
-        return self.speed_kmh * 1000.0 / 3600.0
 
 
 @dataclass
@@ -237,45 +229,19 @@ def init_swarm(plan: MissionPlan, n: int) -> SwarmState:
                       backup_id=sd_ids[min(1, n - 1)])
 
 
-def formation_positions(
-    formation: str,
-    n: int,
-    spacing: float,
-    leader_pos: tuple[float, float],
-) -> list[tuple[float, float]]:
-    """Slot positions for n SDs relative to a leader heading along +x.
-
-    linear: one row a single spacing behind the leader, slots fanned out
-    laterally (the center slot directly behind is used only for odd counts,
-    keeping even counts symmetric about the axis).
-    grid: ceil(sqrt(n)) columns at the same pitch, rows stacked behind.
-    """
+def formation_positions(n: int, leader_pos: tuple[float, float]) -> list[tuple[float, float]]:
+    """Slot positions for n SDs relative to a leader heading along +x: one
+    row ``SPACING_M`` behind the leader, slots fanned out laterally at the
+    same pitch (the center slot directly behind is used only for odd counts,
+    keeping even counts symmetric about the axis)."""
     if n < 1:
         raise SwarmError("formation needs at least one SD")
-    if spacing <= 0:
-        raise SwarmError("spacing must be positive")
     lx, ly = leader_pos
-
-    def slot(back: float, lateral: float) -> tuple[float, float]:
-        return (lx - back, ly + lateral)
-
-    if formation == "linear":
-        if n % 2 == 1:
-            laterals = [0.0] + [s * k * spacing for k in range(1, n // 2 + 1) for s in (1, -1)]
-        else:
-            laterals = [s * k * spacing for k in range(1, n // 2 + 1) for s in (1, -1)]
-        return [slot(spacing, lat) for lat in laterals[:n]]
-    if formation == "grid":
-        cols = math.isqrt(n)
-        if cols * cols < n:
-            cols += 1
-        out = []
-        for k in range(n):
-            r, c = divmod(k, cols)
-            lateral = (c - (cols - 1) / 2.0) * spacing
-            out.append(slot((r + 1) * spacing, lateral))
-        return out
-    raise SwarmError(f"unknown formation {formation!r}")
+    if n % 2 == 1:
+        laterals = [0.0] + [s * k * SPACING_M for k in range(1, n // 2 + 1) for s in (1, -1)]
+    else:
+        laterals = [s * k * SPACING_M for k in range(1, n // 2 + 1) for s in (1, -1)]
+    return [(lx - SPACING_M, ly + lat) for lat in laterals[:n]]
 
 
 def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
@@ -286,7 +252,7 @@ def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
     """
     if dt_us <= 0:
         raise SwarmError("dt must be positive")
-    step = state.plan.speed_ms * dt_us / 1e6
+    step = SPEED_MS * dt_us / 1e6
     for drone in state.drones.values():
         if not drone.airborne or drone.waypoint is None:
             continue

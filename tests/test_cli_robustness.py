@@ -17,8 +17,8 @@ SHORT_MISSION = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
                  "transit_distance_m": 100}
 SHORT = {"duration_s": 430, "infection_rate": 0.0, "mission": SHORT_MISSION}
 
-# (row id, subcommand, config, expected exit status[, --out below the test's
-# directory, which holds a file named "taken"])
+# (row id, subcommand with its flags, config, expected exit status[, --out
+# below the test's directory, which holds a file named "taken"])
 ROWS = [
     ("predicted_leader_failure_between_profile_1_flushes", "run",
      {**SHORT, "n_sds": 4, "profile": 1,
@@ -57,7 +57,15 @@ ROWS = [
     # the output directory is checked before the mission runs
     ("out_naming_an_existing_file", "run", {"duration_s": 10}, 1, "taken"),
     ("out_below_an_existing_file", "run", {"duration_s": 10}, 1, "taken/sub"),
-    ("sweep_out_naming_an_existing_file", "sweep", {"duration_s": 10}, 1, "taken"),
+    ("sweep_out_naming_an_existing_file", "sweep --axis seed --values 1", {"duration_s": 10},
+     1, "taken"),
+    # every point of a sweep is checked before the first one runs
+    ("sweep_over_an_unsweepable_axis", "sweep --axis wlan.overhead_bytes --values 90",
+     {"duration_s": 10}, 1),
+    ("sweep_with_unorderable_values", "sweep --axis n_sds --values 1,abc",
+     {"duration_s": 10}, 1),
+    ("sweep_whose_last_value_is_rejected", "sweep --axis n_sds --values 10,20",
+     {"duration_s": 10, "video": {"enabled": True}}, 1),
 ]
 
 TIME_LIMIT_S = 120
@@ -78,10 +86,9 @@ def test_cli_answers_with_an_exit_status(command, config, status, out, tmp_path,
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     (tmp_path / "taken").write_text("", encoding="utf-8")
-    argv = [command, str(path)]
-    if command == "sweep":
-        argv += ["--axis", "seed", "--values", "1"]
-    if command in ("run", "sweep"):
+    name, *flags = command.split()
+    argv = [name, str(path), *flags]
+    if name in ("run", "sweep"):
         argv += ["--out", str(tmp_path / out)]
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.alarm(TIME_LIMIT_S)
@@ -93,3 +100,5 @@ def test_cli_answers_with_an_exit_status(command, config, status, out, tmp_path,
     assert code == status
     if status == 1:
         assert capsys.readouterr().err.startswith("error: ")
+        # a rejected command leaves no output directory behind
+        assert not (tmp_path / out).is_dir()

@@ -440,6 +440,8 @@ class TestTrainsAgainstReferenceServer:
             st.sampled_from(["sd_status", "case_report", "video_up"]),
             st.integers(1, 1500),                                  # bytes
             st.sampled_from(["none", "record", "reply"]),          # delivery callback
+            # the trains' sources, so that sends and trains share counters
+            st.integers(0, 3),                                     # source
         ), max_size=20),
         trains=st.lists(st.tuples(
             st.integers(0, 20).map(lambda k: 10 * k),              # registration time
@@ -478,8 +480,8 @@ class TestTrainsAgainstReferenceServer:
                 returns.append(link.send(answer, record))
 
             callbacks = {"none": None, "record": record, "reply": reply}
-            for t, cls, flow, size, mode in sends:
-                pkt = Packet(t, size, cls, flow, 9, 1)
+            for t, cls, flow, size, mode, src in sends:
+                pkt = Packet(t, size, cls, flow, src, 1)
                 q.schedule(t, lambda pkt=pkt, cb=callbacks[mode]:
                            returns.append(link.send(pkt, cb)))
             for t, cls, flow, size, gaps in trains:

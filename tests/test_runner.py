@@ -65,7 +65,6 @@ class TestConfigParsing:
         assert cfg.duration_s == 900.0
         assert cfg.profile == 2
         assert cfg.wlan.data_rate_bps == 54_000_000
-        assert cfg.wimax.max_sustained_bps == 10_000_000
         assert not cfg.video.enabled
         assert cfg.mission.session_duration_s == 1800.0
 
@@ -92,10 +91,16 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("field", [
         "mission.position_noise_m", "mission.span_m", "mission.backup_id",
-        "video.frame_rate"])
+        "video.frame_rate",
+        "wimax.max_sustained_mbps", "wimax.overhead_bytes", "wimax.buffer_bits",
+        "mission.formation", "mission.spacing_m", "mission.speed_kmh",
+        "mission.formation_time_s", "mission.deploy_time_s",
+        "energy.video_multiplier"])
     def test_fixed_values_are_unknown_fields(self, field):
         section, key = field.split(".")
-        with pytest.raises(ConfigError, match=f"unknown field '{field}'"):
+        # a section with no settable value left is itself unknown
+        unknown = field if section in to_dict(parse_config({})) else section
+        with pytest.raises(ConfigError, match=f"unknown field '{unknown}'"):
             parse_config({section: {key: 1}})
 
     def test_targets_cannot_exceed_sds(self):
@@ -127,17 +132,19 @@ class TestConfigParsing:
         # the transit leg's flight time follows the same rule
         {"mission": {"transit_distance_m": 1e308}},
         {"mission": {"transit_distance_m": 10**400}},
-        {"mission": {"transit_distance_m": 1e300, "speed_kmh": 0.001}},
+        # just past the longest transit the clock can time, about 6e302 m
+        {"mission": {"transit_distance_m": 1e303}},
     ])
     def test_seconds_overflowing_the_microsecond_clock_rejected(self, data):
         with pytest.raises(ConfigError, match="overflows the microsecond clock"):
             parse_config(data)
 
     def test_reposition_minutes_must_be_positive(self):
-        # the energy model prices the mission's own legs and hops, so the
-        # two leg knobs it once had are unknown fields
+        # the energy model prices the mission's own legs and hops, and its
+        # video surcharge is fixed, so the whole section it once had is an
+        # unknown field
         for knob in ("reposition_min", "dmc_leg_min"):
-            with pytest.raises(ConfigError, match=f"unknown field 'energy.{knob}'"):
+            with pytest.raises(ConfigError, match="unknown field 'energy'"):
                 parse_config({"energy": {knob: 1}})
 
     def test_failure_drone_id_must_name_a_drone(self):
@@ -337,13 +344,14 @@ class TestRunScenario:
             assert flagged == (entry["rotor_wh"] > 89.2)
 
     def test_every_report_reaching_the_leader_is_accounted_for(self):
-        # 13 forced 2 Mbps calls start 5 s before the 90 s flush and fill the
-        # long-range buffer that flushes share with video; that flush drops
+        # collection starts after 30 s formation, a 25 s transit and 30 s
+        # deployment, so 13 forced 2 Mbps calls start 5 s before the 150 s
+        # flush and fill the long-range buffer that flushes share with
+        # video; that flush drops
         cfg = parse_config({
-            "duration_s": 91, "n_sds": 14, "infection_rate": 0.0,
+            "duration_s": 151, "n_sds": 14, "infection_rate": 0.0,
             "video": {"enabled": True, "forced_calls": 13, "call_duration_s": 60},
-            "mission": {"session_duration_s": 600, "transit_distance_m": 0,
-                        "formation_time_s": 25, "deploy_time_s": 0},
+            "mission": {"session_duration_s": 600, "transit_distance_m": 83.334},
         })
         mission = _Mission(cfg)
         reached = []
@@ -506,6 +514,14 @@ class TestSweep:
     def test_seed_axis_keeps_the_swept_seed(self):
         results = sweep(small_scenario(), "seed", [100, 200])
         assert [r.seed for r in results] == [100, 200]
+
+    def test_every_value_is_checked_before_the_first_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr("swarmsim.runner.run_scenario", runs.append)
+        # 200 SDs is over the parser's limit; 4 and 6 would run
+        with pytest.raises(ConfigError, match="'n_sds'=200 above maximum 100"):
+            sweep(small_scenario(), "n_sds", [4, 6, 200])
+        assert runs == []
 
     def test_unorderable_values_rejected_with_the_axis(self):
         with pytest.raises(ConfigError, match="axis 'n_sds' cannot be ordered"):
