@@ -99,7 +99,11 @@ def _num(value, path: str, lo=None, hi=None, integer=False):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"field '{path}' must be finite, got {value!r}")
     if integer:
-        if float(value) != int(value):
+        try:
+            whole = float(value) == int(value)
+        except OverflowError:  # an integer too large for a float
+            raise ConfigError(f"field '{path}' is too large") from None
+        if not whole:
             raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
         value = int(value)
     if lo is not None and value < lo:
@@ -201,7 +205,9 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
         failures.append(FailureEvent(kind=kind, drone_id=drone_id, at_us=int(at_s * 1e6)))
     failures.sort(key=lambda fe: fe.at_us)
 
-    name = str(top["name"])
+    name = top["name"]
+    if not isinstance(name, str):
+        raise ConfigError(f"field 'name' must be a string, got {name!r}")
     if not name:
         raise ConfigError("field 'name' must not be empty")
     if any(c in name for c in _NAME_FORBIDDEN):

@@ -7,9 +7,19 @@ wire. No carrier-sense or PHY contention is modeled; rates, buffers, and
 processing rates drive every metric. Arrivals that would overflow the
 buffer are dropped and counted, never raised, each in one counter per
 (link, class, flow, source); every coarser figure is a sum taken at
-snapshot time. Each packet's counter is resolved once, when it is
-offered, and rides with the packet to its drop or delivery. A packet
-offered to an idle link starts service at once.
+snapshot time. Each link admits a packet with one lookup: per (size,
+class, flow, source) it caches the wire bits, the transmission time, the
+counter and the class queue, so the MTU check and ``tx_time_us`` run once
+per size. The counter rides with the packet to its drop or delivery. A
+packet offered to an idle link starts service at once, and a completion
+goes straight onto the heap.
+
+A delivery callback takes its tie when its packet completes, before the
+next queued packet is served, just as scheduling it would. When it is the
+next event anyway (before the heap's first entry and within the running
+``run_until`` limit) it runs inline at its delivery time instead of
+through the heap; relays, whose deliveries send onto the next link, mostly
+run this way.
 
 A train (``Link.train``) offers a run of callback-free packets at given
 slots from one heap entry. Like an ``EventQueue.every`` series it takes
@@ -17,7 +27,7 @@ one tie when it is registered, so events order exactly as if each slot
 were its own event. While nothing on the heap comes first, it runs its
 next slot inline, and completes inline a packet that found the link idle.
 The event counts of ``run_until`` and ``run_all`` include these inline
-slots and completions.
+slots, completions and deliveries.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -80,8 +90,8 @@ class EventQueue:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
-        # time bound of the running run_until/run_all, which a train may
-        # not pass; and the count of train events run without the heap
+        # time bound of the running run_until/run_all, which no inline
+        # event may pass; and the count of events run without the heap
         self._limit: float = 0
         self._inline = 0
 
@@ -120,8 +130,8 @@ class EventQueue:
     def run_until(self, t_end: int) -> int:
         """Process every event with timestamp <= t_end; now ends at t_end.
 
-        Returns the number of events processed, train slots and
-        completions run inline (see ``Link.train``) included.
+        Returns the number of events processed, train slots, completions
+        and deliveries run inline (see the module docstring) included.
         """
         heap, pop = self._heap, heapq.heappop
         self._limit = t_end
@@ -136,7 +146,7 @@ class EventQueue:
 
     def run_all(self) -> int:
         """Drain the queue completely; returns the events processed, train
-        slots and completions run inline included."""
+        slots, completions and deliveries run inline included."""
         heap, pop = self._heap, heapq.heappop
         self._limit = math.inf
         inline = self._inline
@@ -355,7 +365,7 @@ class _Train:
                 # completion would take a tie later than every pending
                 # one, so it goes first only at a strictly earlier time;
                 # run inline, it takes no tie, which reorders nothing
-                finish = q.now + tx_time_us(item[1], link.rate_bps)
+                finish = q.now + item[2]
                 link._busy = True
                 if (finish <= limit and (i == n or finish < times[i])
                         and (not heap or finish < heap[0][0])):
@@ -405,8 +415,9 @@ class Link:
         self._lowest = self._by_priority[-1]
         self._buffered_bits = 0
         self._busy = False
-        # (class, flow, source) -> the Metrics counter of the link's packets
-        self._counters: dict[tuple[str, str, int], _Counter] = {}
+        # (size, class, flow, source) -> (wire bits, transmission time,
+        # Metrics counter, class queue); see _admit
+        self._admits: dict[tuple, tuple] = {}
 
     @property
     def idle(self) -> bool:
@@ -453,54 +464,78 @@ class Link:
         heapq.heappush(q._heap, (times[0], train.tie, train.step))
 
     def _admit(self, pkt: Packet, on_deliver) -> tuple | None:
-        """Count an offer on the link's cached counter of the packet's
-        (class, flow, source) and take it into the buffer, queued if the
-        link is busy. Returns the packet's item, which the caller serves
-        if the link is idle, or None when the buffer is full (a drop)."""
-        if pkt.size_bytes > MTU:
-            raise NetSimError(
-                f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
-            )
-        wire = (pkt.size_bytes + self.overhead_bytes) * 8
-        metrics = self.metrics
-        if pkt.created_at < metrics.measure_from_us:
+        """Count an offer and take the packet into the buffer, queued if the
+        link is busy. Returns the packet's item, which the caller serves if
+        the link is idle, or None when the buffer is full (a drop).
+
+        Everything but the counts is fixed by the packet's size, class, flow
+        and source, so it is looked up once per admission in ``_admits``;
+        its counter is None until the first measured offer.
+        """
+        key = pkt[1:5]
+        entry = self._admits.get(key)
+        if entry is None:
+            if pkt.size_bytes > MTU:
+                raise NetSimError(
+                    f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
+                )
+            wire = (pkt.size_bytes + self.overhead_bytes) * 8
+            entry = self._admits[key] = (
+                wire, tx_time_us(wire, self.rate_bps), None,
+                self._queues.get(self.class_key(pkt), self._lowest))
+        wire, tx, counter, waiting = entry
+        if pkt.created_at < self.metrics.measure_from_us:
             counter = None
+        elif counter is None:
+            counter = self.metrics.offered(self.name, pkt, wire)
+            self._admits[key] = (wire, tx, counter, waiting)
         else:
-            key = pkt[2:5]
-            counter = self._counters.get(key)
-            if counter is None:
-                counter = self._counters[key] = metrics.offered(self.name, pkt, wire)
-            else:
-                counter.offered_pkts += 1
-                counter.offered_bits += wire
+            counter.offered_pkts += 1
+            counter.offered_bits += wire
         if self._buffered_bits + wire > self.buffer_bits:
             if counter is not None:
-                metrics.dropped(counter, wire)
+                self.metrics.dropped(counter, wire)
             return None
         self._buffered_bits += wire
-        item = (pkt, wire, on_deliver, counter)
+        item = (pkt, wire, tx, on_deliver, counter)
         if self._busy:
-            self._queues.get(self.class_key(pkt), self._lowest).append(item)
+            waiting.append(item)
         return item
 
     def _serve(self, item: tuple) -> None:
         self._busy = True
-        finish = self.queue.now + tx_time_us(item[1], self.rate_bps)
-        self.queue.schedule(finish, partial(self._finish, item))
+        q = self.queue
+        heapq.heappush(q._heap, (q.now + item[2], q._tie, partial(self._finish, item)))
+        q._tie += 1
 
     def _finish(self, item: tuple) -> None:
-        pkt, wire, cb, counter = item
+        pkt, wire, _, cb, counter = item
         self._buffered_bits -= wire
-        deliver_at = self.queue.now + self.proc_delay_us
+        q = self.queue
+        deliver_at = q.now + self.proc_delay_us
         if counter is not None:
             self.metrics.delivered(counter, wire, deliver_at - pkt.created_at)
         if cb is not None:
-            self.queue.schedule(deliver_at, partial(cb, pkt))
-        for q in self._by_priority:
-            if q:
-                self._serve(q.popleft())
-                return
-        self._busy = False
+            # the delivery takes its tie before the next packet is served,
+            # as scheduling it here would, so equal times keep their order
+            tie = q._tie
+            q._tie = tie + 1
+        for waiting in self._by_priority:
+            if waiting:
+                self._serve(waiting.popleft())
+                break
+        else:
+            self._busy = False
+        if cb is None:
+            return
+        # run inline when the delivery is the next event anyway
+        heap = q._heap
+        if deliver_at <= q._limit and (not heap or (deliver_at, tie) < heap[0]):
+            q.now = deliver_at
+            q._inline += 1
+            cb(pkt)
+        else:
+            heapq.heappush(heap, (deliver_at, tie, partial(cb, pkt)))
 
 
 def build_wlan_link(queue: EventQueue, params: WlanParams, metrics: Metrics,

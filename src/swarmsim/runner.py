@@ -16,8 +16,12 @@ the waypoint broadcast, each watchdog, the frames of each video call) runs
 as one self-rescheduling series on the event queue, so the queue holds one
 entry per process instead of one per slot of the horizon. The acks of one
 waypoint broadcast go out as one train on the WLAN link, which runs its
-slots inline while no other event intervenes; ``run_until`` and
-``run_all`` count those inline slots and completions as processed events.
+slots inline while no other event intervenes. The leader's relays (video
+and case traffic from the WLAN onto the long-range link and back) are
+delivery callbacks, which a link runs inline when the delivery is the next
+event anyway; each link also caches, per packet size and (class, flow,
+source), what admitting a packet needs. ``run_until`` and ``run_all``
+count inline slots, completions and deliveries as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
@@ -492,12 +496,12 @@ class _Mission:
         sd = state.drones.get(sd_id)
         if state.aborted or sd is None or not sd.alive:
             return
+        send, relay = self.wlan.send, self._relay_video_up
         for frag in frags:
-            pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_up", src=sd_id, dst=DMC_ID)
-            self.wlan.send(pkt, self._relay_video_up)
+            send(Packet(now, HEADER_LEN + frag, VIDEO, "video_up", sd_id, DMC_ID), relay)
+        send, relay = self.wimax_dl.send, self._relay_video_down
         for frag in frags:
-            pkt = Packet(now, HEADER_LEN + frag, VIDEO, "video_down", src=DMC_ID, dst=sd_id)
-            self.wimax_dl.send(pkt, self._relay_video_down)
+            send(Packet(now, HEADER_LEN + frag, VIDEO, "video_down", DMC_ID, sd_id), relay)
 
     def _relay_video_up(self, pkt: Packet) -> None:
         if not self._leader_alive():

@@ -50,6 +50,10 @@ ROWS = [
     ("name_leaving_the_output_directory", "run", {"name": "../escaped", "duration_s": 10}, 1),
     ("name_with_a_backslash", "run", {"name": "a\\b", "duration_s": 10}, 1),
     ("empty_name", "run", {"name": "", "duration_s": 10}, 1),
+    ("null_name", "run", {"name": None, "duration_s": 10}, 1),
+    ("numeric_name", "run", {"name": 5, "duration_s": 10}, 1),
+    # a JSON integer literal too large for a float
+    ("seed_beyond_float_range", "run", {"seed": 10**400, "duration_s": 10}, 1),
     # the MTU is fixed: a smaller one could not carry a whole case report
     ("removed_mtu_setting", "run", {"duration_s": 40, "wimax": {"mtu": 100}}, 1),
     # the run ends before its first send and emits no link rows

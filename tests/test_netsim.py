@@ -527,6 +527,142 @@ class TestTrainsAgainstReferenceServer:
         assert q.run_all() == 5
         assert link.idle
 
+    def test_inline_deliveries_count_as_events(self):
+        q = EventQueue()
+        link = build_wlan_link(q, WlanParams(), Metrics())
+        seen = []
+
+        def record(pkt):
+            seen.append((q.now, pkt.flow))
+
+        # each packet occupies the medium for 15 us and is delivered 100 us
+        # after that
+        for t, flow in ((0, "first"), (300, "second"), (600, "third")):
+            q.schedule(t, lambda t=t, flow=flow: link.send(Packet(t, 10, flow=flow), record))
+        q.schedule(200, lambda: None)
+        q.schedule(400, lambda: None)
+        # the first delivery (115 us) is the next event and runs inline;
+        # the second (415 us) waits behind the 400 us entry and the third
+        # (715 us) lies past the bound, so both go on the heap
+        assert q.run_until(700) == 10
+        assert q._inline == 1
+        assert seen == [(115, "first"), (415, "second")]
+        assert q.now == 700
+        assert q.run_all() == 1
+        assert seen[-1] == (715, "third") and q.now == 715
+        assert q._inline == 1 and link.idle
+
+    def test_delivery_runs_before_a_completion_at_the_same_time(self):
+        # the delivery's tie is taken before the next packet is served, as
+        # if it were scheduled, so with EDCA the ack it sends is served
+        # ahead of the video queued behind
+        q = EventQueue()
+        link = build_wlan_link(q, WlanParams(edca=True), Metrics())
+        seen = []
+
+        def record(pkt):
+            seen.append((q.now, pkt.flow))
+
+        def reply(pkt):
+            record(pkt)
+            link.send(Packet(q.now, 45, flow="ack"), record)
+
+        # 45 bytes occupy the medium for 20 us and 585 bytes for 100 us,
+        # the processing delay: "a" is delivered at 120 us, as "b" finishes
+        link.send(Packet(0, 45, "video", "a"), reply)
+        link.send(Packet(0, 585, "video", "b"), record)
+        link.send(Packet(0, 45, "video", "c"), record)
+        q.run_all()
+        assert seen == [(120, "a"), (220, "b"), (240, "ack"), (260, "c")]
+
+
+class TestRelaysAgainstReferenceServers:
+    """Delivery callbacks that forward the packet onto a second link, as
+    the runner relays video through the leader: WLAN (100 us processing)
+    to the long-range link (none) and back. A delivery that is the next
+    event runs inline, so this drives that rule across links."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edca=st.booleans(),
+        buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
+        measure_from=st.sampled_from([0, 120]),
+        # times are multiples of 50 us so that sends, completions and
+        # deliveries often coincide
+        sends=st.lists(st.tuples(
+            st.integers(0, 10).map(lambda k: 50 * k),              # send time
+            st.sampled_from(["wlan", "long_range"]),               # first hop
+            st.sampled_from(["control", "video", "best_effort"]),
+            st.sampled_from(["sd_status", "case_report", "video_up"]),
+            st.integers(0, 3),                                     # source
+            # sizes whose wire time is 20, 100 or 200 us on the WLAN (45,
+            # 585, 1260 bytes) or 100 or 200 us on the long-range link (71,
+            # 196); the WLAN's processing delay is 100 us
+            st.one_of(st.sampled_from([45, 585, 1260, 71, 196]),
+                      st.integers(1, 1500)),                       # bytes
+            st.sampled_from(["record", "reply", "relay", "relay_back"]),  # on delivery
+        ), min_size=1, max_size=40),
+        split=st.integers(0, 40).map(lambda k: 25 * k),            # run_until bound
+    )
+    def test_same_returns_deliveries_events_and_snapshots(self, edca, buffer_bits,
+                                                          measure_from, sends, split):
+        wlan_p = WlanParams(buffer_bits=buffer_bits, edca=edca)
+        long_p = WimaxParams(buffer_bits=buffer_bits)
+        real_q, ref_q = EventQueue(), EventQueue()
+        wlan_m, long_m = Metrics(measure_from), Metrics(measure_from)
+        real = (build_wlan_link(real_q, wlan_p, wlan_m, "wlan"),
+                build_wimax_link(real_q, long_p, long_m, "long_range"))
+        _, _, wlan_order, wlan_key = LINK_KINDS["edca" if edca else "fifo"]
+        _, _, long_order, long_key = LINK_KINDS["long_range"]
+        ref = (ReferenceServer(ref_q, "wlan", real[0].rate_bps, buffer_bits,
+                               wlan_p.overhead_bytes, real[0].proc_delay_us,
+                               wlan_order, wlan_key, measure_from),
+               ReferenceServer(ref_q, "long_range", real[1].rate_bps, buffer_bits,
+                               long_p.overhead_bytes, 0, long_order, long_key,
+                               measure_from))
+        assert real[0].proc_delay_us == 100
+
+        def drive(q, wlan, long_range):
+            # one log of sends and deliveries, so equal-time order shows
+            log = []
+
+            def send(link, pkt, cb):
+                log.append((q.now, link.name, pkt, link.send(pkt, cb)))
+
+            def record(pkt):
+                log.append((q.now, "delivered", pkt))
+
+            def reply(link):
+                # an ack back on the same link, as the leader acks a status
+                def answer(pkt):
+                    record(pkt)
+                    send(link, Packet(q.now, 45, "control", "ack", pkt.dst, pkt.src),
+                         record)
+                return answer
+
+            def forward(link, then):
+                def relay(pkt):
+                    record(pkt)
+                    send(link, pkt, then)
+                return relay
+
+            hops = {"wlan": (wlan, long_range), "long_range": (long_range, wlan)}
+            for t, hop, cls, flow, src, size, mode in sends:
+                first, second = hops[hop]
+                cb = {"record": record, "reply": reply(first),
+                      "relay": forward(second, record),
+                      "relay_back": forward(second, forward(first, record))}[mode]
+                pkt = Packet(t, size, cls, flow, src, 1)
+                q.schedule(t, lambda pkt=pkt, link=first, cb=cb: send(link, pkt, cb))
+            cut = (q.run_until(split), q.now)
+            return log, cut, q.run_all()
+
+        assert drive(real_q, *real) == drive(ref_q, *ref)
+        assert real_q.now == ref_q.now
+        for metrics, server in zip((wlan_m, long_m), ref):
+            assert metrics_snapshot(metrics, real_q.now) == server.record(
+                max(0, real_q.now - measure_from))
+
 
 class TestCapacity:
     def test_video_call_bounds_at_54mbps(self):

@@ -139,6 +139,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="overflows the microsecond clock"):
             parse_config(data)
 
+    @pytest.mark.parametrize("data", [
+        {"seed": 10**400},
+        {"n_sds": 10**400},
+        {"mission": {"n_targets": 10**400}},
+        {"video": {"max_calls": 10**400}},
+        {"failures": [{"kind": "sd_sudden", "drone_id": 10**400, "at_s": 1.0}]},
+    ], ids=["seed", "n_sds", "n_targets", "max_calls", "drone_id"])
+    def test_integers_too_large_for_a_float_rejected(self, data):
+        # a JSON integer literal may have any number of digits
+        with pytest.raises(ConfigError, match="is too large"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("name", [None, 5, 1.5, True, ["run"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ConfigError, match="'name' must be a string"):
+            parse_config({"name": name})
+
     def test_reposition_minutes_must_be_positive(self):
         # the energy model prices the mission's own legs and hops, and its
         # video surcharge is fixed, so the whole section it once had is an
