@@ -20,7 +20,8 @@ from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, to_dict
 from .energy import battery_feasible, durability_report, format_durability, mission_plan
-from .runner import RunResult, emit_csv, emit_report, run_scenario, sweep_points
+from .output import emit_csv, emit_report, run_summary
+from .runner import run_scenario, sweep_points
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -76,24 +77,6 @@ def _parse_values(raw: str) -> list:
     return values
 
 
-def _print_summary(result: RunResult) -> None:
-    m = result.metrics
-    flag = " [ABORTED]" if result.aborted else ""
-    print(f"{result.config['name']} seed={result.seed}{flag}")
-    for link in m.links:
-        print(
-            f"  {link}: loss {m.loss_ratio(link) * 100:.2f}%, "
-            f"throughput {m.throughput_bps(link) / 1e3:.1f} kbps"
-        )
-    if result.recovery_times_s:
-        print("  recovery: " + ", ".join(f"{t:.3f} s" for t in result.recovery_times_s))
-    print(
-        f"  reports delivered {result.sd_reports_delivered} "
-        f"(lost {result.sd_reports_lost}), targets {len(result.collected_targets)}, "
-        f"video calls {result.calls_started}"
-    )
-
-
 def _output_dir(arg: str) -> Path:
     """Create the ``--out`` directory before anything runs, so a path that
     cannot be one is rejected up front."""
@@ -111,7 +94,7 @@ def _cmd_run(args) -> int:
     result = run_scenario(cfg)
     csv_path = emit_csv([result], out / f"{cfg.name}.csv")
     report_path = emit_report([result], out / f"{cfg.name}.txt")
-    _print_summary(result)
+    print(run_summary(result))
     print(f"wrote {csv_path} and {report_path}")
     return EXIT_MISSION_ABORT if result.aborted else EXIT_OK
 
@@ -124,7 +107,7 @@ def _cmd_sweep(args) -> int:
     csv_path = emit_csv(results, out / f"{cfg.name}-sweep.csv")
     report_path = emit_report(results, out / f"{cfg.name}-sweep.txt")
     for result in results:
-        _print_summary(result)
+        print(run_summary(result))
     print(f"wrote {csv_path} and {report_path}")
     aborted = any(r.aborted for r in results)
     return EXIT_MISSION_ABORT if aborted else EXIT_OK

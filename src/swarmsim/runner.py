@@ -1,4 +1,4 @@
-"""End-to-end scenario orchestration and result emission.
+"""End-to-end scenario orchestration.
 
 A run executes the mission timeline on one event queue: launch, formation
 (30 s), transit at cruise speed, deployment (30 s), then data-collection
@@ -27,15 +27,13 @@ A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
 soft handover directly. At the end, each drone's airborne, powered and
 video time is priced against its batteries; an overdraw is a deviation.
-Results serialize to a fixed-column CSV and a plain text report; identical
-(config, seed) pairs produce byte-identical files.
+Identical (config, seed) pairs produce identical results.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import energy as energy_mod
 from . import failure as failure_mod
@@ -54,6 +52,7 @@ from .netsim import (
     max_simultaneous_calls,
     metrics_snapshot,
 )
+from .output import emit_csv, emit_report  # noqa: F401  perfbench and test_acceptance use these
 from .protocol import (
     ACK_LEN,
     BROADCAST_ID,
@@ -157,6 +156,7 @@ class _Mission:
         self.calls_started = 0
         self.active_calls = 0
         self.leader_killed_at: int | None = None
+        self.ended_at = self.horizon  # the instant the mission landed or aborted
         self.handover_pending = False
         self.kept_command: int | None = None  # leader that found no SD fit to lead
         self.warned_no_sds = False
@@ -189,11 +189,9 @@ class _Mission:
 
         self.flight_windows: list[tuple[int, int]] = [(0, collect_start)]
         self.collection_windows: list[tuple[int, int]] = []
-        sessions = []
         t = collect_start
         for i in range(m.n_sessions):
             start, end = t, t + session_us
-            sessions.append((start, end))
             self.collection_windows.append((start, end))
             if i < m.n_sessions - 1:
                 self.flight_windows.append((end, end + reposition_us))
@@ -213,18 +211,16 @@ class _Mission:
         ev(area_at, lambda: self._mission_transition(PhaseEvent.AREA_REACHED))
         ev(collect_start, lambda: self._mission_transition(PhaseEvent.DEPLOYMENT_COMPLETE))
 
-        for i, (start, end) in enumerate(sessions):
+        for i, (start, end) in enumerate(self.collection_windows):
             ev(start, lambda i=i: self._start_session(i))
             classify_at = start + 60_000_000
             if classify_at < end:
                 ev(classify_at, lambda i=i, t0=classify_at: self._classify_session(i, t0))
-            last = i == m.n_sessions - 1
-            if last:
-                ev(end, self._finish_session)
+            ev(end, self._finish_session)
+            if i == m.n_sessions - 1:
                 ev(end, lambda: self._mission_transition(
                     PhaseEvent.DATA_SUFFICIENT_CONFIRMATION))
             else:
-                ev(end, self._finish_session)
                 ev(end, lambda: self._mission_transition(PhaseEvent.SESSION_COMPLETE))
                 ev(end + reposition_us, lambda: self._mission_transition(
                     PhaseEvent.REPOSITION_COMPLETE))
@@ -267,6 +263,8 @@ class _Mission:
             return
         self.mission_phase = transition_phase(self.mission_phase, event)
         self.trace.append(self.mission_phase)
+        if self.mission_phase is Phase.LANDED:
+            self.ended_at = self.q.now
         self._sync_drone_phases()
         self._update_waypoints()
 
@@ -488,13 +486,13 @@ class _Mission:
 
     def _end_call(self, sd_id: int, start: int, end: int) -> None:
         self.active_calls = max(0, self.active_calls - 1)
-        # a call staggered past the horizon never ran
-        self.video_us[sd_id] += max(0, end - start)
+        # charged up to the landing or abort; a call staggered past it never ran
+        self.video_us[sd_id] += max(0, min(end, self.ended_at) - start)
 
     def _video_frame(self, now: int, sd_id: int, frags: list[int]) -> None:
         state = self.state
         sd = state.drones.get(sd_id)
-        if state.aborted or sd is None or not sd.alive:
+        if state.aborted or self.mission_phase is _LANDED or sd is None or not sd.alive:
             return
         send, relay = self.wlan.send, self._relay_video_up
         for frag in frags:
@@ -568,6 +566,7 @@ class _Mission:
         failure_mod.hard_handover(state, detection, self.q.now,
                                   failed_at_us=self.leader_killed_at)
         if state.aborted:
+            self.ended_at = self.q.now
             return
         state.leader().telemetry.last_heard = self.q.now
         if not old.alive:
@@ -592,9 +591,7 @@ class _Mission:
             target.phase = transition_phase(target.phase, PhaseEvent.FAILURE_DETECTED)
             self.leader_killed_at = now
             if not any(failure_mod.can_lead(sd) for sd in state.alive_sds()):
-                state.aborted = True
-                state.deviations.append(
-                    f"t={now}us leader lost with no SD able to lead; mission aborted")
+                self._abort("leader lost with no SD able to lead")
         elif f.kind == failure_mod.FailureKind.LD_PREDICTED:
             leader = state.leader()
             if not leader.alive:
@@ -621,9 +618,12 @@ class _Mission:
             failure_mod.reallocate_tasks(state, sd.id)
             if not state.leader().alive and not any(
                     failure_mod.can_lead(d) for d in state.alive_sds()):
-                state.aborted = True
-                state.deviations.append(
-                    f"t={now}us last SD lost with the leader down; mission aborted")
+                self._abort("last SD lost with the leader down")
+
+    def _abort(self, reason: str) -> None:
+        self.state.aborted = True
+        self.ended_at = self.q.now
+        self.state.deviations.append(f"t={self.q.now}us {reason}; mission aborted")
 
     def _failure_not_applied(self, f, reason: str) -> None:
         drone = self.state.leader_id if f.drone_id is None else f.drone_id
@@ -707,14 +707,16 @@ SWEEPABLE_AXES = (
 def sweep_points(base: ScenarioConfig, axis: str, values) -> list[ScenarioConfig]:
     """The config of each point of a sweep, in value order, with seeds
     derived as base seed + index over the sorted values. Every point is
-    parsed here, so a bad axis or value is a ``ConfigError`` before any
-    point runs."""
+    parsed here, so a bad axis, a bad value or a repeated one is a
+    ``ConfigError`` before any point runs."""
     if axis not in SWEEPABLE_AXES:
         raise ConfigError(f"axis {axis!r} is not sweepable; pick one of {SWEEPABLE_AXES}")
     try:
         ordered = sorted(values)
     except TypeError as ex:
         raise ConfigError(f"values for axis {axis!r} cannot be ordered: {values!r}") from ex
+    if any(a == b for a, b in zip(ordered, ordered[1:])):
+        raise ConfigError(f"values for axis {axis!r} repeat: {values!r}")
     points = []
     for i, value in enumerate(ordered):
         d = to_dict(base)
@@ -733,103 +735,3 @@ def sweep_points(base: ScenarioConfig, axis: str, values) -> list[ScenarioConfig
 def sweep(base: ScenarioConfig, axis: str, values) -> list[RunResult]:
     """One run per point of ``sweep_points``; results come back in value order."""
     return [run_scenario(cfg) for cfg in sweep_points(base, axis, values)]
-
-
-# -- emission --------------------------------------------------------------
-
-CSV_HEADER = "run_id,seed,link,metric,class,value,unit"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_rows(result: RunResult) -> list[str]:
-    rid = f"{result.config['name']}#{result.seed}"
-    rows = []
-
-    def row(link, metric, cls, value, unit):
-        rows.append(f"{rid},{result.seed},{link},{metric},{cls},{_fmt(value)},{unit}")
-
-    m = result.metrics
-    for link, c in m.links.items():
-        for key in ("offered_pkts", "delivered_pkts", "dropped_pkts"):
-            row(link, key, "all", c[key], "packets")
-        for key in ("offered_bits", "delivered_bits", "dropped_bits"):
-            row(link, key, "all", c[key], "bits")
-        row(link, "loss_ratio", "all", m.loss_ratio(link), "ratio")
-        row(link, "throughput_bps", "all", m.throughput_bps(link), "bps")
-    for (link, cls), stats in m.latency.items():
-        row(link, "latency_p50", cls, stats.p50_us, "us")
-        row(link, "latency_p95", cls, stats.p95_us, "us")
-        row(link, "latency_p99", cls, stats.p99_us, "us")
-        row(link, "latency_mean", cls, stats.mean_us, "us")
-        row(link, "latency_samples", cls, stats.count, "samples")
-    for i, r in enumerate(result.recovery_times_s):
-        row("swarm", "recovery_time", f"sample{i}", r, "s")
-    row("swarm", "sd_reports_delivered", "all", result.sd_reports_delivered, "reports")
-    row("swarm", "sd_reports_lost", "all", result.sd_reports_lost, "reports")
-    row("swarm", "collected_targets", "all", len(result.collected_targets), "targets")
-    row("swarm", "calls_started", "all", result.calls_started, "calls")
-    row("swarm", "aborted", "all", result.aborted, "flag")
-    for drone_id, entry in sorted(result.energy.items()):
-        for key in ("rotor_wh", "compute_wh", "total_wh"):
-            row("energy", key, f"drone{drone_id}", entry[key], "wh")
-    return rows
-
-
-def emit_csv(results: list[RunResult], path: str | Path) -> Path:
-    """Fixed-column metrics CSV; byte-identical across reruns."""
-    if not results:
-        raise ValueError("emit_csv needs at least one result")
-    path = Path(path)
-    lines = [CSV_HEADER]
-    for result in results:
-        lines.extend(_csv_rows(result))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
-def emit_report(results: list[RunResult], path: str | Path) -> Path:
-    """Plain-text summary: per-run link metrics, failures, and the battery
-    durability table."""
-    if not results:
-        raise ValueError("emit_report needs at least one result")
-    path = Path(path)
-    blocks = []
-    for r in results:
-        m = r.metrics
-        lines = [
-            f"run {r.config['name']} (seed {r.seed})"
-            + (" [ABORTED]" if r.aborted else ""),
-            f"  window: {m.window_us / 1e6:.1f} s",
-        ]
-        for link, c in m.links.items():
-            lines.append(
-                f"  {link}: offered {c['offered_pkts']} pkts, "
-                f"loss {m.loss_ratio(link) * 100:.2f}%, "
-                f"throughput {m.throughput_bps(link) / 1e3:.1f} kbps"
-            )
-        for (link, cls), stats in m.latency.items():
-            lines.append(
-                f"  {link}/{cls}: p50 {stats.p50_us} us, p95 {stats.p95_us} us, "
-                f"mean {stats.mean_us:.0f} us over {stats.count} pkts"
-            )
-        if r.recovery_times_s:
-            times = ", ".join(f"{t:.3f}" for t in r.recovery_times_s)
-            lines.append(f"  recovery times: {times} s")
-        lines.append(
-            f"  reports delivered {r.sd_reports_delivered}, lost {r.sd_reports_lost}; "
-            f"targets collected {len(r.collected_targets)}; calls {r.calls_started}"
-        )
-        for d in r.deviations:
-            lines.append(f"  deviation: {d}")
-        blocks.append("\n".join(lines))
-    blocks.append("battery durability (defaults)\n"
-                  + energy_mod.format_durability(energy_mod.durability_report()))
-    path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-    return path

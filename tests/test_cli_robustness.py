@@ -70,6 +70,8 @@ ROWS = [
      {"duration_s": 10}, 1),
     ("sweep_whose_last_value_is_rejected", "sweep --axis n_sds --values 10,20",
      {"duration_s": 10, "video": {"enabled": True}}, 1),
+    # two equal points would share one run id in the CSV
+    ("sweep_with_a_repeated_value", "sweep --axis seed --values 3,3", {"duration_s": 10}, 1),
 ]
 
 TIME_LIMIT_S = 120

@@ -1,4 +1,4 @@
-"""Scenario orchestration: config parsing, runs, sweeps, emission, CLI."""
+"""Scenario orchestration: config parsing, runs, sweeps, CLI."""
 import json
 import math
 
@@ -7,16 +7,14 @@ import pytest
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
 from swarmsim.energy import mission_plan, price
-from swarmsim.netsim import Link
+from swarmsim.netsim import VIDEO, Link
 from swarmsim.runner import (
-    CSV_HEADER,
     SWEEPABLE_AXES,
     RunInvariantError,
     _Mission,
-    emit_csv,
-    emit_report,
     run_scenario,
     sweep,
+    sweep_points,
 )
 from swarmsim.swarm import Phase, validate_phase_trace
 
@@ -33,6 +31,15 @@ FOUR_CALLS = {"duration_s": 430, "n_sds": 4, "infection_rate": 1.0,
               "video": {"enabled": True, "forced_calls": 2, "call_duration_s": 30},
               "mission": {"session_duration_s": 120, "n_sessions": 2,
                           "reposition_s": 60, "transit_distance_m": 100}}
+
+# a 900 s call outlives a one-session mission that lands at 240 s: 30 s
+# formation, 30 s transit, 30 s deployment, 120 s session, 30 s back
+CALL_OUTLIVES_MISSION = {
+    "seed": 1, "duration_s": 1500, "n_sds": 3, "infection_rate": 0.0,
+    "video": {"enabled": True, "forced_calls": 1, "call_duration_s": 900},
+    "mission": {"session_duration_s": 120, "n_sessions": 1, "transit_distance_m": 100}}
+LANDED_AT_US = 240_000_000
+CALL_START_US = 150_010_000  # classification at 150 s plus the 10 ms call stagger
 
 
 def small_scenario(**overrides):
@@ -474,6 +481,44 @@ class TestRunScenario:
         # nothing went up the long-range link or down the WLAN
         assert [x for x in down if x[0] == "wimax_ul" or x == ("wlan", "video_down")] == []
 
+    def test_video_call_stops_when_the_mission_lands(self, monkeypatch):
+        mission = _Mission(parse_config(CALL_OUTLIVES_MISSION))
+        frames = []
+        send = Link.send
+
+        def recording_send(link, pkt, on_deliver=None):
+            if pkt.access_class == VIDEO:
+                frames.append(mission.q.now)
+            return send(link, pkt, on_deliver)
+
+        monkeypatch.setattr(Link, "send", recording_send)
+        mission.run()
+        assert mission.trace[-1] is Phase.LANDED
+        assert frames and max(frames) < LANDED_AT_US
+        # SD 2 is charged from its call's start to the landing, not for 900 s
+        assert mission.video_us == {1: 0, 2: LANDED_AT_US - CALL_START_US, 3: 0, 4: 0}
+        assert mission.video_us[2] < mission.alive_us[2]
+
+    @pytest.mark.parametrize("failures, overheat, aborted_at_us", [
+        # the leader and then the calling SD die
+        ([{"kind": "ld_sudden", "at_s": 160}, {"kind": "sd_sudden", "drone_id": 2, "at_s": 161}],
+         False, 161_000_000),
+        # the only SD overheats after the leader dies, so the hard handover
+        # finds no drone to promote
+        ([{"kind": "ld_sudden", "at_s": 160}], True, 210_203_000),
+    ], ids=["caller_lost", "no_drone_to_promote"])
+    def test_video_call_cut_by_an_abort_is_charged_up_to_the_abort(
+            self, failures, overheat, aborted_at_us):
+        mission = _Mission(parse_config(dict(CALL_OUTLIVES_MISSION, n_sds=1,
+                                             failures=failures)))
+        if overheat:
+            telemetry = mission.state.drones[2].telemetry
+            mission.q.schedule(161_000_000, lambda: setattr(telemetry, "temperature_c", 200.0))
+        result = mission.run()
+        assert result.aborted
+        assert result.deviations[-1].startswith(f"t={aborted_at_us}us ")
+        assert mission.video_us == {1: 0, 2: aborted_at_us - CALL_START_US}
+
     def test_link_left_busy_is_an_internal_error(self):
         mission = _Mission(small_scenario())
         # every packet now queues behind a transmission that never ends
@@ -540,48 +585,17 @@ class TestSweep:
             sweep(small_scenario(), "n_sds", [4, 6, 200])
         assert runs == []
 
+    @pytest.mark.parametrize("axis, values", [("seed", [3, 3]), ("n_sds", [4, 6, 4.0])])
+    def test_repeated_values_rejected(self, axis, values):
+        with pytest.raises(ConfigError, match=f"values for axis '{axis}' repeat"):
+            sweep_points(small_scenario(), axis, values)
+
     def test_unorderable_values_rejected_with_the_axis(self):
         with pytest.raises(ConfigError, match="axis 'n_sds' cannot be ordered"):
             sweep(small_scenario(), "n_sds", [1, "abc"])
 
     def test_axis_list_is_published(self):
         assert "wlan.data_rate_mbps" in SWEEPABLE_AXES
-
-
-class TestEmission:
-    def test_csv_has_fixed_header_and_metric_rows(self, tmp_path):
-        result = run_scenario(small_scenario())
-        path = emit_csv([result], tmp_path / "out.csv")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == CSV_HEADER
-        cells = [line.split(",") for line in lines[1:]]
-        assert all(len(c) == 7 for c in cells)
-        seen = {(c[2], c[3]) for c in cells}
-        for link in ("wlan", "wimax_ul", "wimax_dl"):
-            assert (link, "offered_pkts") in seen
-            assert (link, "loss_ratio") in seen
-
-    def test_report_mentions_runs_and_durability(self, tmp_path):
-        result = run_scenario(small_scenario())
-        text = emit_report([result], tmp_path / "r.txt").read_text(encoding="utf-8")
-        assert "run small" in text
-        assert "drone battery (LD)" in text
-        assert "system limit" in text
-
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = small_scenario()
-        a = emit_csv([run_scenario(cfg)], tmp_path / "a.csv").read_bytes()
-        b = emit_csv([run_scenario(cfg)], tmp_path / "b.csv").read_bytes()
-        assert a == b
-
-    def test_replay_from_config_echo_is_byte_identical(self, tmp_path):
-        result = run_scenario(small_scenario())
-        first = emit_csv([result], tmp_path / "first.csv").read_bytes()
-        echo = tmp_path / "echo.json"
-        echo.write_text(json.dumps(result.config), encoding="utf-8")
-        replayed = run_scenario(load_config(echo))
-        second = emit_csv([replayed], tmp_path / "second.csv").read_bytes()
-        assert first == second
 
 
 @pytest.fixture()
