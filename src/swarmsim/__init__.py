@@ -17,7 +17,8 @@ from .swarm import (
 )
 from .netsim import EventQueue, WlanParams, WimaxParams, max_simultaneous_calls
 from .energy import durability_report
-from .config import ConfigError, ScenarioConfig, load_config
+from .errors import ConfigError, RunInvariantError
+from .config import ScenarioConfig, load_config
 from .runner import RunResult, run_scenario, sweep
 
 __all__ = [
@@ -26,6 +27,6 @@ __all__ = [
     "validate_phase_trace",
     "EventQueue", "WlanParams", "WimaxParams", "max_simultaneous_calls",
     "durability_report",
-    "ConfigError", "ScenarioConfig", "load_config",
+    "ConfigError", "RunInvariantError", "ScenarioConfig", "load_config",
     "RunResult", "run_scenario", "sweep",
 ]

@@ -8,7 +8,9 @@ Subcommands:
 
 Configs are JSON files; an argument that is not an existing file is looked
 up among the bundled presets by name. Exit status: 0 on success, 1 when the
-configuration is rejected, 2 when the mission aborts.
+configuration is rejected, 2 when the mission aborts, 3 when the simulator
+breaks one of its own invariants (a defect; the message names the run and
+seed that reproduce it).
 """
 from __future__ import annotations
 
@@ -18,14 +20,16 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .config import ConfigError, ScenarioConfig, load_config, parse_config, to_dict
+from .config import ScenarioConfig, load_config, parse_config, to_dict
 from .energy import battery_feasible, durability_report, format_durability, mission_plan
+from .errors import ConfigError, RunInvariantError
 from .output import emit_csv, emit_report, run_summary
 from .runner import run_scenario, sweep_points
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_MISSION_ABORT = 2
+EXIT_DEFECT = 3
 
 
 def _preset_root():
@@ -174,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except RunInvariantError as ex:
+        print(f"error: simulator defect: {ex}", file=sys.stderr)
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

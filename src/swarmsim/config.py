@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .energy import MAX_SESSIONS
+from .errors import ConfigError
 from .failure import FailureEvent, FailureKind
 from .netsim import WlanParams
 from .swarm import SPEED_KMH, SPEED_MS
@@ -23,10 +24,6 @@ MAX_SDS_NO_VIDEO = 100
 MAX_SDS_VIDEO = 14
 # the run name is a cell of every CSV row and the stem of the output files
 _NAME_FORBIDDEN = (",", "\n", "\r", "/", "\\")
-
-
-class ConfigError(ValueError):
-    """Configuration file is malformed or out of range."""
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,6 @@ _EPS = 1e-9
 MAX_SESSIONS = 1000
 
 
-class EnergyError(ValueError):
-    """Invalid energy-model arguments."""
-
-
 # the airframe: bare weight, endurance without payload, and its flight
 # battery, whose energy is its voltage times its charge
 BASE_WEIGHT_G = 1375.0
@@ -77,10 +73,6 @@ VIDEO_MULTIPLIER = 1.5
 
 def payload_ratio(payload_g: float, drone_g: float) -> float:
     """Payload weight as a percentage of the bare drone weight."""
-    if drone_g <= 0:
-        raise EnergyError("drone weight must be positive")
-    if payload_g < 0:
-        raise EnergyError("payload weight must be non-negative")
     return 100.0 * payload_g / drone_g
 
 
@@ -90,10 +82,6 @@ def derate_flight_time(base_min: float, payload_pct: float) -> float:
     A 15% payload ratio raises the rotor power by 25%, which cuts 30
     minutes to 24; the increase is linear in the payload ratio.
     """
-    if base_min <= 0:
-        raise EnergyError("base flight time must be positive")
-    if payload_pct < 0:
-        raise EnergyError("payload percentage must be non-negative")
     return base_min / (1.0 + 25.0 * payload_pct / 15.0 / 100.0)
 
 
@@ -109,8 +97,6 @@ def price(role: str, airborne_s: float, alive_s: float,
     """(rotor Wh, compute Wh) of a drone of ``role`` that flew
     ``airborne_s`` and was powered for ``alive_s`` seconds, ``video_s`` of
     them in a video call."""
-    if airborne_s < 0 or alive_s < 0 or video_s < 0:
-        raise EnergyError("durations must be non-negative")
     rotor = airborne_s / 60.0 / flight_budget_min(role) * BATTERY_WH
     watts = COMPUTE_W[role]
     compute = watts * alive_s / 3600.0

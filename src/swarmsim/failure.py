@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import RunInvariantError
 from .swarm import (
     Drone,
     Phase,
     PhaseEvent,
     SwarmState,
-    SwarmError,
     assign_targets,
     transition_phase,
 )
@@ -43,10 +43,6 @@ BATTERY_FLOOR_PCT = 15.0
 TEMPERATURE_CEILING_C = 60.0
 
 
-class FailureError(SwarmError):
-    """Invalid failure-handling operation."""
-
-
 class FailureKind:
     LD_SUDDEN = "ld_sudden"
     LD_PREDICTED = "ld_predicted"
@@ -59,12 +55,6 @@ class FailureEvent:
     kind: str
     drone_id: int | None  # None: whichever drone leads at fire time
     at_us: int
-
-    def __post_init__(self):
-        if self.kind not in FailureKind.ALL:
-            raise FailureError(f"unknown failure kind {self.kind!r}")
-        if self.at_us < 0:
-            raise FailureError("failure time must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -122,9 +112,9 @@ def soft_handover(state: SwarmState, now_us: int) -> SwarmState:
     """
     old = state.leader()
     if not old.alive:
-        raise FailureError("soft handover needs a live leader; use hard_handover")
+        raise RunInvariantError("soft handover needs a live leader; use hard_handover")
     if not predict_failure(old.telemetry):
-        raise FailureError("soft handover without a failure prediction")
+        raise RunInvariantError("soft handover without a failure prediction")
     candidate, fell_back = _promotion_candidate(state)
     if candidate is None:
         state.deviations.append(
@@ -156,7 +146,7 @@ def hard_handover(
     """
     old = state.drones[detection.leader_id]
     if old.alive and now_us - old.telemetry.last_heard <= detection.timeout_us:
-        raise FailureError("hard handover requires a dead or long-unheard leader")
+        raise RunInvariantError("hard handover requires a dead or long-unheard leader")
     state.lost_reports += len(state.aggregation_buffer)
     state.aggregation_buffer.clear()
     candidate, fell_back = _promotion_candidate(state)
@@ -189,7 +179,7 @@ def reallocate_tasks(state: SwarmState, failed_sd: int) -> SwarmState:
     """Move a failed SD's target to an idle alive SD, else queue it for the
     next session so coverage is preserved."""
     if failed_sd == state.leader_id:
-        raise FailureError("reallocate_tasks applies to SDs; leaders hand over")
+        raise RunInvariantError("reallocate_tasks applies to SDs; leaders hand over")
     target = state.assignments.pop(failed_sd, None)
     if target is not None:
         assign_targets(state, [target])
@@ -202,8 +192,8 @@ def isolate_drone(state: SwarmState, drone_id: int) -> SwarmState:
     if drone.phase is Phase.ISOLATED:
         return state
     if drone_id == state.leader_id:
-        raise FailureError("cannot isolate the acting leader; hand over first")
+        raise RunInvariantError("cannot isolate the acting leader; hand over first")
     if drone.phase is not Phase.FAILED:
-        raise FailureError(f"drone {drone_id} is not failed; refusing to isolate")
+        raise RunInvariantError(f"drone {drone_id} is not failed; refusing to isolate")
     drone.phase = transition_phase(drone.phase, PhaseEvent.ISOLATE)
     return state

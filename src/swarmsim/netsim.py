@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
+from .errors import RunInvariantError
 from .protocol import HEADER_LEN, MTU, VIDEO_FRAME_RATE, VideoCallSpec, fragment_payload
 
 logger = logging.getLogger(__name__)
@@ -64,22 +65,8 @@ FIFO_ORDER = ("fifo",)
 WIMAX_ORDER = ("rt", "be")
 
 
-class NetSimError(ValueError):
-    """Invalid simulation operation."""
-
-
-class SchedulingError(NetSimError):
-    """Event scheduled into the past."""
-
-
-class MetricsError(NetSimError):
-    """Metrics requested while packets are still queued."""
-
-
 def tx_time_us(bits: int, rate_bps: int) -> int:
     """Wire occupancy of a packet, rounded to the nearest microsecond."""
-    if rate_bps <= 0:
-        raise NetSimError("data rate must be positive")
     return (bits * 1_000_000 + rate_bps // 2) // rate_bps
 
 
@@ -97,7 +84,7 @@ class EventQueue:
 
     def schedule(self, t: int, fn: Callable[[], None]) -> None:
         if t < self.now:
-            raise SchedulingError(f"cannot schedule at {t} before now={self.now}")
+            raise RunInvariantError(f"cannot schedule at {t} before now={self.now}")
         heapq.heappush(self._heap, (t, self._tie, fn))
         self._tie += 1
 
@@ -111,9 +98,9 @@ class EventQueue:
         runs.
         """
         if first < self.now:
-            raise SchedulingError(f"cannot schedule at {first} before now={self.now}")
-        if period <= 0:
-            raise NetSimError("period must be positive")
+            raise RunInvariantError(f"cannot schedule at {first} before now={self.now}")
+        if period <= 0:  # the series would repeat one instant forever
+            raise RunInvariantError("period must be positive")
         if first > last:
             return
         heap, tie = self._heap, self._tie
@@ -177,20 +164,12 @@ class WlanParams:
     overhead_bytes: int = 90     # MAC + LLC + IPv6 + UDP
     edca: bool = False
 
-    def __post_init__(self):
-        if min(self.data_rate_bps, self.buffer_bits, self.proc_rate_pps) <= 0:
-            raise NetSimError("rates and buffer must be positive")
-
 
 @dataclass(frozen=True)
 class WimaxParams:
     max_sustained_bps: int = 10_000_000
     buffer_bits: int = 1_000_000
     overhead_bytes: int = 54
-
-    def __post_init__(self):
-        if self.max_sustained_bps <= 0:
-            raise NetSimError("rates must be positive")
 
 
 def _percentile_rank(q: float, n: int) -> int:
@@ -323,7 +302,7 @@ def metrics_snapshot(metrics: Metrics, now_us: int) -> MetricsRecord:
     for link, c in links.items():
         queued_p = c["offered_pkts"] - c["delivered_pkts"] - c["dropped_pkts"]
         if queued_p:
-            raise MetricsError(
+            raise RunInvariantError(
                 f"link {link}: {queued_p} packets still queued; drain before snapshot"
             )
     by_src = _sum_by(counters, lambda k: (k[0], k[2], k[3]))
@@ -456,9 +435,9 @@ class Link:
         if not times:
             return
         if times[0] < q.now:
-            raise SchedulingError(f"cannot schedule at {times[0]} before now={q.now}")
+            raise RunInvariantError(f"cannot schedule at {times[0]} before now={q.now}")
         if times != sorted(times):
-            raise NetSimError("train slots must be in time order")
+            raise RunInvariantError("train slots must be in time order")
         train = _Train(self, slots, times, packet_for, q._tie)
         q._tie += 1
         heapq.heappush(q._heap, (times[0], train.tie, train.step))
@@ -476,7 +455,7 @@ class Link:
         entry = self._admits.get(key)
         if entry is None:
             if pkt.size_bytes > MTU:
-                raise NetSimError(
+                raise RunInvariantError(
                     f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
                 )
             wire = (pkt.size_bytes + self.overhead_bytes) * 8

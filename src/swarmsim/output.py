@@ -56,8 +56,6 @@ def rows(result: RunResult) -> list[tuple]:
 
 def emit_csv(results: list[RunResult], path: str | Path) -> Path:
     """Fixed-column metrics CSV; byte-identical across reruns."""
-    if not results:
-        raise ValueError("emit_csv needs at least one result")
     path = Path(path)
     lines = [CSV_HEADER]
     for result in results:
@@ -100,8 +98,6 @@ def run_summary(r: RunResult) -> str:
 def emit_report(results: list[RunResult], path: str | Path) -> Path:
     """Plain-text report: each run's summary, then the battery durability
     table of the paper's reference plan."""
-    if not results:
-        raise ValueError("emit_report needs at least one result")
     path = Path(path)
     blocks = [run_summary(r) for r in results]
     blocks.append("battery durability (defaults)\n"

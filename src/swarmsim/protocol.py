@@ -30,31 +30,19 @@ MOVE_TO_WAYPOINT_PERIOD_US = 200_000   # broadcast every 0.2 s in flight
 VIDEO_FRAME_RATE = 30                  # frames per second of every call
 
 
-class ProtocolError(ValueError):
-    """Invalid message size or fragmentation arguments."""
-
-
 def status_report_ld_length(n: int) -> int:
     """Payload bytes of a leader status aggregate for a swarm of ``n`` SDs."""
-    if n < 1:
-        raise ProtocolError(f"swarm needs at least one SD, got n={n}")
     return 12 + 12 * n
 
 
 def video_frame_length(bandwidth_bps: float) -> int:
     """Per-frame payload bytes for a video stream, rounded up."""
-    if bandwidth_bps <= 0:
-        raise ProtocolError("bandwidth must be positive")
     return math.ceil(bandwidth_bps / (8 * VIDEO_FRAME_RATE))
 
 
 @dataclass(frozen=True)
 class VideoCallSpec:
     bandwidth_bps: float
-
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ProtocolError("video bandwidth must be positive")
 
     @property
     def frame_len(self) -> int:
@@ -67,10 +55,6 @@ def fragment_payload(size: int, mtu: int) -> list[int]:
     Each fragment carries its own ``HEADER_LEN`` bytes on the wire, so all
     fragments except the last are ``mtu - HEADER_LEN`` long.
     """
-    if size < 0:
-        raise ProtocolError(f"negative payload size {size}")
-    if mtu <= HEADER_LEN:
-        raise ProtocolError(f"mtu={mtu} leaves no room after {HEADER_LEN}-byte header")
     if size == 0:
         return []
     chunk = mtu - HEADER_LEN

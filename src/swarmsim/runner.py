@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 from . import energy as energy_mod
 from . import failure as failure_mod
-from .config import ConfigError, ScenarioConfig, parse_config, to_dict
+from .config import ScenarioConfig, parse_config, to_dict
+from .errors import ConfigError, RunInvariantError
 from .netsim import (
     BEST_EFFORT,
     CONTROL,
@@ -94,10 +95,6 @@ ACK_STAGGER_US = 200
 # are module globals because an identity test against them is cheaper than
 # hashing an Enum member into a set, and these tests run per packet
 _ISOLATED, _FAILED, _LANDED = Phase.ISOLATED, Phase.FAILED, Phase.LANDED
-
-
-class RunInvariantError(RuntimeError):
-    """A finished run broke an end-of-run invariant: a simulator defect."""
 
 
 @dataclass
@@ -692,8 +689,12 @@ class _Mission:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
-    """Execute one scenario deterministically."""
-    return _Mission(cfg).run()
+    """Execute one scenario deterministically. A ``RunInvariantError`` names
+    the run and its seed, which reproduce the defect."""
+    try:
+        return _Mission(cfg).run()
+    except RunInvariantError as ex:
+        raise RunInvariantError(f"run {cfg.name!r} seed {cfg.seed}: {ex}") from ex
 
 
 SWEEPABLE_AXES = (

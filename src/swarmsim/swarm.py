@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .errors import RunInvariantError
+
 SPAN_M = 2000.0
 SPACING_M = 12.0  # formation pitch: the row's distance behind the leader and between slots
 SPEED_KMH = 12.0  # cruise speed of every drone
@@ -26,14 +28,6 @@ SPEED_MS = SPEED_KMH * 1000.0 / 3600.0
 LEADER_ID = 1  # initial leader; DMC is address 0, SDs are 2..n+1
 ESCALATION_SPLIT = 0.5  # share of escalated cases that are infected
 SUSPICIOUS_SHARE = 0.1  # share of unescalated cases that are suspicious
-
-
-class SwarmError(ValueError):
-    """Invalid swarm construction or operation arguments."""
-
-
-class PhaseError(SwarmError):
-    """Illegal phase-machine transition."""
 
 
 class Phase(Enum):
@@ -100,7 +94,7 @@ def transition_phase(phase: Phase, event: PhaseEvent) -> Phase:
     try:
         return _EDGES[(phase, event)]
     except KeyError:
-        raise PhaseError(
+        raise RunInvariantError(
             f"illegal transition: event {event.name} in phase {phase.name}"
         ) from None
 
@@ -127,10 +121,6 @@ class Telemetry:
     battery_pct: float = 100.0
     temperature_c: float = 25.0
     last_heard: int = 0  # microseconds
-
-    def __post_init__(self):
-        if not 0.0 <= self.battery_pct <= 100.0:
-            raise SwarmError(f"battery_pct={self.battery_pct} outside 0-100")
 
 
 @dataclass
@@ -221,8 +211,6 @@ def assign_targets(state: SwarmState, targets: list[int]) -> list[int]:
 def init_swarm(plan: MissionPlan, n: int) -> SwarmState:
     """Build a configured swarm: leader id 1, SDs ids 2..n+1. The backup is
     the second SD, or the only one."""
-    if n < 1:
-        raise SwarmError("swarm needs at least one SD")
     sd_ids = range(LEADER_ID + 1, LEADER_ID + 1 + n)
     drones = {i: Drone(i, plan.dmc_position) for i in range(LEADER_ID, sd_ids.stop)}
     return SwarmState(plan=plan, drones=drones, leader_id=LEADER_ID,
@@ -234,8 +222,6 @@ def formation_positions(n: int, leader_pos: tuple[float, float]) -> list[tuple[f
     row ``SPACING_M`` behind the leader, slots fanned out laterally at the
     same pitch (the center slot directly behind is used only for odd counts,
     keeping even counts symmetric about the axis)."""
-    if n < 1:
-        raise SwarmError("formation needs at least one SD")
     lx, ly = leader_pos
     if n % 2 == 1:
         laterals = [0.0] + [s * k * SPACING_M for k in range(1, n // 2 + 1) for s in (1, -1)]
@@ -250,8 +236,6 @@ def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
     Displacement per step is capped at speed * dt; landed, failed, and
     isolated drones hold position. Positions are clamped to the span area.
     """
-    if dt_us <= 0:
-        raise SwarmError("dt must be positive")
     step = SPEED_MS * dt_us / 1e6
     for drone in state.drones.values():
         if not drone.airborne or drone.waypoint is None:
@@ -275,10 +259,6 @@ def classify_case(draw: float, infection_rate: float) -> CaseClass:
     infected and emergency); the rest splits healthy vs suspicious.
     Escalations trigger a case report and, when enabled, a video call.
     """
-    if not 0.0 <= infection_rate <= 1.0:
-        raise SwarmError(f"infection_rate={infection_rate} outside [0, 1]")
-    if not 0.0 <= draw < 1.0:
-        raise SwarmError(f"draw={draw} outside [0, 1)")
     if draw < infection_rate * ESCALATION_SPLIT:
         return CaseClass.INFECTED
     if draw < infection_rate:

@@ -3,14 +3,16 @@
 
 Each row is a config the parser accepts or rejects; the CLI must answer it
 with an exit status (0 ok, 1 config rejected, 2 mission aborted) and never
-with an exception or a hang. New robustness fixes append a row.
+with an exception or a hang. New robustness fixes append a row. A simulator
+defect is exit 3, with the run and seed that reproduce it on stderr.
 """
 import json
 import signal
 
 import pytest
 
-from swarmsim.cli import main
+from swarmsim import runner
+from swarmsim.cli import EXIT_DEFECT, main
 
 # the two-session mission shape of acceptance criteria 09/10, 430 s long
 SHORT_MISSION = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
@@ -108,3 +110,17 @@ def test_cli_answers_with_an_exit_status(command, config, status, out, tmp_path,
         assert capsys.readouterr().err.startswith("error: ")
         # a rejected command leaves no output directory behind
         assert not (tmp_path / out).is_dir()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep --axis n_sds --values 2"])
+def test_simulator_defect_exits_three_naming_the_run_and_seed(command, tmp_path, capsys,
+                                                              monkeypatch):
+    path = tmp_path / "landed.json"
+    path.write_text(json.dumps({**SHORT, "seed": 7}), encoding="utf-8")
+    monkeypatch.setattr(runner, "validate_phase_trace", lambda trace: False)
+    name, *flags = command.split()
+    code = main([name, str(path), *flags, "--out", str(tmp_path / "out")])
+    assert code == EXIT_DEFECT == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulator defect: run 'landed")
+    assert "seed 7: landed mission has a malformed phase trace" in err

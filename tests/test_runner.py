@@ -96,6 +96,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="wlan.data_rate_mbps"):
             parse_config({"wlan": {"data_rate_mbps": 11}})
 
+    # the library relies on these rules and does not check them again
+    @pytest.mark.parametrize("data, field", [
+        ({"failures": [{"kind": "meteor", "at_s": 10}]}, r"failures\[0\].kind"),
+        ({"failures": [{"kind": "ld_sudden", "at_s": -1}]}, r"failures\[0\].at_s"),
+        ({"n_sds": 0}, "n_sds"),
+        ({"infection_rate": -0.1}, "infection_rate"),
+        ({"infection_rate": 1.5}, "infection_rate"),
+        ({"video": {"bandwidth_mbps": 3}}, "video.bandwidth_mbps"),
+        ({"wlan": {"buffer_bits": 0}}, "wlan.buffer_bits"),
+        ({"wlan": {"proc_rate_pps": 0}}, "wlan.proc_rate_pps"),
+    ], ids=["unknown_failure_kind", "negative_failure_time", "no_sds",
+            "negative_infection_rate", "infection_rate_above_one",
+            "unknown_video_bandwidth", "zero_wlan_buffer", "zero_processing_rate"])
+    def test_out_of_range_input_is_rejected_by_the_parser(self, data, field):
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            parse_config(data)
+
     @pytest.mark.parametrize("field", [
         "mission.position_noise_m", "mission.span_m", "mission.backup_id",
         "video.frame_rate",
