@@ -151,7 +151,8 @@ class _Mission:
         self.reports_to_leader = 0  # status reports the WLAN delivered to the leader
         self.reports_delivered = 0
         self.calls_started = 0
-        self.active_calls = 0
+        # (caller, start) of each call in progress
+        self.active_calls: set[tuple[int, int]] = set()
         self.leader_killed_at: int | None = None
         self.ended_at = self.horizon  # the instant the mission landed or aborted
         self.handover_pending = False
@@ -332,13 +333,12 @@ class _Mission:
                 if sd_id not in callers:
                     callers.append(sd_id)
             for k, sd_id in enumerate(callers):
-                if self.active_calls >= self.max_calls:
+                if len(self.active_calls) >= self.max_calls:
                     state.deviations.append(
                         f"session {index}: call from SD {sd_id} rejected; "
                         f"{self.max_calls} calls already active"
                     )
                     continue
-                self.active_calls += 1
                 self.calls_started += 1
                 self._start_call(sd_id, now + (k + 1) * CALL_STAGGER_US)
 
@@ -479,11 +479,18 @@ class _Mission:
         frame_gap = 1_000_000 // VIDEO_FRAME_RATE
         self.q.every(start, frame_gap, min(end - 1, self.horizon),
                      lambda t: self._video_frame(t, sd_id, frags))
-        self._at(min(end, self.horizon), lambda: self._end_call(sd_id, start, min(end, self.horizon)))
+        end = min(end, self.horizon)
+        self.active_calls.add((sd_id, start))
+        self._at(end, lambda: self._end_call(sd_id, start, end))
 
     def _end_call(self, sd_id: int, start: int, end: int) -> None:
-        self.active_calls = max(0, self.active_calls - 1)
-        # charged up to the landing or abort; a call staggered past it never ran
+        """End a call at ``end``, its scheduled end or its caller's loss,
+        unless it has ended already: free its slot and charge it up to
+        ``end``, or the landing or abort if earlier. A call staggered past
+        that instant never ran."""
+        if (sd_id, start) not in self.active_calls:
+            return
+        self.active_calls.remove((sd_id, start))
         self.video_us[sd_id] += max(0, min(end, self.ended_at) - start)
 
     def _video_frame(self, now: int, sd_id: int, frags: list[int]) -> None:
@@ -585,7 +592,7 @@ class _Mission:
             if target.id != state.leader_id:
                 self._failure_not_applied(f, "drone is not the acting leader")
                 return
-            target.phase = transition_phase(target.phase, PhaseEvent.FAILURE_DETECTED)
+            self._lose(target)
             self.leader_killed_at = now
             if not any(failure_mod.can_lead(sd) for sd in state.alive_sds()):
                 self._abort("leader lost with no SD able to lead")
@@ -610,12 +617,18 @@ class _Mission:
             if sd.id == state.leader_id:
                 self._failure_not_applied(f, "drone is the acting leader")
                 return
-            sd.phase = transition_phase(sd.phase, PhaseEvent.FAILURE_DETECTED)
+            self._lose(sd)
             failure_mod.isolate_drone(state, sd.id)
             failure_mod.reallocate_tasks(state, sd.id)
             if not state.leader().alive and not any(
                     failure_mod.can_lead(d) for d in state.alive_sds()):
                 self._abort("last SD lost with the leader down")
+
+    def _lose(self, drone) -> None:
+        """Fail a drone and end the calls it is in at this instant."""
+        drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
+        for call in [c for c in self.active_calls if c[0] == drone.id]:
+            self._end_call(*call, self.q.now)
 
     def _abort(self, reason: str) -> None:
         self.state.aborted = True

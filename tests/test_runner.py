@@ -516,6 +516,30 @@ class TestRunScenario:
         assert mission.video_us == {1: 0, 2: LANDED_AT_US - CALL_START_US, 3: 0, 4: 0}
         assert mission.video_us[2] < mission.alive_us[2]
 
+    @pytest.mark.parametrize("video, failures, caller, charged_us, calls", [
+        # SD 2 dies 10 s into its 600 s call, which frees the only slot for
+        # session 1's call from SD 3
+        ({"max_calls": 1, "forced_calls": 1},
+         [{"kind": "sd_sudden", "drone_id": 2, "at_s": 160}], 2, 9_990_000, 2),
+        # SD 3 takes command mid-call when the leader dies, and dies as leader
+        ({"max_calls": 2, "forced_calls": 2},
+         [{"kind": "ld_sudden", "at_s": 155}, {"kind": "ld_sudden", "at_s": 250}],
+         3, 99_980_000, 3),
+    ], ids=["sd_sudden", "promoted_caller_lost_as_leader"])
+    def test_a_lost_callers_call_ends_at_the_loss(self, video, failures, caller, charged_us,
+                                                  calls):
+        mission = _Mission(parse_config({
+            "duration_s": 700, "n_sds": 3, "infection_rate": 0.0,
+            "video": {"enabled": True, "call_duration_s": 600, **video},
+            "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                        "transit_distance_m": 100},
+            "failures": failures}))
+        result = mission.run()
+        assert mission.video_us[caller] == charged_us
+        assert mission.video_us[caller] <= mission.alive_us[caller]
+        assert result.calls_started == calls
+        assert not any("rejected" in d for d in result.deviations)
+
     @pytest.mark.parametrize("failures, overheat, aborted_at_us", [
         # the leader and then the calling SD die
         ([{"kind": "ld_sudden", "at_s": 160}, {"kind": "sd_sudden", "drone_id": 2, "at_s": 161}],
