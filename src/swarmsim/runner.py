@@ -625,7 +625,7 @@ class _Mission:
                 self._abort("last SD lost with the leader down")
 
     def _lose(self, drone) -> None:
-        """Fail a drone and end the calls it is in at this instant."""
+        """Fail a drone and end its calls at this instant."""
         drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
         for call in [c for c in self.active_calls if c[0] == drone.id]:
             self._end_call(*call, self.q.now)
