@@ -12,7 +12,15 @@ class, flow, source) it caches the wire bits, the transmission time, the
 counter and the class queue, so the MTU check and ``tx_time_us`` run once
 per size. The counter rides with the packet to its drop or delivery. A
 packet offered to an idle link starts service at once, and a completion
-goes straight onto the heap.
+goes straight onto the heap. A link serves one packet at a time and keeps
+it on itself, so every completion is the link's one ``_finish`` callback.
+
+A burst (``Link.burst``) offers a run of ``n`` copies of one packet, such
+as a video frame's equal fragments, as exactly ``n`` sends in a row would:
+one lookup and one queue item per run, the copies that fit admitted and
+the rest dropped, each counted once. Nothing completes within one instant's
+admission and only the first admitted copy can find the link idle, so the
+ties and events are those of the sends.
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the
@@ -345,14 +353,14 @@ class _Train:
                 # one, so it goes first only at a strictly earlier time;
                 # run inline, it takes no tie, which reorders nothing
                 finish = q.now + item[2]
-                link._busy = True
+                link._busy = item
                 if (finish <= limit and (i == n or finish < times[i])
                         and (not heap or finish < heap[0][0])):
                     q.now = finish
-                    link._finish(item)
+                    link._finish()
                     ran += 1
                 else:
-                    q.schedule(finish, partial(link._finish, item))
+                    q.schedule(finish, link._finish)
             if i == n:
                 break
             t = times[i]
@@ -393,7 +401,9 @@ class Link:
         self._by_priority = tuple(self._queues.values())
         self._lowest = self._by_priority[-1]
         self._buffered_bits = 0
-        self._busy = False
+        # the item in service, None while idle; a queue item is a non-empty
+        # tuple, so the attribute's truth says whether the link is busy
+        self._busy: tuple | None = None
         # (size, class, flow, source) -> (wire bits, transmission time,
         # Metrics counter, class queue); see _admit
         self._admits: dict[tuple, tuple] = {}
@@ -414,6 +424,43 @@ class Link:
         if not self._busy:
             self._serve(item)  # an idle link has nothing queued ahead
         return True
+
+    def burst(self, runs: list[tuple[Packet, int]],
+              on_deliver: Callable[[Packet], None] | None = None) -> None:
+        """Offer ``n`` copies of ``pkt`` for each ``(pkt, n)`` of ``runs``, in
+        turn, exactly as ``n`` calls of ``send(pkt, on_deliver)`` would. A
+        run costs one ``_admits`` lookup and one queue item: the copies the
+        free buffer holds are admitted and the rest dropped, each outcome
+        counted once. A later run of smaller packets may still fit."""
+        admits, metrics = self._admits, self.metrics
+        for pkt, n in runs:
+            key = pkt[1:5]
+            entry = admits.get(key)
+            if entry is None:
+                entry = self._new_admission(pkt, key)
+            wire, tx, counter, waiting = entry
+            if pkt.created_at < metrics.measure_from_us:
+                counter = None
+            elif counter is None:
+                counter = metrics.offered(self.name, pkt, wire)
+                admits[key] = (wire, tx, counter, waiting)
+                counter.offered_pkts += n - 1
+                counter.offered_bits += (n - 1) * wire
+            else:
+                counter.offered_pkts += n
+                counter.offered_bits += n * wire
+            admitted = min(n, (self.buffer_bits - self._buffered_bits) // wire)
+            if admitted < n and counter is not None:
+                counter.dropped_pkts += n - admitted
+                counter.dropped_bits += (n - admitted) * wire
+            if not admitted:
+                continue
+            self._buffered_bits += admitted * wire
+            item = (pkt, wire, tx, on_deliver, counter)
+            if not self._busy:
+                self._serve(item)
+                admitted -= 1
+            waiting.extend((item,) * admitted)
 
     def train(self, slots: list[tuple[int, object]],
               packet_for: Callable[[object], Packet | None]) -> None:
@@ -454,14 +501,7 @@ class Link:
         key = pkt[1:5]
         entry = self._admits.get(key)
         if entry is None:
-            if pkt.size_bytes > MTU:
-                raise RunInvariantError(
-                    f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
-                )
-            wire = (pkt.size_bytes + self.overhead_bytes) * 8
-            entry = self._admits[key] = (
-                wire, tx_time_us(wire, self.rate_bps), None,
-                self._queues.get(self.class_key(pkt), self._lowest))
+            entry = self._new_admission(pkt, key)
         wire, tx, counter, waiting = entry
         if pkt.created_at < self.metrics.measure_from_us:
             counter = None
@@ -481,14 +521,27 @@ class Link:
             waiting.append(item)
         return item
 
+    def _new_admission(self, pkt: Packet, key: tuple) -> tuple:
+        """Make and cache the ``_admits`` entry of a key's first offer."""
+        if pkt.size_bytes > MTU:
+            raise RunInvariantError(
+                f"{pkt.size_bytes}-byte packet exceeds MTU {MTU}; fragment first"
+            )
+        wire = (pkt.size_bytes + self.overhead_bytes) * 8
+        entry = self._admits[key] = (
+            wire, tx_time_us(wire, self.rate_bps), None,
+            self._queues.get(self.class_key(pkt), self._lowest))
+        return entry
+
     def _serve(self, item: tuple) -> None:
-        self._busy = True
+        self._busy = item
         q = self.queue
-        heapq.heappush(q._heap, (q.now + item[2], q._tie, partial(self._finish, item)))
+        heapq.heappush(q._heap, (q.now + item[2], q._tie, self._finish))
         q._tie += 1
 
-    def _finish(self, item: tuple) -> None:
-        pkt, wire, _, cb, counter = item
+    def _finish(self) -> None:
+        """Complete the packet in service and serve the next one."""
+        pkt, wire, _, cb, counter = self._busy
         self._buffered_bits -= wire
         q = self.queue
         deliver_at = q.now + self.proc_delay_us
@@ -504,7 +557,7 @@ class Link:
                 self._serve(waiting.popleft())
                 break
         else:
-            self._busy = False
+            self._busy = None
         if cb is None:
             return
         # run inline when the delivery is the next event anyway

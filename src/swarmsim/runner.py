@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import groupby
 
 from . import energy as energy_mod
 from . import failure as failure_mod
@@ -472,13 +473,15 @@ class _Mission:
         cfg = self.cfg
         spec = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
         # every frame of a call has the same length and every link the same
-        # MTU, so one fragment list serves the whole call in both directions
-        frags = fragment_payload(spec.frame_len, MTU)
+        # MTU, so one list of (packet size, fragments of that size) serves
+        # the whole call in both directions
+        sizes = [(HEADER_LEN + frag, len(list(same)))
+                 for frag, same in groupby(fragment_payload(spec.frame_len, MTU))]
         dur_us = int(cfg.video.call_duration_s * 1e6)
         end = start + dur_us
         frame_gap = 1_000_000 // VIDEO_FRAME_RATE
         self.q.every(start, frame_gap, min(end - 1, self.horizon),
-                     lambda t: self._video_frame(t, sd_id, frags))
+                     lambda t: self._video_frame(t, sd_id, sizes))
         end = min(end, self.horizon)
         self.active_calls.add((sd_id, start))
         self._at(end, lambda: self._end_call(sd_id, start, end))
@@ -493,17 +496,17 @@ class _Mission:
         self.active_calls.remove((sd_id, start))
         self.video_us[sd_id] += max(0, min(end, self.ended_at) - start)
 
-    def _video_frame(self, now: int, sd_id: int, frags: list[int]) -> None:
+    def _video_frame(self, now: int, sd_id: int, sizes: list[tuple[int, int]]) -> None:
+        """Offer one frame's fragments up the WLAN and down the long-range
+        link, one packet per distinct size, each a burst of its copies."""
         state = self.state
         sd = state.drones.get(sd_id)
         if state.aborted or self.mission_phase is _LANDED or sd is None or not sd.alive:
             return
-        send, relay = self.wlan.send, self._relay_video_up
-        for frag in frags:
-            send(Packet(now, HEADER_LEN + frag, VIDEO, "video_up", sd_id, DMC_ID), relay)
-        send, relay = self.wimax_dl.send, self._relay_video_down
-        for frag in frags:
-            send(Packet(now, HEADER_LEN + frag, VIDEO, "video_down", DMC_ID, sd_id), relay)
+        self.wlan.burst([(Packet(now, size, VIDEO, "video_up", sd_id, DMC_ID), n)
+                         for size, n in sizes], self._relay_video_up)
+        self.wimax_dl.burst([(Packet(now, size, VIDEO, "video_down", DMC_ID, sd_id), n)
+                             for size, n in sizes], self._relay_video_down)
 
     def _relay_video_up(self, pkt: Packet) -> None:
         if not self._leader_alive():

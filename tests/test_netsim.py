@@ -570,6 +570,91 @@ class TestTrainsAgainstReferenceServer:
         assert seen == [(120, "a"), (220, "b"), (240, "ack"), (260, "c")]
 
 
+class TestBurstsAgainstReferenceServer:
+    """``Link.burst`` against the reference server taking each copy as its
+    own ``send``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LINK_KINDS)),
+        buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
+        measure_from=st.sampled_from([0, 120]),
+        # times are multiples of 10 us so that offers and completions often
+        # coincide
+        offers=st.lists(st.tuples(
+            st.integers(0, 30).map(lambda k: 10 * k),              # offer time
+            st.integers(0, 100),                                   # created this much earlier
+            st.sampled_from(["control", "video", "best_effort"]),
+            st.sampled_from(["sd_status", "case_report", "video_up"]),
+            st.integers(0, 3),                                     # source
+            st.sampled_from(["none", "record", "reply"]),          # delivery callback
+            st.booleans(),                                         # a burst, or single sends
+            st.lists(st.tuples(
+                st.integers(1, 1500),                              # bytes
+                st.integers(1, 6),                                 # copies
+            ), min_size=1, max_size=4),
+        ), min_size=1, max_size=20),
+        split=st.integers(0, 80).map(lambda k: 5 * k),             # run_until bound
+    )
+    def test_same_returns_deliveries_events_and_snapshot(self, kind, buffer_bits,
+                                                         measure_from, offers, split):
+        builder, params, class_order, class_key = LINK_KINDS[kind]
+        p = params(buffer_bits=buffer_bits)
+        real_q, ref_q = EventQueue(), EventQueue()
+        metrics = Metrics(measure_from_us=measure_from)
+        real = builder(real_q, p, metrics, "link")
+        ref = ReferenceServer(
+            ref_q, "link", real.rate_bps, buffer_bits, p.overhead_bytes,
+            real.proc_delay_us, class_order, class_key, measure_from)
+
+        def drive(q, link, burst):
+            returns, deliveries = [], []
+
+            def record(pkt):
+                deliveries.append((q.now, pkt))
+
+            def reply(pkt):
+                record(pkt)
+                answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
+                returns.append(link.send(answer, record))
+
+            def sends(runs, cb):
+                for pkt, n in runs:
+                    returns.extend(link.send(pkt, cb) for _ in range(n))
+
+            callbacks = {"none": None, "record": record, "reply": reply}
+            for t, back, cls, flow, src, mode, as_burst, sizes in offers:
+                runs = [(Packet(max(0, t - back), size, cls, flow, src, 1), n)
+                        for size, n in sizes]
+                offer = burst if as_burst else sends
+                q.schedule(t, lambda runs=runs, cb=callbacks[mode], offer=offer:
+                           offer(runs, cb))
+            first = (q.run_until(split), q.now)
+            return returns, deliveries, first, q.run_all()
+
+        def ref_burst(runs, cb):
+            for pkt, n in runs:
+                for _ in range(n):
+                    ref.send(pkt, cb)
+
+        assert drive(real_q, real, real.burst) == drive(ref_q, ref, ref_burst)
+        assert real_q.now == ref_q.now
+        assert metrics_snapshot(metrics, real_q.now) == ref.record(
+            max(0, real_q.now - measure_from))
+
+    def test_a_short_copy_fits_after_full_ones_were_dropped(self):
+        q = EventQueue()
+        metrics = Metrics()
+        link = build_wlan_link(q, WlanParams(buffer_bits=12_000), metrics)
+        # 600 bytes are 5,520 wire bits, so two of three copies fit; the
+        # 20-byte packet's 880 bits fit in the 960 bits left
+        link.burst([(Packet(0, 600, flow="video_up"), 3), (Packet(0, 20, flow="video_up"), 1)])
+        q.run_all()
+        c = metrics_snapshot(metrics, q.now).links["wlan"]
+        assert (c["offered_pkts"], c["dropped_pkts"], c["delivered_pkts"]) == (4, 1, 3)
+        assert c["dropped_bits"] == 5_520 and link.idle
+
+
 class TestRelaysAgainstReferenceServers:
     """Delivery callbacks that forward the packet onto a second link, as
     the runner relays video through the leader: WLAN (100 us processing)

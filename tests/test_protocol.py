@@ -29,14 +29,20 @@ class TestStatusLengths:
 
 @pytest.fixture(scope="module")
 def wire_lengths_by_flow():
-    """Every packet size offered to a link in a short mission, by flow name,
-    whether sent on its own or in a train."""
+    """Every packet size offered to a link in a short mission and a short
+    2 Mbps video mission, by flow name, whether sent on its own, in a burst
+    or in a train."""
     sizes = defaultdict(set)
-    send, train = Link.send, Link.train
+    send, burst, train = Link.send, Link.burst, Link.train
 
     def recording_send(self, pkt, on_deliver=None):
         sizes[pkt.flow].add(pkt.size_bytes)
         return send(self, pkt, on_deliver)
+
+    def recording_burst(self, runs, on_deliver=None):
+        for pkt, _ in runs:
+            sizes[pkt.flow].add(pkt.size_bytes)
+        return burst(self, runs, on_deliver)
 
     def recording_train(self, slots, packet_for):
         def recording_packet_for(x):
@@ -48,8 +54,15 @@ def wire_lengths_by_flow():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Link, "send", recording_send)
+        mp.setattr(Link, "burst", recording_burst)
         mp.setattr(Link, "train", recording_train)
         run_scenario(parse_config({"n_sds": 4, "infection_rate": 1.0}))
+        run_scenario(parse_config({
+            "duration_s": 400, "n_sds": 2, "infection_rate": 0.0,
+            "video": {"enabled": True, "bandwidth_mbps": 2, "forced_calls": 1,
+                      "call_duration_s": 1},
+            "mission": {"session_duration_s": 120, "n_sessions": 1,
+                        "transit_distance_m": 100}}))
     return sizes
 
 
@@ -63,6 +76,12 @@ class TestEncoding:
 
     def test_case_report_wire_length_is_508(self, wire_lengths_by_flow):
         assert wire_lengths_by_flow["case_report"] == {508}
+
+    def test_2mbps_frame_fragment_wire_lengths_are_1500_and_882(self, wire_lengths_by_flow):
+        # an 8,334-byte frame is 5 x 1,492 + 874 payload bytes, each
+        # fragment behind its own 8-byte header
+        for flow in ("video_up", "video_down"):
+            assert wire_lengths_by_flow[flow] == {1500, 882}
 
 
 class TestVideoFrames:

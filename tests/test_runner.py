@@ -473,13 +473,19 @@ class TestRunScenario:
     def test_dead_callers_and_dead_leaders_relay_nothing(self, failures, monkeypatch):
         mission = _Mission(parse_config(dict(FOUR_CALLS, failures=failures)))
         offers = []  # (now, link, packet)
-        send = Link.send
+        send, burst = Link.send, Link.burst
 
         def recording_send(link, pkt, on_deliver=None):
             offers.append((mission.q.now, link.name, pkt))
             return send(link, pkt, on_deliver)
 
+        def recording_burst(link, runs, on_deliver=None):
+            for pkt, n in runs:
+                offers.extend([(mission.q.now, link.name, pkt)] * n)
+            return burst(link, runs, on_deliver)
+
         monkeypatch.setattr(Link, "send", recording_send)
+        monkeypatch.setattr(Link, "burst", recording_burst)
         result = mission.run()
         for link, c in result.metrics.links.items():
             assert c["offered_pkts"] == c["delivered_pkts"] + c["dropped_pkts"], link
@@ -501,14 +507,21 @@ class TestRunScenario:
     def test_video_call_stops_when_the_mission_lands(self, monkeypatch):
         mission = _Mission(parse_config(CALL_OUTLIVES_MISSION))
         frames = []
-        send = Link.send
+        send, burst = Link.send, Link.burst
 
         def recording_send(link, pkt, on_deliver=None):
             if pkt.access_class == VIDEO:
                 frames.append(mission.q.now)
             return send(link, pkt, on_deliver)
 
+        def recording_burst(link, runs, on_deliver=None):
+            for pkt, n in runs:
+                if pkt.access_class == VIDEO:
+                    frames.extend([mission.q.now] * n)
+            return burst(link, runs, on_deliver)
+
         monkeypatch.setattr(Link, "send", recording_send)
+        monkeypatch.setattr(Link, "burst", recording_burst)
         mission.run()
         assert mission.trace[-1] is Phase.LANDED
         assert frames and max(frames) < LANDED_AT_US

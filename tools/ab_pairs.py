@@ -1,0 +1,152 @@
+"""Run alternating parent/change pairs of the benchmark and write a BENCH file.
+
+    python3 tools/ab_pairs.py --parent ../parent --change . --out BENCH_17.json
+
+``--parent`` and ``--change`` are two checkouts of the repository, for
+example a clone of the parent commit next to the working tree. For each
+workload, pair ``i`` runs ``perfbench/run.py --workload W --seed S --seconds
+N --trace 0`` once in each checkout, with seed ``S = first seed + i``; the
+parent runs first on even pair indices and the change on odd ones. Each run
+uses its own checkout's code and benchmark files.
+
+The output has the layout of ``BENCH_14.json``'s ``workloads`` section: per
+workload the seeds, the side that ran first, whether every run was correct,
+the failed share of missions, and per end-to-end metric of the change's
+``BENCHMARK.json`` each side's runs, median and quartiles
+(``statistics.quantiles(n=4)``), the change's median over the parent's
+minus one, and the pairs the change won (ties count for neither side).
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def describe(checkout: Path) -> str:
+    """The checkout's commit, marked ``-dirty`` when its tree has changes."""
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(checkout), "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
+
+
+def host() -> str:
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text(encoding="utf-8").splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return f"{cpu}, {platform.system()}, Python {platform.python_version()}"
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run; its JSON result is the last output line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"ab_pairs: {' '.join(cmd)} in {checkout} failed "
+                         f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "iqr": q3 - q1, "runs": values}
+
+
+def compare(metric: dict, runs: dict[str, list[dict]]) -> dict:
+    """One end-to-end metric of ``BENCHMARK.json`` over both sides' runs."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+    out = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"]}
+    out.update({side: summary(values[side]) for side in SIDES})
+    parent_median = out["parent"]["median"]
+    out["change_vs_parent"] = (out["change"]["median"] / parent_median - 1
+                               if parent_median else None)
+    out["pairs_won_by_change"] = sum(
+        (c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+    return out
+
+
+def ab_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
+                seconds: float, metrics: list[dict]) -> dict:
+    runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    first_side = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first_side.append(order[0])
+        for side in order:
+            result = run_once(checkouts[side], workload, seed, seconds)
+            runs[side].append(result)
+            print(f"{workload} pair {i} seed {seed} {side}: correct={result['correct']} "
+                  f"run_s={result['metrics'].get('run_s', {}).get('value')}", flush=True)
+    out = {
+        "pairs": len(seeds),
+        "seeds": seeds,
+        "first_side": first_side,
+        "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+        "fail_ratio": {side: sum(r["failed"] for r in runs[side])
+                       / sum(r["attempted"] for r in runs[side]) for side in SIDES},
+    }
+    if all(out["correct"].values()):
+        out["metrics"] = {m["name"]: compare(m, runs) for m in metrics}
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    ap.add_argument("--workload", action="append",
+                    help="workload to run (repeatable); default: every workload of BENCHMARK.json")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--first-seed", type=int, default=901)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--what", default="", help="what the change is, for the file's 'what' field")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    result = {
+        "what": args.what,
+        "host": host(),
+        "parent_commit": describe(checkouts["parent"]),
+        "change_commit": describe(checkouts["change"]),
+        "workload_runs": (
+            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            "--trace 0, one parent and one change run per seed, the side that runs first "
+            "alternating (parent first on even pair indices); quartiles are "
+            "statistics.quantiles(n=4) over the per-run values"),
+        "workloads": {w: ab_workload(checkouts, w, seeds, args.seconds, spec["end_to_end"])
+                      for w in workloads},
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0 if all(all(w["correct"].values()) for w in result["workloads"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
