@@ -13,7 +13,10 @@ counter and the class queue, so the MTU check and ``tx_time_us`` run once
 per size. The counter rides with the packet to its drop or delivery. A
 packet offered to an idle link starts service at once, and a completion
 goes straight onto the heap. A link serves one packet at a time and keeps
-it on itself, so every completion is the link's one ``_finish`` callback.
+it on itself, so every completion is the link's one ``_finish`` callback,
+which counts the delivery and its latency in the counter itself. A queue
+item carries its packet's creation time, which windows and latencies read:
+``send`` and ``burst`` take ``created_at``, a train the slot time.
 
 A burst (``Link.burst``) offers a run of ``n`` copies of one packet, such
 as a video frame's equal fragments, as exactly ``n`` sends in a row would:
@@ -30,10 +33,12 @@ through the heap; relays, whose deliveries send onto the next link, mostly
 run this way.
 
 A train (``Link.train``) offers a run of callback-free packets at given
-slots from one heap entry. Like an ``EventQueue.every`` series it takes
-one tie when it is registered, so events order exactly as if each slot
-were its own event. While nothing on the heap comes first, it runs its
-next slot inline, and completes inline a packet that found the link idle.
+slots from one heap entry, each created at its slot time, so a sender may
+hand it the same packet at every slot. Like an ``EventQueue.every``
+series it takes one tie when it is registered, so events order exactly as
+if each slot were its own event. While nothing on the heap comes first,
+it runs its next slot inline, and completes inline a packet that found
+the link idle.
 The event counts of ``run_until`` and ``run_all`` include these inline
 slots, completions and deliveries.
 
@@ -218,11 +223,9 @@ class Metrics:
         self.counters: dict[tuple[str, str, str, int], _Counter] = {}
         self.latencies: dict[tuple[str, str], dict[int, int]] = {}
 
-    def offered(self, link: str, pkt: Packet, wire_bits: int) -> _Counter | None:
-        """Count an offer and return the packet's counter, which its drop
-        or delivery then updates; None before the window."""
-        if pkt.created_at < self.measure_from_us:
-            return None
+    def offered(self, link: str, pkt: Packet, wire_bits: int) -> _Counter:
+        """Count a measured offer and return the packet's counter, which its
+        drop or delivery then updates."""
         key = (link, pkt.access_class, pkt.flow, pkt.src)
         c = self.counters.get(key)
         if c is None:
@@ -237,6 +240,7 @@ class Metrics:
         c.dropped_bits += wire_bits
 
     def delivered(self, c: _Counter, wire_bits: int, latency_us: int) -> None:
+        """Unused here (``Link._finish`` counts in place); perfbench patches it by name."""
         c.delivered_pkts += 1
         c.delivered_bits += wire_bits
         table = c.latencies
@@ -340,13 +344,14 @@ class _Train:
 
     def step(self) -> None:
         link, times, tie = self.link, self.times, self.tie
-        q = link.queue
+        q, admit, finish_fn = link.queue, link._admit, link._finish
+        packet_for, slots = self.packet_for, self.slots
         heap, limit = q._heap, q._limit
         n, i, ran = len(times), self.next, 0
         while True:
-            pkt = self.packet_for(self.slots[i][1])
+            pkt = packet_for(slots[i][1])
+            item = None if pkt is None else admit(pkt, None, times[i])
             i += 1
-            item = None if pkt is None else link._admit(pkt, None)
             if item is not None and not link._busy:
                 # the link was idle and serves the packet now. Its
                 # completion would take a tie later than every pending
@@ -357,14 +362,14 @@ class _Train:
                 if (finish <= limit and (i == n or finish < times[i])
                         and (not heap or finish < heap[0][0])):
                     q.now = finish
-                    link._finish()
+                    finish_fn()
                     ran += 1
                 else:
-                    q.schedule(finish, link._finish)
+                    q.schedule(finish, finish_fn)
             if i == n:
                 break
             t = times[i]
-            if t > limit or (heap and heap[0] < (t, tie)):
+            if t > limit or heap and (heap[0][0] < t or heap[0][0] == t and heap[0][1] < tie):
                 self.next = i
                 heapq.heappush(heap, (t, tie, self.step))
                 break
@@ -418,7 +423,7 @@ class Link:
 
         Returns False when the buffer is full (counted as a drop).
         """
-        item = self._admit(pkt, on_deliver)
+        item = self._admit(pkt, on_deliver, pkt.created_at)
         if item is None:
             return False
         if not self._busy:
@@ -439,7 +444,8 @@ class Link:
             if entry is None:
                 entry = self._new_admission(pkt, key)
             wire, tx, counter, waiting = entry
-            if pkt.created_at < metrics.measure_from_us:
+            created = pkt.created_at
+            if created < metrics.measure_from_us:
                 counter = None
             elif counter is None:
                 counter = metrics.offered(self.name, pkt, wire)
@@ -456,7 +462,7 @@ class Link:
             if not admitted:
                 continue
             self._buffered_bits += admitted * wire
-            item = (pkt, wire, tx, on_deliver, counter)
+            item = (pkt, wire, tx, on_deliver, counter, created)
             if not self._busy:
                 self._serve(item)
                 admitted -= 1
@@ -466,7 +472,9 @@ class Link:
               packet_for: Callable[[object], Packet | None]) -> None:
         """Offer ``packet_for(x)`` at each slot ``(t, x)`` of ``slots``, which
         are in time order; a slot whose ``packet_for`` returns None offers
-        nothing. Train packets have no delivery callback.
+        nothing. Train packets have no delivery callback, and each is
+        created at its slot time ``t``: the ``created_at`` of the packet
+        ``packet_for`` returns is ignored.
 
         Like ``EventQueue.every``, the train takes one tie now, so its slots
         order against other events exactly as if each had been scheduled
@@ -489,10 +497,11 @@ class Link:
         q._tie += 1
         heapq.heappush(q._heap, (times[0], train.tie, train.step))
 
-    def _admit(self, pkt: Packet, on_deliver) -> tuple | None:
-        """Count an offer and take the packet into the buffer, queued if the
-        link is busy. Returns the packet's item, which the caller serves if
-        the link is idle, or None when the buffer is full (a drop).
+    def _admit(self, pkt: Packet, on_deliver, created: int) -> tuple | None:
+        """Count an offer of a packet created at ``created`` and take it into
+        the buffer, queued if the link is busy. Returns the packet's item,
+        which the caller serves if the link is idle, or None when the buffer
+        is full (a drop).
 
         Everything but the counts is fixed by the packet's size, class, flow
         and source, so it is looked up once per admission in ``_admits``;
@@ -503,7 +512,7 @@ class Link:
         if entry is None:
             entry = self._new_admission(pkt, key)
         wire, tx, counter, waiting = entry
-        if pkt.created_at < self.metrics.measure_from_us:
+        if created < self.metrics.measure_from_us:
             counter = None
         elif counter is None:
             counter = self.metrics.offered(self.name, pkt, wire)
@@ -516,7 +525,7 @@ class Link:
                 self.metrics.dropped(counter, wire)
             return None
         self._buffered_bits += wire
-        item = (pkt, wire, tx, on_deliver, counter)
+        item = (pkt, wire, tx, on_deliver, counter, created)
         if self._busy:
             waiting.append(item)
         return item
@@ -540,13 +549,16 @@ class Link:
         q._tie += 1
 
     def _finish(self) -> None:
-        """Complete the packet in service and serve the next one."""
-        pkt, wire, _, cb, counter = self._busy
+        """Complete and count the packet in service; serve the next one."""
+        pkt, wire, _, cb, counter, created = self._busy
         self._buffered_bits -= wire
         q = self.queue
         deliver_at = q.now + self.proc_delay_us
         if counter is not None:
-            self.metrics.delivered(counter, wire, deliver_at - pkt.created_at)
+            counter.delivered_pkts += 1
+            counter.delivered_bits += wire
+            table, latency = counter.latencies, deliver_at - created
+            table[latency] = table.get(latency, 0) + 1
         if cb is not None:
             # the delivery takes its tie before the next packet is served,
             # as scheduling it here would, so equal times keep their order

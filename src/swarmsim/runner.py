@@ -15,13 +15,14 @@ Each periodic process (the status tick, each drone's beacon, the flush,
 the waypoint broadcast, each watchdog, the frames of each video call) runs
 as one self-rescheduling series on the event queue, so the queue holds one
 entry per process instead of one per slot of the horizon. The acks of one
-waypoint broadcast go out as one train on the WLAN link, which runs its
-slots inline while no other event intervenes. The leader's relays (video
-and case traffic from the WLAN onto the long-range link and back) are
-delivery callbacks, which a link runs inline when the delivery is the next
-event anyway; each link also caches, per packet size and (class, flow,
-source), what admitting a packet needs. ``run_until`` and ``run_all``
-count inline slots, completions and deliveries as processed events.
+waypoint broadcast go out as one train on the WLAN link, which stamps each
+SD's cached ack with its slot time and runs its slots inline while no
+other event intervenes. The leader's relays (video and case traffic from
+the WLAN onto the long-range link and back) are delivery callbacks, which
+a link runs inline when the delivery is the next event anyway; each link
+also caches, per packet size and (class, flow, source), what admitting a
+packet needs. ``run_until`` and ``run_all`` count inline slots,
+completions and deliveries as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
@@ -162,6 +163,8 @@ class _Mission:
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
+        # SD id -> its flight ack to the acting leader; a train stamps the time
+        self.flight_acks: dict[int, Packet] = {}
 
         # battery drain per airborne second, from the derated budget per role
         self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -379,7 +382,7 @@ class _Mission:
         if not self._beacon_allowed(d):
             return
         pkt = Packet(now, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
-                     src=d.id, dst=self.state.leader_id)
+                     d.id, self.state.leader_id)
         self.wlan.send(pkt, self._on_status_delivered)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
@@ -391,10 +394,10 @@ class _Mission:
             return
         state.aggregation_buffer.append((pkt.src, pkt.created_at))
         if self.cfg.profile == 2:
-            self._mark_leader_activity()
-            ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
-                         src=state.leader_id, dst=pkt.src)
-            self.wlan.send(ack)
+            now = self.q.now
+            leader.telemetry.last_heard = now
+            self.wlan.send(Packet(now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
+                                  leader.id, pkt.src))
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
@@ -437,11 +440,16 @@ class _Mission:
                          if d.phase is not _LANDED], self._flight_ack)
 
     def _flight_ack(self, d) -> Packet | None:
-        """The ack an SD sends at its slot of a waypoint fan-out, if still allowed."""
-        if not self._beacon_allowed(d):
+        """The ack an SD sends at its slot of a waypoint fan-out, if still
+        allowed: one cached packet per SD, rebuilt when the leader changes."""
+        phase, leader_id = d.phase, self.state.leader_id
+        if d.id == leader_id or phase is _LANDED or phase is _FAILED or phase is _ISOLATED:
             return None
-        return Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack",
-                      d.id, self.state.leader_id)
+        ack = self.flight_acks.get(d.id)
+        if ack is None or ack.dst != leader_id:
+            ack = self.flight_acks[d.id] = Packet(
+                0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", d.id, leader_id)
+        return ack
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
@@ -509,16 +517,16 @@ class _Mission:
                              for size, n in sizes], self._relay_video_down)
 
     def _relay_video_up(self, pkt: Packet) -> None:
-        if not self._leader_alive():
-            return
-        self.wimax_ul.send(pkt)
+        state = self.state
+        if state.drones[state.leader_id].alive and not state.aborted:
+            self.wimax_ul.send(pkt)
 
     def _relay_video_down(self, pkt: Packet) -> None:
-        if not self._leader_alive():
-            return
-        relay = Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_down",
-                       src=self.state.leader_id, dst=pkt.dst)
-        self.wlan.send(relay)
+        state = self.state
+        leader_id = state.leader_id
+        if state.drones[leader_id].alive and not state.aborted:
+            self.wlan.send(Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_down",
+                                  leader_id, pkt.dst))
 
     # -- telemetry, prediction, failures ----------------------------------
 

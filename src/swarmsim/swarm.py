@@ -44,16 +44,11 @@ class Phase(Enum):
     ISOLATED = "isolated"
 
 
-# ``Drone.alive`` is read on hot paths, and looking a member up on an Enum
-# class costs several times a module-global read
-_FAILED, _ISOLATED = Phase.FAILED, Phase.ISOLATED
-
-# Phases in which a drone is airborne; everything else sits on the ground
-# (collection happens landed, in power-saving mode).
-AIRBORNE_PHASES = frozenset({
-    Phase.LAUNCHING, Phase.IN_FORMATION, Phase.TRANSIT,
-    Phase.DEPLOYING, Phase.REPORTING, Phase.RETURNING,
-})
+# ``Drone.alive``, ``Drone.airborne`` and ``can_collect`` run on hot paths,
+# where an Enum class lookup costs several module-global reads and set
+# membership calls the Python-level ``Enum.__hash__``: they test identity
+_CONFIGURED, _COLLECTING, _RETURNING = Phase.CONFIGURED, Phase.COLLECTING, Phase.RETURNING
+_LANDED, _FAILED, _ISOLATED = Phase.LANDED, Phase.FAILED, Phase.ISOLATED
 
 
 class PhaseEvent(Enum):
@@ -138,7 +133,10 @@ class Drone:
 
     @property
     def airborne(self) -> bool:
-        return self.phase in AIRBORNE_PHASES
+        """Launched and not collecting (landed, powered down), back or lost."""
+        phase = self.phase
+        return (phase is not _COLLECTING and phase is not _LANDED and phase is not _FAILED
+                and phase is not _ISOLATED and phase is not _CONFIGURED)
 
 
 class CaseClass(Enum):
@@ -186,15 +184,12 @@ class SwarmState:
         return any(d.alive for d in self.drones.values() if d.id != leader_id)
 
 
-# phases in which a drone collects nothing: on its way home, back at the
-# DMC, or lost
-_NOT_COLLECTING = frozenset({Phase.RETURNING, Phase.LANDED, Phase.FAILED, Phase.ISOLATED})
-
-
 def can_collect(drone: Drone) -> bool:
-    """Whether a drone can collect a target: not in a ``_NOT_COLLECTING``
-    phase. Assignment and crediting both ask this."""
-    return drone.phase not in _NOT_COLLECTING
+    """Whether a drone can collect a target: not on its way home, back at
+    the DMC, or lost. Assignment and crediting both ask this."""
+    phase = drone.phase
+    return (phase is not _RETURNING and phase is not _LANDED and phase is not _FAILED
+            and phase is not _ISOLATED)
 
 
 def assign_targets(state: SwarmState, targets: list[int]) -> list[int]:

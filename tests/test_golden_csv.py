@@ -9,9 +9,9 @@ and says why in CHANGES.md.
 
 Two cases drive the control plane rather than the video path: a mission
 whose leader dies in flight, so the flight watchdog hands over, and a
-100-SD swarm. The dispatched-event count of one preset is pinned as well,
-which catches a periodic series that drops or repeats a slot even where
-the CSV would not show it.
+100-SD swarm. The dispatched-event counts of one preset and of these two
+train-heavy cases are pinned as well, which catches a periodic series or
+a train that drops or repeats a slot even where the CSV would not show it.
 """
 import hashlib
 import json
@@ -78,7 +78,19 @@ def test_csv_digest_is_pinned(case, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# dispatched events of a run, inline train slots, completions and
+# deliveries included
+EVENTS = {
+    "scenario1_no_video": (lambda: _preset("scenario1_no_video"), 86_362),
+    "failover_ld_sudden_in_flight": (CASES["failover_ld_sudden_in_flight"][0], 21_812),
+    "swarm100_profile2_two_sessions": (CASES["swarm100_profile2_two_sessions"][0], 196_807),
+}
+
+
 def test_event_count_is_pinned():
-    mission = _Mission(parse_config(_preset("scenario1_no_video")))
-    q = mission.q
-    assert q.run_until(mission.horizon) + q.run_all() == 86_362
+    counts = {}
+    for case, (make, _) in EVENTS.items():
+        mission = _Mission(parse_config(make()))
+        q = mission.q
+        counts[case] = q.run_until(mission.horizon) + q.run_all()
+    assert counts == {case: events for case, (_, events) in EVENTS.items()}

@@ -411,12 +411,12 @@ class TestLinkAgainstReferenceServer:
 
 def one_event_per_slot(server, slots, packet_for):
     """A train as the reference server takes it: each slot its own event,
-    scheduled at registration."""
+    scheduled at registration, sending its packet created at the slot time."""
     for t, x in slots:
-        def offer(x=x):
+        def offer(t=t, x=x):
             pkt = packet_for(x)
             if pkt is not None:
-                server.send(pkt)
+                server.send(pkt._replace(created_at=t))
         server.q.schedule(t, offer)
 
 
@@ -487,6 +487,7 @@ class TestTrainsAgainstReferenceServer:
                 def packet_for(sender, cls=cls, flow=flow, size=size):
                     if sender is None:  # a skipped slot
                         return None
+                    # created earlier than its slot, which a train ignores
                     src, back = sender
                     return Packet(max(0, q.now - back), size, cls, flow, src, 1)
                 q.schedule(t, lambda slots=slots, packet_for=packet_for:

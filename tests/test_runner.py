@@ -448,6 +448,32 @@ class TestRunScenario:
         }))
         assert result.deviations == ["t=300003000us backup unavailable; promoted SD 2 instead"]
 
+    def test_flight_acks_follow_soft_and_hard_handovers(self):
+        # leader 1 hands over to the backup 3 at the 30 s status tick and 3
+        # dies at 60 s, so SD 2 takes command, all in the first flight
+        # window. Each SD's cached ack goes to the acting leader, which
+        # sends none; no CSV row shows an ack's destination.
+        mission = _Mission(small_scenario(failures=[
+            {"kind": "ld_predicted", "drone_id": None, "at_s": 25.0},
+            {"kind": "ld_sudden", "drone_id": None, "at_s": 60.0}]))
+        flight_ack = mission._flight_ack
+        offers = {}  # acting leader -> SD -> destinations of its acks
+
+        def recording(d):
+            pkt = flight_ack(d)
+            if pkt is not None:
+                by_sd = offers.setdefault(mission.state.leader_id, {})
+                by_sd.setdefault(pkt.src, set()).add(pkt.dst)
+            return pkt
+        mission._flight_ack = recording
+        result = mission.run()
+        assert result.deviations == ["t=60603000us backup unavailable; promoted SD 2 instead"]
+        assert offers == {
+            1: {sd: {1} for sd in (2, 3, 4, 5, 6, 7)},
+            3: {sd: {3} for sd in (1, 2, 4, 5, 6, 7)},
+            2: {sd: {2} for sd in (1, 4, 5, 6, 7)},
+        }
+
     @pytest.mark.parametrize("kind, at_s, recovery_s", [
         ("ld_predicted", 511, []), ("ld_sudden", 515, [0.603])])
     def test_handover_on_the_return_leg(self, kind, at_s, recovery_s):
