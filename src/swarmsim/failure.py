@@ -147,8 +147,8 @@ def hard_handover(
     old = state.drones[detection.leader_id]
     if old.alive and now_us - old.telemetry.last_heard <= detection.timeout_us:
         raise RunInvariantError("hard handover requires a dead or long-unheard leader")
-    state.lost_reports += len(state.aggregation_buffer)
-    state.aggregation_buffer.clear()
+    state.lost_reports += state.buffered_reports
+    state.buffered_reports = 0
     candidate, fell_back = _promotion_candidate(state)
     if candidate is None:
         state.aborted = True

@@ -32,13 +32,14 @@ next event anyway (before the heap's first entry and within the running
 through the heap; relays, whose deliveries send onto the next link, mostly
 run this way.
 
-A train (``Link.train``) offers a run of callback-free packets at given
-slots from one heap entry, each created at its slot time, so a sender may
-hand it the same packet at every slot. Like an ``EventQueue.every``
-series it takes one tie when it is registered, so events order exactly as
-if each slot were its own event. While nothing on the heap comes first,
-it runs its next slot inline, and completes inline a packet that found
-the link idle.
+Periodic control sends are trains, periodic checks ``EventQueue.every``
+series. A train (``Link.train``) offers packets, with or without a
+delivery callback, at given slots from one heap entry, each created at its
+slot time, so a sender may hand it the same packet at every slot. Like a
+series it takes one tie when registered, or reuses an earlier one, so
+events order as if each slot were its own event scheduled then. While
+nothing on the heap comes first, it runs its next slot inline, admits its
+packet in place and completes inline a packet that found the link idle.
 The event counts of ``run_until`` and ``run_all`` include these inline
 slots, completions and deliveries.
 
@@ -102,13 +103,14 @@ class EventQueue:
         self._tie += 1
 
     def every(self, first: int, period: int, last: int,
-              fn: Callable[[int], None]) -> None:
+              fn: Callable[[int], None]) -> int | None:
         """Call ``fn(t)`` at first, first + period, ... while t <= last.
 
         The series holds one heap entry and one tie, taken now, so its
         events order against others exactly as if every slot had been
         scheduled here; each dispatch pushes the next slot before ``fn``
-        runs.
+        runs. Returns the tie, which a ``Link.train`` may reuse, or None
+        for a series with no slot.
         """
         if first < self.now:
             raise RunInvariantError(f"cannot schedule at {first} before now={self.now}")
@@ -126,6 +128,7 @@ class EventQueue:
             fn(t)
 
         heapq.heappush(heap, (first, tie, tick))
+        return tie
 
     def run_until(self, t_end: int) -> int:
         """Process every event with timestamp <= t_end; now ends at t_end.
@@ -334,48 +337,74 @@ class _Train:
     ``step``: a closure that pushed itself would form a reference cycle,
     which only the cyclic garbage collector frees."""
 
-    __slots__ = ("link", "slots", "times", "packet_for", "tie", "next")
+    __slots__ = ("link", "times", "xs", "packet_for", "on_deliver", "tie", "next")
 
-    def __init__(self, link: "Link", slots: list, times: list[int],
-                 packet_for: Callable, tie: int):
-        self.link, self.slots, self.times = link, slots, times
-        self.packet_for, self.tie = packet_for, tie
+    def __init__(self, link: "Link", times, xs, packet_for: Callable,
+                 on_deliver: Callable | None, tie: int):
+        self.link, self.times, self.xs = link, times, xs
+        self.packet_for, self.on_deliver, self.tie = packet_for, on_deliver, tie
         self.next = 0  # index of the slot the next step runs
 
     def step(self) -> None:
-        link, times, tie = self.link, self.times, self.tie
-        q, admit, finish_fn = link.queue, link._admit, link._finish
-        packet_for, slots = self.packet_for, self.slots
+        link, times, xs, tie, cb = self.link, self.times, self.xs, self.tie, self.on_deliver
+        q, admits, metrics, finish_fn = link.queue, link._admits, link.metrics, link._finish
+        packet_for, measure_from = self.packet_for, metrics.measure_from_us
         heap, limit = q._heap, q._limit
-        n, i, ran = len(times), self.next, 0
+        # i + ran counts what runs inline: the slots after the first, completions
+        n, i, ran = len(times), self.next, -self.next - 1
+        t = times[i]
         while True:
-            pkt = packet_for(slots[i][1])
-            item = None if pkt is None else admit(pkt, None, times[i])
+            pkt = packet_for(xs[i])
             i += 1
-            if item is not None and not link._busy:
-                # the link was idle and serves the packet now. Its
-                # completion would take a tie later than every pending
-                # one, so it goes first only at a strictly earlier time;
-                # run inline, it takes no tie, which reorders nothing
-                finish = q.now + item[2]
-                link._busy = item
-                if (finish <= limit and (i == n or finish < times[i])
-                        and (not heap or finish < heap[0][0])):
-                    q.now = finish
-                    finish_fn()
-                    ran += 1
+            if pkt is not None:  # admitted in place, as Link.send admits it
+                key = pkt[1:5]
+                entry = admits.get(key)
+                if entry is None:
+                    entry = link._new_admission(pkt, key)
+                wire, tx, counter, waiting = entry
+                if t < measure_from:
+                    counter = None
+                elif counter is None:
+                    counter = metrics.offered(link.name, pkt, wire)
+                    admits[key] = (wire, tx, counter, waiting)
                 else:
-                    q.schedule(finish, finish_fn)
+                    counter.offered_pkts += 1
+                    counter.offered_bits += wire
+                if link._buffered_bits + wire > link.buffer_bits:
+                    if counter is not None:
+                        metrics.dropped(counter, wire)
+                elif link._busy:
+                    link._buffered_bits += wire
+                    waiting.append((pkt, wire, tx, cb, counter, t))
+                else:
+                    # the link was idle and serves the packet now. Its
+                    # completion would take a tie later than every pending
+                    # one, so it goes first only at a strictly earlier time;
+                    # run inline, it takes no tie, which reorders nothing
+                    link._buffered_bits += wire
+                    item = (pkt, wire, tx, cb, counter, t)
+                    finish = t + tx
+                    if (finish <= limit and (i == n or finish < times[i])
+                            and (not heap or finish < heap[0][0])):
+                        link._busy = item
+                        q.now = finish
+                        if cb is not None and i < n:  # deliver inline before the next slot
+                            q._limit = min(limit, times[i] - 1)
+                        finish_fn()
+                        q._limit = limit
+                        ran += 1
+                    else:
+                        link._serve(item)
             if i == n:
                 break
             t = times[i]
-            if t > limit or heap and (heap[0][0] < t or heap[0][0] == t and heap[0][1] < tie):
+            # an entry (time, tie, fn) is less than (t, tie) if it comes first
+            if t > limit or heap and heap[0] < (t, tie):
                 self.next = i
                 heapq.heappush(heap, (t, tie, self.step))
                 break
             q.now = t
-            ran += 1
-        q._inline += ran
+        q._inline += i + ran
 
 
 class Link:
@@ -410,7 +439,7 @@ class Link:
         # tuple, so the attribute's truth says whether the link is busy
         self._busy: tuple | None = None
         # (size, class, flow, source) -> (wire bits, transmission time,
-        # Metrics counter, class queue); see _admit
+        # Metrics counter, class queue); see send
         self._admits: dict[tuple, tuple] = {}
 
     @property
@@ -421,12 +450,33 @@ class Link:
     def send(self, pkt: Packet, on_deliver: Callable[[Packet], None] | None = None) -> bool:
         """Offer a packet at the current simulation time.
 
-        Returns False when the buffer is full (counted as a drop).
+        Returns False when the buffer is full (counted as a drop). What is
+        fixed by the packet's size, class, flow and source is looked up once
+        in ``_admits``; its counter is None until the first measured offer.
         """
-        item = self._admit(pkt, on_deliver, pkt.created_at)
-        if item is None:
+        key = pkt[1:5]
+        entry = self._admits.get(key)
+        if entry is None:
+            entry = self._new_admission(pkt, key)
+        wire, tx, counter, waiting = entry
+        created = pkt.created_at
+        if created < self.metrics.measure_from_us:
+            counter = None
+        elif counter is None:
+            counter = self.metrics.offered(self.name, pkt, wire)
+            self._admits[key] = (wire, tx, counter, waiting)
+        else:
+            counter.offered_pkts += 1
+            counter.offered_bits += wire
+        if self._buffered_bits + wire > self.buffer_bits:
+            if counter is not None:
+                self.metrics.dropped(counter, wire)
             return False
-        if not self._busy:
+        self._buffered_bits += wire
+        item = (pkt, wire, tx, on_deliver, counter, created)
+        if self._busy:
+            waiting.append(item)
+        else:
             self._serve(item)  # an idle link has nothing queued ahead
         return True
 
@@ -468,67 +518,37 @@ class Link:
                 admitted -= 1
             waiting.extend((item,) * admitted)
 
-    def train(self, slots: list[tuple[int, object]],
-              packet_for: Callable[[object], Packet | None]) -> None:
-        """Offer ``packet_for(x)`` at each slot ``(t, x)`` of ``slots``, which
-        are in time order; a slot whose ``packet_for`` returns None offers
-        nothing. Train packets have no delivery callback, and each is
-        created at its slot time ``t``: the ``created_at`` of the packet
-        ``packet_for`` returns is ignored.
+    def train(self, times, xs, packet_for: Callable[[object], Packet | None],
+              on_deliver: Callable[[Packet], None] | None = None,
+              tie: int | None = None) -> None:
+        """Offer ``packet_for(xs[i])`` at each time ``times[i]``, where
+        ``times`` is an ascending list or ``range``; a slot whose
+        ``packet_for`` returns None offers nothing. Each packet is created
+        at its slot time, whatever its ``created_at``, and ``on_deliver``
+        gets it as ``packet_for`` returned it.
 
-        Like ``EventQueue.every``, the train takes one tie now, so its slots
-        order against other events exactly as if each had been scheduled
-        here, and it holds one heap entry. While its next slot comes before
-        the heap's first entry and the running ``run_until`` limit, it runs
-        that slot inline. A packet that finds the link idle
-        and would finish before all three is completed inline too; any
-        other completion is scheduled as ``send`` schedules it. Inline
-        slots and completions count as processed events.
+        Like ``EventQueue.every``, the train takes one tie now, or reuses
+        ``tie`` taken earlier (no other entry of that tie may share a slot's
+        time), so its slots order as if each were scheduled when the tie
+        was taken. It holds one heap entry and runs its next slot inline
+        while that comes before the heap's first entry and the ``run_until``
+        limit. A packet that finds the link idle and would finish before
+        all three completes inline too; any other completion is scheduled
+        as ``send`` schedules it. Inline slots and completions count as
+        processed events.
         """
-        q = self.queue
-        times = [t for t, _ in slots]
         if not times:
             return
+        q = self.queue
         if times[0] < q.now:
             raise RunInvariantError(f"cannot schedule at {times[0]} before now={q.now}")
-        if times != sorted(times):
+        if type(times) is not range and times != sorted(times):
             raise RunInvariantError("train slots must be in time order")
-        train = _Train(self, slots, times, packet_for, q._tie)
-        q._tie += 1
-        heapq.heappush(q._heap, (times[0], train.tie, train.step))
-
-    def _admit(self, pkt: Packet, on_deliver, created: int) -> tuple | None:
-        """Count an offer of a packet created at ``created`` and take it into
-        the buffer, queued if the link is busy. Returns the packet's item,
-        which the caller serves if the link is idle, or None when the buffer
-        is full (a drop).
-
-        Everything but the counts is fixed by the packet's size, class, flow
-        and source, so it is looked up once per admission in ``_admits``;
-        its counter is None until the first measured offer.
-        """
-        key = pkt[1:5]
-        entry = self._admits.get(key)
-        if entry is None:
-            entry = self._new_admission(pkt, key)
-        wire, tx, counter, waiting = entry
-        if created < self.metrics.measure_from_us:
-            counter = None
-        elif counter is None:
-            counter = self.metrics.offered(self.name, pkt, wire)
-            self._admits[key] = (wire, tx, counter, waiting)
-        else:
-            counter.offered_pkts += 1
-            counter.offered_bits += wire
-        if self._buffered_bits + wire > self.buffer_bits:
-            if counter is not None:
-                self.metrics.dropped(counter, wire)
-            return None
-        self._buffered_bits += wire
-        item = (pkt, wire, tx, on_deliver, counter, created)
-        if self._busy:
-            waiting.append(item)
-        return item
+        if tie is None:
+            tie = q._tie
+            q._tie += 1
+        train = _Train(self, times, xs, packet_for, on_deliver, tie)
+        heapq.heappush(q._heap, (times[0], tie, train.step))
 
     def _new_admission(self, pkt: Packet, key: tuple) -> tuple:
         """Make and cache the ``_admits`` entry of a key's first offer."""

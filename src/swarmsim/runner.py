@@ -11,18 +11,19 @@ the leader broadcasts a waypoint update every 0.2 s and every worker
 acknowledges it. Escalated cases file a 500-byte report and, when
 enabled, a bidirectional video call relayed through the leader.
 
-Each periodic process (the status tick, each drone's beacon, the flush,
-the waypoint broadcast, each watchdog, the frames of each video call) runs
-as one self-rescheduling series on the event queue, so the queue holds one
-entry per process instead of one per slot of the horizon. The acks of one
-waypoint broadcast go out as one train on the WLAN link, which stamps each
-SD's cached ack with its slot time and runs its slots inline while no
-other event intervenes. The leader's relays (video and case traffic from
-the WLAN onto the long-range link and back) are delivery callbacks, which
-a link runs inline when the delivery is the next event anyway; each link
-also caches, per packet size and (class, flow, source), what admitting a
-packet needs. ``run_until`` and ``run_all`` count inline slots,
-completions and deliveries as processed events.
+Periodic WLAN control sends are trains and the other periodic processes
+(the status tick, the flush, each watchdog, the frames of each video call)
+are self-rescheduling series, so the queue holds one entry per process
+instead of one per slot of the horizon. A train (``Link.train``) offers
+each flight window's waypoint broadcasts, the acks of each broadcast (one
+cached ack per SD) or, per status tick and on its tie, every drone's
+beacon; it asks at each slot whether the sender still sends, and runs its
+slots inline while no other event intervenes. The leader's relays (video
+and case traffic from the WLAN onto the long-range link and back) are
+delivery callbacks, which a link runs inline when the delivery is the next
+event anyway; each link caches, per packet size, class, flow and source,
+what admitting a packet needs. ``run_until`` and ``run_all`` count inline
+slots, completions and deliveries as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
@@ -94,9 +95,10 @@ CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
 # an SD sends no beacon or acknowledgement once landed or lost; the phases
-# are module globals because an identity test against them is cheaper than
-# hashing an Enum member into a set, and these tests run per packet
-_ISOLATED, _FAILED, _LANDED = Phase.ISOLATED, Phase.FAILED, Phase.LANDED
+# are module globals, and _GONE a tuple, because identity tests against them
+# are cheaper than hashing an Enum member into a set, and they run per packet
+_LANDED = Phase.LANDED
+_GONE = (_LANDED, Phase.FAILED, Phase.ISOLATED)
 
 
 @dataclass
@@ -234,14 +236,12 @@ class _Mission:
         # do not collide in the transmit queue (deterministic stand-in for
         # channel-access backoff).
         every = self.q.every
-        every(SD_STATUS_PERIOD_US, SD_STATUS_PERIOD_US, H, self._status_tick)
-        for d in sorted(self.state.drones):
-            every(SD_STATUS_PERIOD_US + d * BEACON_STAGGER_US, SD_STATUS_PERIOD_US, H,
-                  lambda t, d=d: self._send_beacon(t, d))
+        self.status_tie = every(SD_STATUS_PERIOD_US, SD_STATUS_PERIOD_US, H, self._status_tick)
         every(LD_STATUS_PERIOD_US, LD_STATUS_PERIOD_US, H, self._flush_tick)
         for a, b in self.flight_windows:
             first = a + MOVE_TO_WAYPOINT_PERIOD_US
-            every(first, MOVE_TO_WAYPOINT_PERIOD_US, min(b, H), self._broadcast_tick)
+            slots = range(first, min(b, H) + 1, MOVE_TO_WAYPOINT_PERIOD_US)
+            self.wlan.train(slots, slots, self._waypoint, self._on_waypoint_delivered)
             every(first + WATCHDOG_MARGIN_US, MOVE_TO_WAYPOINT_PERIOD_US,
                   min(b + WATCHDOG_MARGIN_US, H),
                   lambda t: self._watchdog(t, failure_mod.FLIGHT_DETECTION_TIMEOUT_US))
@@ -363,27 +363,26 @@ class _Mission:
     def _mark_leader_activity(self) -> None:
         self.state.leader().telemetry.last_heard = self.q.now
 
-    def _beacon_allowed(self, d) -> bool:
-        phase = d.phase
-        return (d.id != self.state.leader_id and phase is not _LANDED
-                and phase is not _FAILED and phase is not _ISOLATED)
-
     def _status_tick(self, now: int) -> None:
+        # every drone has a beacon slot up to the horizon, on the tick's tie
+        drones = [d for d in self.state.drones.values()
+                  if now + d.id * BEACON_STAGGER_US <= self.horizon]
+        self.wlan.train([now + d.id * BEACON_STAGGER_US for d in drones], drones,
+                        self._beacon, self._on_status_delivered, self.status_tie)
         if self.state.aborted or self.mission_phase is _LANDED:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
         advance_kinematics(self.state, SD_STATUS_PERIOD_US)
 
-    def _send_beacon(self, now: int, drone_id: int) -> None:
-        if self.state.aborted or self.mission_phase is _LANDED:
-            return
-        d = self.state.drones[drone_id]
-        if not self._beacon_allowed(d):
-            return
-        pkt = Packet(now, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
-                     d.id, self.state.leader_id)
-        self.wlan.send(pkt, self._on_status_delivered)
+    def _beacon(self, d) -> Packet | None:
+        """A live, unlanded SD's status report to the leader, until the end."""
+        state = self.state
+        if (state.aborted or self.mission_phase is _LANDED or d.id == state.leader_id
+                or d.phase in _GONE):
+            return None
+        return Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
+                      d.id, state.leader_id)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
@@ -392,7 +391,7 @@ class _Mission:
         if not leader.alive:
             state.lost_reports += 1
             return
-        state.aggregation_buffer.append((pkt.src, pkt.created_at))
+        state.buffered_reports += 1
         if self.cfg.profile == 2:
             now = self.q.now
             leader.telemetry.last_heard = now
@@ -409,41 +408,42 @@ class _Mission:
                 state.deviations.append(f"t={now}us leader has no SDs to aggregate")
                 self.warned_no_sds = True
             return
-        batch = list(state.aggregation_buffer)
-        state.aggregation_buffer.clear()
+        batch, state.buffered_reports = state.buffered_reports, 0
         self._mark_leader_activity()
         pkt = Packet(now, HEADER_LEN + status_report_ld_length(n), CONTROL,
                      "ld_status", src=state.leader_id, dst=DMC_ID)
         if not self.wimax_ul.send(pkt, lambda p: self._on_flush_delivered(p, batch)):
-            state.lost_reports += len(batch)
+            state.lost_reports += batch
 
-    def _on_flush_delivered(self, pkt: Packet, batch: list) -> None:
-        self.reports_delivered += len(batch)
+    def _on_flush_delivered(self, pkt: Packet, batch: int) -> None:
+        self.reports_delivered += batch
         if self.cfg.profile == 2:
             ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
                          src=DMC_ID, dst=pkt.src)
             self.wimax_dl.send(ack)
 
-    def _broadcast_tick(self, now: int) -> None:
-        if self.state.aborted or self.mission_phase is _LANDED or not self._leader_alive():
-            return
+    def _waypoint(self, _t: int) -> Packet | None:
+        """A live leader's broadcast, until the end; it marks its activity."""
         state = self.state
-        self._mark_leader_activity()
-        pkt = Packet(now, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL,
-                     "move_to_waypoint", src=state.leader_id, dst=BROADCAST_ID)
-        self.wlan.send(pkt, self._on_waypoint_delivered)
+        leader = state.drones[state.leader_id]
+        if self.mission_phase is _LANDED or state.aborted or not leader.alive:
+            return None
+        leader.telemetry.last_heard = self.q.now
+        return Packet(0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL,
+                      "move_to_waypoint", src=leader.id, dst=BROADCAST_ID)
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
-        # alive_sds holds no lost SD, and its id order is the slots' time order
-        now = self.q.now
-        self.wlan.train([(now + d.id * ACK_STAGGER_US, d) for d in self.state.alive_sds()
-                         if d.phase is not _LANDED], self._flight_ack)
+        # the live, unlanded SDs in id order, which is the slots' time order
+        now, leader_id = self.q.now, self.state.leader_id
+        sds = [d for d in self.state.drones.values()
+               if d.phase not in _GONE and d.id != leader_id]
+        self.wlan.train([now + d.id * ACK_STAGGER_US for d in sds], sds, self._flight_ack)
 
     def _flight_ack(self, d) -> Packet | None:
         """The ack an SD sends at its slot of a waypoint fan-out, if still
         allowed: one cached packet per SD, rebuilt when the leader changes."""
-        phase, leader_id = d.phase, self.state.leader_id
-        if d.id == leader_id or phase is _LANDED or phase is _FAILED or phase is _ISOLATED:
+        leader_id = self.state.leader_id
+        if d.id == leader_id or d.phase in _GONE:
             return None
         ack = self.flight_acks.get(d.id)
         if ack is None or ack.dst != leader_id:
@@ -561,12 +561,11 @@ class _Mission:
 
     def _watchdog(self, now: int, timeout_us: int) -> None:
         state = self.state
-        # the watchdog runs on an SD, so it stops when none is left
-        if (state.aborted or self.mission_phase is _LANDED or self.handover_pending
-                or not state.has_alive_sd()):
+        if state.aborted or self.mission_phase is _LANDED or self.handover_pending:
             return
         detection = failure_mod.detect_ld_loss(state, now, timeout_us)
-        if detection is None:
+        # the watchdog runs on an SD, so it stops when none is left
+        if detection is None or not state.has_alive_sd():
             return
         self.handover_pending = True
         promote_at = now + failure_mod.PROMOTION_PROCESSING_US
@@ -665,7 +664,7 @@ class _Mission:
             raise RunInvariantError(
                 "landed mission has a malformed phase trace: "
                 + " ".join(p.value for p in self.trace))
-        buffered = len(state.aggregation_buffer)
+        buffered = state.buffered_reports
         if self.reports_to_leader != self.reports_delivered + state.lost_reports + buffered:
             raise RunInvariantError(
                 f"{self.reports_to_leader} status reports reached the leader, but "

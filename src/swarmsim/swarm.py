@@ -160,7 +160,7 @@ class SwarmState:
     backup_id: int | None
     # SD status reports held by the acting leader between flushes; carried
     # across a soft handover, lost on a hard one.
-    aggregation_buffer: list = field(default_factory=list)
+    buffered_reports: int = 0
     assignments: dict[int, int] = field(default_factory=dict)  # sd id -> target
     pending_targets: list[int] = field(default_factory=list)
     collected: list[int] = field(default_factory=list)

@@ -44,12 +44,12 @@ class TestSoftHandover:
     def test_backup_promoted_and_old_leader_power_saves(self):
         state = collecting_swarm()
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
-        state.aggregation_buffer.append(object())
+        state.buffered_reports = 1
         out = soft_handover(state, now_us=1_000)
         assert out.leader_id == 3
         assert 1 in [d.id for d in out.alive_sds()]
         # lossless by design: buffer survives, nothing charged to losses
-        assert len(out.aggregation_buffer) == 1
+        assert out.buffered_reports == 1
         assert out.lost_reports == 0
         assert out.recovery_times_us == []
 
@@ -127,14 +127,14 @@ class TestDetection:
 class TestHardHandover:
     def test_promotion_recovery_and_aggregate_loss(self):
         state = collecting_swarm()
-        state.aggregation_buffer.extend([object(), object()])
+        state.buffered_reports = 2
         state.drones[1].phase = Phase.FAILED
         detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
         out = hard_handover(state, detection, now_us=61_000_000,
                             failed_at_us=30_000_000)
         assert out.leader_id == 3
         # the in-flight aggregate dies with the old leader
-        assert out.aggregation_buffer == []
+        assert out.buffered_reports == 0
         assert out.lost_reports == 2
         # recovery measures failure-to-promotion
         assert out.recovery_times_us == [31_000_000]

@@ -409,15 +409,63 @@ class TestLinkAgainstReferenceServer:
             max(0, real_q.now - measure_from))
 
 
-def one_event_per_slot(server, slots, packet_for):
+def one_event_per_slot(server, times, xs, packet_for, on_deliver=None):
     """A train as the reference server takes it: each slot its own event,
     scheduled at registration, sending its packet created at the slot time."""
-    for t, x in slots:
+    for t, x in zip(times, xs):
         def offer(t=t, x=x):
             pkt = packet_for(x)
             if pkt is not None:
-                server.send(pkt._replace(created_at=t))
+                server.send(pkt._replace(created_at=t), on_deliver)
         server.q.schedule(t, offer)
+
+
+def drive_with_trains(q, link, sends, register_trains, split):
+    """Schedule ``sends`` (time, class, flow, bytes, callback, source) after
+    ``register_trains(callbacks)`` and run to ``split``, then to the end.
+    A delivery is recorded without its creation time, which a train
+    ignores in the packet it hands on; latencies show it."""
+    returns, deliveries = [], []
+
+    def record(pkt):
+        deliveries.append((q.now, pkt[1:]))
+
+    def reply(pkt):
+        record(pkt)
+        answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
+        returns.append(link.send(answer, record))
+
+    callbacks = {"none": None, "record": record, "reply": reply}
+    register_trains(callbacks)
+    for t, cls, flow, size, mode, src in sends:
+        pkt = Packet(t, size, cls, flow, src, 1)
+        q.schedule(t, lambda pkt=pkt, cb=callbacks[mode]:
+                   returns.append(link.send(pkt, cb)))
+    first = (q.run_until(split), q.now)
+    return returns, deliveries, first, q.run_all()
+
+
+def reference_pair(kind, buffer_bits, measure_from):
+    """A real link and the reference server, each on its own queue."""
+    builder, params, class_order, class_key = LINK_KINDS[kind]
+    p = params(buffer_bits=buffer_bits)
+    metrics = Metrics(measure_from_us=measure_from)
+    real = builder(EventQueue(), p, metrics, "link")
+    ref = ReferenceServer(
+        EventQueue(), "link", real.rate_bps, buffer_bits, p.overhead_bytes,
+        real.proc_delay_us, class_order, class_key, measure_from)
+    return real, ref, metrics
+
+
+SENDS = st.lists(st.tuples(
+    st.integers(0, 30).map(lambda k: 10 * k),              # send time
+    st.sampled_from(["control", "video", "best_effort"]),
+    st.sampled_from(["sd_status", "case_report", "video_up"]),
+    st.integers(1, 1500),                                  # bytes
+    st.sampled_from(["none", "record", "reply"]),          # delivery callback
+    # the trains' sources, so that sends and trains share counters
+    st.integers(0, 3),                                     # source
+), max_size=20)
 
 
 class TestTrainsAgainstReferenceServer:
@@ -428,20 +476,13 @@ class TestTrainsAgainstReferenceServer:
         measure_from=st.sampled_from([0, 120]),
         # times are multiples of 10 us so that slots, sends and completions
         # often coincide
-        sends=st.lists(st.tuples(
-            st.integers(0, 30).map(lambda k: 10 * k),              # send time
-            st.sampled_from(["control", "video", "best_effort"]),
-            st.sampled_from(["sd_status", "case_report", "video_up"]),
-            st.integers(1, 1500),                                  # bytes
-            st.sampled_from(["none", "record", "reply"]),          # delivery callback
-            # the trains' sources, so that sends and trains share counters
-            st.integers(0, 3),                                     # source
-        ), max_size=20),
+        sends=SENDS,
         trains=st.lists(st.tuples(
             st.integers(0, 20).map(lambda k: 10 * k),              # registration time
             st.sampled_from(["control", "video", "best_effort"]),
             st.sampled_from(["flight_ack", "case_report"]),
             st.integers(1, 600),                                   # bytes
+            st.sampled_from(["none", "record", "reply"]),          # delivery callback
             st.lists(st.tuples(
                 st.integers(0, 4).map(lambda k: 10 * k),           # gap to the previous slot
                 st.one_of(st.none(), st.tuples(
@@ -453,66 +494,113 @@ class TestTrainsAgainstReferenceServer:
     )
     def test_same_returns_deliveries_events_and_snapshot(self, kind, buffer_bits, measure_from,
                                                          sends, trains, split):
-        builder, params, class_order, class_key = LINK_KINDS[kind]
-        p = params(buffer_bits=buffer_bits)
-        real_q, ref_q = EventQueue(), EventQueue()
-        metrics = Metrics(measure_from_us=measure_from)
-        real = builder(real_q, p, metrics, "link")
-        ref = ReferenceServer(
-            ref_q, "link", real.rate_bps, buffer_bits, p.overhead_bytes,
-            real.proc_delay_us, class_order, class_key, measure_from)
+        real, ref, metrics = reference_pair(kind, buffer_bits, measure_from)
 
-        def drive(q, link, register):
-            returns, deliveries = [], []
+        def registering(q, link, register):
+            def register_trains(callbacks):
+                for t, cls, flow, size, mode, gaps in trains:
+                    times, senders, at = [], [], t
+                    for gap, sender in gaps:
+                        at += gap
+                        times.append(at)
+                        senders.append(sender)
 
-            def record(pkt):
-                deliveries.append((q.now, pkt))
+                    def packet_for(sender, cls=cls, flow=flow, size=size):
+                        if sender is None:  # a skipped slot
+                            return None
+                        # created earlier than its slot, which a train ignores
+                        src, back = sender
+                        return Packet(max(0, q.now - back), size, cls, flow, src, 1)
+                    q.schedule(t, lambda times=times, senders=senders, packet_for=packet_for,
+                               cb=callbacks[mode]:
+                               register(link, times, senders, packet_for, cb))
+            return register_trains
 
-            def reply(pkt):
-                record(pkt)
-                answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
-                returns.append(link.send(answer, record))
-
-            callbacks = {"none": None, "record": record, "reply": reply}
-            for t, cls, flow, size, mode, src in sends:
-                pkt = Packet(t, size, cls, flow, src, 1)
-                q.schedule(t, lambda pkt=pkt, cb=callbacks[mode]:
-                           returns.append(link.send(pkt, cb)))
-            for t, cls, flow, size, gaps in trains:
-                slots, at = [], t
-                for gap, sender in gaps:
-                    at += gap
-                    slots.append((at, sender))
-
-                def packet_for(sender, cls=cls, flow=flow, size=size):
-                    if sender is None:  # a skipped slot
-                        return None
-                    # created earlier than its slot, which a train ignores
-                    src, back = sender
-                    return Packet(max(0, q.now - back), size, cls, flow, src, 1)
-                q.schedule(t, lambda slots=slots, packet_for=packet_for:
-                           register(link, slots, packet_for))
-            first = (q.run_until(split), q.now)
-            return returns, deliveries, first, q.run_all()
-
-        assert drive(real_q, real, Link.train) == drive(ref_q, ref, one_event_per_slot)
+        real_q, ref_q = real.queue, ref.q
+        assert (drive_with_trains(real_q, real, sends, registering(real_q, real, Link.train),
+                                  split)
+                == drive_with_trains(ref_q, ref, sends,
+                                     registering(ref_q, ref, one_event_per_slot), split))
         assert real_q.now == ref_q.now
         assert metrics_snapshot(metrics, real_q.now) == ref.record(
             max(0, real_q.now - measure_from))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(LINK_KINDS)),
+        buffer_bits=st.sampled_from([3_000, 1_000_000]),
+        sends=SENDS,
+        mode=st.sampled_from(["none", "record", "reply"]),
+        size=st.integers(1, 600),
+        # slot offsets after each tick of a 60 us series, inside its period
+        offsets=st.lists(st.integers(1, 5).map(lambda k: 10 * k), min_size=1, max_size=5,
+                         unique=True).map(sorted),
+        split=st.integers(0, 80).map(lambda k: 5 * k),
+    )
+    def test_a_train_on_an_earlier_tie_orders_as_if_scheduled_then(
+            self, kind, buffer_bits, sends, mode, size, offsets, split):
+        # each tick of a series registers a train on the series' tie, taken
+        # before the sends are scheduled, so a slot runs before a send at
+        # the same time: the reference schedules every slot with the series
+        period, last = 60, 240
+        real, ref, metrics = reference_pair(kind, buffer_bits, 0)
+
+        def packet_for(offset):
+            return Packet(0, size, "control", "flight_ack", offset // 20, 1)
+
+        def trains_on_the_series_tie(callbacks):
+            tie = None
+
+            def tick(t):
+                real.train([t + o for o in offsets], offsets, packet_for,
+                           callbacks[mode], tie)
+            tie = real.queue.every(0, period, last, tick)
+
+        def slots_with_the_series(callbacks):
+            ref.q.every(0, period, last, lambda t: None)
+            for t in range(0, last + 1, period):
+                one_event_per_slot(ref, [t + o for o in offsets], offsets, packet_for,
+                                   callbacks[mode])
+
+        assert (drive_with_trains(real.queue, real, sends, trains_on_the_series_tie, split)
+                == drive_with_trains(ref.q, ref, sends, slots_with_the_series, split))
+        assert real.queue.now == ref.q.now
+        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
+
+    def test_a_delivery_due_after_the_next_slot_waits_for_it(self):
+        # 10 bytes finish 15 us after the slot at 0 us, before the slot at
+        # 50 us, and are delivered 100 us later: the reply to the first
+        # packet goes out after the second packet, as in the reference
+        real, ref, metrics = reference_pair("fifo", 1_000_000, 0)
+
+        def packet_for(src):
+            return Packet(0, 10, "control", "flight_ack", src, 1)
+
+        def registering(register, link):
+            return lambda callbacks: register(link, [0, 50], [2, 3], packet_for,
+                                              callbacks["reply"])
+
+        got = drive_with_trains(real.queue, real, [], registering(Link.train, real), 1_000)
+        assert got == drive_with_trains(ref.q, ref, [], registering(one_event_per_slot, ref),
+                                        1_000)
+        assert [(t, pkt[:3]) for t, pkt in got[1]] == [
+            (115, (10, "control", "flight_ack")), (165, (10, "control", "flight_ack")),
+            (234, (40, "control", "ack")), (284, (40, "control", "ack"))]
+        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
 
     def test_slots_out_of_time_order_rejected(self):
         q = EventQueue()
         link = build_wlan_link(q, WlanParams(), Metrics())
         with pytest.raises(RunInvariantError, match="time order"):
-            link.train([(5, 2), (4, 3)], lambda src: None)
+            link.train([5, 4], [2, 3], lambda src: None)
         q.run_until(10)
         with pytest.raises(RunInvariantError):
-            link.train([(9, 2)], lambda src: None)
+            link.train(range(9, 20), range(11), lambda src: None)
 
     def test_inline_slots_count_as_events(self):
         q = EventQueue()
         link = build_wlan_link(q, WlanParams(), Metrics())
-        link.train([(100 * k, k) for k in range(5)],
+        link.train(range(0, 500, 100), range(5),
                    lambda src: Packet(q.now, 10, flow="flight_ack", src=src))
         # the first slot comes off the heap, the next two slots and their
         # completions run inline; the 200 us slot's completion at 215 us

@@ -44,13 +44,13 @@ def wire_lengths_by_flow():
             sizes[pkt.flow].add(pkt.size_bytes)
         return burst(self, runs, on_deliver)
 
-    def recording_train(self, slots, packet_for):
+    def recording_train(self, times, xs, packet_for, on_deliver=None, tie=None):
         def recording_packet_for(x):
             pkt = packet_for(x)
             if pkt is not None:
                 sizes[pkt.flow].add(pkt.size_bytes)
             return pkt
-        return train(self, slots, recording_packet_for)
+        return train(self, times, xs, recording_packet_for, on_deliver, tie)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Link, "send", recording_send)
@@ -73,6 +73,10 @@ class TestEncoding:
 
     def test_sd_status_wire_length_is_21(self, wire_lengths_by_flow):
         assert wire_lengths_by_flow["sd_status"] == {21}
+
+    def test_move_to_waypoint_wire_length_is_32(self, wire_lengths_by_flow):
+        # three 64-bit coordinates behind the 8-byte header
+        assert wire_lengths_by_flow["move_to_waypoint"] == {32}
 
     def test_case_report_wire_length_is_508(self, wire_lengths_by_flow):
         assert wire_lengths_by_flow["case_report"] == {508}

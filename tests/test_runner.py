@@ -406,7 +406,46 @@ class TestRunScenario:
         result = mission.run()
         assert result.sd_reports_lost > 0
         assert len(reached) == (result.sd_reports_delivered + result.sd_reports_lost
-                                + len(mission.state.aggregation_buffer))
+                                + mission.state.buffered_reports)
+
+    def test_status_reports_come_from_live_sds_to_the_acting_leader(self):
+        # the leader is lost in flight at 50 s and SD 3 takes over by a hard
+        # handover; SD 4 is lost at 150 s; the mission lands at 420 s
+        mission = _Mission(small_scenario(failures=[
+            {"kind": "ld_sudden", "at_s": 50.0},
+            {"kind": "sd_sudden", "drone_id": 4, "at_s": 150.0}]))
+        state, q = mission.state, mission.q
+        slots = []  # (time, drone, offered, eligible) of each beacon slot
+        train = mission.wlan.train
+
+        def recording_train(times, xs, packet_for, on_deliver=None, tie=None):
+            if packet_for != mission._beacon:
+                return train(times, xs, packet_for, on_deliver, tie)
+
+            def recording(d):
+                pkt = packet_for(d)
+                eligible = (d.alive and d.id != state.leader_id and d.phase is not Phase.LANDED
+                            and mission.mission_phase is not Phase.LANDED)
+                slots.append((q.now, d.id, pkt is not None, eligible))
+                if pkt is not None:
+                    assert (pkt.flow, pkt.src, pkt.dst) == ("sd_status", d.id, state.leader_id)
+                return pkt
+            return train(times, xs, recording, on_deliver, tie)
+
+        mission.wlan.train = recording_train
+        result = mission.run()
+        assert result.recovery_times_s and not result.aborted
+        assert [(t, d) for t, d, offered, eligible in slots if offered != eligible] == []
+        offers = {(t // 10**7, d) for t, d, offered, _ in slots if offered}
+        # every drone has a slot per tick, from 10 s to 420 s: the slots of
+        # the 430 s tick lie past the horizon
+        assert len(slots) == 7 * 42
+        # the leader and SD 3 swap roles; SD 4 reports until it is lost
+        assert (4, 1) not in offers and (4, 3) in offers
+        assert (6, 3) not in offers and (6, 1) not in offers and (6, 2) in offers
+        assert (14, 4) in offers and (15, 4) not in offers
+        last = max(t for t, _, offered, _ in slots if offered)
+        assert last < mission.ended_at == 420_000_000 < slots[-1][0]
 
     def test_soft_handover_skips_returning_and_failing_sds(self):
         # every drone runs low on the long hops; a soft handover used to
@@ -615,9 +654,13 @@ class TestRunScenario:
 
     def test_status_report_the_leader_never_received_is_an_internal_error(self):
         mission = _Mission(small_scenario())
+        state = mission.state
+
+        def buffer_undelivered_report():
+            state.buffered_reports += 1
+
         # a report appears in the leader's buffer without a delivery
-        mission.q.schedule(mission.horizon, lambda: mission.state.aggregation_buffer.append(
-            (2, mission.horizon)))
+        mission.q.schedule(mission.horizon, buffer_undelivered_report)
         with pytest.raises(RunInvariantError, match="status reports reached the leader"):
             mission.run()
 

@@ -15,6 +15,7 @@ the failed share of missions, and per end-to-end metric of the change's
 ``BENCHMARK.json`` each side's runs, median and quartiles
 (``statistics.quantiles(n=4)``), the change's median over the parent's
 minus one, and the pairs the change won (ties count for neither side).
+After writing the file it prints one summary line per workload and metric.
 """
 from __future__ import annotations
 
@@ -87,6 +88,21 @@ def compare(metric: dict, runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def summary_lines(workload: str, out: dict) -> list[str]:
+    """One line per end-to-end metric: the change's median against the
+    parent's and the pairs the change won."""
+    if "metrics" not in out:
+        return [f"{workload}: not compared, a run was incorrect ({out['correct']})"]
+    lines = []
+    for name, m in out["metrics"].items():
+        delta = m["change_vs_parent"]
+        change = "n/a" if delta is None else f"{delta:+.1%}"
+        lines.append(f"{workload} {name}: change vs parent {change}, "
+                     f"pairs won {m['pairs_won_by_change']}/{out['pairs']} "
+                     f"({m['better']} is better)")
+    return lines
+
+
 def ab_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
                 seconds: float, metrics: list[dict]) -> dict:
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
@@ -145,6 +161,8 @@ def main(argv: list[str] | None = None) -> int:
                       for w in workloads},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    for workload, out in result["workloads"].items():
+        print(*summary_lines(workload, out), sep="\n")
     return 0 if all(all(w["correct"].values()) for w in result["workloads"].values()) else 1
 
 
