@@ -230,11 +230,11 @@ class _Mission:
                     PhaseEvent.REPOSITION_COMPLETE))
         ev(land_at, lambda: self._mission_transition(PhaseEvent.LANDED_AT_BASE))
 
-        # periodic traffic, telemetry, and watchdog ticks run as series;
-        # events at equal times run in the order their series are created
-        # here. Per-drone send slots are staggered so synchronized reports
-        # do not collide in the transmit queue (deterministic stand-in for
-        # channel-access backoff).
+        # periodic WLAN sends run as trains, the flush and the telemetry and
+        # watchdog ticks as series; events at equal times run in the order
+        # their trains and series take ties here. Per-drone send slots are
+        # staggered so synchronized reports do not collide in the transmit
+        # queue (deterministic stand-in for channel-access backoff).
         every = self.q.every
         self.status_tie = every(SD_STATUS_PERIOD_US, SD_STATUS_PERIOD_US, H, self._status_tick)
         every(LD_STATUS_PERIOD_US, LD_STATUS_PERIOD_US, H, self._flush_tick)
