@@ -15,10 +15,14 @@ Periodic WLAN control sends are trains and the other periodic processes
 (the status tick, the flush, each watchdog, the frames of each video call)
 are self-rescheduling series, so the queue holds one entry per process
 instead of one per slot of the horizon. A train (``Link.train``) offers
-each flight window's waypoint broadcasts, the acks of each broadcast (one
-cached ack per SD) or, per status tick and on its tie, every drone's
-beacon; it asks at each slot whether the sender still sends, and runs its
-slots inline while no other event intervenes. The leader's relays (video
+each flight window's waypoint broadcasts, the acks of each broadcast or,
+per status tick and on its tie, every drone's beacon, and runs its slots
+inline while no other event intervenes. An ack or beacon slot looks its
+sender up in a roster table (``flight_acks``, ``beacons``) that holds the
+SDs that send now with their cached packets; every event that changes who
+sends (a mission transition, a landing, a loss, a handover, an abort)
+refreshes both tables in place, so a refresh between two slots of one
+train reaches the later slot. The leader's relays (video
 and case traffic from the WLAN onto the long-range link and back) are
 delivery callbacks, which a link runs inline when the delivery is the next
 event anyway; each link caches, per packet size, class, flow and source,
@@ -96,7 +100,7 @@ BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
 # an SD sends no beacon or acknowledgement once landed or lost; the phases
 # are module globals, and _GONE a tuple, because identity tests against them
-# are cheaper than hashing an Enum member into a set, and they run per packet
+# are cheaper than hashing an Enum member into a set
 _LANDED = Phase.LANDED
 _GONE = (_LANDED, Phase.FAILED, Phase.ISOLATED)
 
@@ -165,8 +169,11 @@ class _Mission:
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
-        # SD id -> its flight ack to the acting leader; a train stamps the time
+        # SD id -> its flight ack or status beacon to the acting leader, for
+        # the SDs that send now; _refresh_senders keeps them from the launch
+        # on, and a train stamps each packet with its slot time
         self.flight_acks: dict[int, Packet] = {}
+        self.beacons: dict[int, Packet] = {}
 
         # battery drain per airborne second, from the derated budget per role
         self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -268,6 +275,7 @@ class _Mission:
         if self.mission_phase is Phase.LANDED:
             self.ended_at = self.q.now
         self._sync_drone_phases()
+        self._refresh_senders()
         self._update_waypoints()
 
     def _sync_drone_phases(self) -> None:
@@ -363,26 +371,35 @@ class _Mission:
     def _mark_leader_activity(self) -> None:
         self.state.leader().telemetry.last_heard = self.q.now
 
+    def _senders(self) -> tuple[dict[int, Packet], dict[int, Packet]]:
+        """The flight acks and beacons of the live, unlanded SDs to the
+        acting leader, in id order; no beacons once the mission is over."""
+        state = self.state
+        leader_id = state.leader_id
+        sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
+        acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i, leader_id)
+                for i in sds}
+        if state.aborted or self.mission_phase is _LANDED:
+            return acks, {}
+        return acks, {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
+                                i, leader_id) for i in sds}
+
+    def _refresh_senders(self) -> None:
+        """Refill the roster tables in place: a train holds their ``get``."""
+        for table, fresh in zip((self.flight_acks, self.beacons), self._senders()):
+            table.clear()
+            table.update(fresh)
+
     def _status_tick(self, now: int) -> None:
         # every drone has a beacon slot up to the horizon, on the tick's tie
-        drones = [d for d in self.state.drones.values()
-                  if now + d.id * BEACON_STAGGER_US <= self.horizon]
-        self.wlan.train([now + d.id * BEACON_STAGGER_US for d in drones], drones,
-                        self._beacon, self._on_status_delivered, self.status_tie)
+        ids = [i for i in self.state.drones if now + i * BEACON_STAGGER_US <= self.horizon]
+        self.wlan.train([now + i * BEACON_STAGGER_US for i in ids], ids,
+                        self.beacons.get, self._on_status_delivered, self.status_tie)
         if self.state.aborted or self.mission_phase is _LANDED:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
         advance_kinematics(self.state, SD_STATUS_PERIOD_US)
-
-    def _beacon(self, d) -> Packet | None:
-        """A live, unlanded SD's status report to the leader, until the end."""
-        state = self.state
-        if (state.aborted or self.mission_phase is _LANDED or d.id == state.leader_id
-                or d.phase in _GONE):
-            return None
-        return Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
-                      d.id, state.leader_id)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
@@ -433,23 +450,11 @@ class _Mission:
                       "move_to_waypoint", src=leader.id, dst=BROADCAST_ID)
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
-        # the live, unlanded SDs in id order, which is the slots' time order
-        now, leader_id = self.q.now, self.state.leader_id
-        sds = [d for d in self.state.drones.values()
-               if d.phase not in _GONE and d.id != leader_id]
-        self.wlan.train([now + d.id * ACK_STAGGER_US for d in sds], sds, self._flight_ack)
-
-    def _flight_ack(self, d) -> Packet | None:
-        """The ack an SD sends at its slot of a waypoint fan-out, if still
-        allowed: one cached packet per SD, rebuilt when the leader changes."""
-        leader_id = self.state.leader_id
-        if d.id == leader_id or d.phase in _GONE:
-            return None
-        ack = self.flight_acks.get(d.id)
-        if ack is None or ack.dst != leader_id:
-            ack = self.flight_acks[d.id] = Packet(
-                0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", d.id, leader_id)
-        return ack
+        # the SDs that ack now, in id order, which is the slots' time order;
+        # one lost before its slot finds no ack there
+        now, acks = self.q.now, self.flight_acks
+        ids = list(acks)
+        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, acks.get)
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
@@ -543,6 +548,7 @@ class _Mission:
             if d.phase is Phase.RETURNING and d.waypoint is not None:
                 if d.position == d.waypoint:
                     d.phase = transition_phase(d.phase, PhaseEvent.LANDED_AT_BASE)
+                    self._refresh_senders()
 
     def _check_leader_prediction(self, now: int) -> None:
         state = self.state
@@ -556,6 +562,7 @@ class _Mission:
                 failure_mod.soft_handover(state, now)
                 if state.leader_id == leader.id:
                     self.kept_command = leader.id
+                self._refresh_senders()
                 state.leader().telemetry.last_heard = now
                 self._update_waypoints()
 
@@ -581,11 +588,12 @@ class _Mission:
                                   failed_at_us=self.leader_killed_at)
         if state.aborted:
             self.ended_at = self.q.now
-            return
-        state.leader().telemetry.last_heard = self.q.now
-        if not old.alive:
-            failure_mod.isolate_drone(state, old.id)
-        self._update_waypoints()
+        else:
+            state.leader().telemetry.last_heard = self.q.now
+            if not old.alive:
+                failure_mod.isolate_drone(state, old.id)
+            self._update_waypoints()
+        self._refresh_senders()
 
     def _apply_failure(self, f) -> None:
         state = self.state
@@ -639,11 +647,13 @@ class _Mission:
         drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
         for call in [c for c in self.active_calls if c[0] == drone.id]:
             self._end_call(*call, self.q.now)
+        self._refresh_senders()
 
     def _abort(self, reason: str) -> None:
         self.state.aborted = True
         self.ended_at = self.q.now
         self.state.deviations.append(f"t={self.q.now}us {reason}; mission aborted")
+        self._refresh_senders()
 
     def _failure_not_applied(self, f, reason: str) -> None:
         drone = self.state.leader_id if f.drone_id is None else f.drone_id
@@ -670,6 +680,10 @@ class _Mission:
                 f"{self.reports_to_leader} status reports reached the leader, but "
                 f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
                 f"and {buffered} are still buffered")
+        if (self.flight_acks, self.beacons) != self._senders():
+            raise RunInvariantError(
+                f"roster tables {sorted(self.flight_acks)} (acks) and "
+                f"{sorted(self.beacons)} (beacons) miss the drones' final state")
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

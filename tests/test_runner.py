@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
@@ -62,6 +63,37 @@ def small_scenario(**overrides):
     }
     data.update(overrides)
     return parse_config(data, name=data["name"])
+
+
+# the mission's table that holds the packets of each flow trains offer per SD
+FLOW_TABLES = {"flight_ack": "flight_acks", "sd_status": "beacons"}
+
+
+def record_offers(mission, observe=lambda x: None):
+    """Wrap the mission's WLAN ``train`` to record, per flow of
+    ``FLOW_TABLES``, each slot as (time, slot argument, packet or None,
+    ``observe(slot argument)`` called at the slot). A slot of a flow offers
+    a packet of that flow, or offers nothing from the table that holds
+    them."""
+    slots = {flow: [] for flow in FLOW_TABLES}
+    train, q = mission.wlan.train, mission.q
+    tables = [(getattr(mission, name), flow) for flow, name in FLOW_TABLES.items()
+              if hasattr(mission, name)]
+
+    def recording_train(times, xs, packet_for, on_deliver=None, tie=None):
+        owner = getattr(packet_for, "__self__", None)
+        table_flow = next((flow for table, flow in tables if owner is table), None)
+
+        def recording(x):
+            pkt = packet_for(x)
+            flow = table_flow if pkt is None else pkt.flow
+            if flow in slots:
+                slots[flow].append((q.now, x, pkt, observe(x)))
+            return pkt
+        return train(times, xs, recording, on_deliver, tie)
+
+    mission.wlan.train = recording_train
+    return slots
 
 
 class TestConfigParsing:
@@ -414,26 +446,21 @@ class TestRunScenario:
         mission = _Mission(small_scenario(failures=[
             {"kind": "ld_sudden", "at_s": 50.0},
             {"kind": "sd_sudden", "drone_id": 4, "at_s": 150.0}]))
-        state, q = mission.state, mission.q
-        slots = []  # (time, drone, offered, eligible) of each beacon slot
-        train = mission.wlan.train
+        state = mission.state
 
-        def recording_train(times, xs, packet_for, on_deliver=None, tie=None):
-            if packet_for != mission._beacon:
-                return train(times, xs, packet_for, on_deliver, tie)
+        def at_slot(sd_id):  # (eligible, acting leader) when the slot runs
+            d = state.drones[sd_id]
+            return (d.alive and d.id != state.leader_id and d.phase is not Phase.LANDED
+                    and mission.mission_phase is not Phase.LANDED), state.leader_id
 
-            def recording(d):
-                pkt = packet_for(d)
-                eligible = (d.alive and d.id != state.leader_id and d.phase is not Phase.LANDED
-                            and mission.mission_phase is not Phase.LANDED)
-                slots.append((q.now, d.id, pkt is not None, eligible))
-                if pkt is not None:
-                    assert (pkt.flow, pkt.src, pkt.dst) == ("sd_status", d.id, state.leader_id)
-                return pkt
-            return train(times, xs, recording, on_deliver, tie)
-
-        mission.wlan.train = recording_train
+        recorded = record_offers(mission, at_slot)["sd_status"]
         result = mission.run()
+        for _, sd_id, pkt, (_, leader_id) in recorded:
+            if pkt is not None:
+                assert (pkt.flow, pkt.src, pkt.dst) == ("sd_status", sd_id, leader_id)
+        # (time, drone, offered, eligible) of each beacon slot
+        slots = [(t, sd_id, pkt is not None, eligible)
+                 for t, sd_id, pkt, (eligible, _) in recorded]
         assert result.recovery_times_s and not result.aborted
         assert [(t, d) for t, d, offered, eligible in slots if offered != eligible] == []
         offers = {(t // 10**7, d) for t, d, offered, _ in slots if offered}
@@ -495,23 +522,62 @@ class TestRunScenario:
         mission = _Mission(small_scenario(failures=[
             {"kind": "ld_predicted", "drone_id": None, "at_s": 25.0},
             {"kind": "ld_sudden", "drone_id": None, "at_s": 60.0}]))
-        flight_ack = mission._flight_ack
-        offers = {}  # acting leader -> SD -> destinations of its acks
-
-        def recording(d):
-            pkt = flight_ack(d)
-            if pkt is not None:
-                by_sd = offers.setdefault(mission.state.leader_id, {})
-                by_sd.setdefault(pkt.src, set()).add(pkt.dst)
-            return pkt
-        mission._flight_ack = recording
+        slots = record_offers(mission, lambda sd_id: mission.state.leader_id)["flight_ack"]
         result = mission.run()
+        offers = {}  # acting leader -> SD -> destinations of its acks
+        for _, _, pkt, leader_id in slots:
+            if pkt is not None:
+                offers.setdefault(leader_id, {}).setdefault(pkt.src, set()).add(pkt.dst)
         assert result.deviations == ["t=60603000us backup unavailable; promoted SD 2 instead"]
         assert offers == {
             1: {sd: {1} for sd in (2, 3, 4, 5, 6, 7)},
             3: {sd: {3} for sd in (1, 2, 4, 5, 6, 7)},
             2: {sd: {2} for sd in (1, 4, 5, 6, 7)},
         }
+
+    @pytest.mark.parametrize("flow, lost_at_s, window_us, offers", [
+        # SD 5 is lost at 20.001 s, between SD 4's and SD 5's acks of the
+        # waypoint broadcast delivered at 20,000,118 us
+        ("flight_ack", 20.001, 2_500, [(20_000_518, 2), (20_000_718, 3), (20_000_918, 4),
+                                       (20_001_318, 6), (20_001_518, 7)]),
+        # SD 5 is lost between SD 4's and SD 5's beacons of the 20 s tick
+        ("sd_status", 20.0045, 10_000, [(20_002_000, 2), (20_003_000, 3), (20_004_000, 4),
+                                        (20_006_000, 6), (20_007_000, 7)]),
+    ])
+    def test_an_sd_lost_between_two_slots_of_one_train_sends_no_later_slot(
+            self, flow, lost_at_s, window_us, offers):
+        mission = _Mission(small_scenario(failures=[
+            {"kind": "sd_sudden", "drone_id": 5, "at_s": lost_at_s}]))
+        slots = record_offers(mission)[flow]
+        mission.run()
+        assert [(t, pkt.src) for t, _, pkt, _ in slots
+                if pkt is not None and 20_000_000 <= t < 20_000_000 + window_us] == offers
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(failures=st.lists(st.tuples(
+        st.sampled_from(["ld_sudden", "ld_predicted", "sd_sudden"]),
+        st.none() | st.integers(1, 7),
+        st.integers(0, 430_000),  # ms
+    ).filter(lambda f: f[0] != "sd_sudden" or f[1] is not None), max_size=3))
+    def test_ack_and_beacon_slots_offer_exactly_the_live_unlanded_sds(self, failures):
+        mission = _Mission(small_scenario(failures=[
+            {"kind": kind, "drone_id": drone, "at_s": ms / 1000} for kind, drone, ms in failures]))
+        state = mission.state
+
+        def at_slot(sd_id):  # (acks, beacons, acting leader) when the slot runs
+            d = state.drones[sd_id]
+            acks = d.alive and sd_id != state.leader_id and d.phase is not Phase.LANDED
+            over = state.aborted or mission.mission_phase is Phase.LANDED
+            return acks, acks and not over, state.leader_id
+
+        slots = record_offers(mission, at_slot)
+        mission.run()
+        assert slots["flight_ack"] and slots["sd_status"]
+        for k, flow in enumerate(("flight_ack", "sd_status")):
+            for t, sd_id, pkt, sends in slots[flow]:
+                offered = None if pkt is None else (pkt.flow, pkt.src, pkt.dst)
+                expected = (flow, sd_id, sends[2]) if sends[k] else None
+                assert offered == expected, (t, sd_id)
 
     @pytest.mark.parametrize("kind, at_s, recovery_s", [
         ("ld_predicted", 511, []), ("ld_sudden", 515, [0.603])])
@@ -662,6 +728,16 @@ class TestRunScenario:
         # a report appears in the leader's buffer without a delivery
         mission.q.schedule(mission.horizon, buffer_undelivered_report)
         with pytest.raises(RunInvariantError, match="status reports reached the leader"):
+            mission.run()
+
+
+    def test_roster_table_left_stale_is_an_internal_error(self):
+        # the run ends in the first session; SD 3 fails at the horizon, and
+        # nothing refreshes the tables that still hold its ack and beacon
+        mission = _Mission(small_scenario(duration_s=100))
+        drone = mission.state.drones[3]
+        mission.q.schedule(mission.horizon, lambda: setattr(drone, "phase", Phase.FAILED))
+        with pytest.raises(RunInvariantError, match="roster tables"):
             mission.run()
 
 
