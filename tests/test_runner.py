@@ -730,7 +730,6 @@ class TestRunScenario:
         with pytest.raises(RunInvariantError, match="status reports reached the leader"):
             mission.run()
 
-
     def test_roster_table_left_stale_is_an_internal_error(self):
         # the run ends in the first session; SD 3 fails at the horizon, and
         # nothing refreshes the tables that still hold its ack and beacon
