@@ -16,7 +16,8 @@ goes straight onto the heap. A link serves one packet at a time and keeps
 it on itself, so every completion is the link's one ``_finish`` callback,
 which counts the delivery and its latency in the counter itself. A queue
 item carries its packet's creation time, which windows and latencies read:
-``send`` and ``burst`` take ``created_at``, a train the slot time.
+``send`` and ``burst`` take ``created_at``, a train the slot time and
+``reply`` the current time.
 
 A burst (``Link.burst``) offers a run of ``n`` copies of one packet, such
 as a video frame's equal fragments, as exactly ``n`` sends in a row would:
@@ -30,7 +31,8 @@ next queued packet is served, just as scheduling it would. When it is the
 next event anyway (before the heap's first entry and within the running
 ``run_until`` limit) it runs inline at its delivery time instead of
 through the heap; relays, whose deliveries send onto the next link, mostly
-run this way.
+run this way. So does the completion of a ``Link.reply``, an answer sent
+with no callback as its delivery callback's last act, such as an ack.
 
 Periodic control sends are trains, periodic checks ``EventQueue.every``
 series. A train (``Link.train``) offers packets, with or without a
@@ -517,6 +519,42 @@ class Link:
                 self._serve(item)
                 admitted -= 1
             waiting.extend((item,) * admitted)
+
+    def reply(self, pkt: Packet) -> None:
+        """Offer ``pkt``, created now and with no delivery callback, as the
+        last act of a delivery callback; admit it as ``send`` does. If it
+        finds the link idle and its completion is the next event (within the
+        ``run_until`` limit, before the heap's first entry), that runs inline.
+        Dispatch, ``_finish``'s inline delivery and a train (which caps the
+        limit at its next slot minus one) do nothing after a delivery
+        callback that the limit does not bound.
+        """
+        q, key = self.queue, pkt[1:5]
+        wire, tx, counter, waiting = self._admits.get(key) or self._new_admission(pkt, key)
+        if q.now < self.metrics.measure_from_us:
+            counter = None
+        elif counter is None:
+            counter = self.metrics.offered(self.name, pkt, wire)
+            self._admits[key] = (wire, tx, counter, waiting)
+        else:
+            counter.offered_pkts += 1
+            counter.offered_bits += wire
+        if self._buffered_bits + wire > self.buffer_bits:
+            if counter is not None:
+                self.metrics.dropped(counter, wire)
+            return
+        self._buffered_bits += wire
+        item = (pkt, wire, tx, None, counter, q.now)
+        # a scheduled completion would take a tie after every pending one
+        finish, heap = q.now + tx, q._heap
+        if self._busy:
+            waiting.append(item)
+        elif finish <= q._limit and (not heap or finish < heap[0][0]):
+            self._busy, q.now = item, finish
+            q._inline += 1
+            self._finish()
+        else:
+            self._serve(item)
 
     def train(self, times, xs, packet_for: Callable[[object], Packet | None],
               on_deliver: Callable[[Packet], None] | None = None,

@@ -19,10 +19,12 @@ each flight window's waypoint broadcasts, the acks of each broadcast or,
 per status tick and on its tie, every drone's beacon, and runs its slots
 inline while no other event intervenes. An ack or beacon slot looks its
 sender up in a roster table (``flight_acks``, ``beacons``) that holds the
-SDs that send now with their cached packets; every event that changes who
-sends (a mission transition, a landing, a loss, a handover, an abort)
-refreshes both tables in place, so a refresh between two slots of one
-train reaches the later slot. The leader's relays (video
+SDs that send now with their cached packets, and under profile 2 the
+leader acks a delivered beacon with its source's ``status_acks`` entry
+through ``Link.reply``; every event that changes who sends (a mission
+transition, a landing, a loss, a handover, an abort) refreshes the
+tables in place, so a refresh between two slots of one train reaches the
+later slot. The leader's relays (video
 and case traffic from the WLAN onto the long-range link and back) are
 delivery callbacks, which a link runs inline when the delivery is the next
 event anyway; each link caches, per packet size, class, flow and source,
@@ -169,11 +171,12 @@ class _Mission:
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
-        # SD id -> its flight ack or status beacon to the acting leader, for
-        # the SDs that send now; _refresh_senders keeps them from the launch
-        # on, and a train stamps each packet with its slot time
+        # SD id -> its flight ack or beacon to the acting leader, for the SDs
+        # that send now, and drone id -> the leader's status ack to it; kept
+        # by _refresh_senders from the launch on, each stamped when offered
         self.flight_acks: dict[int, Packet] = {}
         self.beacons: dict[int, Packet] = {}
+        self.status_acks: dict[int, Packet] = {}
 
         # battery drain per airborne second, from the derated budget per role
         self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -371,22 +374,27 @@ class _Mission:
     def _mark_leader_activity(self) -> None:
         self.state.leader().telemetry.last_heard = self.q.now
 
-    def _senders(self) -> tuple[dict[int, Packet], dict[int, Packet]]:
+    def _senders(self) -> tuple[dict[int, Packet], ...]:
         """The flight acks and beacons of the live, unlanded SDs to the
-        acting leader, in id order; no beacons once the mission is over."""
+        acting leader, in id order, with no beacons once the mission is over;
+        and its status acks to every drone (profile 2): a beacon in flight
+        across a promotion is acked too."""
         state = self.state
         leader_id = state.leader_id
         sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
         acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i, leader_id)
                 for i in sds}
+        status_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader_id, i)
+                       for i in state.drones if self.cfg.profile == 2}
         if state.aborted or self.mission_phase is _LANDED:
-            return acks, {}
+            return acks, {}, status_acks
         return acks, {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
-                                i, leader_id) for i in sds}
+                                i, leader_id) for i in sds}, status_acks
 
     def _refresh_senders(self) -> None:
         """Refill the roster tables in place: a train holds their ``get``."""
-        for table, fresh in zip((self.flight_acks, self.beacons), self._senders()):
+        for table, fresh in zip((self.flight_acks, self.beacons, self.status_acks),
+                                self._senders()):
             table.clear()
             table.update(fresh)
 
@@ -409,11 +417,10 @@ class _Mission:
             state.lost_reports += 1
             return
         state.buffered_reports += 1
-        if self.cfg.profile == 2:
-            now = self.q.now
-            leader.telemetry.last_heard = now
-            self.wlan.send(Packet(now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
-                                  leader.id, pkt.src))
+        ack = self.status_acks.get(pkt.src)
+        if ack is not None:  # profile 2; the reply must be the last act
+            leader.telemetry.last_heard = self.q.now
+            self.wlan.reply(ack)
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
@@ -435,9 +442,8 @@ class _Mission:
     def _on_flush_delivered(self, pkt: Packet, batch: int) -> None:
         self.reports_delivered += batch
         if self.cfg.profile == 2:
-            ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
-                         src=DMC_ID, dst=pkt.src)
-            self.wimax_dl.send(ack)
+            self.wimax_dl.reply(Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
+                                       src=DMC_ID, dst=pkt.src))
 
     def _waypoint(self, _t: int) -> Packet | None:
         """A live leader's broadcast, until the end; it marks its activity."""
@@ -680,10 +686,10 @@ class _Mission:
                 f"{self.reports_to_leader} status reports reached the leader, but "
                 f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
                 f"and {buffered} are still buffered")
-        if (self.flight_acks, self.beacons) != self._senders():
+        if (self.flight_acks, self.beacons, self.status_acks) != self._senders():
             raise RunInvariantError(
-                f"roster tables {sorted(self.flight_acks)} (acks) and "
-                f"{sorted(self.beacons)} (beacons) miss the drones' final state")
+                f"roster tables {sorted(self.flight_acks)}, {sorted(self.beacons)} and "
+                f"{sorted(self.status_acks)} (acks, beacons, status acks) miss the final state")
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

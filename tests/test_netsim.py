@@ -304,6 +304,10 @@ class ReferenceServer:
             self._start()
         return True
 
+    def reply(self, pkt):
+        """``Link.reply`` as a plain send of the packet created now."""
+        self.send(pkt._replace(created_at=self.q.now))
+
     def _start(self):
         for cls in self.class_order:
             if self.waiting[cls]:
@@ -435,7 +439,12 @@ def drive_with_trains(q, link, sends, register_trains, split):
         answer = Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src)
         returns.append(link.send(answer, record))
 
-    callbacks = {"none": None, "record": record, "reply": reply}
+    def last_reply(pkt):
+        record(pkt)
+        # created now whatever its creation time, and the callback's last act
+        link.reply(Packet(0, 40, "control", "ack", pkt.dst, pkt.src))
+
+    callbacks = {"none": None, "record": record, "reply": reply, "last_reply": last_reply}
     register_trains(callbacks)
     for t, cls, flow, size, mode, src in sends:
         pkt = Packet(t, size, cls, flow, src, 1)
@@ -457,12 +466,15 @@ def reference_pair(kind, buffer_bits, measure_from):
     return real, ref, metrics
 
 
+# what a delivery does: nothing, record it, answer it with a send, or
+# answer it with a reply as its last act
+CALLBACK_MODES = ["none", "record", "reply", "last_reply"]
 SENDS = st.lists(st.tuples(
     st.integers(0, 30).map(lambda k: 10 * k),              # send time
     st.sampled_from(["control", "video", "best_effort"]),
     st.sampled_from(["sd_status", "case_report", "video_up"]),
     st.integers(1, 1500),                                  # bytes
-    st.sampled_from(["none", "record", "reply"]),          # delivery callback
+    st.sampled_from(CALLBACK_MODES),                       # delivery callback
     # the trains' sources, so that sends and trains share counters
     st.integers(0, 3),                                     # source
 ), max_size=20)
@@ -482,7 +494,7 @@ class TestTrainsAgainstReferenceServer:
             st.sampled_from(["control", "video", "best_effort"]),
             st.sampled_from(["flight_ack", "case_report"]),
             st.integers(1, 600),                                   # bytes
-            st.sampled_from(["none", "record", "reply"]),          # delivery callback
+            st.sampled_from(CALLBACK_MODES),                       # delivery callback
             st.lists(st.tuples(
                 st.integers(0, 4).map(lambda k: 10 * k),           # gap to the previous slot
                 st.one_of(st.none(), st.tuples(
@@ -530,7 +542,7 @@ class TestTrainsAgainstReferenceServer:
         kind=st.sampled_from(sorted(LINK_KINDS)),
         buffer_bits=st.sampled_from([3_000, 1_000_000]),
         sends=SENDS,
-        mode=st.sampled_from(["none", "record", "reply"]),
+        mode=st.sampled_from(CALLBACK_MODES),
         size=st.integers(1, 600),
         # slot offsets after each tick of a 60 us series, inside its period
         offsets=st.lists(st.integers(1, 5).map(lambda k: 10 * k), min_size=1, max_size=5,
@@ -659,6 +671,46 @@ class TestTrainsAgainstReferenceServer:
         assert seen == [(120, "a"), (220, "b"), (240, "ack"), (260, "c")]
 
 
+class TestRepliesAgainstReferenceServer:
+    """``Link.reply`` completes inline only when its completion is the next
+    event; the properties above drive it as the "last_reply" callback."""
+
+    @pytest.mark.parametrize("split, first, then, inline", [
+        # 10 bytes finish at 15 us and are delivered at 115 us; the 40-byte
+        # reply would finish at 134 us, past the 120 us bound
+        (120, (3, 120), 1, 1),
+        (1_000, (4, 1_000), 0, 2),
+    ])
+    def test_a_reply_completes_inline_only_within_the_run_until_bound(
+            self, split, first, then, inline):
+        real, ref, metrics = reference_pair("fifo", 1_000_000, 0)
+        sends = [(0, "control", "sd_status", 10, "last_reply", 2)]
+        got = drive_with_trains(real.queue, real, sends, lambda callbacks: None, split)
+        assert got == drive_with_trains(ref.q, ref, sends, lambda callbacks: None, split)
+        assert got[2:] == (first, then) and real.queue._inline == inline
+        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
+
+    def test_a_reply_due_after_the_next_slot_waits_for_it(self):
+        # the long-range link has no processing delay: the slot at 0 us
+        # finishes and is delivered at 51 us, before the slot at 60 us, but
+        # its 75 us reply would finish at 126 us, so the second packet
+        # queues behind the reply, as in the reference
+        real, ref, metrics = reference_pair("long_range", 1_000_000, 0)
+
+        def packet_for(src):
+            return Packet(0, 10, "control", "flight_ack", src, 1)
+
+        def registering(register, link):
+            return lambda callbacks: register(link, [0, 60], [2, 3], packet_for,
+                                              callbacks["last_reply"])
+
+        got = drive_with_trains(real.queue, real, [], registering(Link.train, real), 1_000)
+        assert got == drive_with_trains(ref.q, ref, [], registering(one_event_per_slot, ref),
+                                        1_000)
+        assert [t for t, _ in got[1]] == [51, 177]
+        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
+
+
 class TestBurstsAgainstReferenceServer:
     """``Link.burst`` against the reference server taking each copy as its
     own ``send``."""
@@ -768,7 +820,8 @@ class TestRelaysAgainstReferenceServers:
             # 196); the WLAN's processing delay is 100 us
             st.one_of(st.sampled_from([45, 585, 1260, 71, 196]),
                       st.integers(1, 1500)),                       # bytes
-            st.sampled_from(["record", "reply", "relay", "relay_back"]),  # on delivery
+            st.sampled_from(["record", "reply", "last_reply", "relay",
+                             "relay_back"]),                       # on delivery
         ), min_size=1, max_size=40),
         split=st.integers(0, 40).map(lambda k: 25 * k),            # run_until bound
     )
@@ -808,6 +861,14 @@ class TestRelaysAgainstReferenceServers:
                          record)
                 return answer
 
+            def last_reply(link):
+                # the same ack as a reply, created now, as the callback's last act
+                def answer(pkt):
+                    record(pkt)
+                    log.append((q.now, link.name, "reply"))
+                    link.reply(Packet(0, 45, "control", "ack", pkt.dst, pkt.src))
+                return answer
+
             def forward(link, then):
                 def relay(pkt):
                     record(pkt)
@@ -818,6 +879,7 @@ class TestRelaysAgainstReferenceServers:
             for t, hop, cls, flow, src, size, mode in sends:
                 first, second = hops[hop]
                 cb = {"record": record, "reply": reply(first),
+                      "last_reply": last_reply(first),
                       "relay": forward(second, record),
                       "relay_back": forward(second, forward(first, record))}[mode]
                 pkt = Packet(t, size, cls, flow, src, 1)

@@ -30,10 +30,10 @@ class TestStatusLengths:
 @pytest.fixture(scope="module")
 def wire_lengths_by_flow():
     """Every packet size offered to a link in a short mission and a short
-    2 Mbps video mission, by flow name, whether sent on its own, in a burst
-    or in a train."""
+    2 Mbps video mission, by flow name, whether sent on its own, in a burst,
+    in a train or as a reply."""
     sizes = defaultdict(set)
-    send, burst, train = Link.send, Link.burst, Link.train
+    send, burst, train, reply = Link.send, Link.burst, Link.train, Link.reply
 
     def recording_send(self, pkt, on_deliver=None):
         sizes[pkt.flow].add(pkt.size_bytes)
@@ -52,10 +52,15 @@ def wire_lengths_by_flow():
             return pkt
         return train(self, times, xs, recording_packet_for, on_deliver, tie)
 
+    def recording_reply(self, pkt):
+        sizes[pkt.flow].add(pkt.size_bytes)
+        return reply(self, pkt)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Link, "send", recording_send)
         mp.setattr(Link, "burst", recording_burst)
         mp.setattr(Link, "train", recording_train)
+        mp.setattr(Link, "reply", recording_reply)
         run_scenario(parse_config({"n_sds": 4, "infection_rate": 1.0}))
         run_scenario(parse_config({
             "duration_s": 400, "n_sds": 2, "infection_rate": 0.0,

@@ -96,6 +96,35 @@ def record_offers(mission, observe=lambda x: None):
     return slots
 
 
+def record_status_acks(mission):
+    """Wrap the mission's status delivery and its WLAN ``reply`` to record
+    each beacon delivered as (time, source, acting leader, or None while the
+    leader is dead) and each reply as (time, flow, source, destination)."""
+    delivered, replies = [], []
+    deliver, reply = mission._on_status_delivered, mission.wlan.reply
+    q, state = mission.q, mission.state
+
+    def recording_delivery(pkt):
+        leader = state.leader()
+        delivered.append((q.now, pkt.src, leader.id if leader.alive else None))
+        deliver(pkt)
+
+    def recording_reply(pkt):
+        replies.append((q.now, pkt.flow, pkt.src, pkt.dst))
+        reply(pkt)
+
+    mission._on_status_delivered = recording_delivery
+    mission.wlan.reply = recording_reply
+    return delivered, replies
+
+
+def status_acks_by_rule(delivered):
+    """One status ack per beacon a live leader receives, at the delivery
+    instant, from that leader to the beacon's source."""
+    return [(t, "status_ack", leader, src) for t, src, leader in delivered
+            if leader is not None]
+
+
 class TestConfigParsing:
     def test_minimal_file_gets_full_defaults(self):
         cfg = parse_config({"seed": 7, "n_sds": 4})
@@ -474,6 +503,21 @@ class TestRunScenario:
         last = max(t for t, _, offered, _ in slots if offered)
         assert last < mission.ended_at == 420_000_000 < slots[-1][0]
 
+    @pytest.mark.parametrize("profile", [1, 2])
+    def test_each_beacon_a_live_leader_receives_gets_one_status_ack(self, profile):
+        # the leader is lost in flight at 50 s and SD 3 takes over by a hard
+        # handover; until then beacons reach the dead leader, which acks
+        # none. Only profile 2 acks status reports.
+        mission = _Mission(small_scenario(profile=profile, failures=[
+            {"kind": "ld_sudden", "at_s": 50.0}]))
+        delivered, replies = record_status_acks(mission)
+        result = mission.run()
+        promoted_at = 50_000_000 + round(result.recovery_times_s[0] * 1e6)
+        assert [(t, src) for t, src, leader in delivered if leader is None]
+        assert {leader for _, _, leader in delivered} == {1, None, 3}
+        assert replies == (status_acks_by_rule(delivered) if profile == 2 else [])
+        assert not [t for t, *_ in replies if 50_000_000 <= t < promoted_at]
+
     def test_soft_handover_skips_returning_and_failing_sds(self):
         # every drone runs low on the long hops; a soft handover used to
         # promote a returning or failing SD, and leadership then bounced
@@ -571,8 +615,10 @@ class TestRunScenario:
             return acks, acks and not over, state.leader_id
 
         slots = record_offers(mission, at_slot)
+        delivered, replies = record_status_acks(mission)
         mission.run()
-        assert slots["flight_ack"] and slots["sd_status"]
+        assert slots["flight_ack"] and slots["sd_status"] and replies
+        assert replies == status_acks_by_rule(delivered)
         for k, flow in enumerate(("flight_ack", "sd_status")):
             for t, sd_id, pkt, sends in slots[flow]:
                 offered = None if pkt is None else (pkt.flow, pkt.src, pkt.dst)
@@ -737,6 +783,14 @@ class TestRunScenario:
         drone = mission.state.drones[3]
         mission.q.schedule(mission.horizon, lambda: setattr(drone, "phase", Phase.FAILED))
         with pytest.raises(RunInvariantError, match="roster tables"):
+            mission.run()
+
+    def test_status_ack_table_left_stale_is_an_internal_error(self):
+        # the acting leader's status acks vanish at the horizon, while the
+        # ack and beacon tables stay right
+        mission = _Mission(small_scenario(duration_s=100))
+        mission.q.schedule(mission.horizon, mission.status_acks.clear)
+        with pytest.raises(RunInvariantError, match=r"and \[\] \(acks, beacons, status acks\)"):
             mission.run()
 
 
