@@ -516,16 +516,18 @@ class _Mission:
         self.video_us[sd_id] += max(0, min(end, self.ended_at) - start)
 
     def _video_frame(self, now: int, sd_id: int, sizes: list[tuple[int, int]]) -> None:
-        """Offer one frame's fragments up the WLAN and down the long-range
-        link, one packet per distinct size, each a burst of its copies."""
+        """Offer one frame's fragments up the WLAN, then down the long-range
+        link: per distinct size, one packet sent as ``n`` copies."""
         state = self.state
         sd = state.drones.get(sd_id)
         if state.aborted or self.mission_phase is _LANDED or sd is None or not sd.alive:
             return
-        self.wlan.burst([(Packet(now, size, VIDEO, "video_up", sd_id, DMC_ID), n)
-                         for size, n in sizes], self._relay_video_up)
-        self.wimax_dl.burst([(Packet(now, size, VIDEO, "video_down", DMC_ID, sd_id), n)
-                             for size, n in sizes], self._relay_video_down)
+        for size, n in sizes:
+            self.wlan.send(Packet(now, size, VIDEO, "video_up", sd_id, DMC_ID),
+                           self._relay_video_up, n)
+        for size, n in sizes:
+            self.wimax_dl.send(Packet(now, size, VIDEO, "video_down", DMC_ID, sd_id),
+                               self._relay_video_down, n)
 
     def _relay_video_up(self, pkt: Packet) -> None:
         state = self.state
@@ -562,9 +564,9 @@ class _Mission:
         if not leader.alive or state.aborted:
             return
         if failure_mod.predict_failure(leader.telemetry):
-            # a leader that found no SD fit to lead keeps command; no SD
-            # becomes fit later, so it does not ask again
-            if state.has_alive_sd() and leader.id != self.kept_command:
+            # a leader that found no SD fit to lead, or none alive, keeps
+            # command; no SD becomes fit later, so it does not ask again
+            if leader.id != self.kept_command:
                 failure_mod.soft_handover(state, now)
                 if state.leader_id == leader.id:
                     self.kept_command = leader.id

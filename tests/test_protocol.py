@@ -30,19 +30,14 @@ class TestStatusLengths:
 @pytest.fixture(scope="module")
 def wire_lengths_by_flow():
     """Every packet size offered to a link in a short mission and a short
-    2 Mbps video mission, by flow name, whether sent on its own, in a burst,
-    in a train or as a reply."""
+    2 Mbps video mission, by flow name, whether sent once or as copies, in a
+    train or as a reply."""
     sizes = defaultdict(set)
-    send, burst, train, reply = Link.send, Link.burst, Link.train, Link.reply
+    send, train, reply = Link.send, Link.train, Link.reply
 
-    def recording_send(self, pkt, on_deliver=None):
+    def recording_send(self, pkt, on_deliver=None, n=1):
         sizes[pkt.flow].add(pkt.size_bytes)
-        return send(self, pkt, on_deliver)
-
-    def recording_burst(self, runs, on_deliver=None):
-        for pkt, _ in runs:
-            sizes[pkt.flow].add(pkt.size_bytes)
-        return burst(self, runs, on_deliver)
+        return send(self, pkt, on_deliver, n)
 
     def recording_train(self, times, xs, packet_for, on_deliver=None, tie=None):
         def recording_packet_for(x):
@@ -58,7 +53,6 @@ def wire_lengths_by_flow():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Link, "send", recording_send)
-        mp.setattr(Link, "burst", recording_burst)
         mp.setattr(Link, "train", recording_train)
         mp.setattr(Link, "reply", recording_reply)
         run_scenario(parse_config({"n_sds": 4, "infection_rate": 1.0}))

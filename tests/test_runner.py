@@ -359,6 +359,21 @@ class TestRunScenario:
         assert len(result.recovery_times_s) == 1
         assert not any("no drone left to lead" in d for d in result.deviations)
 
+    def test_predicted_failure_with_no_sd_left_is_recorded_once(self):
+        # the only SD is lost at 100 s; the leader's predicted failure is
+        # seen at the 160 s status tick and at every tick after it
+        result = run_scenario(small_scenario(
+            n_sds=1,
+            mission={"session_duration_s": 120, "n_sessions": 2,
+                     "reposition_s": 60, "transit_distance_m": 100},
+            failures=[{"kind": "sd_sudden", "drone_id": 2, "at_s": 100.0},
+                      {"kind": "ld_predicted", "drone_id": None, "at_s": 150.0}],
+        ))
+        assert not result.aborted
+        assert [d for d in result.deviations if "keeps command" in d] == [
+            "t=160000000us soft handover found no SD fit to lead; leader 1 keeps command"]
+        assert result.energy[1]["role"] == "ld"
+
     def test_predicted_failure_hands_over_between_profile_1_flushes(self):
         # with profile 1 the leader's link activity while collecting is only
         # its 30 s flush, so its last-heard stamp is 20 s old at 140 s
@@ -650,19 +665,13 @@ class TestRunScenario:
     def test_dead_callers_and_dead_leaders_relay_nothing(self, failures, monkeypatch):
         mission = _Mission(parse_config(dict(FOUR_CALLS, failures=failures)))
         offers = []  # (now, link, packet)
-        send, burst = Link.send, Link.burst
+        send = Link.send
 
-        def recording_send(link, pkt, on_deliver=None):
-            offers.append((mission.q.now, link.name, pkt))
-            return send(link, pkt, on_deliver)
-
-        def recording_burst(link, runs, on_deliver=None):
-            for pkt, n in runs:
-                offers.extend([(mission.q.now, link.name, pkt)] * n)
-            return burst(link, runs, on_deliver)
+        def recording_send(link, pkt, on_deliver=None, n=1):
+            offers.extend([(mission.q.now, link.name, pkt)] * n)
+            return send(link, pkt, on_deliver, n)
 
         monkeypatch.setattr(Link, "send", recording_send)
-        monkeypatch.setattr(Link, "burst", recording_burst)
         result = mission.run()
         for link, c in result.metrics.links.items():
             assert c["offered_pkts"] == c["delivered_pkts"] + c["dropped_pkts"], link
@@ -684,21 +693,14 @@ class TestRunScenario:
     def test_video_call_stops_when_the_mission_lands(self, monkeypatch):
         mission = _Mission(parse_config(CALL_OUTLIVES_MISSION))
         frames = []
-        send, burst = Link.send, Link.burst
+        send = Link.send
 
-        def recording_send(link, pkt, on_deliver=None):
+        def recording_send(link, pkt, on_deliver=None, n=1):
             if pkt.access_class == VIDEO:
-                frames.append(mission.q.now)
-            return send(link, pkt, on_deliver)
-
-        def recording_burst(link, runs, on_deliver=None):
-            for pkt, n in runs:
-                if pkt.access_class == VIDEO:
-                    frames.extend([mission.q.now] * n)
-            return burst(link, runs, on_deliver)
+                frames.extend([mission.q.now] * n)
+            return send(link, pkt, on_deliver, n)
 
         monkeypatch.setattr(Link, "send", recording_send)
-        monkeypatch.setattr(Link, "burst", recording_burst)
         mission.run()
         assert mission.trace[-1] is Phase.LANDED
         assert frames and max(frames) < LANDED_AT_US

@@ -1,12 +1,14 @@
-"""Recompute the figures that acceptance criteria 04, 05, 07 and 08 bound,
-and write each one's headroom to a Markdown table.
+"""Recompute the figures that acceptance criteria 04 to 09 bound, and write
+each one's headroom to a Markdown table.
 
     python3 tools/criteria.py [--out docs/criteria.md]
 
 Each criterion's test in ``tests/test_acceptance.py`` runs as it is, with
 its own configs, while the helper it gets its results from is wrapped to
-keep them: ``run_scenario`` for criteria 04, 05 and 07, ``_edca_scene`` for
-criterion 08. The tests are only imported and called, never edited. A
+keep them: ``run_scenario`` for criteria 04, 05 and 07,
+``max_simultaneous_calls`` for criterion 06, ``_edca_scene`` for criterion
+08 and ``_failure_run`` for criterion 09. The tests are only imported and
+called, never edited. A
 criterion that fails stops the tool with its assertion, as it fails
 tier-1. Every figure is deterministic, so the table changes only when a
 change moves a criterion's figure.
@@ -14,6 +16,8 @@ change moves a criterion's figure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import sys
 from pathlib import Path
 
@@ -79,6 +83,40 @@ def criterion_05() -> list[tuple]:
     ]
 
 
+class _LogCapture(logging.Handler):
+    """The part of pytest's ``caplog`` fixture that criterion 06 uses."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.message = record.getMessage()
+        self.records.append(record)
+
+    @contextlib.contextmanager
+    def at_level(self, level: int, logger: str | None = None):
+        log = logging.getLogger(logger)
+        old = log.level
+        log.setLevel(level)
+        log.addHandler(self)
+        try:
+            yield
+        finally:
+            log.removeHandler(self)
+            log.setLevel(old)
+
+
+def criterion_06() -> list[tuple]:
+    bounds = recorded(
+        lambda: acceptance.test_criterion_06_video_call_capacity_with_logged_diagnostic(
+            _LogCapture()),
+        "max_simultaneous_calls")
+    return [(f"06 call bound at {bw} Mbps", f"{calls} calls", f"{published} ± 1",
+             f"{1 - abs(calls - published)}")
+            for (bw, published), calls in zip(((2, 14), (4, 6), (6, 4)), bounds)]
+
+
 def criterion_07() -> list[tuple]:
     rows = []
     for r in recorded(acceptance.test_criterion_07_loss_under_5pct_at_maximum_admitted_video_load,
@@ -107,8 +145,29 @@ def criterion_08() -> list[tuple]:
     ]
 
 
+def criterion_09() -> list[tuple]:
+    results = recorded(acceptance.test_criterion_09_leader_handover_liveness_over_100_seeded_runs,
+                       "_failure_run")
+    kinds = [[f["kind"] for f in r.config["failures"]] for r in results]
+    hard = [r for r, k in zip(results, kinds) if k == ["ld_sudden"]]
+    soft = [r for r, k in zip(results, kinds) if k == ["ld_predicted"]]
+    twins = {r.seed: r for r, k in zip(results, kinds) if not k}
+    worst = max(r.recovery_times_s[0] for r in hard)
+    lost = max(r.sd_reports_lost for r in soft + list(twins.values()))
+    same = sum(r.sd_reports_delivered == twins[r.seed].sd_reports_delivered for r in soft)
+    return [
+        (f"09 worst hard-handover recovery of {len(hard)} flight kills", f"{worst:.3f} s",
+         "≤ 1.01 s", f"{1.01 - worst:.3f} s"),
+        (f"09 lost reports, worst of {len(soft)} soft cases and twins", f"{lost}", "= 0",
+         "none (equality)"),
+        ("09 soft cases' delivered reports equal to their twins'",
+         f"{same} of {len(soft)}", "all", "none (equality)"),
+    ]
+
+
 def table() -> str:
-    rows = criterion_04() + criterion_05() + criterion_07() + criterion_08()
+    rows = (criterion_04() + criterion_05() + criterion_06() + criterion_07()
+            + criterion_08() + criterion_09())
     return HEADER + "".join(f"| {' | '.join(row)} |\n" for row in rows)
 
 
