@@ -13,11 +13,13 @@ counter and the class queue, so the MTU check and ``tx_time_us`` run once
 per size. The counter rides with the packet to its drop or delivery. A
 packet offered to an idle link starts service at once, and a completion
 goes straight onto the heap. A link serves one packet at a time and keeps
-it on itself, so every completion is the link's one ``_finish`` callback,
-which counts the delivery and its latency in the counter itself. A queue
-item carries its packet's creation time, which windows and latencies read:
-``send`` takes ``created_at``, a train the slot time and ``reply`` the
-current time.
+it on itself; its ``_finish`` callback completes it and serves the next.
+A train slot or a ``reply`` that finds the link idle and completes before
+any other event is completed in place: no buffer charge, queue item or
+busy state. Every counted delivery goes through ``_finish``, which counts
+it and its latency in the counter itself. A queue item carries its
+packet's creation time, which windows and latencies read: ``send`` takes
+``created_at``, a train the slot time and ``reply`` the current time.
 
 ``Link.send`` may offer ``n`` copies of one packet, such as a video frame's
 equal fragments, exactly as ``n`` sends in a row would: one lookup and one
@@ -37,8 +39,8 @@ next queued packet is served, just as scheduling it would. When it is the
 next event anyway (before the heap's first entry and within the running
 ``run_until`` limit) it runs inline at its delivery time instead of
 through the heap; relays, whose deliveries send onto the next link, mostly
-run this way. So does the completion of a ``Link.reply``, an answer sent
-with no callback as its delivery callback's last act, such as an ack.
+run this way. So does a ``Link.reply``, an answer sent with no callback
+as its delivery callback's last act, such as an ack.
 
 Periodic control sends are trains, periodic checks ``EventQueue.every``
 series. A train (``Link.train``) offers packets, with or without a
@@ -47,9 +49,12 @@ slot time, so a sender may hand it the same packet at every slot. Like a
 series it takes one tie when registered, or reuses an earlier one, so
 events order as if each slot were its own event scheduled then. While
 nothing on the heap comes first, it runs its next slot inline, admits its
-packet in place and completes inline a packet that found the link idle.
-The event counts of ``run_until`` and ``run_all`` include these inline
-slots, completions and deliveries.
+packet in place and completes in place a packet that found the link idle
+and finishes before the next slot. That packet's delivery callback takes
+its tie at once and runs inline, as ``_finish`` would run it, when it is
+due before the heap's first entry and the next slot and within the
+limit. The event counts of ``run_until`` and ``run_all`` include these
+inline slots, completions and deliveries.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -355,10 +360,11 @@ class _Train:
 
     def step(self) -> None:
         link, times, xs, tie, cb = self.link, self.times, self.xs, self.tie, self.on_deliver
-        q, admits, metrics, finish_fn = link.queue, link._admits, link.metrics, link._finish
+        q, admits, metrics, proc = link.queue, link._admits, link.metrics, link.proc_delay_us
         packet_for, measure_from = self.packet_for, metrics.measure_from_us
         heap, limit = q._heap, q._limit
-        # i + ran counts what runs inline: the slots after the first, completions
+        # i + ran counts what runs inline: the slots after the first, the
+        # completions made in place and their inline deliveries
         n, i, ran = len(times), self.next, -self.next - 1
         t = times[i]
         while True:
@@ -388,21 +394,29 @@ class _Train:
                     # the link was idle and serves the packet now. Its
                     # completion would take a tie later than every pending
                     # one, so it goes first only at a strictly earlier time;
-                    # run inline, it takes no tie, which reorders nothing
-                    link._buffered_bits += wire
-                    item = (pkt, wire, tx, cb, counter, t)
+                    # made in place, it takes no tie, which reorders nothing,
+                    # and leaves the link as idle as it found it
                     finish = t + tx
                     if (finish <= limit and (i == n or finish < times[i])
                             and (not heap or finish < heap[0][0])):
-                        link._busy = item
                         q.now = finish
-                        if cb is not None and i < n:  # deliver inline before the next slot
-                            q._limit = min(limit, times[i] - 1)
-                        finish_fn()
-                        q._limit = limit
                         ran += 1
+                        if counter is not None:
+                            link._finish(counter, wire, tx + proc)
+                        if cb is not None:  # as _finish delivers, capped at the next slot
+                            deliver_at, dtie = finish + proc, q._tie
+                            q._tie = dtie + 1
+                            cap = limit if i == n else min(limit, times[i] - 1)
+                            if deliver_at <= cap and (not heap or (deliver_at, dtie) < heap[0]):
+                                q.now, q._limit = deliver_at, cap
+                                ran += 1
+                                cb(pkt)
+                                q._limit = limit
+                            else:
+                                heapq.heappush(heap, (deliver_at, dtie, partial(cb, pkt)))
                     else:
-                        link._serve(item)
+                        link._buffered_bits += wire
+                        link._serve((pkt, wire, tx, cb, counter, t))
             if i == n:
                 break
             t = times[i]
@@ -500,10 +514,10 @@ class Link:
         """Offer ``pkt``, created now and with no delivery callback, as the
         last act of a delivery callback; admit it as ``send`` does. If it
         finds the link idle and its completion is the next event (within the
-        ``run_until`` limit, before the heap's first entry), that runs inline.
-        Dispatch, ``_finish``'s inline delivery and a train (which caps the
-        limit at its next slot minus one) do nothing after a delivery
-        callback that the limit does not bound.
+        ``run_until`` limit, before the heap's first entry), it is completed
+        in place. Dispatch, ``_finish``'s inline delivery and a train (which
+        caps the limit at its next slot minus one) do nothing after a
+        delivery callback that the limit does not bound.
         """
         q, key = self.queue, pkt[1:5]
         wire, tx, counter, waiting = self._admits.get(key) or self._new_admission(pkt, key)
@@ -519,16 +533,18 @@ class Link:
             if counter is not None:
                 self.metrics.dropped(counter, wire)
             return
-        self._buffered_bits += wire
-        item = (pkt, wire, tx, None, counter, q.now)
         # a scheduled completion would take a tie after every pending one
         finish, heap = q.now + tx, q._heap
+        if not self._busy and finish <= q._limit and (not heap or finish < heap[0][0]):
+            q.now = finish  # completed in place: the link stays idle
+            q._inline += 1
+            if counter is not None:
+                self._finish(counter, wire, tx + self.proc_delay_us)
+            return
+        self._buffered_bits += wire
+        item = (pkt, wire, tx, None, counter, q.now)
         if self._busy:
             waiting.append(item)
-        elif finish <= q._limit and (not heap or finish < heap[0][0]):
-            self._busy, q.now = item, finish
-            q._inline += 1
-            self._finish()
         else:
             self._serve(item)
 
@@ -547,9 +563,9 @@ class Link:
         was taken. It holds one heap entry and runs its next slot inline
         while that comes before the heap's first entry and the ``run_until``
         limit. A packet that finds the link idle and would finish before
-        all three completes inline too; any other completion is scheduled
-        as ``send`` schedules it. Inline slots and completions count as
-        processed events.
+        all three is completed in place (see the module docstring); any
+        other completion is scheduled as ``send`` schedules it. Inline
+        slots, completions and deliveries count as processed events.
         """
         if not times:
             return
@@ -582,8 +598,16 @@ class Link:
         heapq.heappush(q._heap, (q.now + item[2], q._tie, self._finish))
         q._tie += 1
 
-    def _finish(self) -> None:
-        """Complete and count the packet in service; serve the next one."""
+    def _finish(self, done: _Counter | None = None, bits: int = 0, latency: int = 0) -> None:
+        """Complete and count the packet in service and serve the next one,
+        or, given a counter, only count a delivery completed in place: every
+        counted delivery is one call, which the benchmark's tracer counts."""
+        if done is not None:
+            done.delivered_pkts += 1
+            done.delivered_bits += bits
+            table = done.latencies
+            table[latency] = table.get(latency, 0) + 1
+            return
         pkt, wire, _, cb, counter, created = self._busy
         self._buffered_bits -= wire
         q = self.queue

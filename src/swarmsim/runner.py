@@ -16,20 +16,21 @@ Periodic WLAN control sends are trains and the other periodic processes
 are self-rescheduling series, so the queue holds one entry per process
 instead of one per slot of the horizon. A train (``Link.train``) offers
 each flight window's waypoint broadcasts, the acks of each broadcast or,
-per status tick and on its tie, every drone's beacon, and runs its slots
-inline while no other event intervenes. An ack or beacon slot looks its
+per status tick and on its tie, every drone's beacon. It runs its slots
+inline while no other event intervenes and completes in place a packet
+that finds the WLAN idle and finishes first. An ack or beacon slot looks its
 sender up in a roster table (``flight_acks``, ``beacons``) that holds the
 SDs that send now with their cached packets, and under profile 2 the
 leader acks a delivered beacon with its source's ``status_acks`` entry
-through ``Link.reply``; every event that changes who sends (a mission
-transition, a landing, a loss, a handover, an abort) refreshes the
-tables in place, so a refresh between two slots of one train reaches the
-later slot. The leader's relays (video
+through ``Link.reply``, completed in place when it finishes first; every
+event that changes who sends (a mission transition, a landing, a loss, a
+handover, an abort) refreshes the tables in place, so a refresh between
+two slots of one train reaches the later slot. The leader's relays (video
 and case traffic from the WLAN onto the long-range link and back) are
 delivery callbacks, which a link runs inline when the delivery is the next
 event anyway; each link caches, per packet size, class, flow and source,
 what admitting a packet needs. ``run_until`` and ``run_all`` count inline
-slots, completions and deliveries as processed events.
+slots, in-place completions and inline deliveries as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a

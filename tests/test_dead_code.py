@@ -11,8 +11,9 @@ SRC = Path(swarmsim.__file__).resolve().parent
 
 # methods nothing in the package calls, each kept for a named reason
 UNREFERENCED_METHODS = {
-    # Link._finish counts deliveries in place; the benchmark's tracer
-    # (perfbench/swarmtrace.py) still patches this method by name
+    # every counted delivery goes through Link._finish, which counts it
+    # itself; the benchmark's tracer (perfbench/swarmtrace.py) still
+    # patches this method by name
     "netsim.py:Metrics.delivered",
 }
 

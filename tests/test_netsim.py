@@ -711,6 +711,68 @@ class TestRepliesAgainstReferenceServer:
         assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
 
 
+class TestInPlaceCompletion:
+    """A train slot or a reply that finds its link idle and completes next
+    is completed in place: nothing is buffered, queued or scheduled, and
+    ``_finish`` is called only to count a measured delivery."""
+
+    @staticmethod
+    def finish_calls(link):
+        """Record each ``_finish`` call with the link's state when it runs:
+        (arguments, item in service, buffered bits, heap length)."""
+        calls, finish = [], link._finish
+
+        def spy(*args):
+            calls.append((args, link._busy, link._buffered_bits, len(link.queue._heap)))
+            finish(*args)
+        link._finish = spy
+        return calls
+
+    def test_a_callback_free_slot_completes_in_place(self):
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        q.schedule(1_000, lambda: None)
+        link.train([0], [2], lambda src: Packet(0, 10, flow="flight_ack", src=src))
+        calls = self.finish_calls(link)
+        # 10 bytes and 90 of overhead occupy the medium for 15 us and are
+        # delivered 100 us later; only the 1 ms entry is left on the heap
+        assert q.run_until(500) == 2
+        counter = metrics.counters["wlan", "control", "flight_ack", 2]
+        assert calls == [((counter, 800, 115), None, 0, 1)]
+        assert link._busy is None and link._buffered_bits == 0 and len(q._heap) == 1
+        assert metrics.latencies == {("wlan", "control"): {115: 1}}
+        assert (counter.delivered_pkts, counter.delivered_bits) == (1, 800)
+
+    def test_a_reply_on_an_idle_link_completes_in_place(self):
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        q.schedule(1_000, lambda: None)
+        link.send(Packet(0, 10, flow="sd_status", src=2, dst=1),
+                  lambda pkt: link.reply(Packet(0, 40, flow="status_ack", src=1, dst=2)))
+        calls = self.finish_calls(link)
+        # the status completes at 15 us through the heap and is delivered
+        # inline at 115 us; the 40-byte reply takes 19 us on the medium
+        assert q.run_until(500) == 3
+        counter = metrics.counters["wlan", "control", "status_ack", 1]
+        assert calls == [((counter, 1_040, 119), None, 0, 1)]
+        assert link._busy is None and link._buffered_bits == 0 and len(q._heap) == 1
+        assert metrics.latencies == {("wlan", "control"): {115: 1, 119: 1}}
+        assert q._inline == 2
+
+    def test_an_unmeasured_slot_counts_its_events_but_no_offer_or_delivery(self):
+        q, metrics = EventQueue(), Metrics(measure_from_us=1_000)
+        link = build_wlan_link(q, WlanParams(), metrics)
+        seen = []
+        link.train([0, 300], [2, 3], lambda src: Packet(0, 10, flow="sd_status", src=src),
+                   lambda pkt: seen.append((q.now, pkt.src)))
+        calls = self.finish_calls(link)
+        # each slot, its completion and its delivery, before the next slot
+        assert q.run_until(500) == 6
+        assert seen == [(115, 2), (415, 3)]
+        assert calls == [] and metrics.counters == {} and metrics.latencies == {}
+        assert link.idle and not q._heap
+
+
 class TestCopiesAgainstReferenceServer:
     """``Link.send`` of ``n`` copies against the reference server taking each
     copy as its own ``send``."""
