@@ -3,8 +3,8 @@
 ``mission_configs`` draws config-file dicts that set every one of the 22
 settable values within its schema range (docs/config-schema.md), with
 horizons of 1 ms to 430 s, 0-4 scripted failures of any kind, and video
-and EDCA on or off. A few cross-field rules (video's SD limit, targets per
-SD) are left to ``parse_config`` to reject. Video calls are kept short so
+and EDCA on or off. Video's SD limit is left to ``parse_config`` to
+reject, so its rejection path runs too. Video calls are kept short so
 that one example stays well under a second.
 """
 import tempfile
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from swarmsim.config import (
     MAX_SDS_NO_VIDEO,
+    MAX_SDS_VIDEO,
     VIDEO_BANDWIDTHS_MBPS,
     WLAN_DATA_RATES_MBPS,
     WLAN_PROC_RATES_PPS,
@@ -42,7 +43,7 @@ def _or(default, values):
 def mission_configs(draw):
     """A config-file dict with all 22 settable values and 0-4 failures."""
     video = draw(st.booleans())
-    n_sds = draw(st.integers(1, 16 if video else MAX_SDS_NO_VIDEO))
+    n_sds = draw(st.integers(1, MAX_SDS_VIDEO + 2 if video else MAX_SDS_NO_VIDEO))
     failures = []
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(FailureKind.ALL))
