@@ -76,6 +76,8 @@ def _parse_values(raw: str) -> list:
             values.append(json.loads(part))
         except json.JSONDecodeError:
             values.append(part)
+        except (RecursionError, ValueError) as ex:  # too deep or too many digits
+            raise ConfigError(f"--values: cannot parse: {str(ex).split(';')[0]}") from None
     if not values:
         raise ConfigError("--values needs at least one value")
     return values

@@ -231,13 +231,13 @@ def parse_config(data: dict, name: str = "run") -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as ex:
         raise ConfigError(f"cannot read {path}: {ex}") from ex
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as ex:
         raise ConfigError(f"{path}: parse error at line {ex.lineno}: {ex.msg}") from ex
+    except (RecursionError, ValueError) as ex:  # not UTF-8, too deep or too many digits
+        raise ConfigError(f"{path}: cannot parse: {str(ex).split(';')[0]}") from None
     return parse_config(data, name=path.stem)
 
 

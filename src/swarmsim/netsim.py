@@ -13,7 +13,8 @@ counter and the class queue, so the MTU check and ``tx_time_us`` run once
 per size. The counter rides with the packet to its drop or delivery. A
 packet offered to an idle link starts service at once, and a completion
 goes straight onto the heap. A link serves one packet at a time and keeps
-it on itself; its ``_finish`` callback completes it and serves the next.
+it on itself; its ``_finish`` callback completes it and serves the next,
+pushing the next completion itself: one call fewer than through ``_serve``.
 A train slot or a ``reply`` that finds the link idle and completes before
 any other event is completed in place: no buffer charge, queue item or
 busy state. Every counted delivery goes through ``_finish``, which counts
@@ -623,8 +624,10 @@ class Link:
             tie = q._tie
             q._tie = tie + 1
         for waiting in self._by_priority:
-            if waiting:
-                self._serve(waiting.popleft())
+            if waiting:  # serve the next packet here, as _serve would
+                item = self._busy = waiting.popleft()
+                heapq.heappush(q._heap, (q.now + item[2], q._tie, self._finish))
+                q._tie += 1
                 break
         else:
             self._busy = None

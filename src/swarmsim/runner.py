@@ -25,12 +25,15 @@ leader acks a delivered beacon with its source's ``status_acks`` entry
 through ``Link.reply``, completed in place when it finishes first; every
 event that changes who sends (a mission transition, a landing, a loss, a
 handover, an abort) refreshes the tables in place, so a refresh between
-two slots of one train reaches the later slot. The leader's relays (video
-and case traffic from the WLAN onto the long-range link and back) are
-delivery callbacks, which a link runs inline when the delivery is the next
-event anyway; each link caches, per packet size, class, flow and source,
-what admitting a packet needs. ``run_until`` and ``run_all`` count inline
-slots, in-place completions and inline deliveries as processed events.
+two slots of one train reaches the later slot. The acting leader's state
+lives with the tables: the refresh also keeps the leader while alive,
+whether it relays and its waypoint broadcast. The leader's relays (video
+and case traffic from the WLAN onto the long-range link and back) read
+that state; they are delivery callbacks, which a link runs inline when the
+delivery is the next event anyway; each link caches, per packet size,
+class, flow and source, what admitting a packet needs. ``run_until`` and
+``run_all`` count inline slots, in-place completions and inline deliveries
+as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
@@ -173,11 +176,14 @@ class _Mission:
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
         # SD id -> its flight ack or beacon to the acting leader, for the SDs
-        # that send now, and drone id -> the leader's status ack to it; kept
-        # by _refresh_senders from the launch on, each stamped when offered
+        # that send now, and drone id -> the leader's status ack to it, each
+        # stamped when offered; kept from the launch on by _refresh_senders,
+        # with the acting leader's state, which nothing reads before then
         self.flight_acks: dict[int, Packet] = {}
         self.beacons: dict[int, Packet] = {}
         self.status_acks: dict[int, Packet] = {}
+        self.live_leader, self.leader_up = None, False
+        self.waypoint_pkt, self.down_relay = None, (None, None)
 
         # battery drain per airborne second, from the derated budget per role
         self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -369,35 +375,39 @@ class _Mission:
 
     # -- traffic ----------------------------------------------------------
 
-    def _leader_alive(self) -> bool:
-        return self.state.leader().alive and not self.state.aborted
-
-    def _mark_leader_activity(self) -> None:
-        self.state.leader().telemetry.last_heard = self.q.now
-
-    def _senders(self) -> tuple[dict[int, Packet], ...]:
+    def _senders(self) -> tuple:
         """The flight acks and beacons of the live, unlanded SDs to the
         acting leader, in id order, with no beacons once the mission is over;
-        and its status acks to every drone (profile 2): a beacon in flight
-        across a promotion is acked too."""
+        its status acks to every drone (profile 2): a beacon in flight across
+        a promotion is acked too; its waypoint broadcast until the end; the
+        leader while alive, else None; and whether it relays."""
         state = self.state
-        leader_id = state.leader_id
+        leader_id, leader = state.leader_id, state.leader()
         sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
         acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i, leader_id)
                 for i in sds}
         status_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader_id, i)
                        for i in state.drones if self.cfg.profile == 2}
+        live = leader if leader.alive else None
+        up = live is not None and not state.aborted
         if state.aborted or self.mission_phase is _LANDED:
-            return acks, {}, status_acks
-        return acks, {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status",
-                                i, leader_id) for i in sds}, status_acks
+            return acks, {}, status_acks, None, live, up
+        beacons = {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status", i, leader_id)
+                   for i in sds}
+        waypoint = Packet(0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL, "move_to_waypoint",
+                          leader_id, BROADCAST_ID) if up else None
+        return acks, beacons, status_acks, waypoint, live, up
 
     def _refresh_senders(self) -> None:
-        """Refill the roster tables in place: a train holds their ``get``."""
-        for table, fresh in zip((self.flight_acks, self.beacons, self.status_acks),
-                                self._senders()):
+        """Refill the roster tables in place (a train holds their ``get``);
+        set the acting leader's state, which the relays read, and drop the
+        last video_down relay as (forwarded packet, relay), which the copies
+        of one fragment reuse."""
+        *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
+        for table, rows in zip((self.flight_acks, self.beacons, self.status_acks), fresh):
             table.clear()
-            table.update(fresh)
+            table.update(rows)
+        self.down_relay = (None, None)
 
     def _status_tick(self, now: int) -> None:
         # every drone has a beacon slot up to the horizon, on the tick's tie
@@ -412,9 +422,8 @@ class _Mission:
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
-        state = self.state
-        leader = state.leader()
-        if not leader.alive:
+        state, leader = self.state, self.live_leader
+        if leader is None:
             state.lost_reports += 1
             return
         state.buffered_reports += 1
@@ -425,7 +434,7 @@ class _Mission:
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
-        if state.aborted or self.mission_phase is _LANDED or not self._leader_alive():
+        if not self.leader_up or self.mission_phase is _LANDED:
             return
         n = len(state.alive_sds())
         if n == 0:
@@ -434,7 +443,7 @@ class _Mission:
                 self.warned_no_sds = True
             return
         batch, state.buffered_reports = state.buffered_reports, 0
-        self._mark_leader_activity()
+        self.live_leader.telemetry.last_heard = now
         pkt = Packet(now, HEADER_LEN + status_report_ld_length(n), CONTROL,
                      "ld_status", src=state.leader_id, dst=DMC_ID)
         if not self.wimax_ul.send(pkt, lambda p: self._on_flush_delivered(p, batch)):
@@ -448,13 +457,10 @@ class _Mission:
 
     def _waypoint(self, _t: int) -> Packet | None:
         """A live leader's broadcast, until the end; it marks its activity."""
-        state = self.state
-        leader = state.drones[state.leader_id]
-        if self.mission_phase is _LANDED or state.aborted or not leader.alive:
-            return None
-        leader.telemetry.last_heard = self.q.now
-        return Packet(0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL,
-                      "move_to_waypoint", src=leader.id, dst=BROADCAST_ID)
+        pkt = self.waypoint_pkt
+        if pkt is not None:
+            self.live_leader.telemetry.last_heard = self.q.now
+        return pkt
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
         # the SDs that ack now, in id order, which is the slots' time order;
@@ -469,10 +475,9 @@ class _Mission:
         self.wlan.send(pkt, self._relay_case_report)
 
     def _relay_case_report(self, pkt: Packet) -> None:
-        if not self._leader_alive():
-            return
-        self._mark_leader_activity()
-        self.wimax_ul.send(pkt, self._ack_case_report)
+        if self.leader_up:
+            self.live_leader.telemetry.last_heard = self.q.now
+            self.wimax_ul.send(pkt, self._ack_case_report)
 
     def _ack_case_report(self, pkt: Packet) -> None:
         ack = Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "case_ack",
@@ -480,12 +485,11 @@ class _Mission:
         self.wimax_dl.send(ack, self._relay_case_ack)
 
     def _relay_case_ack(self, pkt: Packet) -> None:
-        if not self._leader_alive():
-            return
-        self._mark_leader_activity()
-        relay = Packet(pkt.created_at, pkt.size_bytes, CONTROL, "case_ack",
-                       src=self.state.leader_id, dst=pkt.dst)
-        self.wlan.send(relay)
+        if self.leader_up:
+            leader = self.live_leader
+            leader.telemetry.last_heard = self.q.now
+            self.wlan.send(Packet(pkt.created_at, pkt.size_bytes, CONTROL, "case_ack",
+                                  src=leader.id, dst=pkt.dst))
 
     # -- video ------------------------------------------------------------
 
@@ -531,16 +535,17 @@ class _Mission:
                                self._relay_video_down, n)
 
     def _relay_video_up(self, pkt: Packet) -> None:
-        state = self.state
-        if state.drones[state.leader_id].alive and not state.aborted:
+        if self.leader_up:
             self.wimax_ul.send(pkt)
 
     def _relay_video_down(self, pkt: Packet) -> None:
-        state = self.state
-        leader_id = state.leader_id
-        if state.drones[leader_id].alive and not state.aborted:
-            self.wlan.send(Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_down",
-                                  leader_id, pkt.dst))
+        if self.leader_up:
+            src, relay = self.down_relay
+            if pkt is not src:  # a copy of the last fragment reuses its relay
+                relay = Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_down",
+                               self.live_leader.id, pkt.dst)
+                self.down_relay = (pkt, relay)
+            self.wlan.send(relay)
 
     # -- telemetry, prediction, failures ----------------------------------
 
@@ -689,10 +694,13 @@ class _Mission:
                 f"{self.reports_to_leader} status reports reached the leader, but "
                 f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
                 f"and {buffered} are still buffered")
-        if (self.flight_acks, self.beacons, self.status_acks) != self._senders():
+        if (self.flight_acks, self.beacons, self.status_acks, self.waypoint_pkt,
+                self.live_leader, self.leader_up) != self._senders():
+            leader = self.live_leader and self.live_leader.id
             raise RunInvariantError(
                 f"roster tables {sorted(self.flight_acks)}, {sorted(self.beacons)} and "
-                f"{sorted(self.status_acks)} (acks, beacons, status acks) miss the final state")
+                f"{sorted(self.status_acks)} (acks, beacons, status acks) or leader "
+                f"{leader}, relaying {self.leader_up}, miss the final state")
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

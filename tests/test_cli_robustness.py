@@ -1,10 +1,11 @@
 """Configs that once crashed or hung the CLI, run end to end through
 ``cli.main``.
 
-Each row is a config the parser accepts or rejects; the CLI must answer it
-with an exit status (0 ok, 1 config rejected, 2 mission aborted) and never
-with an exception or a hang. New robustness fixes append a row. A simulator
-defect is exit 3, with the run and seed that reproduce it on stderr.
+Each row is a config the parser accepts or rejects, as a JSON value or as
+raw file bytes; the CLI must answer it with an exit status (0 ok, 1 config
+rejected, 2 mission aborted) and never with an exception or a hang. New
+robustness fixes append a row. A simulator defect is exit 3, with the run
+and seed that reproduce it on stderr.
 """
 import json
 import signal
@@ -19,8 +20,8 @@ SHORT_MISSION = {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
                  "transit_distance_m": 100}
 SHORT = {"duration_s": 430, "infection_rate": 0.0, "mission": SHORT_MISSION}
 
-# (row id, subcommand with its flags, config, expected exit status[, --out
-# below the test's directory, which holds a file named "taken"])
+# (row id, subcommand with its flags, config or raw file bytes, expected exit
+# status[, --out below the test's directory, which holds a file named "taken"])
 ROWS = [
     ("predicted_leader_failure_between_profile_1_flushes", "run",
      {**SHORT, "n_sds": 4, "profile": 1,
@@ -74,6 +75,14 @@ ROWS = [
      {"duration_s": 10, "video": {"enabled": True}}, 1),
     # two equal points would share one run id in the CSV
     ("sweep_with_a_repeated_value", "sweep --axis seed --values 3,3", {"duration_s": 10}, 1),
+    # JSON the decoder cannot read, as raw file bytes or a raw --values value
+    ("config_not_utf8", "run", '{"name": "caf\xe9"}'.encode("latin-1"), 1),
+    ("config_nested_beyond_the_recursion_limit", "run", b"[" * 200_000, 1),
+    ("config_integer_beyond_the_digit_limit", "run", b'{"seed": ' + b"9" * 5_000 + b"}", 1),
+    ("sweep_value_nested_beyond_the_recursion_limit",
+     "sweep --axis seed --values " + "[" * 200_000, {"duration_s": 10}, 1),
+    ("sweep_value_integer_beyond_the_digit_limit",
+     "sweep --axis seed --values " + "9" * 5_000, {"duration_s": 10}, 1),
 ]
 
 TIME_LIMIT_S = 120
@@ -92,7 +101,10 @@ def _params(row):
                          [_params(row) for row in ROWS], ids=[row[0] for row in ROWS])
 def test_cli_answers_with_an_exit_status(command, config, status, out, tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    if isinstance(config, bytes):
+        path.write_bytes(config)
+    else:
+        path.write_text(json.dumps(config), encoding="utf-8")
     (tmp_path / "taken").write_text("", encoding="utf-8")
     name, *flags = command.split()
     argv = [name, str(path), *flags]

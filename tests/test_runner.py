@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
@@ -116,6 +116,32 @@ def record_status_acks(mission):
     mission._on_status_delivered = recording_delivery
     mission.wlan.reply = recording_reply
     return delivered, replies
+
+
+# the delivery callbacks that read the acting leader's cached state
+LEADER_READERS = ("_relay_video_up", "_relay_video_down", "_relay_case_report",
+                  "_relay_case_ack", "_on_status_delivered")
+
+
+def record_leader_state(mission):
+    """Wrap the mission's ``LEADER_READERS`` to record, per callback name,
+    the cached acting leader state as (time, (live leader, relaying) cached,
+    the same by the rule) when the callback is called."""
+    calls = {name: [] for name in LEADER_READERS}
+    q, state = mission.q, mission.state
+
+    def wrap(name, fn):
+        def recording(pkt):
+            leader = state.leader()
+            live = leader if leader.alive else None
+            calls[name].append((q.now, (mission.live_leader, mission.leader_up),
+                                (live, live is not None and not state.aborted)))
+            fn(pkt)
+        return recording
+
+    for name in LEADER_READERS:
+        setattr(mission, name, wrap(name, getattr(mission, name)))
+    return calls
 
 
 def status_acks_by_rule(delivered):
@@ -618,9 +644,17 @@ class TestRunScenario:
         st.none() | st.integers(1, 7),
         st.integers(0, 430_000),  # ms
     ).filter(lambda f: f[0] != "sd_sudden" or f[1] is not None), max_size=3))
+    # every SD, then the leader, is lost during the calls: the mission
+    # aborts with video still in flight to the dead leader
+    @example(failures=[("sd_sudden", i, 150_500) for i in range(2, 8)]
+             + [("ld_sudden", None, 150_500)])
     def test_ack_and_beacon_slots_offer_exactly_the_live_unlanded_sds(self, failures):
-        mission = _Mission(small_scenario(failures=[
-            {"kind": kind, "drone_id": drone, "at_s": ms / 1000} for kind, drone, ms in failures]))
+        # every assigned SD files a case report and calls for 1 s per session,
+        # so each relay runs too, and sees the cached acting leader state
+        mission = _Mission(small_scenario(
+            infection_rate=1.0, video={"enabled": True, "call_duration_s": 1},
+            failures=[{"kind": kind, "drone_id": drone, "at_s": ms / 1000}
+                      for kind, drone, ms in failures]))
         state = mission.state
 
         def at_slot(sd_id):  # (acks, beacons, acting leader) when the slot runs
@@ -631,6 +665,7 @@ class TestRunScenario:
 
         slots = record_offers(mission, at_slot)
         delivered, replies = record_status_acks(mission)
+        leader_state = record_leader_state(mission)
         mission.run()
         assert slots["flight_ack"] and slots["sd_status"] and replies
         assert replies == status_acks_by_rule(delivered)
@@ -639,6 +674,10 @@ class TestRunScenario:
                 offered = None if pkt is None else (pkt.flow, pkt.src, pkt.dst)
                 expected = (flow, sd_id, sends[2]) if sends[k] else None
                 assert offered == expected, (t, sd_id)
+        for name, calls in leader_state.items():
+            assert calls, name
+            for t, cached, by_rule in calls:
+                assert cached == by_rule, (name, t)
 
     @pytest.mark.parametrize("kind, at_s, recovery_s", [
         ("ld_predicted", 511, []), ("ld_sudden", 515, [0.603])])
@@ -793,6 +832,15 @@ class TestRunScenario:
         mission = _Mission(small_scenario(duration_s=100))
         mission.q.schedule(mission.horizon, mission.status_acks.clear)
         with pytest.raises(RunInvariantError, match=r"and \[\] \(acks, beacons, status acks\)"):
+            mission.run()
+
+    def test_acting_leader_state_left_stale_is_an_internal_error(self):
+        # the leader fails at the horizon and nothing refreshes its cached
+        # state, which still relays; the roster tables stay right
+        mission = _Mission(small_scenario(duration_s=100))
+        leader = mission.state.leader()
+        mission.q.schedule(mission.horizon, lambda: setattr(leader, "phase", Phase.FAILED))
+        with pytest.raises(RunInvariantError, match="or leader 1, relaying True, miss"):
             mission.run()
 
 
