@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .protocol import VideoCallSpec, fragment_payload, status_report_ld_length
 from .swarm import (
-    CaseClass,
     Drone,
     MissionPlan,
     Phase,
@@ -23,7 +22,7 @@ from .runner import RunResult, run_scenario, sweep
 
 __all__ = [
     "VideoCallSpec", "fragment_payload", "status_report_ld_length",
-    "CaseClass", "Drone", "MissionPlan", "Phase", "SwarmState", "init_swarm",
+    "Drone", "MissionPlan", "Phase", "SwarmState", "init_swarm",
     "validate_phase_trace",
     "EventQueue", "WlanParams", "WimaxParams", "max_simultaneous_calls",
     "durability_report",

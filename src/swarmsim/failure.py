@@ -13,9 +13,12 @@ not landed and predicts no failure of its own. Both handovers and the
 runner's abort checks ask it. A drone sent home alone needs no test of its
 own: it went because its battery is below the floor, and battery never rises.
 
-Leadership is ``SwarmState.leader_id`` alone: a handover only moves that id,
-and the demoted leader is an SD from then on. Targets orphaned by a
-promotion or an SD failure go back through ``swarm.assign_targets``.
+Leadership is ``SwarmState.leader_id`` alone, and only ``_promote`` moves
+it: both handovers call it and return the new leader, or None when no SD
+can lead. The demoted leader is an SD from then on. A soft handover that
+finds no one leaves the leader in command; after a hard one the runner
+aborts the mission, and only the runner sets ``aborted``. Targets orphaned
+by a promotion or an SD failure go back through ``swarm.assign_targets``.
 """
 from __future__ import annotations
 
@@ -79,57 +82,53 @@ def can_lead(drone: Drone) -> bool:
             and not predict_failure(drone.telemetry))
 
 
-def _promotion_candidate(state: SwarmState) -> tuple[Drone | None, bool]:
-    """The designated backup if it can lead, else the lowest-id SD that can.
-    Returns (candidate, fell_back).
-    """
+def _promote(state: SwarmState, now_us: int) -> Drone | None:
+    """Give command to the backup if it can lead, else to the lowest-id SD
+    that can, recorded as a deviation. Returns the new leader, or None and
+    changes nothing when no SD can lead."""
     sds = [d for d in state.alive_sds() if can_lead(d)]
-    for d in sds:
-        if d.id == state.backup_id:
-            return d, False
-    return (sds[0] if sds else None), True
-
-
-def _promote(state: SwarmState, new_leader: Drone) -> None:
+    if not sds:
+        return None
+    new = next((d for d in sds if d.id == state.backup_id), None)
+    if new is None:
+        new = sds[0]
+        state.deviations.append(
+            f"t={now_us}us backup unavailable; promoted SD {new.id} instead")
+    else:
+        state.backup_id = None  # slot consumed; next failure falls back
     # hand the target on while the old leader still leads and the new one
     # still holds it, so neither of them is given it
-    if new_leader.id in state.assignments:
-        assign_targets(state, [state.assignments[new_leader.id]])
-        del state.assignments[new_leader.id]
-    state.leader_id = new_leader.id
-    if new_leader.id == state.backup_id:
-        state.backup_id = None  # slot consumed; next failure falls back
+    if new.id in state.assignments:
+        assign_targets(state, [state.assignments[new.id]])
+        del state.assignments[new.id]
+    state.leader_id = new.id
+    return new
 
 
-def soft_handover(state: SwarmState, now_us: int) -> SwarmState:
+def soft_handover(state: SwarmState, now_us: int) -> Drone | None:
     """Proactive leadership transfer ahead of a predicted leader failure.
 
     The backup inherits the aggregation buffer, so no report is lost. The
     old leader demotes to an SD and heads home if its battery is below the
-    floor. Requires the prediction to actually hold. A backup that cannot
-    lead falls back to the lowest-id SD that can, recorded as a deviation;
-    with no such SD the leader keeps command, also recorded.
+    floor. Requires the prediction to actually hold. Returns the new
+    leader; with no SD fit to lead the leader keeps command, recorded as a
+    deviation, and None is returned.
     """
     old = state.leader()
     if not old.alive:
         raise RunInvariantError("soft handover needs a live leader; use hard_handover")
     if not predict_failure(old.telemetry):
         raise RunInvariantError("soft handover without a failure prediction")
-    candidate, fell_back = _promotion_candidate(state)
-    if candidate is None:
+    new = _promote(state, now_us)
+    if new is None:
         state.deviations.append(
             f"t={now_us}us soft handover found no SD fit to lead; "
             f"leader {old.id} keeps command")
-        return state
-    if fell_back:
-        state.deviations.append(
-            f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
-        )
-    _promote(state, candidate)
+        return None
     if old.telemetry.battery_pct < BATTERY_FLOOR_PCT:
         old.phase = Phase.RETURNING
         old.waypoint = state.plan.dmc_position
-    return state
+    return new
 
 
 def hard_handover(
@@ -137,31 +136,24 @@ def hard_handover(
     detection: DetectionRecord,
     now_us: int,
     failed_at_us: int | None = None,
-) -> SwarmState:
+) -> Drone | None:
     """Takeover after an unplanned leader loss.
 
     The dead leader's buffered aggregate is charged to the loss counters,
-    the backup (or the lowest-id SD that can lead) assumes command, and the
-    failure-to-command gap is recorded as a recovery-time sample.
+    the new leader from ``_promote`` assumes command, and the
+    failure-to-command gap is recorded as a recovery-time sample. Returns
+    the new leader, or None when no SD can lead.
     """
     old = state.drones[detection.leader_id]
     if old.alive and now_us - old.telemetry.last_heard <= detection.timeout_us:
         raise RunInvariantError("hard handover requires a dead or long-unheard leader")
     state.lost_reports += state.buffered_reports
     state.buffered_reports = 0
-    candidate, fell_back = _promotion_candidate(state)
-    if candidate is None:
-        state.aborted = True
-        state.deviations.append(f"t={now_us}us no drone left to lead; mission aborted")
-        return state
-    if fell_back:
-        state.deviations.append(
-            f"t={now_us}us backup unavailable; promoted SD {candidate.id} instead"
-        )
-    _promote(state, candidate)
-    origin = detection.last_heard_us if failed_at_us is None else failed_at_us
-    state.recovery_times_us.append(now_us - origin)
-    return state
+    new = _promote(state, now_us)
+    if new is not None:
+        origin = detection.last_heard_us if failed_at_us is None else failed_at_us
+        state.recovery_times_us.append(now_us - origin)
+    return new
 
 
 def detect_ld_loss(state: SwarmState, now_us: int,
@@ -175,7 +167,7 @@ def detect_ld_loss(state: SwarmState, now_us: int,
     return None
 
 
-def reallocate_tasks(state: SwarmState, failed_sd: int) -> SwarmState:
+def reallocate_tasks(state: SwarmState, failed_sd: int) -> None:
     """Move a failed SD's target to an idle alive SD, else queue it for the
     next session so coverage is preserved."""
     if failed_sd == state.leader_id:
@@ -183,17 +175,13 @@ def reallocate_tasks(state: SwarmState, failed_sd: int) -> SwarmState:
     target = state.assignments.pop(failed_sd, None)
     if target is not None:
         assign_targets(state, [target])
-    return state
 
 
-def isolate_drone(state: SwarmState, drone_id: int) -> SwarmState:
-    """Cut a failed drone out of the network; idempotent."""
+def isolate_drone(state: SwarmState, drone_id: int) -> None:
+    """Cut a failed drone out of the network, once."""
     drone = state.drones[drone_id]
-    if drone.phase is Phase.ISOLATED:
-        return state
     if drone_id == state.leader_id:
         raise RunInvariantError("cannot isolate the acting leader; hand over first")
     if drone.phase is not Phase.FAILED:
         raise RunInvariantError(f"drone {drone_id} is not failed; refusing to isolate")
     drone.phase = transition_phase(drone.phase, PhaseEvent.ISOLATE)
-    return state

@@ -37,8 +37,10 @@ as processed events.
 
 A watchdog run by the backup probes the leader's last activity and triggers
 a hard handover after the detection timeout; predicted failures trigger a
-soft handover directly. At the end, each drone's airborne, powered and
-video time is priced against its batteries; an overdraw is a deviation.
+soft handover directly. A hard handover that finds no SD fit to lead
+aborts the mission, and ``_abort`` alone marks a mission aborted. At the
+end, each drone's airborne, powered and video time is priced against its
+batteries; an overdraw is a deviation.
 Identical (config, seed) pairs produce identical results.
 """
 from __future__ import annotations
@@ -91,8 +93,6 @@ from .swarm import (
     PhaseEvent,
     assign_targets,
     can_collect,
-    classify_case,
-    escalates,
     formation_positions,
     advance_kinematics,
     init_swarm,
@@ -304,7 +304,8 @@ class _Mission:
         leader = state.leader()
         if self.mission_phase in (Phase.IN_FORMATION, Phase.TRANSIT, Phase.DEPLOYING):
             leader.waypoint = center
-            sds = state.alive_sds()
+            # a drone sent home alone keeps its course to the DMC
+            sds = [d for d in state.alive_sds() if d.phase is not Phase.RETURNING]
             slots = formation_positions(max(len(sds), 1), center)
             for d, slot in zip(sds, slots):
                 d.waypoint = slot
@@ -346,7 +347,7 @@ class _Mission:
             drone = state.drones[sd_id]
             if not drone.alive:
                 continue
-            if escalates(classify_case(self.rng.random(), cfg.infection_rate)):
+            if self.rng.random() < cfg.infection_rate:
                 self._send_case_report(sd_id, now)
                 callers.append(sd_id)
         if cfg.video.enabled:
@@ -573,12 +574,9 @@ class _Mission:
             # a leader that found no SD fit to lead, or none alive, keeps
             # command; no SD becomes fit later, so it does not ask again
             if leader.id != self.kept_command:
-                failure_mod.soft_handover(state, now)
-                if state.leader_id == leader.id:
+                if failure_mod.soft_handover(state, now) is None:
                     self.kept_command = leader.id
-                self._refresh_senders()
-                state.leader().telemetry.last_heard = now
-                self._update_waypoints()
+                self._after_handover()
 
     def _watchdog(self, now: int, timeout_us: int) -> None:
         state = self.state
@@ -598,15 +596,19 @@ class _Mission:
         if state.aborted or state.leader_id != detection.leader_id:
             return
         old = state.drones[detection.leader_id]
-        failure_mod.hard_handover(state, detection, self.q.now,
-                                  failed_at_us=self.leader_killed_at)
-        if state.aborted:
-            self.ended_at = self.q.now
-        else:
-            state.leader().telemetry.last_heard = self.q.now
-            if not old.alive:
-                failure_mod.isolate_drone(state, old.id)
-            self._update_waypoints()
+        if failure_mod.hard_handover(state, detection, self.q.now,
+                                     failed_at_us=self.leader_killed_at) is None:
+            self._abort("no drone left to lead")
+            return
+        if not old.alive:
+            failure_mod.isolate_drone(state, old.id)
+        self._after_handover()
+
+    def _after_handover(self) -> None:
+        """The acting leader, new or kept, is heard now; waypoints and the
+        roster tables follow it."""
+        self.state.leader().telemetry.last_heard = self.q.now
+        self._update_waypoints()
         self._refresh_senders()
 
     def _apply_failure(self, f) -> None:

@@ -1,5 +1,5 @@
-"""Swarm state: operational phase machine, formation geometry, kinematics,
-target assignment, and the stochastic case-classification stub.
+"""Swarm state: operational phase machine, formation geometry, kinematics
+and target assignment.
 
 One leader drone (LD) coordinates n slave drones (SDs) over a 2 km x 2 km
 plane anchored at a ground station (the DMC). Drones fly at a fixed cruise
@@ -26,8 +26,6 @@ SPACING_M = 12.0  # formation pitch: the row's distance behind the leader and be
 SPEED_KMH = 12.0  # cruise speed of every drone
 SPEED_MS = SPEED_KMH * 1000.0 / 3600.0
 LEADER_ID = 1  # initial leader; DMC is address 0, SDs are 2..n+1
-ESCALATION_SPLIT = 0.5  # share of escalated cases that are infected
-SUSPICIOUS_SHARE = 0.1  # share of unescalated cases that are suspicious
 
 
 class Phase(Enum):
@@ -139,13 +137,6 @@ class Drone:
                 and phase is not _ISOLATED and phase is not _CONFIGURED)
 
 
-class CaseClass(Enum):
-    HEALTHY = "healthy"
-    SUSPICIOUS = "suspicious"
-    INFECTED = "infected"
-    EMERGENCY = "emergency"
-
-
 @dataclass(frozen=True)
 class MissionPlan:
     dmc_position: tuple[float, float] = (0.0, SPAN_M / 2)
@@ -225,7 +216,7 @@ def formation_positions(n: int, leader_pos: tuple[float, float]) -> list[tuple[f
     return [(lx - SPACING_M, ly + lat) for lat in laterals[:n]]
 
 
-def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
+def advance_kinematics(state: SwarmState, dt_us: int) -> None:
     """Move airborne drones toward their waypoints at cruise speed.
 
     Displacement per step is capped at speed * dt; landed, failed, and
@@ -244,25 +235,3 @@ def advance_kinematics(state: SwarmState, dt_us: int) -> SwarmState:
             f = step / dist
             nx, ny = x + (wx - x) * f, y + (wy - y) * f
         drone.position = (min(max(nx, 0.0), SPAN_M), min(max(ny, 0.0), SPAN_M))
-    return state
-
-
-def classify_case(draw: float, infection_rate: float) -> CaseClass:
-    """Map a uniform draw to a case class.
-
-    A fraction ``infection_rate`` of cases escalates (split between
-    infected and emergency); the rest splits healthy vs suspicious.
-    Escalations trigger a case report and, when enabled, a video call.
-    """
-    if draw < infection_rate * ESCALATION_SPLIT:
-        return CaseClass.INFECTED
-    if draw < infection_rate:
-        return CaseClass.EMERGENCY
-    rest = draw - infection_rate
-    if rest < (1.0 - infection_rate) * (1.0 - SUSPICIOUS_SHARE):
-        return CaseClass.HEALTHY
-    return CaseClass.SUSPICIOUS
-
-
-def escalates(c: CaseClass) -> bool:
-    return c in (CaseClass.INFECTED, CaseClass.EMERGENCY)

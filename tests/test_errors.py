@@ -1,5 +1,7 @@
 """The package raises exactly two errors of its own: ``ConfigError`` for
-bad input and ``RunInvariantError`` for a simulator defect."""
+bad input and ``RunInvariantError`` for a simulator defect. The mission's
+abort flag and its leader each have one writer, so an abort and a
+promotion are each decided in one place."""
 import ast
 import builtins
 from pathlib import Path
@@ -52,3 +54,36 @@ def test_every_raise_is_one_of_the_two_errors_or_a_re_raise():
             if _base_name(exc) not in ERRORS:
                 stray.append(f"{module}:{node.lineno}")
     assert stray == []
+
+
+def _attribute_writes(tree) -> list[tuple[str, str]]:
+    """(attribute, qualified name of the enclosing function) of every
+    attribute store, ``SwarmState`` keyword and ``setattr`` in a module."""
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            writes.append((node.attr, scope))
+        if isinstance(node, ast.Call):
+            if _base_name(node.func) == "SwarmState":
+                writes.extend((k.arg, scope) for k in node.keywords)
+            if (_base_name(node.func) == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)):
+                writes.append((node.args[1].value, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return writes
+
+
+def test_only_the_abort_sets_aborted_and_only_the_promotion_moves_the_leader():
+    writers = {"aborted": set(), "leader_id": set()}
+    for module, tree in _trees():
+        for attr, scope in _attribute_writes(tree):
+            if attr in writers:
+                writers[attr].add(f"{module}:{scope}")
+    assert writers == {"aborted": {"runner.py:_Mission._abort"},
+                       "leader_id": {"failure.py:_promote", "swarm.py:init_swarm"}}

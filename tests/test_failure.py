@@ -45,13 +45,14 @@ class TestSoftHandover:
         state = collecting_swarm()
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
         state.buffered_reports = 1
-        out = soft_handover(state, now_us=1_000)
-        assert out.leader_id == 3
-        assert 1 in [d.id for d in out.alive_sds()]
+        assert soft_handover(state, now_us=1_000) is state.drones[3]
+        assert state.leader_id == 3
+        assert state.drones[1].phase is Phase.RETURNING
+        assert 1 in [d.id for d in state.alive_sds()]
         # lossless by design: buffer survives, nothing charged to losses
-        assert out.buffered_reports == 1
-        assert out.lost_reports == 0
-        assert out.recovery_times_us == []
+        assert state.buffered_reports == 1
+        assert state.lost_reports == 0
+        assert state.recovery_times_us == []
 
     def test_refused_when_no_failure_predicted(self):
         state = collecting_swarm()
@@ -62,9 +63,9 @@ class TestSoftHandover:
         state = collecting_swarm()
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
         state.drones[3].phase = Phase.FAILED
-        out = soft_handover(state, now_us=1_000)
-        assert out.leader_id == 2
-        assert any("backup" in d for d in out.deviations)
+        assert soft_handover(state, now_us=1_000) is state.drones[2]
+        assert state.leader_id == 2
+        assert state.deviations == ["t=1000us backup unavailable; promoted SD 2 instead"]
 
     def test_returning_or_failing_sds_are_not_promoted(self):
         state = collecting_swarm(n=3)
@@ -73,9 +74,9 @@ class TestSoftHandover:
         state.drones[3].phase = Phase.RETURNING
         state.drones[3].telemetry = Telemetry(12.0, 30.0, 0)
         state.drones[2].telemetry = Telemetry(10.0, 30.0, 0)
-        out = soft_handover(state, now_us=1_000)
-        assert out.leader_id == 4
-        assert any("backup unavailable" in d for d in out.deviations)
+        assert soft_handover(state, now_us=1_000) is state.drones[4]
+        assert state.leader_id == 4
+        assert any("backup unavailable" in d for d in state.deviations)
 
     def test_promoted_sds_target_is_pending_when_every_sd_holds_one(self):
         # an overheating leader stays in the swarm as an SD; it must not
@@ -83,20 +84,22 @@ class TestSoftHandover:
         state = collecting_swarm(n=4)
         state.leader().telemetry = Telemetry(80.0, 70.0, 0)
         state.assignments = {2: 10, 3: 11, 4: 12, 5: 13}
-        out = soft_handover(state, now_us=1_000)
-        assert out.leader_id == 3
-        assert out.assignments == {2: 10, 4: 12, 5: 13}
-        assert out.pending_targets == [11]
+        soft_handover(state, now_us=1_000)
+        assert state.leader_id == 3
+        assert state.drones[1].phase is Phase.COLLECTING
+        assert state.assignments == {2: 10, 4: 12, 5: 13}
+        assert state.pending_targets == [11]
 
     def test_leader_keeps_command_when_no_sd_is_fit_to_lead(self):
         state = collecting_swarm(n=2)
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
         state.drones[2].telemetry = Telemetry(14.0, 30.0, 0)
         state.drones[3].telemetry = Telemetry(80.0, 70.0, 0)
-        out = soft_handover(state, now_us=1_000)
-        assert out.leader_id == 1
-        assert out.deviations == ["t=1000us soft handover found no SD fit to lead; "
-                                  "leader 1 keeps command"]
+        assert soft_handover(state, now_us=1_000) is None
+        assert state.leader_id == 1
+        assert state.drones[1].phase is Phase.COLLECTING
+        assert state.deviations == ["t=1000us soft handover found no SD fit to lead; "
+                                    "leader 1 keeps command"]
 
 
 class TestDetection:
@@ -130,40 +133,52 @@ class TestHardHandover:
         state.buffered_reports = 2
         state.drones[1].phase = Phase.FAILED
         detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        out = hard_handover(state, detection, now_us=61_000_000,
+        new = hard_handover(state, detection, now_us=61_000_000,
                             failed_at_us=30_000_000)
-        assert out.leader_id == 3
+        assert new is state.drones[3]
+        assert state.leader_id == 3
         # the in-flight aggregate dies with the old leader
-        assert out.buffered_reports == 0
-        assert out.lost_reports == 2
+        assert state.buffered_reports == 0
+        assert state.lost_reports == 2
         # recovery measures failure-to-promotion
-        assert out.recovery_times_us == [31_000_000]
+        assert state.recovery_times_us == [31_000_000]
 
     def test_backup_dead_falls_back_to_lowest_id(self):
         state = collecting_swarm()
         state.drones[1].phase = Phase.FAILED
         state.drones[3].phase = Phase.FAILED
         detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        out = hard_handover(state, detection, now_us=61_000_000)
-        assert out.leader_id == 2
+        assert hard_handover(state, detection, now_us=61_000_000) is state.drones[2]
+        assert state.leader_id == 2
+        assert state.deviations == ["t=61000000us backup unavailable; promoted SD 2 instead"]
 
-    def test_all_sds_dead_aborts_the_mission(self):
-        state = collecting_swarm(n=1)
+    def test_no_sd_fit_to_lead_promotes_no_one(self):
+        # the runner aborts the mission on None; the handover only charges
+        # the lost aggregate and leaves the leader and the abort flag alone
+        state = collecting_swarm(n=2)
+        state.buffered_reports = 3
         state.drones[1].phase = Phase.FAILED
         state.drones[2].phase = Phase.FAILED
+        state.drones[3].telemetry = Telemetry(10.0, 30.0, 0)
         detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        out = hard_handover(state, detection, now_us=61_000_000)
-        assert out.aborted
+        assert hard_handover(state, detection, now_us=61_000_000) is None
+        assert state.leader_id == 1
+        assert state.backup_id == 3
+        assert not state.aborted
+        assert state.deviations == []
+        assert state.recovery_times_us == []
+        assert state.lost_reports == 3
 
     def test_promoted_leaders_own_target_is_reassigned(self):
         state = collecting_swarm(n=3)
         state.drones[1].phase = Phase.FAILED
         state.assignments = {3: 7}
         detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        out = hard_handover(state, detection, now_us=61_000_000)
-        assert out.leader_id == 3
-        # target 7 moved to an idle SD rather than dropped
-        assert 7 in out.assignments.values() or 7 in out.pending_targets
+        hard_handover(state, detection, now_us=61_000_000)
+        assert state.leader_id == 3
+        # target 7 moved to the lowest-id idle SD rather than dropped
+        assert state.assignments == {2: 7}
+        assert state.pending_targets == []
 
 
 class TestReallocation:
@@ -171,24 +186,24 @@ class TestReallocation:
         state = collecting_swarm(n=4)
         state.assignments = {2: 11, 3: 12}
         state.drones[2].phase = Phase.FAILED
-        out = reallocate_tasks(state, 2)
-        assert 2 not in out.assignments
-        assert 11 in out.assignments.values()
+        reallocate_tasks(state, 2)
+        assert state.assignments == {3: 12, 4: 11}
 
     def test_no_idle_sd_queues_target_for_next_session(self):
         state = collecting_swarm(n=2)
         state.assignments = {2: 11, 3: 12}
         state.drones[2].phase = Phase.FAILED
-        out = reallocate_tasks(state, 2)
-        assert out.pending_targets == [11]
+        reallocate_tasks(state, 2)
+        assert state.assignments == {3: 12}
+        assert state.pending_targets == [11]
 
     def test_idle_sd_failure_changes_nothing(self):
         state = collecting_swarm(n=3)
         state.assignments = {2: 11}
         state.drones[4].phase = Phase.FAILED
-        out = reallocate_tasks(state, 4)
-        assert out.assignments == {2: 11}
-        assert out.pending_targets == []
+        reallocate_tasks(state, 4)
+        assert state.assignments == {2: 11}
+        assert state.pending_targets == []
 
     def test_leader_ids_are_rejected(self):
         state = collecting_swarm()
@@ -200,8 +215,8 @@ class TestIsolation:
     def test_isolated_drone_reaches_isolated_phase(self):
         state = collecting_swarm()
         state.drones[4].phase = Phase.FAILED
-        out = isolate_drone(state, 4)
-        assert out.drones[4].phase is Phase.ISOLATED
+        isolate_drone(state, 4)
+        assert state.drones[4].phase is Phase.ISOLATED
         assert not state.drones[4].airborne
         assert all(d.id != 4 for d in state.alive_sds())
 
@@ -210,12 +225,15 @@ class TestIsolation:
         with pytest.raises(RunInvariantError):
             isolate_drone(state, 1)
 
-    def test_double_isolation_is_idempotent(self):
+    def test_double_isolation_is_an_internal_error(self):
+        # an SD is isolated once, at its loss, and a leader once, at its
+        # hard handover; a second isolation is a simulator defect
         state = collecting_swarm()
         state.drones[4].phase = Phase.FAILED
         isolate_drone(state, 4)
-        out = isolate_drone(state, 4)
-        assert out.drones[4].phase is Phase.ISOLATED
+        with pytest.raises(RunInvariantError, match="drone 4 is not failed"):
+            isolate_drone(state, 4)
+        assert state.drones[4].phase is Phase.ISOLATED
 
 
 class TestReturnToBase:

@@ -42,6 +42,19 @@ CALL_OUTLIVES_MISSION = {
 LANDED_AT_US = 240_000_000
 CALL_START_US = 150_010_000  # classification at 150 s plus the 10 ms call stagger
 
+# the failover config of test_golden_csv.py: ten SDs, profile 2, the first
+# flight window ends at 90 s
+FAILOVER = {
+    "name": "failover", "duration_s": 430, "n_sds": 10, "profile": 2,
+    "infection_rate": 0.0,
+    "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                "transit_distance_m": 100, "n_targets": 6},
+}
+# the leader runs low in a 5 km transit and hands over to the backup at
+# 1,230 s, in the transit phase
+TRANSIT_HANDOVER = {"n_sds": 4, "duration_s": 4000, "infection_rate": 0.0,
+                    "mission": {"transit_distance_m": 5000, "session_duration_s": 60}}
+
 
 def small_scenario(**overrides):
     """A fast two-session mission: flight windows [0, 90], [210, 270],
@@ -344,6 +357,49 @@ class TestRunScenario:
         assert ("t=130000000us last SD lost with the leader down; mission aborted"
                 in result.deviations)
 
+    def test_hard_handover_with_no_sd_fit_to_lead_aborts(self):
+        # the leader dies at 40 s and every SD runs low at 40.1 s, before
+        # the watchdog's promotion at 40.603 s finds no one to promote
+        mission = _Mission(parse_config(dict(FAILOVER, failures=[
+            {"kind": "ld_sudden", "at_s": 40.0}])))
+        state = mission.state
+
+        def drain_every_sd():
+            for sd in state.alive_sds():
+                sd.telemetry.battery_pct = 10.0
+
+        mission.q.schedule(40_100_000, drain_every_sd)
+        result = mission.run()
+        assert result.aborted
+        assert result.deviations == ["t=40603000us no drone left to lead; mission aborted"]
+        assert result.recovery_times_s == []
+        assert result.sd_reports_lost == 20
+        assert mission.ended_at == 40_603_000
+
+    @pytest.mark.parametrize("rate, reports", [
+        (0.0, []),
+        # SD 3 is lost at 100 s and SD 5 at 300 s, each before its session's
+        # classification; its target moves to the next idle SD
+        (1.0, [(150_000_000, 2), (150_000_000, 4), (150_000_000, 5), (150_000_000, 6),
+               (330_000_000, 2), (330_000_000, 4), (330_000_000, 6), (330_000_000, 7)]),
+    ], ids=["rate_0", "rate_1"])
+    def test_each_live_assigned_sd_escalates_at_the_infection_rate(self, rate, reports,
+                                                                   monkeypatch):
+        mission = _Mission(small_scenario(infection_rate=rate, failures=[
+            {"kind": "sd_sudden", "drone_id": 3, "at_s": 100.0},
+            {"kind": "sd_sudden", "drone_id": 5, "at_s": 300.0}]))
+        offered = []
+        send = Link.send
+
+        def recording_send(link, pkt, on_deliver=None, n=1):
+            if link.name == "wlan" and pkt.flow == "case_report":
+                offered.append((mission.q.now, pkt.src))
+            return send(link, pkt, on_deliver, n)
+
+        monkeypatch.setattr(Link, "send", recording_send)
+        mission.run()
+        assert offered == reports
+
     @pytest.mark.parametrize("failures, deviation", [
         ([{"kind": "sd_sudden", "drone_id": 1, "at_s": 95.0}],
          "t=95000000us sd_sudden of drone 1 not applied: drone is the acting leader"),
@@ -576,6 +632,19 @@ class TestRunScenario:
         assert result.collected_targets == [0, 0, 0, 1, 1]
         assert result.pending_targets == [1]
         assert "session 2: 1 targets deferred; only 1 SDs available" in result.deviations
+
+    def test_a_leader_sent_home_in_transit_lands_at_the_dmc(self):
+        # the demoted leader 1 used to be given a formation slot, where it
+        # landed at 1,240 s, 2 km out; it now flies home and lands at 1,830 s
+        mission = _Mission(parse_config(TRANSIT_HANDOVER))
+        drone, dmc = mission.state.drones[1], mission.state.plan.dmc_position
+        seen = []
+        for t in (1_235_000_000, 1_835_000_000):
+            mission.q.schedule(t, lambda: seen.append(
+                (mission.state.leader_id, drone.phase, drone.position == dmc)))
+        mission.run()
+        assert seen == [(3, Phase.RETURNING, False), (3, Phase.LANDED, True)]
+        assert mission.airborne_us[1] == 1_830_000_000
 
     def test_leader_lost_with_only_landed_or_failing_sds_aborts(self):
         # at 1,500 s drone 1 has landed alone and drone 2's battery is below

@@ -1,4 +1,4 @@
-"""Phase machine, formation geometry, kinematics, classification."""
+"""Phase machine, formation geometry, kinematics."""
 import math
 
 import pytest
@@ -6,14 +6,11 @@ from hypothesis import given, strategies as st
 
 from swarmsim.errors import RunInvariantError
 from swarmsim.swarm import (
-    CaseClass,
     MissionPlan,
     Phase,
     PhaseEvent,
     SPEED_MS,
     advance_kinematics,
-    classify_case,
-    escalates,
     formation_positions,
     init_swarm,
     transition_phase,
@@ -127,36 +124,3 @@ class TestKinematics:
         advance_kinematics(state, dt_s * 1_000_000)
         moved = math.dist((0.0, 0.0), ld.position)
         assert moved <= SPEED_MS * dt_s * (1 + 1e-9)
-
-
-class TestCaseClassification:
-    def test_zero_rate_never_escalates(self):
-        for draw in (0.0, 0.3, 0.89, 0.95, 0.999):
-            c = classify_case(draw, 0.0)
-            assert c in (CaseClass.HEALTHY, CaseClass.SUSPICIOUS)
-            assert not escalates(c)
-
-    def test_unit_rate_always_escalates(self):
-        for draw in (0.0, 0.49, 0.5, 0.999):
-            c = classify_case(draw, 1.0)
-            assert c in (CaseClass.INFECTED, CaseClass.EMERGENCY)
-            assert escalates(c)
-
-    def test_escalation_splits_infected_then_emergency(self):
-        assert classify_case(0.01, 0.1) is CaseClass.INFECTED
-        assert classify_case(0.07, 0.1) is CaseClass.EMERGENCY
-        assert classify_case(0.5, 0.1) is CaseClass.HEALTHY
-        assert classify_case(0.999, 0.1) is CaseClass.SUSPICIOUS
-
-    def test_default_rate_escalates_cases_at_that_rate(self):
-        # 10 SDs classifying once per session at rate 0.025 averages
-        # 0.25 escalations per session (about one per four sessions).
-        rate = 0.025
-        n = 100_000
-        hits = sum(escalates(classify_case((i + 0.5) / n, rate)) for i in range(n))
-        assert hits / n == pytest.approx(rate, rel=0.01)
-
-    @given(draw=st.floats(0.0, 0.999999), rate=st.floats(0.0, 1.0))
-    def test_classification_is_total_and_consistent(self, draw, rate):
-        c = classify_case(draw, rate)
-        assert escalates(c) == (draw < rate)
