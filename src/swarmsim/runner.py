@@ -586,6 +586,9 @@ class _Mission:
         # the watchdog runs on an SD, so it stops when none is left
         if detection is None or not state.has_alive_sd():
             return
+        if state.drones[detection.leader_id].alive:
+            raise RunInvariantError(
+                f"t={now}us the watchdog detected leader {detection.leader_id} alive")
         self.handover_pending = True
         promote_at = now + failure_mod.PROMOTION_PROCESSING_US
         self.q.schedule(promote_at, lambda: self._complete_hard_handover(detection))
