@@ -116,6 +116,20 @@ class EventQueue:
         heapq.heappush(self._heap, (t, self._tie, fn))
         self._tie += 1
 
+    def take_tie(self) -> int:
+        """Take a tie now for an event that ``schedule_tied`` may push later,
+        so that it orders against others as if it had been scheduled now."""
+        tie = self._tie
+        self._tie += 1
+        return tie
+
+    def schedule_tied(self, t: int, tie: int, fn: Callable[[], None]) -> None:
+        """Schedule ``fn`` at ``t`` on a tie from ``take_tie``; no other
+        entry of that tie may share ``t``."""
+        if t < self.now:
+            raise RunInvariantError(f"cannot schedule at {t} before now={self.now}")
+        heapq.heappush(self._heap, (t, tie, fn))
+
     def every(self, first: int, period: int, last: int,
               fn: Callable[[int], None]) -> int | None:
         """Call ``fn(t)`` at first, first + period, ... while t <= last.

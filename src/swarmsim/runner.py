@@ -169,7 +169,6 @@ class _Mission:
         self.active_calls: set[tuple[int, int]] = set()
         self.leader_killed_at: int | None = None
         self.ended_at = self.horizon  # the instant the mission landed or aborted
-        self.handover_pending = False
         self.kept_command: int | None = None  # leader that found no SD fit to lead
         self.warned_no_sds = False
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
@@ -247,25 +246,31 @@ class _Mission:
                     PhaseEvent.REPOSITION_COMPLETE))
         ev(land_at, lambda: self._mission_transition(PhaseEvent.LANDED_AT_BASE))
 
-        # periodic WLAN sends run as trains, the flush and the telemetry and
-        # watchdog ticks as series; events at equal times run in the order
-        # their trains and series take ties here. Per-drone send slots are
-        # staggered so synchronized reports do not collide in the transmit
-        # queue (deterministic stand-in for channel-access backoff).
+        # periodic WLAN sends run as trains, the flush and the telemetry
+        # ticks as series; events at equal times run in the order their
+        # trains, series and watchdog grids take ties here. Per-drone send
+        # slots are staggered so synchronized reports do not collide in the
+        # transmit queue (deterministic stand-in for channel-access backoff).
         every = self.q.every
         self.status_tie = every(SD_STATUS_PERIOD_US, SD_STATUS_PERIOD_US, H, self._status_tick)
         every(LD_STATUS_PERIOD_US, LD_STATUS_PERIOD_US, H, self._flush_tick)
+        # the watchdog's slots per window as (first, period, last, timeout,
+        # tie), up to the horizon; _arm_deadline picks one at a leader loss
+        grids = self.watchdog_grids = []
+        take_tie = self.q.take_tie
         for a, b in self.flight_windows:
             first = a + MOVE_TO_WAYPOINT_PERIOD_US
             slots = range(first, min(b, H) + 1, MOVE_TO_WAYPOINT_PERIOD_US)
             self.wlan.train(slots, slots, self._waypoint, self._on_waypoint_delivered)
-            every(first + WATCHDOG_MARGIN_US, MOVE_TO_WAYPOINT_PERIOD_US,
-                  min(b + WATCHDOG_MARGIN_US, H),
-                  lambda t: self._watchdog(t, failure_mod.FLIGHT_DETECTION_TIMEOUT_US))
+            first, last = first + WATCHDOG_MARGIN_US, min(b + WATCHDOG_MARGIN_US, H)
+            if first <= last:
+                grids.append((first, MOVE_TO_WAYPOINT_PERIOD_US, last,
+                              failure_mod.FLIGHT_DETECTION_TIMEOUT_US, take_tie()))
         for a, b in self.collection_windows:
-            every(a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US, LD_STATUS_PERIOD_US,
-                  min(b + WATCHDOG_MARGIN_US, H),
-                  lambda t: self._watchdog(t, failure_mod.COLLECTION_DETECTION_TIMEOUT_US))
+            first, last = a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US, min(b + WATCHDOG_MARGIN_US, H)
+            if first <= last:
+                grids.append((first, LD_STATUS_PERIOD_US, last,
+                              failure_mod.COLLECTION_DETECTION_TIMEOUT_US, take_tie()))
 
         for f in self.cfg.failures:
             if f.at_us <= H:
@@ -578,24 +583,39 @@ class _Mission:
                     self.kept_command = leader.id
                 self._after_handover()
 
-    def _watchdog(self, now: int, timeout_us: int) -> None:
-        state = self.state
-        if state.aborted or self.mission_phase is _LANDED or self.handover_pending:
+    def _arm_deadline(self, last_heard: int) -> None:
+        """Schedule the detection of the leader lost now, silent since
+        ``last_heard``: at the first watchdog slot after now whose window's
+        timeout that silence exceeds, on that window's tie, so it runs
+        where a watchdog polling every slot would first have detected the
+        loss. None is scheduled when that slot would pass the horizon."""
+        now = self.q.now
+        due = []
+        for first, period, last, timeout, tie in self.watchdog_grids:
+            after = max(now, last_heard + timeout)
+            t = first + max(0, (after - first) // period + 1) * period
+            if t <= last:
+                due.append((t, tie, timeout))
+        if due:
+            t, tie, timeout = min(due)
+            self.q.schedule_tied(t, tie, lambda: self._detect_leader_loss(timeout))
+
+    def _detect_leader_loss(self, timeout_us: int) -> None:
+        """The watchdog's deadline: the backup detects the silent leader and
+        takes command after the processing delay, unless the mission is over
+        or no SD is left to run the watchdog."""
+        state, now = self.state, self.q.now
+        if state.aborted or self.mission_phase is _LANDED or not state.has_alive_sd():
             return
         detection = failure_mod.detect_ld_loss(state, now, timeout_us)
-        # the watchdog runs on an SD, so it stops when none is left
-        if detection is None or not state.has_alive_sd():
-            return
-        if state.drones[detection.leader_id].alive:
+        if detection is None:
             raise RunInvariantError(
-                f"t={now}us the watchdog detected leader {detection.leader_id} alive")
-        self.handover_pending = True
+                f"t={now}us the watchdog's deadline found leader {state.leader_id} heard")
         promote_at = now + failure_mod.PROMOTION_PROCESSING_US
         self.q.schedule(promote_at, lambda: self._complete_hard_handover(detection))
 
     def _complete_hard_handover(self, detection) -> None:
         state = self.state
-        self.handover_pending = False
         if state.aborted or state.leader_id != detection.leader_id:
             return
         old = state.drones[detection.leader_id]
@@ -633,6 +653,8 @@ class _Mission:
             self.leader_killed_at = now
             if not any(failure_mod.can_lead(sd) for sd in state.alive_sds()):
                 self._abort("leader lost with no SD able to lead")
+            else:
+                self._arm_deadline(target.telemetry.last_heard)
         elif f.kind == failure_mod.FailureKind.LD_PREDICTED:
             leader = state.leader()
             if not leader.alive:
