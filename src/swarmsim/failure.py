@@ -4,9 +4,11 @@ and isolation.
 Two handover flavors exist. A soft handover runs while the leader is still
 healthy enough to cooperate: the backup inherits the aggregation buffer, so
 nothing is lost. A hard handover follows an unplanned leader loss detected
-by watchdog timeout: the in-flight aggregate dies with the old leader and is
-charged to the loss metrics, and the detection-to-promotion gap is recorded
-as the recovery time.
+by watchdog timeout: the runner computes the detection at the loss, at the
+first watchdog slot past the timeout, the instant a polling watchdog would
+first see the silence, and calls ``detect_ld_loss`` there. The in-flight
+aggregate dies with the old leader and is charged to the loss metrics, and
+the failure-to-command gap is recorded as the recovery time.
 
 One rule, ``can_lead``, decides who may take command: a live drone that has
 not landed and predicts no failure of its own. Both handovers and the

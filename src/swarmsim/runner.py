@@ -12,8 +12,8 @@ acknowledges it. Escalated cases file a 500-byte report and, when
 enabled, a bidirectional video call relayed through the leader.
 
 Periodic WLAN control sends are trains and the other periodic processes
-(the status tick, the flush, each watchdog, the frames of each video call)
-are self-rescheduling series, so the queue holds one entry per process
+(the status tick, the flush, the frames of each video call) are
+self-rescheduling series, so the queue holds one entry per process
 instead of one per slot of the horizon. A train (``Link.train``) offers
 each flight window's waypoint broadcasts, the acks of each broadcast or,
 per status tick and on its tie, every drone's beacon. It runs its slots
@@ -35,10 +35,17 @@ class, flow and source, what admitting a packet needs. ``run_until`` and
 ``run_all`` count inline slots, in-place completions and inline deliveries
 as processed events.
 
-A watchdog run by the backup probes the leader's last activity and triggers
-a hard handover after the detection timeout; predicted failures trigger a
-soft handover directly. A hard handover that finds no SD fit to lead
-aborts the mission, and ``_abort`` alone marks a mission aborted. At the
+A watchdog run by the backup detects a leader silent for longer than the
+detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
+window's grid: 2 ms after each 0.2 s broadcast in flight, every 30 s while
+collecting. Only a lost leader falls silent, so nothing polls: the
+detection is computed at the loss and scheduled once, at the first grid
+slot past the timeout from the leader's last activity, on the tie the
+window's polling series would have taken, so it runs at the same instant
+and in the same order as a poll at every slot would. It triggers a hard
+handover; predicted failures trigger a soft handover directly. A hard
+handover that finds no SD fit to lead aborts the mission, and ``_abort``
+alone marks a mission aborted, always after the leader is lost. At the
 end, each drone's airborne, powered and video time is priced against its
 batteries; an overdraw is a deviation.
 Identical (config, seed) pairs produce identical results.
@@ -267,7 +274,8 @@ class _Mission:
                 grids.append((first, MOVE_TO_WAYPOINT_PERIOD_US, last,
                               failure_mod.FLIGHT_DETECTION_TIMEOUT_US, take_tie()))
         for a, b in self.collection_windows:
-            first, last = a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US, min(b + WATCHDOG_MARGIN_US, H)
+            first = a + LD_STATUS_PERIOD_US + WATCHDOG_MARGIN_US
+            last = min(b + WATCHDOG_MARGIN_US, H)
             if first <= last:
                 grids.append((first, LD_STATUS_PERIOD_US, last,
                               failure_mod.COLLECTION_DETECTION_TIMEOUT_US, take_tie()))
@@ -348,10 +356,7 @@ class _Mission:
             return
         cfg = self.cfg
         callers: list[int] = []
-        for sd_id in sorted(state.assignments):
-            drone = state.drones[sd_id]
-            if not drone.alive:
-                continue
+        for sd_id in self._assigned_sds():
             if self.rng.random() < cfg.infection_rate:
                 self._send_case_report(sd_id, now)
                 callers.append(sd_id)
@@ -374,10 +379,20 @@ class _Mission:
         state = self.state
         if state.aborted:
             return
-        for sd_id, target in sorted(state.assignments.items()):
-            if can_collect(state.drones[sd_id]):
-                state.collected.append(target)
+        state.collected.extend(state.assignments[i] for i in self._assigned_sds())
         state.assignments = {}
+
+    def _assigned_sds(self) -> list[int]:
+        """The SDs that hold a target, in id order; each can collect it, as
+        a lost or promoted SD hands its target on and a drone sent home
+        alone is a demoted leader, which holds none."""
+        state = self.state
+        for sd_id, target in state.assignments.items():
+            if not can_collect(state.drones[sd_id]):
+                raise RunInvariantError(
+                    f"t={self.q.now}us SD {sd_id} holds target {target} "
+                    f"but cannot collect it")
+        return sorted(state.assignments)
 
     # -- traffic ----------------------------------------------------------
 
@@ -395,7 +410,7 @@ class _Mission:
         status_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader_id, i)
                        for i in state.drones if self.cfg.profile == 2}
         live = leader if leader.alive else None
-        up = live is not None and not state.aborted
+        up = live is not None  # an abort has lost the leader
         if state.aborted or self.mission_phase is _LANDED:
             return acks, {}, status_acks, None, live, up
         beacons = {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status", i, leader_id)
@@ -416,12 +431,13 @@ class _Mission:
         self.down_relay = (None, None)
 
     def _status_tick(self, now: int) -> None:
+        # no drone beacons once the mission is over
+        if self.state.aborted or self.mission_phase is _LANDED:
+            return
         # every drone has a beacon slot up to the horizon, on the tick's tie
         ids = [i for i in self.state.drones if now + i * BEACON_STAGGER_US <= self.horizon]
         self.wlan.train([now + i * BEACON_STAGGER_US for i in ids], ids,
                         self.beacons.get, self._on_status_delivered, self.status_tie)
-        if self.state.aborted or self.mission_phase is _LANDED:
-            return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
         advance_kinematics(self.state, SD_STATUS_PERIOD_US)
@@ -691,6 +707,10 @@ class _Mission:
         self._refresh_senders()
 
     def _abort(self, reason: str) -> None:
+        """End the mission; every cause loses the leader first."""
+        if self.state.leader().alive:
+            raise RunInvariantError(
+                f"t={self.q.now}us abort ({reason}) with leader {self.state.leader_id} alive")
         self.state.aborted = True
         self.ended_at = self.q.now
         self.state.deviations.append(f"t={self.q.now}us {reason}; mission aborted")

@@ -81,9 +81,9 @@ def test_csv_digest_is_pinned(case, tmp_path):
 # dispatched events of a run, inline train slots, completions and
 # deliveries included
 EVENTS = {
-    "scenario1_no_video": (lambda: _preset("scenario1_no_video"), 83_002),
-    "failover_ld_sudden_in_flight": (CASES["failover_ld_sudden_in_flight"][0], 20_905),
-    "swarm100_profile2_two_sessions": (CASES["swarm100_profile2_two_sessions"][0], 195_899),
+    "scenario1_no_video": (lambda: _preset("scenario1_no_video"), 82_958),
+    "failover_ld_sudden_in_flight": (CASES["failover_ld_sudden_in_flight"][0], 20_894),
+    "swarm100_profile2_two_sessions": (CASES["swarm100_profile2_two_sessions"][0], 195_798),
 }
 
 

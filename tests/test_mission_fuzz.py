@@ -6,11 +6,20 @@ horizons of 1 ms to 430 s, 0-4 scripted failures of any kind, and video
 and EDCA on or off. Video's SD limit is left to ``parse_config`` to
 reject, so its rejection path runs too. Video calls are kept short so
 that one example stays well under a second.
+
+The runner detects a lost leader with one deadline event, pushed at the
+loss. A differential test runs it beside a probe that polls as the
+watchdog once did, every 0.2 s in flight and every 30 s while collecting,
+and requires both to detect each loss at the same instant.
 """
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from swarmsim import failure
 
 from swarmsim.config import (
     MAX_SDS_NO_VIDEO,
@@ -23,8 +32,10 @@ from swarmsim.config import (
 )
 from swarmsim.energy import MAX_SESSIONS
 from swarmsim.failure import FailureKind
+from swarmsim.netsim import EventQueue
 from swarmsim.output import emit_csv, emit_report
-from swarmsim.runner import run_scenario
+from swarmsim.runner import _Mission, run_scenario
+from swarmsim.swarm import Phase
 
 HORIZON_S = 430.0
 
@@ -104,3 +115,107 @@ def test_a_random_mission_runs_clean_and_reruns_byte_identical(data):
     with tempfile.TemporaryDirectory() as tmp:
         first = _outputs(cfg, Path(tmp))
         assert _outputs(cfg, Path(tmp)) == first
+
+
+def deadline_beside_polling(cfg) -> tuple[list, list, list]:
+    """Run ``cfg`` beside a probe that polls for a silent leader at every
+    slot of each watchdog grid, with the polling watchdog's guards (the
+    mission aborted or landed, no live SD) and its one handover per loss;
+    it records and acts on nothing else. Each probe series takes its tie
+    right after its grid's, so it sees at each slot what a series on the
+    grid's tie saw. Returns the instants the deadline fired, its
+    detections and the probe's, each as (time, leader id)."""
+    take_tie, probe_ties = EventQueue.take_tie, []
+
+    def take_two_ties(q):
+        tie = take_tie(q)
+        probe_ties.append(take_tie(q))
+        return tie
+
+    with mock.patch.object(EventQueue, "take_tie", take_two_ties):
+        mission = _Mission(cfg)
+    q, state, detect = mission.q, mission.state, failure.detect_ld_loss
+    fired, detected, polled = [], [], []
+
+    def poll(timeout):
+        if state.aborted or mission.mission_phase is Phase.LANDED:
+            return
+        found = detect(state, q.now, timeout)
+        if found is None or not state.has_alive_sd():
+            return
+        assert not state.drones[found.leader_id].alive, "polling detected a live leader"
+        if found.leader_id not in [leader for _, leader in polled]:
+            polled.append((q.now, found.leader_id))
+
+    def series(first, period, last, timeout, tie):
+        def tick():  # as EventQueue.every runs a series
+            if q.now + period <= last:
+                q.schedule_tied(q.now + period, tie, tick)
+            poll(timeout)
+        q.schedule_tied(first, tie, tick)
+
+    for (first, period, last, timeout, _), tie in zip(mission.watchdog_grids, probe_ties):
+        series(first, period, last, timeout, tie)
+
+    def spy(state, now, timeout):
+        found = detect(state, now, timeout)
+        detected.append((now, found.leader_id))
+        return found
+
+    deadline = mission._detect_leader_loss
+
+    def firing(timeout):
+        fired.append(q.now)
+        deadline(timeout)
+
+    mission._detect_leader_loss = firing
+    with mock.patch.object(failure, "detect_ld_loss", spy):
+        mission.run()
+    return fired, detected, polled
+
+
+def _has_leader_loss(data) -> bool:
+    return any(f["kind"] == FailureKind.LD_SUDDEN for f in data["failures"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=mission_configs().filter(_has_leader_loss))
+def test_the_deadline_detects_each_loss_where_polling_did(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    _, detected, polled = deadline_beside_polling(cfg)
+    assert detected == polled
+
+
+# two sessions: flight windows [0, 90], [210, 270] and [390, 420] s, the
+# landing at 420 s, and collection in between
+TWO_SESSIONS = {"name": "deadline", "seed": 3, "duration_s": 430, "n_sds": 6,
+                "profile": 2, "infection_rate": 0.0,
+                "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                            "transit_distance_m": 100, "n_targets": 4}}
+
+
+@pytest.mark.parametrize("duration_s, kills_s, fired_s, detected_s", [
+    # early in a session: last heard at the 90 s beacons, so the 150 s slot
+    # is within the 60 s timeout and the 180 s slot is not
+    (430, [100], [180.002], [180.002]),
+    # late in a session: no collection slot is due before the session
+    # ends, so the reposition flight's first slot detects the loss
+    (430, [190], [210.202], [210.202]),
+    # on the return leg, heard at 419.4 s: the 420.002 s slot is the first
+    # due, and the mission has landed at 420 s
+    (430, [419.5], [420.002], []),
+    # the first slot due, 60.202 s, lies past the 60 s horizon
+    (60, [59.7], [], []),
+    # the backup leads from 40.603 s and is lost in turn
+    (430, [40, 250], [40.602, 250.602], [40.602, 250.602]),
+])
+def test_the_deadline_detects_where_polling_did(duration_s, kills_s, fired_s, detected_s):
+    cfg = parse_config(dict(TWO_SESSIONS, duration_s=duration_s, failures=[
+        {"kind": "ld_sudden", "at_s": at_s} for at_s in kills_s]))
+    fired, detected, polled = deadline_beside_polling(cfg)
+    assert fired == [round(t * 1e6) for t in fired_s]
+    assert [t for t, _ in detected] == [round(t * 1e6) for t in detected_s]
+    assert detected == polled

@@ -590,15 +590,16 @@ class TestRunScenario:
         assert result.recovery_times_s and not result.aborted
         assert [(t, d) for t, d, offered, eligible in slots if offered != eligible] == []
         offers = {(t // 10**7, d) for t, d, offered, _ in slots if offered}
-        # every drone has a slot per tick, from 10 s to 420 s: the slots of
-        # the 430 s tick lie past the horizon
-        assert len(slots) == 7 * 42
+        # every drone has a slot per tick, from 10 s to 410 s: the 420 s
+        # tick finds the mission landed, and the 430 s tick lies past the
+        # horizon, so neither registers a slot
+        assert len(slots) == 7 * 41
         # the leader and SD 3 swap roles; SD 4 reports until it is lost
         assert (4, 1) not in offers and (4, 3) in offers
         assert (6, 3) not in offers and (6, 1) not in offers and (6, 2) in offers
         assert (14, 4) in offers and (15, 4) not in offers
         last = max(t for t, _, offered, _ in slots if offered)
-        assert last < mission.ended_at == 420_000_000 < slots[-1][0]
+        assert last <= slots[-1][0] < mission.ended_at == 420_000_000
 
     @pytest.mark.parametrize("profile", [1, 2])
     def test_each_beacon_a_live_leader_receives_gets_one_status_ack(self, profile):
@@ -910,6 +911,33 @@ class TestRunScenario:
         leader = mission.state.leader()
         mission.q.schedule(mission.horizon, lambda: setattr(leader, "phase", Phase.FAILED))
         with pytest.raises(RunInvariantError, match="or leader 1, relaying True, miss"):
+            mission.run()
+
+    def test_assigned_sd_that_cannot_collect_is_an_internal_error(self):
+        # SD 2 holds target 0 from the 90 s session start and is sent home at
+        # 100 s, which neither a handover nor a loss does to an SD with a
+        # target; the 150 s classification finds it
+        mission = _Mission(small_scenario())
+        drone = mission.state.drones[2]
+        mission.q.schedule(100_000_000, lambda: setattr(drone, "phase", Phase.RETURNING))
+        with pytest.raises(RunInvariantError, match="SD 2 holds target 0 but cannot collect"):
+            mission.run()
+
+    def test_abort_with_the_leader_alive_is_an_internal_error(self):
+        # every cause of an abort loses the leader first
+        mission = _Mission(small_scenario())
+        mission.q.schedule(100_000_000, lambda: mission._abort("no cause"))
+        with pytest.raises(RunInvariantError, match=r"abort \(no cause\) with leader 1 alive"):
+            mission.run()
+
+    def test_deadline_that_finds_the_leader_heard_is_an_internal_error(self):
+        # the leader is lost at 40 s, last heard at its 40 s broadcast, so
+        # the deadline is due at 40.602 s; a stray activity mark at 40.1 s
+        # makes the dead leader look heard there
+        mission = _Mission(small_scenario(failures=[{"kind": "ld_sudden", "at_s": 40.0}]))
+        telemetry = mission.state.leader().telemetry
+        mission.q.schedule(40_100_000, lambda: setattr(telemetry, "last_heard", 40_100_000))
+        with pytest.raises(RunInvariantError, match="deadline found leader 1 heard"):
             mission.run()
 
 
