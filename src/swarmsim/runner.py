@@ -631,16 +631,16 @@ class _Mission:
         self.q.schedule(promote_at, lambda: self._complete_hard_handover(detection))
 
     def _complete_hard_handover(self, detection) -> None:
+        """Promote a successor to the lost leader, which is isolated, unless
+        an SD's loss has aborted the mission since the detection."""
         state = self.state
-        if state.aborted or state.leader_id != detection.leader_id:
+        if state.aborted:
             return
-        old = state.drones[detection.leader_id]
         if failure_mod.hard_handover(state, detection, self.q.now,
                                      failed_at_us=self.leader_killed_at) is None:
             self._abort("no drone left to lead")
             return
-        if not old.alive:
-            failure_mod.isolate_drone(state, old.id)
+        failure_mod.isolate_drone(state, detection.leader_id)
         self._after_handover()
 
     def _after_handover(self) -> None:
