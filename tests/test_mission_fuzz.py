@@ -8,9 +8,9 @@ reject, so its rejection path runs too. Video calls are kept short so
 that one example stays well under a second.
 
 The runner detects a lost leader with one deadline event, pushed at the
-loss. A differential test runs it beside a probe that polls as the
-watchdog once did, every 0.2 s in flight and every 30 s while collecting,
-and requires both to detect each loss at the same instant.
+loss. A differential test runs it beside a probe that polls every
+watchdog slot, every 0.2 s in flight and every 30 s while collecting, and
+requires both to detect each loss at the same instant.
 """
 import tempfile
 from pathlib import Path
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swarmsim import failure
-
 from swarmsim.config import (
     MAX_SDS_NO_VIDEO,
     MAX_SDS_VIDEO,
@@ -219,3 +218,14 @@ def test_the_deadline_detects_where_polling_did(duration_s, kills_s, fired_s, de
     assert fired == [round(t * 1e6) for t in fired_s]
     assert [t for t, _ in detected] == [round(t * 1e6) for t in detected_s]
     assert detected == polled
+
+
+def test_a_silence_of_exactly_the_timeout_is_not_yet_detected():
+    # the leader is last heard at 40.002 s and lost at 40.1 s: at the
+    # 40.602 s slot its silence equals the 0.6 s timeout, so the 40.802 s
+    # slot detects the loss and the backup leads 1 ms later
+    mission = _Mission(parse_config(dict(TWO_SESSIONS, failures=[
+        {"kind": "ld_sudden", "at_s": 40.1}])))
+    telemetry = mission.state.leader().telemetry
+    mission.q.schedule(40_050_000, lambda: setattr(telemetry, "last_heard", 40_002_000))
+    assert mission.run().recovery_times_s == [0.703]
