@@ -17,10 +17,12 @@ own: it went because its battery is below the floor, and battery never rises.
 
 Leadership is ``SwarmState.leader_id`` alone, and only ``_promote`` moves
 it: both handovers call it and return the new leader, or None when no SD
-can lead. The demoted leader is an SD from then on. A soft handover that
-finds no one leaves the leader in command; after a hard one the runner
-aborts the mission, and only the runner sets ``aborted``. Targets orphaned
-by a promotion or an SD failure go back through ``swarm.assign_targets``.
+can lead. The demoted leader is an SD from then on. Of the steps here
+only ``isolate_drone`` writes a phase; the runner sends a demoted leader
+home when its battery is below the floor. A soft handover that finds no
+one leaves the leader in command; after a hard one the runner aborts the
+mission, and only the runner sets ``aborted``. Targets orphaned by a
+promotion or an SD failure go back through ``swarm.assign_targets``.
 """
 from __future__ import annotations
 
@@ -65,7 +67,6 @@ class FailureEvent:
 @dataclass(frozen=True)
 class DetectionRecord:
     leader_id: int
-    last_heard_us: int
     timeout_us: int  # the watchdog timeout the silence exceeded
 
 
@@ -111,10 +112,9 @@ def soft_handover(state: SwarmState, now_us: int) -> Drone | None:
     """Proactive leadership transfer ahead of a predicted leader failure.
 
     The backup inherits the aggregation buffer, so no report is lost. The
-    old leader demotes to an SD and heads home if its battery is below the
-    floor. Requires the prediction to actually hold. Returns the new
-    leader; with no SD fit to lead the leader keeps command, recorded as a
-    deviation, and None is returned.
+    old leader demotes to an SD. Requires the prediction to actually hold.
+    Returns the new leader; with no SD fit to lead the leader keeps
+    command, recorded as a deviation, and None is returned.
     """
     old = state.leader()
     if not old.alive:
@@ -127,9 +127,6 @@ def soft_handover(state: SwarmState, now_us: int) -> Drone | None:
             f"t={now_us}us soft handover found no SD fit to lead; "
             f"leader {old.id} keeps command")
         return None
-    if old.telemetry.battery_pct < BATTERY_FLOOR_PCT:
-        old.phase = Phase.RETURNING
-        old.waypoint = state.plan.dmc_position
     return new
 
 
@@ -137,9 +134,9 @@ def hard_handover(
     state: SwarmState,
     detection: DetectionRecord,
     now_us: int,
-    failed_at_us: int | None = None,
+    failed_at_us: int,
 ) -> Drone | None:
-    """Takeover after an unplanned leader loss.
+    """Takeover after an unplanned leader loss at ``failed_at_us``.
 
     The dead leader's buffered aggregate is charged to the loss counters,
     the new leader from ``_promote`` assumes command, and the
@@ -153,8 +150,7 @@ def hard_handover(
     state.buffered_reports = 0
     new = _promote(state, now_us)
     if new is not None:
-        origin = detection.last_heard_us if failed_at_us is None else failed_at_us
-        state.recovery_times_us.append(now_us - origin)
+        state.recovery_times_us.append(now_us - failed_at_us)
     return new
 
 
@@ -162,10 +158,8 @@ def detect_ld_loss(state: SwarmState, now_us: int,
                    timeout_us: int) -> DetectionRecord | None:
     """Watchdog check run by the backup against the leader's last activity."""
     leader = state.leader()
-    last = leader.telemetry.last_heard
-    if now_us - last > timeout_us:
-        return DetectionRecord(leader_id=leader.id, last_heard_us=last,
-                               timeout_us=timeout_us)
+    if now_us - leader.telemetry.last_heard > timeout_us:
+        return DetectionRecord(leader_id=leader.id, timeout_us=timeout_us)
     return None
 
 

@@ -45,9 +45,12 @@ window's polling series would have taken, so it runs at the same instant
 and in the same order as a poll at every slot would. It triggers a hard
 handover; predicted failures trigger a soft handover directly. A hard
 handover that finds no SD fit to lead aborts the mission, and ``_abort``
-alone marks a mission aborted, always after the leader is lost. At the
-end, each drone's airborne, powered and video time is priced against its
-batteries; an overdraw is a deviation.
+alone marks a mission aborted, always after the leader is lost. The
+runner sends a demoted leader low on battery home. Each phase change it
+makes is a phase-machine edge taken in ``_move``, which refreshes the
+roster tables; ``failure.isolate_drone`` is the only other phase writer.
+At the end, each drone's airborne, powered and video time is priced
+against its batteries; an overdraw is a deviation.
 Identical (config, seed) pairs produce identical results.
 """
 from __future__ import annotations
@@ -174,7 +177,6 @@ class _Mission:
         self.calls_started = 0
         # (caller, start) of each call in progress
         self.active_calls: set[tuple[int, int]] = set()
-        self.leader_killed_at: int | None = None
         self.ended_at = self.horizon  # the instant the mission landed or aborted
         self.kept_command: int | None = None  # leader that found no SD fit to lead
         self.warned_no_sds = False
@@ -291,24 +293,24 @@ class _Mission:
     # -- mission phases ---------------------------------------------------
 
     def _mission_transition(self, event: PhaseEvent) -> None:
+        """Move the mission, and the drones that keep its phase, along the
+        edge for ``event``; a drone sent home alone rejoins at the landing."""
         if self.state.aborted or self.mission_phase is Phase.LANDED:
             return
-        self.mission_phase = transition_phase(self.mission_phase, event)
+        was = self.mission_phase
+        self.mission_phase = transition_phase(was, event)
         self.trace.append(self.mission_phase)
         if self.mission_phase is Phase.LANDED:
             self.ended_at = self.q.now
-        self._sync_drone_phases()
-        self._refresh_senders()
+        self._move([d for d in self.state.drones.values() if d.phase is was], event)
         self._update_waypoints()
 
-    def _sync_drone_phases(self) -> None:
-        for d in self.state.drones.values():
-            if d.phase in (Phase.FAILED, Phase.ISOLATED, Phase.LANDED):
-                continue
-            if d.phase is Phase.RETURNING and self.mission_phase not in (
-                    Phase.RETURNING, Phase.LANDED):
-                continue  # individual maintenance return in progress
-            d.phase = self.mission_phase
+    def _move(self, drones, event: PhaseEvent) -> None:
+        """Take each drone along the phase machine's edge for ``event``, then
+        refill the roster tables: the runner's one writer of drone phases."""
+        for d in drones:
+            d.phase = transition_phase(d.phase, event)
+        self._refresh_senders()
 
     def _update_waypoints(self) -> None:
         state = self.state
@@ -361,7 +363,7 @@ class _Mission:
                 self._send_case_report(sd_id, now)
                 callers.append(sd_id)
         if cfg.video.enabled:
-            forced = [d.id for d in state.alive_sds()][:cfg.video.forced_calls]
+            forced = [d.id for d in state.alive_sds() if can_collect(d)][:cfg.video.forced_calls]
             for sd_id in forced:
                 if sd_id not in callers:
                     callers.append(sd_id)
@@ -583,8 +585,7 @@ class _Mission:
                 d.telemetry.battery_pct = max(0.0, d.telemetry.battery_pct - drain)
             if d.phase is Phase.RETURNING and d.waypoint is not None:
                 if d.position == d.waypoint:
-                    d.phase = transition_phase(d.phase, PhaseEvent.LANDED_AT_BASE)
-                    self._refresh_senders()
+                    self._move([d], PhaseEvent.LANDED_AT_BASE)
 
     def _check_leader_prediction(self, now: int) -> None:
         state = self.state
@@ -597,6 +598,9 @@ class _Mission:
             if leader.id != self.kept_command:
                 if failure_mod.soft_handover(state, now) is None:
                     self.kept_command = leader.id
+                elif leader.telemetry.battery_pct < failure_mod.BATTERY_FLOOR_PCT:
+                    leader.waypoint = state.plan.dmc_position
+                    self._move([leader], PhaseEvent.SENT_HOME)
                 self._after_handover()
 
     def _arm_deadline(self, last_heard: int) -> None:
@@ -614,9 +618,9 @@ class _Mission:
                 due.append((t, tie, timeout))
         if due:
             t, tie, timeout = min(due)
-            self.q.schedule_tied(t, tie, lambda: self._detect_leader_loss(timeout))
+            self.q.schedule_tied(t, tie, lambda: self._detect_leader_loss(timeout, now))
 
-    def _detect_leader_loss(self, timeout_us: int) -> None:
+    def _detect_leader_loss(self, timeout_us: int, lost_at: int) -> None:
         """The watchdog's deadline: the backup detects the silent leader and
         takes command after the processing delay, unless the mission is over
         or no SD is left to run the watchdog."""
@@ -628,16 +632,15 @@ class _Mission:
             raise RunInvariantError(
                 f"t={now}us the watchdog's deadline found leader {state.leader_id} heard")
         promote_at = now + failure_mod.PROMOTION_PROCESSING_US
-        self.q.schedule(promote_at, lambda: self._complete_hard_handover(detection))
+        self.q.schedule(promote_at, lambda: self._complete_hard_handover(detection, lost_at))
 
-    def _complete_hard_handover(self, detection) -> None:
+    def _complete_hard_handover(self, detection, lost_at: int) -> None:
         """Promote a successor to the lost leader, which is isolated, unless
         an SD's loss has aborted the mission since the detection."""
         state = self.state
         if state.aborted:
             return
-        if failure_mod.hard_handover(state, detection, self.q.now,
-                                     failed_at_us=self.leader_killed_at) is None:
+        if failure_mod.hard_handover(state, detection, self.q.now, lost_at) is None:
             self._abort("no drone left to lead")
             return
         failure_mod.isolate_drone(state, detection.leader_id)
@@ -652,7 +655,6 @@ class _Mission:
 
     def _apply_failure(self, f) -> None:
         state = self.state
-        now = self.q.now
         if state.aborted or self.mission_phase is Phase.LANDED:
             self._failure_not_applied(
                 f, "mission aborted" if state.aborted else "mission over")
@@ -666,7 +668,6 @@ class _Mission:
                 self._failure_not_applied(f, "drone is not the acting leader")
                 return
             self._lose(target)
-            self.leader_killed_at = now
             if not any(failure_mod.can_lead(sd) for sd in state.alive_sds()):
                 self._abort("leader lost with no SD able to lead")
             else:
@@ -701,10 +702,9 @@ class _Mission:
 
     def _lose(self, drone) -> None:
         """Fail a drone and end its calls at this instant."""
-        drone.phase = transition_phase(drone.phase, PhaseEvent.FAILURE_DETECTED)
+        self._move([drone], PhaseEvent.FAILURE_DETECTED)
         for call in [c for c in self.active_calls if c[0] == drone.id]:
             self._end_call(*call, self.q.now)
-        self._refresh_senders()
 
     def _abort(self, reason: str) -> None:
         """End the mission; every cause loses the leader first."""

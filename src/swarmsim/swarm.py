@@ -60,6 +60,7 @@ class PhaseEvent(Enum):
     DATA_SUFFICIENT_CONFIRMATION = "data_sufficient_confirmation"
     LANDED_AT_BASE = "landed_at_base"
     FAILURE_DETECTED = "failure_detected"
+    SENT_HOME = "sent_home"
     ISOLATE = "isolate"
 
 
@@ -76,10 +77,12 @@ _EDGES: dict[tuple[Phase, PhaseEvent], Phase] = {
     (Phase.RETURNING, PhaseEvent.LANDED_AT_BASE): Phase.LANDED,
     (Phase.FAILED, PhaseEvent.ISOLATE): Phase.ISOLATED,
 }
-# Any live phase can fail.
+# Any live phase can fail, and any launched one can be sent home alone.
 for _p in Phase:
     if _p not in (Phase.FAILED, Phase.ISOLATED):
         _EDGES[(_p, PhaseEvent.FAILURE_DETECTED)] = Phase.FAILED
+        if _p not in (Phase.CONFIGURED, Phase.LANDED):
+            _EDGES[(_p, PhaseEvent.SENT_HOME)] = Phase.RETURNING
 
 
 def transition_phase(phase: Phase, event: PhaseEvent) -> Phase:

@@ -41,13 +41,14 @@ class TestPrediction:
 
 
 class TestSoftHandover:
-    def test_backup_promoted_and_old_leader_power_saves(self):
+    def test_backup_promoted_and_old_leader_kept_as_an_sd(self):
         state = collecting_swarm()
         state.leader().telemetry = Telemetry(14.0, 30.0, 0)
         state.buffered_reports = 1
         assert soft_handover(state, now_us=1_000) is state.drones[3]
         assert state.leader_id == 3
-        assert state.drones[1].phase is Phase.RETURNING
+        # the runner, not the handover, sends a low-battery leader home
+        assert state.drones[1].phase is Phase.COLLECTING
         assert 1 in [d.id for d in state.alive_sds()]
         # lossless by design: buffer survives, nothing charged to losses
         assert state.buffered_reports == 1
@@ -113,7 +114,7 @@ class TestDetection:
         state = collecting_swarm()
         state.leader().telemetry.last_heard = 0
         rec = detect_ld_loss(state, 610_000, FLIGHT_DETECTION_TIMEOUT_US)
-        assert rec == DetectionRecord(1, 0, FLIGHT_DETECTION_TIMEOUT_US)
+        assert rec == DetectionRecord(1, FLIGHT_DETECTION_TIMEOUT_US)
 
     def test_flight_silence_under_timeout_ignored(self):
         state = collecting_swarm()
@@ -132,9 +133,8 @@ class TestHardHandover:
         state = collecting_swarm()
         state.buffered_reports = 2
         state.drones[1].phase = Phase.FAILED
-        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        new = hard_handover(state, detection, now_us=61_000_000,
-                            failed_at_us=30_000_000)
+        detection = DetectionRecord(1, COLLECTION_DETECTION_TIMEOUT_US)
+        new = hard_handover(state, detection, now_us=61_000_000, failed_at_us=30_000_000)
         assert new is state.drones[3]
         assert state.leader_id == 3
         # the in-flight aggregate dies with the old leader
@@ -147,8 +147,9 @@ class TestHardHandover:
         state = collecting_swarm()
         state.drones[1].phase = Phase.FAILED
         state.drones[3].phase = Phase.FAILED
-        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        assert hard_handover(state, detection, now_us=61_000_000) is state.drones[2]
+        detection = DetectionRecord(1, COLLECTION_DETECTION_TIMEOUT_US)
+        new = hard_handover(state, detection, now_us=61_000_000, failed_at_us=0)
+        assert new is state.drones[2]
         assert state.leader_id == 2
         assert state.deviations == ["t=61000000us backup unavailable; promoted SD 2 instead"]
 
@@ -160,8 +161,8 @@ class TestHardHandover:
         state.drones[1].phase = Phase.FAILED
         state.drones[2].phase = Phase.FAILED
         state.drones[3].telemetry = Telemetry(10.0, 30.0, 0)
-        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        assert hard_handover(state, detection, now_us=61_000_000) is None
+        detection = DetectionRecord(1, COLLECTION_DETECTION_TIMEOUT_US)
+        assert hard_handover(state, detection, now_us=61_000_000, failed_at_us=0) is None
         assert state.leader_id == 1
         assert state.backup_id == 3
         assert not state.aborted
@@ -173,8 +174,8 @@ class TestHardHandover:
         state = collecting_swarm(n=3)
         state.drones[1].phase = Phase.FAILED
         state.assignments = {3: 7}
-        detection = DetectionRecord(1, 0, COLLECTION_DETECTION_TIMEOUT_US)
-        hard_handover(state, detection, now_us=61_000_000)
+        detection = DetectionRecord(1, COLLECTION_DETECTION_TIMEOUT_US)
+        hard_handover(state, detection, now_us=61_000_000, failed_at_us=0)
         assert state.leader_id == 3
         # target 7 moved to the lowest-id idle SD rather than dropped
         assert state.assignments == {2: 7}

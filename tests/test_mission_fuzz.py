@@ -163,9 +163,9 @@ def deadline_beside_polling(cfg) -> tuple[list, list, list]:
 
     deadline = mission._detect_leader_loss
 
-    def firing(timeout):
+    def firing(timeout, lost_at):
         fired.append(q.now)
-        deadline(timeout)
+        deadline(timeout, lost_at)
 
     mission._detect_leader_loss = firing
     with mock.patch.object(failure, "detect_ld_loss", spy):

@@ -17,7 +17,7 @@ from swarmsim.runner import (
     sweep,
     sweep_points,
 )
-from swarmsim.swarm import Phase, validate_phase_trace
+from swarmsim.swarm import Phase, PhaseEvent, validate_phase_trace
 
 
 # 4 SDs fly 30 sessions of 5 min with 10 s hops: well inside both batteries
@@ -54,6 +54,10 @@ FAILOVER = {
 # 1,230 s, in the transit phase
 TRANSIT_HANDOVER = {"n_sds": 4, "duration_s": 4000, "infection_rate": 0.0,
                     "mission": {"transit_distance_m": 5000, "session_duration_s": 60}}
+# the mission returns from 720 s; the leader runs low and hands over to the
+# backup at 1,290 s, on the return leg, and the mission lands at 1,320 s
+RETURN_LEG_HANDOVER = {"n_sds": 3, "duration_s": 3000, "infection_rate": 0.0,
+                       "mission": {"transit_distance_m": 2000, "session_duration_s": 60}}
 
 
 def small_scenario(**overrides):
@@ -646,6 +650,51 @@ class TestRunScenario:
         mission.run()
         assert seen == [(3, Phase.RETURNING, False), (3, Phase.LANDED, True)]
         assert mission.airborne_us[1] == 1_830_000_000
+
+    def test_a_drone_that_landed_alone_makes_no_forced_call(self):
+        # the demoted leader 1 lands alone before session 2's classification
+        # at 1,790 s, where only SD 2, which can collect, is made to call
+        mission = _Mission(parse_config({
+            "n_sds": 2, "duration_s": 5000, "infection_rate": 0.0,
+            "video": {"enabled": True, "forced_calls": 3, "call_duration_s": 30},
+            "mission": {"n_sessions": 3, "session_duration_s": 120, "reposition_s": 700,
+                        "transit_distance_m": 100}}))
+        calls = []
+        start_call = mission._start_call
+
+        def recording_start_call(sd_id, start):
+            calls.append((mission.q.now, sd_id))
+            start_call(sd_id, start)
+
+        mission._start_call = recording_start_call
+        mission.run()
+        assert mission.state.drones[1].phase is Phase.LANDED
+        assert [sd_id for t, sd_id in calls if t == 1_790_000_000] == [2]
+        assert mission.video_us[1] == 0
+
+    def test_a_leader_sent_home_on_the_return_leg_moves_along_the_send_home_edge(self):
+        # leader 1, already RETURNING with the mission, is sent home at
+        # 1,290 s; the backup 3 runs low at 1,300 s and keeps command, and
+        # every drone lands with the mission at 1,320 s
+        mission = _Mission(parse_config(RETURN_LEG_HANDOVER))
+        moves = []
+        move = mission._move
+
+        def recording_move(drones, event):
+            moves.append((mission.q.now, [d.id for d in drones], event))
+            move(drones, event)
+
+        mission._move = recording_move
+        drone, seen = mission.state.drones[1], []
+        mission.q.schedule(1_295_000_000, lambda: seen.append(
+            (mission.state.leader_id, drone.phase, drone.waypoint)))
+        result = mission.run()
+        assert moves[-2:] == [(1_290_000_000, [1], PhaseEvent.SENT_HOME),
+                              (1_320_000_000, [1, 2, 3, 4], PhaseEvent.LANDED_AT_BASE)]
+        assert seen == [(3, Phase.RETURNING, mission.state.plan.dmc_position)]
+        assert result.deviations == [
+            "t=1300000000us soft handover found no SD fit to lead; leader 3 keeps command"]
+        assert mission.ended_at == 1_320_000_000 and not result.aborted
 
     def test_leader_lost_with_only_landed_or_failing_sds_aborts(self):
         # at 1,500 s drone 1 has landed alone and drone 2's battery is below

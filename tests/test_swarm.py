@@ -37,6 +37,18 @@ class TestPhaseMachine:
                 continue
             assert transition_phase(phase, PhaseEvent.FAILURE_DETECTED) is Phase.FAILED
 
+    @pytest.mark.parametrize("phase", [
+        Phase.LAUNCHING, Phase.IN_FORMATION, Phase.TRANSIT, Phase.DEPLOYING,
+        Phase.COLLECTING, Phase.REPORTING, Phase.RETURNING])
+    def test_any_launched_live_phase_can_be_sent_home(self, phase):
+        assert transition_phase(phase, PhaseEvent.SENT_HOME) is Phase.RETURNING
+
+    @pytest.mark.parametrize("phase", [
+        Phase.CONFIGURED, Phase.LANDED, Phase.FAILED, Phase.ISOLATED])
+    def test_a_grounded_or_lost_drone_cannot_be_sent_home(self, phase):
+        with pytest.raises(RunInvariantError, match="event SENT_HOME"):
+            transition_phase(phase, PhaseEvent.SENT_HOME)
+
     def test_failed_then_isolated(self):
         assert transition_phase(Phase.FAILED, PhaseEvent.ISOLATE) is Phase.ISOLATED
 
