@@ -96,13 +96,15 @@ def _num(value, path: str, lo=None, hi=None, integer=False):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"field '{path}' must be finite, got {value!r}")
     if integer:
-        try:
-            whole = float(value) == int(value)
-        except OverflowError:  # an integer too large for a float
-            raise ConfigError(f"field '{path}' is too large") from None
-        if not whole:
-            raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
-        value = int(value)
+        if isinstance(value, float):
+            if not value.is_integer():
+                raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
+            value = int(value)
+        else:
+            try:
+                float(value)  # an int is whole; refuse one beyond a float's range
+            except OverflowError:
+                raise ConfigError(f"field '{path}' is too large") from None
     if lo is not None and value < lo:
         raise ConfigError(f"field '{path}'={value} below minimum {lo}")
     if hi is not None and value > hi:

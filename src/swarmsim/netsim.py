@@ -55,7 +55,10 @@ and finishes before the next slot. That packet's delivery callback takes
 its tie at once and runs inline, as ``_finish`` would run it, when it is
 due before the heap's first entry and the next slot and within the
 limit. The event counts of ``run_until`` and ``run_all`` include these
-inline slots, completions and deliveries.
+inline slots, completions and deliveries. A train's ``settle`` callable
+may instead account for all its remaining slots in closed form, as the
+runner does for an undisturbed status round; those deliveries skip
+``_finish``.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -365,22 +368,27 @@ class _Train:
     ``step``: a closure that pushed itself would form a reference cycle,
     which only the cyclic garbage collector frees."""
 
-    __slots__ = ("link", "times", "xs", "packet_for", "on_deliver", "tie", "next")
+    __slots__ = ("link", "times", "xs", "packet_for", "on_deliver", "tie", "settle", "next")
 
     def __init__(self, link: "Link", times, xs, packet_for: Callable,
-                 on_deliver: Callable | None, tie: int):
+                 on_deliver: Callable | None, tie: int, settle: Callable | None):
         self.link, self.times, self.xs = link, times, xs
-        self.packet_for, self.on_deliver, self.tie = packet_for, on_deliver, tie
+        self.packet_for, self.on_deliver, self.tie, self.settle = (
+            packet_for, on_deliver, tie, settle)
         self.next = 0  # index of the slot the next step runs
 
     def step(self) -> None:
         link, times, xs, tie, cb = self.link, self.times, self.xs, self.tie, self.on_deliver
-        q, admits, metrics, proc = link.queue, link._admits, link.metrics, link.proc_delay_us
+        q, i = link.queue, self.next
+        if self.settle is not None and self.settle(times, xs, i):
+            q._inline += len(times) - i - 1  # the settled slots after the first
+            return
+        admits, metrics, proc = link._admits, link.metrics, link.proc_delay_us
         packet_for, measure_from = self.packet_for, metrics.measure_from_us
         heap, limit = q._heap, q._limit
         # i + ran counts what runs inline: the slots after the first, the
         # completions made in place and their inline deliveries
-        n, i, ran = len(times), self.next, -self.next - 1
+        n, ran = len(times), -i - 1
         t = times[i]
         while True:
             pkt = packet_for(xs[i])
@@ -565,7 +573,8 @@ class Link:
 
     def train(self, times, xs, packet_for: Callable[[object], Packet | None],
               on_deliver: Callable[[Packet], None] | None = None,
-              tie: int | None = None) -> None:
+              tie: int | None = None,
+              settle: Callable[[object, object, int], bool] | None = None) -> None:
         """Offer ``packet_for(xs[i])`` at each time ``times[i]``, where
         ``times`` is an ascending list or ``range``; a slot whose
         ``packet_for`` returns None offers nothing. Each packet is created
@@ -581,6 +590,10 @@ class Link:
         all three is completed in place (see the module docstring); any
         other completion is scheduled as ``send`` schedules it. Inline
         slots, completions and deliveries count as processed events.
+        ``settle(times, xs, i)``, if given, is called at each pop with ``i``
+        the slot due now; True means it accounted for slots ``i`` onwards as
+        running them would, completions and deliveries included, and the
+        train ends.
         """
         if not times:
             return
@@ -592,7 +605,7 @@ class Link:
         if tie is None:
             tie = q._tie
             q._tie += 1
-        train = _Train(self, times, xs, packet_for, on_deliver, tie)
+        train = _Train(self, times, xs, packet_for, on_deliver, tie, settle)
         heapq.heappush(q._heap, (times[0], tie, train.step))
 
     def _new_admission(self, pkt: Packet, key: tuple) -> tuple:

@@ -33,7 +33,11 @@ that state; they are delivery callbacks, which a link runs inline when the
 delivery is the next event anyway; each link caches, per packet size,
 class, flow and source, what admitting a packet needs. ``run_until`` and
 ``run_all`` count inline slots, in-place completions and inline deliveries
-as processed events.
+as processed events. A status round that no other event interrupts is
+settled in closed form (``_settle_round``): its remaining beacons and
+status acks are added to their counters, latencies, report counts, ties
+and event count as their slots would add them, instead of running four
+events per beacon; any other round runs slot by slot.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -77,6 +81,7 @@ from .netsim import (
     build_wimax_link,
     max_simultaneous_calls,
     metrics_snapshot,
+    tx_time_us,
 )
 from .output import emit_csv, emit_report  # noqa: F401  perfbench and test_acceptance use these
 from .protocol import (
@@ -192,6 +197,19 @@ class _Mission:
         self.status_acks: dict[int, Packet] = {}
         self.live_leader, self.leader_up = None, False
         self.waypoint_pkt, self.down_relay = None, (None, None)
+        # for _settle_round: a beacon's and a status ack's wire bits and
+        # latency on an idle WLAN and the time from a slot to its ack's end,
+        # if both fit the buffer and end before the next slot (else None)
+        wlan = self.wlan
+        wire, ack_wire = ((HEADER_LEN + size + wlan.overhead_bytes) * 8
+                          for size in (STATUS_SD_LEN, ACK_LEN))
+        latency, ack_tx = (tx_time_us(wire, wlan.rate_bps) + wlan.proc_delay_us,
+                           tx_time_us(ack_wire, wlan.rate_bps))
+        self.round_costs = ((wire, latency, ack_wire, ack_tx + wlan.proc_delay_us,
+                             latency + ack_tx)
+                            if latency + ack_tx < BEACON_STAGGER_US
+                            and max(wire, ack_wire) <= wlan.buffer_bits else None)
+        self.round_rows = None
 
         # battery drain per airborne second, from the derated budget per role
         self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -430,7 +448,7 @@ class _Mission:
         for table, rows in zip((self.flight_acks, self.beacons, self.status_acks), fresh):
             table.clear()
             table.update(rows)
-        self.down_relay = (None, None)
+        self.down_relay, self.round_rows = (None, None), None
 
     def _status_tick(self, now: int) -> None:
         # no drone beacons once the mission is over
@@ -439,7 +457,8 @@ class _Mission:
         # every drone has a beacon slot up to the horizon, on the tick's tie
         ids = [i for i in self.state.drones if now + i * BEACON_STAGGER_US <= self.horizon]
         self.wlan.train([now + i * BEACON_STAGGER_US for i in ids], ids,
-                        self.beacons.get, self._on_status_delivered, self.status_tie)
+                        self.beacons.get, self._on_status_delivered, self.status_tie,
+                        self._settle_round)
         self._update_telemetry(now)
         self._check_leader_prediction(now)
         advance_kinematics(self.state, SD_STATUS_PERIOD_US)
@@ -455,6 +474,72 @@ class _Mission:
         if ack is not None:  # profile 2; the reply must be the last act
             leader.telemetry.last_heard = self.q.now
             self.wlan.reply(ack)
+
+    def _settle_round(self, times: list[int], ids: list[int], i: int) -> bool:
+        """Settle the beacon slots ``i`` onwards of a status round in closed
+        form when each beacon and its status ack would complete in place:
+        the WLAN is idle, the last ack ends within the limit and before the
+        heap's first entry (so the next event sets the clock), and the
+        epoch's rows exist (so the slots are measured). Else return False
+        and leave the slots to the train."""
+        q, costs = self.q, self.round_costs
+        if costs is None or not self.wlan.idle:
+            return False
+        wire, latency, ack_wire, ack_latency, span = costs
+        heap, end = q._heap, times[-1] + span
+        if end > q._limit or heap and end >= heap[0][0]:
+            return False
+        rows = self.round_rows or self._round_rows()
+        if rows is None:
+            return False
+        counters, ack = rows
+        sent = [(t, c) for t, c in zip(times[i:], map(counters.get, ids[i:])) if c is not None]
+        for _, c in sent:
+            c.offered_pkts += 1
+            c.offered_bits += wire
+            c.delivered_pkts += 1
+            c.delivered_bits += wire
+        n = len(sent)
+        q._tie += n  # each delivery's tie
+        q._inline += (2 if ack is None else 3) * n
+        if not n:
+            return True
+        last, c = sent[-1]
+        table = c.latencies  # every beacon and status ack is WLAN control
+        table[latency] = table.get(latency, 0) + n
+        self.reports_to_leader += n
+        state, leader = self.state, self.live_leader
+        if leader is None:
+            state.lost_reports += n
+        else:
+            state.buffered_reports += n
+        if ack is not None:
+            ack.offered_pkts += n
+            ack.offered_bits += n * ack_wire
+            ack.delivered_pkts += n
+            ack.delivered_bits += n * ack_wire
+            table[ack_latency] = table.get(ack_latency, 0) + n
+            leader.telemetry.last_heard = last + latency
+        return True
+
+    def _round_rows(self) -> tuple | None:
+        """Cache and return this roster epoch's beacon counter per SD and
+        the live leader's status ack counter (one key serves all its acks;
+        None without a live leader or under profile 1); or None while a
+        key's first measured offer has yet to make its counter."""
+        admits = self.wlan._admits
+
+        def counter(pkt: Packet):
+            entry = admits.get(pkt[1:5])
+            return entry and entry[2]
+
+        counters = {sd_id: counter(pkt) for sd_id, pkt in self.beacons.items()}
+        acks = self.live_leader is not None and self.status_acks
+        ack = counter(self.status_acks[self.state.leader_id]) if acks else None
+        if None in counters.values() or acks and ack is None:
+            return None
+        self.round_rows = counters, ack
+        return self.round_rows
 
     def _flush_tick(self, now: int) -> None:
         state = self.state

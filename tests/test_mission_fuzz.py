@@ -11,13 +11,18 @@ The runner detects a lost leader with one deadline event, pushed at the
 loss. A differential test runs it beside a probe that polls every
 watchdog slot, every 0.2 s in flight and every 30 s while collecting, and
 requires both to detect each loss at the same instant.
+
+A status round that nothing disturbs is settled in closed form
+(``_Mission._settle_round``). A second differential test runs each draw
+with it and with every round left to the train's slots, and requires the
+same output bytes, event count and report accounting.
 """
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swarmsim import failure
 from swarmsim.config import (
@@ -114,6 +119,67 @@ def test_a_random_mission_runs_clean_and_reruns_byte_identical(data):
     with tempfile.TemporaryDirectory() as tmp:
         first = _outputs(cfg, Path(tmp))
         assert _outputs(cfg, Path(tmp)) == first
+
+
+def _run_settling(cfg, out: Path, settle: bool) -> tuple:
+    """CSV and report bytes, the events ``run_until`` and ``run_all``
+    dispatched, the ties taken, the status report counts and each drone's
+    last activity of one run, with undisturbed status rounds settled in
+    closed form or, if not ``settle``, left to the train."""
+    mission = _Mission(cfg)
+    if not settle:
+        mission._settle_round = lambda times, ids, i: False
+    q, events = mission.q, []
+
+    def counted(run):
+        def counting(*args):
+            events.append(run(*args))
+            return events[-1]
+        return counting
+
+    q.run_until, q.run_all = counted(q.run_until), counted(q.run_all)
+    result = mission.run()
+    state = mission.state
+    return (emit_csv([result], out / "run.csv").read_bytes(),
+            emit_report([result], out / "run.txt").read_bytes(), events, q._tie,
+            mission.reports_to_leader, state.buffered_reports, state.lost_reports,
+            {i: d.telemetry.last_heard for i, d in state.drones.items()})
+
+
+# two-session missions whose collection rounds settle; the 110 s round's
+# last status ack ends at 110.007131 s
+SETTLING = {"name": "settle", "seed": 3, "duration_s": 430, "n_sds": 6, "profile": 2,
+            "infection_rate": 0.0,
+            "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                        "transit_distance_m": 100, "n_targets": 4}}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=mission_configs())
+# rounds to the leader, to it dead and to the backup from 180.003 s
+@example(data=dict(SETTLING, failures=[{"kind": "ld_sudden", "at_s": 100}]))
+# under profile 1, to a dead leader that no deadline before the horizon finds
+@example(data=dict(SETTLING, profile=1, duration_s=145,
+                   failures=[{"kind": "ld_sudden", "at_s": 100}]))
+# a soft handover at the 100 s tick; SD 4 is lost between two beacon slots
+# of the 130 s round, whose remainder settles
+@example(data=dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 95},
+                                       {"kind": "sd_sudden", "drone_id": 4, "at_s": 130.0035}]))
+# a beacon and its ack outlast the 1 ms beacon stagger, or a beacon does
+# not fit the WLAN buffer, so no round settles
+@example(data=dict(SETTLING, wlan={"data_rate_mbps": 6, "overhead_bytes": 400}))
+@example(data=dict(SETTLING, profile=1, wlan={"buffer_bits": 800}))
+# the horizon falls before the last round's last ack ends, and an event
+# falls at the instant it ends: neither round settles
+@example(data=dict(SETTLING, duration_s=110.00705))
+@example(data=dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 110.007131}]))
+def test_a_settled_status_round_runs_as_its_slots_would(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_settling(cfg, Path(tmp), True) == _run_settling(cfg, Path(tmp), False)
 
 
 def deadline_beside_polling(cfg) -> tuple[list, list, list]:

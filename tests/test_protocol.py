@@ -39,13 +39,13 @@ def wire_lengths_by_flow():
         sizes[pkt.flow].add(pkt.size_bytes)
         return send(self, pkt, on_deliver, n)
 
-    def recording_train(self, times, xs, packet_for, on_deliver=None, tie=None):
+    def recording_train(self, times, xs, packet_for, on_deliver=None, tie=None, settle=None):
         def recording_packet_for(x):
             pkt = packet_for(x)
             if pkt is not None:
                 sizes[pkt.flow].add(pkt.size_bytes)
             return pkt
-        return train(self, times, xs, recording_packet_for, on_deliver, tie)
+        return train(self, times, xs, recording_packet_for, on_deliver, tie, settle)
 
     def recording_reply(self, pkt):
         sizes[pkt.flow].add(pkt.size_bytes)

@@ -11,17 +11,22 @@ uses its own checkout's code and benchmark files.
 
 The output has the layout of ``BENCH_14.json``'s ``workloads`` section: per
 workload the seeds, the side that ran first, whether every run was correct,
-the failed share of missions, and per end-to-end metric of the change's
-``BENCHMARK.json`` each side's runs, median and quartiles
-(``statistics.quantiles(n=4)``), the change's median over the parent's
-minus one, and the pairs the change won (ties count for neither side).
-After writing the file it prints one summary line per workload and metric.
+the failed share of missions, each side's untraced pass count per run (a
+run of fixed length makes more passes on faster code, and the benchmark
+keeps every pass's output, so memory grows with it), and per end-to-end
+metric of the change's ``BENCHMARK.json`` each side's runs, median and
+quartiles (``statistics.quantiles(n=4)``), the change's median over the
+parent's minus one, and the pairs the change won (ties count for neither
+side). After writing the file it prints one summary line per workload and
+metric, marked ``BEYOND BOUND`` where the change's median is worse than
+the parent's by more than the metric's bound.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -54,7 +59,9 @@ def host() -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its JSON result is the last output line."""
+    """One untraced benchmark run: its JSON result, the last output line,
+    with the untraced pass count of its "N untraced passes" line (None if
+    it printed none) as ``untraced_passes``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -62,7 +69,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_pairs: {' '.join(cmd)} in {checkout} failed "
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    passes = re.search(r"^(\d+) untraced passes\b", proc.stdout, re.MULTILINE)
+    result["untraced_passes"] = int(passes[1]) if passes else None
+    return result
 
 
 def summary(values: list[float]) -> dict:
@@ -88,9 +98,18 @@ def compare(metric: dict, runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def beyond_bound(m: dict) -> bool:
+    """Whether the change's median is worse than the parent's by more than
+    the metric's bound."""
+    delta = m["change_vs_parent"]
+    if delta is None:
+        return False
+    return delta > m["bound"] if m["better"] == "lower" else delta < -m["bound"]
+
+
 def summary_lines(workload: str, out: dict) -> list[str]:
     """One line per end-to-end metric: the change's median against the
-    parent's and the pairs the change won."""
+    parent's and the pairs the change won, marked when beyond its bound."""
     if "metrics" not in out:
         return [f"{workload}: not compared, a run was incorrect ({out['correct']})"]
     lines = []
@@ -99,7 +118,8 @@ def summary_lines(workload: str, out: dict) -> list[str]:
         change = "n/a" if delta is None else f"{delta:+.1%}"
         lines.append(f"{workload} {name}: change vs parent {change}, "
                      f"pairs won {m['pairs_won_by_change']}/{out['pairs']} "
-                     f"({m['better']} is better)")
+                     f"({m['better']} is better)"
+                     + (f" BEYOND BOUND {m['bound']:.0%}" if beyond_bound(m) else ""))
     return lines
 
 
@@ -122,6 +142,7 @@ def ab_workload(checkouts: dict[str, Path], workload: str, seeds: list[int],
         "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
         "fail_ratio": {side: sum(r["failed"] for r in runs[side])
                        / sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "untraced_passes": {side: [r["untraced_passes"] for r in runs[side]] for side in SIDES},
     }
     if all(out["correct"].values()):
         out["metrics"] = {m["name"]: compare(m, runs) for m in metrics}
