@@ -45,7 +45,8 @@ def wire_lengths_by_flow():
             if pkt is not None:
                 sizes[pkt.flow].add(pkt.size_bytes)
             return pkt
-        return train(self, times, xs, recording_packet_for, on_deliver, tie, settle)
+        # no settle: every slot runs, so every packet is seen
+        return train(self, times, xs, recording_packet_for, on_deliver, tie)
 
     def recording_reply(self, pkt):
         sizes[pkt.flow].add(pkt.size_bytes)

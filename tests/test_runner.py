@@ -91,7 +91,9 @@ def record_offers(mission, observe=lambda x: None):
     ``FLOW_TABLES``, each slot as (time, slot argument, packet or None,
     ``observe(slot argument)`` called at the slot). A slot of a flow offers
     a packet of that flow, or offers nothing from the table that holds
-    them."""
+    them. The trains get no ``settle``, so every slot runs and is recorded;
+    tests/test_mission_fuzz.py shows that a status round settled in closed
+    form runs as its slots do."""
     slots = {flow: [] for flow in FLOW_TABLES}
     train, q = mission.wlan.train, mission.q
     tables = [(getattr(mission, name), flow) for flow, name in FLOW_TABLES.items()
@@ -107,24 +109,17 @@ def record_offers(mission, observe=lambda x: None):
             if flow in slots:
                 slots[flow].append((q.now, x, pkt, observe(x)))
             return pkt
-        return train(times, xs, recording, on_deliver, tie, settle)
+        return train(times, xs, recording, on_deliver, tie)
 
     mission.wlan.train = recording_train
     return slots
 
 
-def per_slot(mission):
-    """Leave every status round to its train's slots, which the spies here
-    observe, instead of ``_Mission._settle_round``'s closed form; the
-    differential test in tests/test_mission_fuzz.py shows both give the
-    same run."""
-    mission._settle_round = lambda times, ids, i: False
-
-
 def record_status_acks(mission):
     """Wrap the mission's status delivery and its WLAN ``reply`` to record
     each beacon delivered as (time, source, acting leader, or None while the
-    leader is dead) and each reply as (time, flow, source, destination)."""
+    leader is dead) and each reply as (time, flow, source, destination).
+    No status round is settled in closed form, so every one is recorded."""
     delivered, replies = [], []
     deliver, reply = mission._on_status_delivered, mission.wlan.reply
     q, state = mission.q, mission.state
@@ -140,6 +135,7 @@ def record_status_acks(mission):
 
     mission._on_status_delivered = recording_delivery
     mission.wlan.reply = recording_reply
+    mission._settle_round = lambda times, ids, i: False
     return delivered, replies
 
 
@@ -596,7 +592,6 @@ class TestRunScenario:
             return (d.alive and d.id != state.leader_id and d.phase is not Phase.LANDED
                     and mission.mission_phase is not Phase.LANDED), state.leader_id
 
-        per_slot(mission)
         recorded = record_offers(mission, at_slot)["sd_status"]
         result = mission.run()
         for _, sd_id, pkt, (_, leader_id) in recorded:
@@ -647,7 +642,6 @@ class TestRunScenario:
         # none. Only profile 2 acks status reports.
         mission = _Mission(small_scenario(profile=profile, failures=[
             {"kind": "ld_sudden", "at_s": 50.0}]))
-        per_slot(mission)
         delivered, replies = record_status_acks(mission)
         result = mission.run()
         promoted_at = 50_000_000 + round(result.recovery_times_s[0] * 1e6)
@@ -788,7 +782,6 @@ class TestRunScenario:
             self, flow, lost_at_s, window_us, offers):
         mission = _Mission(small_scenario(failures=[
             {"kind": "sd_sudden", "drone_id": 5, "at_s": lost_at_s}]))
-        per_slot(mission)
         slots = record_offers(mission)[flow]
         mission.run()
         assert [(t, pkt.src) for t, _, pkt, _ in slots
@@ -819,7 +812,6 @@ class TestRunScenario:
             over = state.aborted or mission.mission_phase is Phase.LANDED
             return acks, acks and not over, state.leader_id
 
-        per_slot(mission)
         slots = record_offers(mission, at_slot)
         delivered, replies = record_status_acks(mission)
         leader_state = record_leader_state(mission)
