@@ -57,8 +57,7 @@ due before the heap's first entry and the next slot and within the
 limit. The event counts of ``run_until`` and ``run_all`` include these
 inline slots, completions and deliveries. A train's ``settle`` callable
 may instead account for all its remaining slots in closed form, as the
-runner does for an undisturbed status round; those deliveries skip
-``_finish``.
+runner does for an undisturbed status round.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or

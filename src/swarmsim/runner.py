@@ -493,20 +493,20 @@ class _Mission:
         if rows is None:
             return False
         counters, ack = rows
-        sent = [(t, c) for t, c in zip(times[i:], map(counters.get, ids[i:])) if c is not None]
-        for _, c in sent:
-            c.offered_pkts += 1
-            c.offered_bits += wire
-            c.delivered_pkts += 1
-            c.delivered_bits += wire
+        # each delivery is counted by one Link._finish call, as in place
+        finish, sent = self.wlan._finish, []
+        for t, sd_id in zip(times[i:], ids[i:]):
+            c = counters.get(sd_id)
+            if c is not None:
+                c.offered_pkts += 1
+                c.offered_bits += wire
+                finish(c, wire, latency)
+                sent.append(t)
         n = len(sent)
         q._tie += n  # each delivery's tie
         q._inline += (2 if ack is None else 3) * n
         if not n:
             return True
-        last, c = sent[-1]
-        table = c.latencies  # every beacon and status ack is WLAN control
-        table[latency] = table.get(latency, 0) + n
         self.reports_to_leader += n
         state, leader = self.state, self.live_leader
         if leader is None:
@@ -516,10 +516,9 @@ class _Mission:
         if ack is not None:
             ack.offered_pkts += n
             ack.offered_bits += n * ack_wire
-            ack.delivered_pkts += n
-            ack.delivered_bits += n * ack_wire
-            table[ack_latency] = table.get(ack_latency, 0) + n
-            leader.telemetry.last_heard = last + latency
+            for _ in sent:
+                finish(ack, ack_wire, ack_latency)
+            leader.telemetry.last_heard = sent[-1] + latency
         return True
 
     def _round_rows(self) -> tuple | None:
