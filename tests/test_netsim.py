@@ -772,6 +772,27 @@ class TestInPlaceCompletion:
         assert calls == [] and metrics.counters == {} and metrics.latencies == {}
         assert link.idle and not q._heap
 
+    def test_a_train_tries_settle_at_each_pop_and_ends_when_it_settles(self):
+        # slots at 0, 300 and 600 us: the first pop runs the 0 us slot, whose
+        # packet completes in place, and stops before the 200 us entry; at
+        # the 300 us pop ``settle`` takes both remaining slots, which count
+        # as two events and offer nothing here
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        q.schedule(200, lambda: None)
+        pops = []
+
+        def settle(times, xs, i):
+            pops.append((q.now, xs[i:]))
+            return i > 0
+
+        link.train([0, 300, 600], [2, 3, 4],
+                   lambda src: Packet(0, 10, flow="flight_ack", src=src), settle=settle)
+        assert q.run_until(1_000) == 5
+        assert pops == [(0, [2, 3, 4]), (300, [3, 4])]
+        assert [key[3] for key in metrics.counters] == [2]
+        assert link.idle and not q._heap
+
 
 class TestCopiesAgainstReferenceServer:
     """``Link.send`` of ``n`` copies against the reference server taking each
