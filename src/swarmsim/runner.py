@@ -443,7 +443,7 @@ class _Mission:
         """Refill the roster tables in place (a train holds their ``get``);
         set the acting leader's state, which the relays read, and drop the
         last video_down relay as (forwarded packet, relay), which the copies
-        of one fragment reuse."""
+        of one fragment reuse, and the epoch's ``_round_rows``."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons, self.status_acks), fresh):
             table.clear()
