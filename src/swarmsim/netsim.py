@@ -15,33 +15,29 @@ packet offered to an idle link starts service at once, and a completion
 goes straight onto the heap. A link serves one packet at a time and keeps
 it on itself; its ``_finish`` callback completes it and serves the next,
 pushing the next completion itself: one call fewer than through ``_serve``.
-A train slot or a ``reply`` that finds the link idle and completes before
-any other event is completed in place: no buffer charge, queue item or
-busy state. Every counted delivery goes through ``_finish``, which counts
-it and its latency in the counter itself. A queue item carries its
-packet's creation time, which windows and latencies read: ``send`` takes
-``created_at``, a train the slot time and ``reply`` the current time.
+A train slot with no delivery callback that finds the link idle and
+completes before any other event is completed in place: no buffer charge,
+queue item or busy state. Every counted delivery goes through ``_finish``,
+which counts it and its latency in the counter itself. A queue item
+carries its packet's creation time, which windows and latencies read:
+``send`` takes ``created_at`` and a train the slot time.
 
 ``Link.send`` may offer ``n`` copies of one packet, such as a video frame's
 equal fragments, exactly as ``n`` sends in a row would: one lookup and one
 queue item for all of them, the copies that fit admitted and the rest
 dropped, each counted once. Nothing completes within one instant's
 admission and only the first admitted copy can find the link idle, so the
-ties and events are those of the sends. A train slot and a ``reply`` admit
-their packet in place with the same steps instead of calling a shared
-method, because the extra call measured slower in median run time over
-alternating benchmark pairs (2-core Xeon, CPython 3.11): ``send`` and
-``reply`` through one method cost swarm100 4.4%, train slots and ``reply``
-through one method 6-12% on every workload, and all offers through one
-method 15-29%.
+ties and events are those of the sends. A train slot admits its packet in
+place with the same steps instead of calling ``send``, because the extra
+call measured slower in median run time over alternating benchmark pairs
+(2-core Xeon, CPython 3.11): all offers through one method cost 15-29%.
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the
 next event anyway (before the heap's first entry and within the running
 ``run_until`` limit) it runs inline at its delivery time instead of
 through the heap; relays, whose deliveries send onto the next link, mostly
-run this way. So does a ``Link.reply``, an answer sent with no callback
-as its delivery callback's last act, such as an ack.
+run this way.
 
 Periodic control sends are trains, periodic checks ``EventQueue.every``
 series. A train (``Link.train``) offers packets, with or without a
@@ -50,14 +46,13 @@ slot time, so a sender may hand it the same packet at every slot. Like a
 series it takes one tie when registered, or reuses an earlier one, so
 events order as if each slot were its own event scheduled then. While
 nothing on the heap comes first, it runs its next slot inline, admits its
-packet in place and completes in place a packet that found the link idle
-and finishes before the next slot. That packet's delivery callback takes
-its tie at once and runs inline, as ``_finish`` would run it, when it is
-due before the heap's first entry and the next slot and within the
-limit. The event counts of ``run_until`` and ``run_all`` include these
-inline slots, completions and deliveries. A train's ``settle`` callable
-may instead account for all its remaining slots in closed form, as the
-runner does for an undisturbed status round.
+packet in place and completes in place a callback-free packet that found
+the link idle and finishes before the next slot; a packet with a delivery
+callback is served as ``send`` serves it, for ``_finish`` to deliver. The
+event counts of ``run_until`` and ``run_all`` include these inline slots,
+completions and deliveries. A train's ``settle`` callable may instead
+account for all its remaining slots in closed form, as the runner does for
+an undisturbed status round.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -385,8 +380,8 @@ class _Train:
         admits, metrics, proc = link._admits, link.metrics, link.proc_delay_us
         packet_for, measure_from = self.packet_for, metrics.measure_from_us
         heap, limit = q._heap, q._limit
-        # i + ran counts what runs inline: the slots after the first, the
-        # completions made in place and their inline deliveries
+        # i + ran counts what runs inline: the slots after the first and the
+        # completions made in place
         n, ran = len(times), -i - 1
         t = times[i]
         while True:
@@ -417,25 +412,15 @@ class _Train:
                     # completion would take a tie later than every pending
                     # one, so it goes first only at a strictly earlier time;
                     # made in place, it takes no tie, which reorders nothing,
-                    # and leaves the link as idle as it found it
+                    # and leaves the link as idle as it found it. A packet
+                    # with a delivery callback is served for _finish to deliver
                     finish = t + tx
-                    if (finish <= limit and (i == n or finish < times[i])
+                    if (cb is None and finish <= limit and (i == n or finish < times[i])
                             and (not heap or finish < heap[0][0])):
                         q.now = finish
                         ran += 1
                         if counter is not None:
                             link._finish(counter, wire, tx + proc)
-                        if cb is not None:  # as _finish delivers, capped at the next slot
-                            deliver_at, dtie = finish + proc, q._tie
-                            q._tie = dtie + 1
-                            cap = limit if i == n else min(limit, times[i] - 1)
-                            if deliver_at <= cap and (not heap or (deliver_at, dtie) < heap[0]):
-                                q.now, q._limit = deliver_at, cap
-                                ran += 1
-                                cb(pkt)
-                                q._limit = limit
-                            else:
-                                heapq.heappush(heap, (deliver_at, dtie, partial(cb, pkt)))
                     else:
                         link._buffered_bits += wire
                         link._serve((pkt, wire, tx, cb, counter, t))
@@ -532,44 +517,6 @@ class Link:
             waiting.extend((item,) * (n - 1))
         return True
 
-    def reply(self, pkt: Packet) -> None:
-        """Offer ``pkt``, created now and with no delivery callback, as the
-        last act of a delivery callback; admit it as ``send`` does. If it
-        finds the link idle and its completion is the next event (within the
-        ``run_until`` limit, before the heap's first entry), it is completed
-        in place. Dispatch, ``_finish``'s inline delivery and a train (which
-        caps the limit at its next slot minus one) do nothing after a
-        delivery callback that the limit does not bound.
-        """
-        q, key = self.queue, pkt[1:5]
-        wire, tx, counter, waiting = self._admits.get(key) or self._new_admission(pkt, key)
-        if q.now < self.metrics.measure_from_us:
-            counter = None
-        elif counter is None:
-            counter = self.metrics.offered(self.name, pkt, wire)
-            self._admits[key] = (wire, tx, counter, waiting)
-        else:
-            counter.offered_pkts += 1
-            counter.offered_bits += wire
-        if self._buffered_bits + wire > self.buffer_bits:
-            if counter is not None:
-                self.metrics.dropped(counter, wire)
-            return
-        # a scheduled completion would take a tie after every pending one
-        finish, heap = q.now + tx, q._heap
-        if not self._busy and finish <= q._limit and (not heap or finish < heap[0][0]):
-            q.now = finish  # completed in place: the link stays idle
-            q._inline += 1
-            if counter is not None:
-                self._finish(counter, wire, tx + self.proc_delay_us)
-            return
-        self._buffered_bits += wire
-        item = (pkt, wire, tx, None, counter, q.now)
-        if self._busy:
-            waiting.append(item)
-        else:
-            self._serve(item)
-
     def train(self, times, xs, packet_for: Callable[[object], Packet | None],
               on_deliver: Callable[[Packet], None] | None = None,
               tie: int | None = None,
@@ -585,10 +532,11 @@ class Link:
         time), so its slots order as if each were scheduled when the tie
         was taken. It holds one heap entry and runs its next slot inline
         while that comes before the heap's first entry and the ``run_until``
-        limit. A packet that finds the link idle and would finish before
-        all three is completed in place (see the module docstring); any
-        other completion is scheduled as ``send`` schedules it. Inline
-        slots, completions and deliveries count as processed events.
+        limit. Without ``on_deliver``, a packet that finds the link idle
+        and would finish before all three is completed in place (see the
+        module docstring); any other packet is served as ``send`` serves
+        it, and ``_finish`` delivers it. Inline slots and completions count
+        as processed events.
         ``settle(times, xs, i)``, if given, is called at each pop with ``i``
         the slot due now; True means it accounted for slots ``i`` onwards as
         running them would, completions and deliveries included, and the
@@ -626,9 +574,11 @@ class Link:
         q._tie += 1
 
     def _finish(self, done: _Counter | None = None, bits: int = 0, latency: int = 0) -> None:
-        """Complete and count the packet in service and serve the next one,
-        or, given a counter, only count a delivery completed in place: every
-        counted delivery is one call, which the benchmark's tracer counts."""
+        """Complete and count the packet in service, serve the next one and
+        deliver the completed one, inline when that is the next event; or,
+        given a counter, only count a delivery completed in place or settled
+        in closed form: every counted delivery is one call, which the
+        benchmark's tracer counts."""
         if done is not None:
             done.delivered_pkts += 1
             done.delivered_bits += bits

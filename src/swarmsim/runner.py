@@ -17,12 +17,11 @@ self-rescheduling series, so the queue holds one entry per process
 instead of one per slot of the horizon. A train (``Link.train``) offers
 each flight window's waypoint broadcasts, the acks of each broadcast or,
 per status tick and on its tie, every drone's beacon. It runs its slots
-inline while no other event intervenes and completes in place a packet
-that finds the WLAN idle and finishes first. An ack or beacon slot looks its
-sender up in a roster table (``flight_acks``, ``beacons``) that holds the
-SDs that send now with their cached packets, and under profile 2 the
-leader acks a delivered beacon with its source's ``status_acks`` entry
-through ``Link.reply``, completed in place when it finishes first; every
+inline while no other event intervenes and completes in place a flight
+ack that finds the WLAN idle and finishes first. An ack or beacon slot
+looks its sender up in a roster table (``flight_acks``, ``beacons``) that
+holds the SDs that send now with their cached packets, and under profile 2
+the leader acks each beacon it receives with a status ack sent then; every
 event that changes who sends (a mission transition, a landing, a loss, a
 handover, an abort) refreshes the tables in place, so a refresh between
 two slots of one train reaches the later slot. The acting leader's state
@@ -189,12 +188,11 @@ class _Mission:
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
         # SD id -> its flight ack or beacon to the acting leader, for the SDs
-        # that send now, and drone id -> the leader's status ack to it, each
-        # stamped when offered; kept from the launch on by _refresh_senders,
-        # with the acting leader's state, which nothing reads before then
+        # that send now, each stamped when offered; kept from the launch on
+        # by _refresh_senders, with the acting leader's state, which nothing
+        # reads before then
         self.flight_acks: dict[int, Packet] = {}
         self.beacons: dict[int, Packet] = {}
-        self.status_acks: dict[int, Packet] = {}
         self.live_leader, self.leader_up = None, False
         self.waypoint_pkt, self.down_relay = None, (None, None)
         # for _settle_round: a beacon's and a status ack's wire bits and
@@ -419,25 +417,22 @@ class _Mission:
     def _senders(self) -> tuple:
         """The flight acks and beacons of the live, unlanded SDs to the
         acting leader, in id order, with no beacons once the mission is over;
-        its status acks to every drone (profile 2): a beacon in flight across
-        a promotion is acked too; its waypoint broadcast until the end; the
-        leader while alive, else None; and whether it relays."""
+        its waypoint broadcast until the end; the leader while alive, else
+        None; and whether it relays."""
         state = self.state
         leader_id, leader = state.leader_id, state.leader()
         sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
         acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i, leader_id)
                 for i in sds}
-        status_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader_id, i)
-                       for i in state.drones if self.cfg.profile == 2}
         live = leader if leader.alive else None
         up = live is not None  # an abort has lost the leader
         if state.aborted or self.mission_phase is _LANDED:
-            return acks, {}, status_acks, None, live, up
+            return acks, {}, None, live, up
         beacons = {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status", i, leader_id)
                    for i in sds}
         waypoint = Packet(0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL, "move_to_waypoint",
                           leader_id, BROADCAST_ID) if up else None
-        return acks, beacons, status_acks, waypoint, live, up
+        return acks, beacons, waypoint, live, up
 
     def _refresh_senders(self) -> None:
         """Refill the roster tables in place (a train holds their ``get``);
@@ -445,7 +440,7 @@ class _Mission:
         last video_down relay as (forwarded packet, relay), which the copies
         of one fragment reuse, and the epoch's ``_round_rows``."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
-        for table, rows in zip((self.flight_acks, self.beacons, self.status_acks), fresh):
+        for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
         self.down_relay, self.round_rows = (None, None), None
@@ -470,18 +465,20 @@ class _Mission:
             state.lost_reports += 1
             return
         state.buffered_reports += 1
-        ack = self.status_acks.get(pkt.src)
-        if ack is not None:  # profile 2; the reply must be the last act
-            leader.telemetry.last_heard = self.q.now
-            self.wlan.reply(ack)
+        if self.cfg.profile == 2:  # the leader acks the beacon now
+            now = leader.telemetry.last_heard = self.q.now
+            self.wlan.send(Packet(now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
+                                  leader.id, pkt.src))
 
     def _settle_round(self, times: list[int], ids: list[int], i: int) -> bool:
         """Settle the beacon slots ``i`` onwards of a status round in closed
-        form when each beacon and its status ack would complete in place:
-        the WLAN is idle, the last ack ends within the limit and before the
-        heap's first entry (so the next event sets the clock), and the
-        epoch's rows exist (so the slots are measured). Else return False
-        and leave the slots to the train."""
+        form when each beacon, its delivery and its status ack would run
+        before the next slot with nothing between: the WLAN is idle, the
+        last ack ends within the limit and before the heap's first entry (so
+        the next event sets the clock), and the epoch's rows exist (so the
+        slots are measured). Each beacon sent takes the ties and events its
+        slot would: its completion, its delivery and its ack's completion.
+        Else return False and leave the slots to the train."""
         q, costs = self.q, self.round_costs
         if costs is None or not self.wlan.idle:
             return False
@@ -502,9 +499,9 @@ class _Mission:
                 c.offered_bits += wire
                 finish(c, wire, latency)
                 sent.append(t)
-        n = len(sent)
-        q._tie += n  # each delivery's tie
-        q._inline += (2 if ack is None else 3) * n
+        n, k = len(sent), 2 if ack is None else 3
+        q._tie += k * n
+        q._inline += k * n
         if not n:
             return True
         self.reports_to_leader += n
@@ -526,15 +523,15 @@ class _Mission:
         the live leader's status ack counter (one key serves all its acks;
         None without a live leader or under profile 1); or None while a
         key's first measured offer has yet to make its counter."""
-        admits = self.wlan._admits
+        admits, leader = self.wlan._admits, self.live_leader
 
-        def counter(pkt: Packet):
-            entry = admits.get(pkt[1:5])
+        def counter(key: tuple):
+            entry = admits.get(key)
             return entry and entry[2]
 
-        counters = {sd_id: counter(pkt) for sd_id, pkt in self.beacons.items()}
-        acks = self.live_leader is not None and self.status_acks
-        ack = counter(self.status_acks[self.state.leader_id]) if acks else None
+        counters = {sd_id: counter(pkt[1:5]) for sd_id, pkt in self.beacons.items()}
+        acks = leader is not None and self.cfg.profile == 2
+        ack = counter((HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)) if acks else None
         if None in counters.values() or acks and ack is None:
             return None
         self.round_rows = counters, ack
@@ -560,8 +557,8 @@ class _Mission:
     def _on_flush_delivered(self, pkt: Packet, batch: int) -> None:
         self.reports_delivered += batch
         if self.cfg.profile == 2:
-            self.wimax_dl.reply(Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
-                                       src=DMC_ID, dst=pkt.src))
+            self.wimax_dl.send(Packet(self.q.now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
+                                      src=DMC_ID, dst=pkt.src))
 
     def _waypoint(self, _t: int) -> Packet | None:
         """A live leader's broadcast, until the end; it marks its activity."""
@@ -825,13 +822,13 @@ class _Mission:
                 f"{self.reports_to_leader} status reports reached the leader, but "
                 f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
                 f"and {buffered} are still buffered")
-        if (self.flight_acks, self.beacons, self.status_acks, self.waypoint_pkt,
+        if (self.flight_acks, self.beacons, self.waypoint_pkt,
                 self.live_leader, self.leader_up) != self._senders():
             leader = self.live_leader and self.live_leader.id
             raise RunInvariantError(
-                f"roster tables {sorted(self.flight_acks)}, {sorted(self.beacons)} and "
-                f"{sorted(self.status_acks)} (acks, beacons, status acks) or leader "
-                f"{leader}, relaying {self.leader_up}, miss the final state")
+                f"roster tables {sorted(self.flight_acks)} and {sorted(self.beacons)} "
+                f"(acks, beacons) or leader {leader}, relaying {self.leader_up}, "
+                f"miss the final state")
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

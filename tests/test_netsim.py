@@ -304,10 +304,6 @@ class ReferenceServer:
             self._start()
         return True
 
-    def reply(self, pkt):
-        """``Link.reply`` as a plain send of the packet created now."""
-        self.send(pkt._replace(created_at=self.q.now))
-
     def _start(self):
         for cls in self.class_order:
             if self.waiting[cls]:
@@ -441,8 +437,8 @@ def drive_with_trains(q, link, sends, register_trains, split):
 
     def last_reply(pkt):
         record(pkt)
-        # created now whatever its creation time, and the callback's last act
-        link.reply(Packet(0, 40, "control", "ack", pkt.dst, pkt.src))
+        # created now, with no delivery callback, as the callback's last act
+        link.send(Packet(q.now, 40, "control", "ack", pkt.dst, pkt.src))
 
     callbacks = {"none": None, "record": record, "reply": reply, "last_reply": last_reply}
     register_trains(callbacks)
@@ -467,7 +463,7 @@ def reference_pair(kind, buffer_bits, measure_from):
 
 
 # what a delivery does: nothing, record it, answer it with a send, or
-# answer it with a reply as its last act
+# answer it with a send that has no callback as its last act
 CALLBACK_MODES = ["none", "record", "reply", "last_reply"]
 SENDS = st.lists(st.tuples(
     st.integers(0, 30).map(lambda k: 10 * k),              # send time
@@ -671,50 +667,11 @@ class TestTrainsAgainstReferenceServer:
         assert seen == [(120, "a"), (220, "b"), (240, "ack"), (260, "c")]
 
 
-class TestRepliesAgainstReferenceServer:
-    """``Link.reply`` completes inline only when its completion is the next
-    event; the properties above drive it as the "last_reply" callback."""
-
-    @pytest.mark.parametrize("split, first, then, inline", [
-        # 10 bytes finish at 15 us and are delivered at 115 us; the 40-byte
-        # reply would finish at 134 us, past the 120 us bound
-        (120, (3, 120), 1, 1),
-        (1_000, (4, 1_000), 0, 2),
-    ])
-    def test_a_reply_completes_inline_only_within_the_run_until_bound(
-            self, split, first, then, inline):
-        real, ref, metrics = reference_pair("fifo", 1_000_000, 0)
-        sends = [(0, "control", "sd_status", 10, "last_reply", 2)]
-        got = drive_with_trains(real.queue, real, sends, lambda callbacks: None, split)
-        assert got == drive_with_trains(ref.q, ref, sends, lambda callbacks: None, split)
-        assert got[2:] == (first, then) and real.queue._inline == inline
-        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
-
-    def test_a_reply_due_after_the_next_slot_waits_for_it(self):
-        # the long-range link has no processing delay: the slot at 0 us
-        # finishes and is delivered at 51 us, before the slot at 60 us, but
-        # its 75 us reply would finish at 126 us, so the second packet
-        # queues behind the reply, as in the reference
-        real, ref, metrics = reference_pair("long_range", 1_000_000, 0)
-
-        def packet_for(src):
-            return Packet(0, 10, "control", "flight_ack", src, 1)
-
-        def registering(register, link):
-            return lambda callbacks: register(link, [0, 60], [2, 3], packet_for,
-                                              callbacks["last_reply"])
-
-        got = drive_with_trains(real.queue, real, [], registering(Link.train, real), 1_000)
-        assert got == drive_with_trains(ref.q, ref, [], registering(one_event_per_slot, ref),
-                                        1_000)
-        assert [t for t, _ in got[1]] == [51, 177]
-        assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
-
-
 class TestInPlaceCompletion:
-    """A train slot or a reply that finds its link idle and completes next
-    is completed in place: nothing is buffered, queued or scheduled, and
-    ``_finish`` is called only to count a measured delivery."""
+    """A train slot with no delivery callback that finds its link idle and
+    completes next is completed in place: nothing is buffered, queued or
+    scheduled, and ``_finish`` is called only to count a measured delivery.
+    A slot with a delivery callback is served, and ``_finish`` delivers it."""
 
     @staticmethod
     def finish_calls(link):
@@ -743,33 +700,29 @@ class TestInPlaceCompletion:
         assert metrics.latencies == {("wlan", "control"): {115: 1}}
         assert (counter.delivered_pkts, counter.delivered_bits) == (1, 800)
 
-    def test_a_reply_on_an_idle_link_completes_in_place(self):
-        q, metrics = EventQueue(), Metrics()
-        link = build_wlan_link(q, WlanParams(), metrics)
-        q.schedule(1_000, lambda: None)
-        link.send(Packet(0, 10, flow="sd_status", src=2, dst=1),
-                  lambda pkt: link.reply(Packet(0, 40, flow="status_ack", src=1, dst=2)))
-        calls = self.finish_calls(link)
-        # the status completes at 15 us through the heap and is delivered
-        # inline at 115 us; the 40-byte reply takes 19 us on the medium
-        assert q.run_until(500) == 3
-        counter = metrics.counters["wlan", "control", "status_ack", 1]
-        assert calls == [((counter, 1_040, 119), None, 0, 1)]
-        assert link._busy is None and link._buffered_bits == 0 and len(q._heap) == 1
-        assert metrics.latencies == {("wlan", "control"): {115: 1, 119: 1}}
-        assert q._inline == 2
-
     def test_an_unmeasured_slot_counts_its_events_but_no_offer_or_delivery(self):
         q, metrics = EventQueue(), Metrics(measure_from_us=1_000)
         link = build_wlan_link(q, WlanParams(), metrics)
         seen = []
-        link.train([0, 300], [2, 3], lambda src: Packet(0, 10, flow="sd_status", src=src),
-                   lambda pkt: seen.append((q.now, pkt.src)))
+
+        def record(pkt):
+            seen.append((q.now, pkt.src))
+
+        def status(src):
+            return Packet(0, 10, flow="sd_status", src=src)
+
+        link.train([0, 300], [2, 3], status, record)
         calls = self.finish_calls(link)
-        # each slot, its completion and its delivery, before the next slot
+        # each slot, its completion through the heap and its inline
+        # delivery, before the next slot
         assert q.run_until(500) == 6
         assert seen == [(115, 2), (415, 3)]
-        assert calls == [] and metrics.counters == {} and metrics.latencies == {}
+        # each completion is one bare call on the packet in service, created
+        # at its slot and counted nowhere; the 300 us slot waits on the heap
+        # while the first completes
+        assert calls == [((), (status(2), 800, 15, record, None, 0), 800, 1),
+                         ((), (status(3), 800, 15, record, None, 300), 800, 0)]
+        assert metrics.counters == {} and metrics.latencies == {}
         assert link.idle and not q._heap
 
     def test_a_train_tries_settle_at_each_pop_and_ends_when_it_settles(self):
@@ -949,11 +902,10 @@ class TestRelaysAgainstReferenceServers:
                 return answer
 
             def last_reply(link):
-                # the same ack as a reply, created now, as the callback's last act
+                # the same ack with no delivery callback, as the callback's last act
                 def answer(pkt):
                     record(pkt)
-                    log.append((q.now, link.name, "reply"))
-                    link.reply(Packet(0, 45, "control", "ack", pkt.dst, pkt.src))
+                    send(link, Packet(q.now, 45, "control", "ack", pkt.dst, pkt.src), None)
                 return answer
 
             def forward(link, then):
