@@ -38,6 +38,16 @@ status acks are added to their counters, latencies, report counts, ties
 and event count as their slots would add them, instead of running four
 events per beacon; any other round runs slot by slot.
 
+The refresh also starts a roster epoch, so the status tick costs what
+changed, not the swarm size. Each drone's powered and airborne time is a
+segment of status ticks, closed at the refresh that changes the drone's
+(alive, airborne) state and at the end of the run; the epoch lists the
+airborne drones with their role's battery drain, the returning drones, the
+live SDs' count and the flight ack ids (a ``range`` when contiguous). A
+tick counts itself, drains the airborne list, lands the returning drones
+that reached the DMC with one ``_move`` and moves no drone when none is
+airborne; beacon and ack slots are ranges.
+
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
 window's grid: 2 ms after each 0.2 s broadcast in flight, every 30 s while
@@ -52,8 +62,8 @@ alone marks a mission aborted, always after the leader is lost. The
 runner sends a demoted leader low on battery home. Each phase change it
 makes is a phase-machine edge taken in ``_move``, which refreshes the
 roster tables; ``failure.isolate_drone`` is the only other phase writer.
-At the end, each drone's airborne, powered and video time is priced
-against its batteries; an overdraw is a deviation.
+At the end, each drone's airborne, powered and video time is priced by its
+final role against its batteries; an overdraw is a deviation.
 Identical (config, seed) pairs produce identical results.
 """
 from __future__ import annotations
@@ -121,7 +131,7 @@ ACK_STAGGER_US = 200
 # an SD sends no beacon or acknowledgement once landed or lost; the phases
 # are module globals, and _GONE a tuple, because identity tests against them
 # are cheaper than hashing an Enum member into a set
-_LANDED = Phase.LANDED
+_LANDED, _RETURNING = Phase.LANDED, Phase.RETURNING
 _GONE = (_LANDED, Phase.FAILED, Phase.ISOLATED)
 
 
@@ -187,6 +197,16 @@ class _Mission:
         self.airborne_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
+        # the status ticks run so far; drone id -> its open (first tick,
+        # alive, airborne) segment, from the launch refresh on
+        self.ticks = 0
+        self.segments: dict[int, tuple[int, bool, bool]] = {}
+        # the roster epoch's airborne drones as (telemetry, drain per tick
+        # of its role), its returning drones, live SD count and ack ids
+        self.airborne: list[tuple] = []
+        self.returning: list = []
+        self.live_sds = 0
+        self.ack_ids: range | list[int] = []
         # SD id -> its flight ack or beacon to the acting leader, for the SDs
         # that send now, each stamped when offered; kept from the launch on
         # by _refresh_senders, with the acting leader's state, which nothing
@@ -209,9 +229,9 @@ class _Mission:
                             and max(wire, ack_wire) <= wlan.buffer_bits else None)
         self.round_rows = None
 
-        # battery drain per airborne second, from the derated budget per role
-        self.drain_pct_per_s = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
-                                for role in ("ld", "sd")}
+        # battery drain per airborne tick, from the derated budget per role
+        self.drain_per_tick = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
+                               * (SD_STATUS_PERIOD_US / 1e6) for role in ("ld", "sd")}
 
         if cfg.video.enabled and cfg.video.max_calls is None:
             call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
@@ -435,28 +455,65 @@ class _Mission:
         return acks, beacons, waypoint, live, up
 
     def _refresh_senders(self) -> None:
-        """Refill the roster tables in place (a train holds their ``get``);
-        set the acting leader's state, which the relays read, and drop the
-        last video_down relay as (forwarded packet, relay), which the copies
-        of one fragment reuse, and the epoch's ``_round_rows``."""
+        """Start a roster epoch; every phase change, handover and abort ends
+        with this. Refill the roster tables in place (a train holds their
+        ``get``); set the acting leader's state, which the relays read, and
+        drop the last video_down relay as (forwarded packet, relay), which
+        the copies of one fragment reuse, and the epoch's ``_round_rows``.
+        Close each drone's segment whose (alive, airborne) state changed at
+        the ticks counted so far, and open the next; list the airborne
+        drones with their role's drain, the returning ones, the live SDs'
+        count and the flight ack ids, as a ``range`` when contiguous."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
         self.down_relay, self.round_rows = (None, None), None
+        ids = list(self.flight_acks)
+        self.ack_ids = (range(ids[0], ids[-1] + 1)
+                        if ids and ids[-1] - ids[0] == len(ids) - 1 else ids)
+        state, segments, ticks = self.state, self.segments, self.ticks
+        leader_id, drain = state.leader_id, self.drain_per_tick
+        airborne, returning, live_sds = [], [], 0
+        for i, d in state.drones.items():
+            alive, up = d.alive, d.airborne
+            seg = segments.get(i)
+            if seg is None or seg[1] is not alive or seg[2] is not up:
+                if seg is not None:
+                    self._close_segment(i, *seg)
+                segments[i] = (ticks, alive, up)
+            if up:
+                airborne.append((d.telemetry, drain["ld" if i == leader_id else "sd"]))
+                if d.phase is _RETURNING:
+                    returning.append(d)
+            if alive and i != leader_id:
+                live_sds += 1
+        self.airborne, self.returning, self.live_sds = airborne, returning, live_sds
+
+    def _close_segment(self, drone_id: int, first: int, alive: bool, up: bool) -> None:
+        """Add a segment's ticks, from ``first`` to now, to the drone's
+        powered and airborne time."""
+        span = (self.ticks - first) * SD_STATUS_PERIOD_US
+        if alive:
+            self.alive_us[drone_id] += span
+        if up:
+            self.airborne_us[drone_id] += span
 
     def _status_tick(self, now: int) -> None:
         # no drone beacons once the mission is over
         if self.state.aborted or self.mission_phase is _LANDED:
             return
-        # every drone has a beacon slot up to the horizon, on the tick's tie
-        ids = [i for i in self.state.drones if now + i * BEACON_STAGGER_US <= self.horizon]
-        self.wlan.train([now + i * BEACON_STAGGER_US for i in ids], ids,
+        # every drone, ids 1 to n + 1, has a beacon slot up to the horizon,
+        # on the tick's tie
+        last = min(len(self.state.drones), (self.horizon - now) // BEACON_STAGGER_US)
+        self.wlan.train(range(now + BEACON_STAGGER_US, now + (last + 1) * BEACON_STAGGER_US,
+                              BEACON_STAGGER_US), range(1, last + 1),
                         self.beacons.get, self._on_status_delivered, self.status_tie,
                         self._settle_round)
         self._update_telemetry(now)
         self._check_leader_prediction(now)
-        advance_kinematics(self.state, SD_STATUS_PERIOD_US)
+        if self.airborne:  # kinematics moves only airborne drones
+            advance_kinematics(self.state, SD_STATUS_PERIOD_US)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
@@ -476,9 +533,11 @@ class _Mission:
         before the next slot with nothing between: the WLAN is idle, the
         last ack ends within the limit and before the heap's first entry (so
         the next event sets the clock), and the epoch's rows exist (so the
-        slots are measured). Each beacon sent takes the ties and events its
-        slot would: its completion, its delivery and its ack's completion.
-        Else return False and leave the slots to the train."""
+        slots are measured). ``ids`` is the tick's range of drone ids, so
+        the rows from ``ids[i]`` on are the beacons still to send. Each
+        beacon sent takes the ties and events its slot would: its
+        completion, its delivery and its ack's completion. Else return
+        False and leave the slots to the train."""
         q, costs = self.q, self.round_costs
         if costs is None or not self.wlan.idle:
             return False
@@ -491,15 +550,14 @@ class _Mission:
             return False
         counters, ack = rows
         # each delivery is counted by one Link._finish call, as in place
-        finish, sent = self.wlan._finish, []
-        for t, sd_id in zip(times[i:], ids[i:]):
-            c = counters.get(sd_id)
-            if c is not None:
+        finish, first, last, n, sent = self.wlan._finish, ids[i], ids[-1], 0, None
+        for sd_id, c in counters:
+            if first <= sd_id <= last:
                 c.offered_pkts += 1
                 c.offered_bits += wire
                 finish(c, wire, latency)
-                sent.append(t)
-        n, k = len(sent), 2 if ack is None else 3
+                n, sent = n + 1, sd_id
+        k = 2 if ack is None else 3
         q._tie += k * n
         q._inline += k * n
         if not n:
@@ -513,26 +571,27 @@ class _Mission:
         if ack is not None:
             ack.offered_pkts += n
             ack.offered_bits += n * ack_wire
-            for _ in sent:
+            for _ in range(n):
                 finish(ack, ack_wire, ack_latency)
-            leader.telemetry.last_heard = sent[-1] + latency
+            leader.telemetry.last_heard = times[ids.index(sent)] + latency
         return True
 
     def _round_rows(self) -> tuple | None:
-        """Cache and return this roster epoch's beacon counter per SD and
-        the live leader's status ack counter (one key serves all its acks;
-        None without a live leader or under profile 1); or None while a
-        key's first measured offer has yet to make its counter."""
+        """Cache and return this roster epoch's (SD id, beacon counter)
+        rows in id order and the live leader's status ack counter (one key
+        serves all its acks; None without a live leader or under profile
+        1); or None while a key's first measured offer has yet to make its
+        counter."""
         admits, leader = self.wlan._admits, self.live_leader
 
         def counter(key: tuple):
             entry = admits.get(key)
             return entry and entry[2]
 
-        counters = {sd_id: counter(pkt[1:5]) for sd_id, pkt in self.beacons.items()}
+        counters = [(sd_id, counter(pkt[1:5])) for sd_id, pkt in self.beacons.items()]
         acks = leader is not None and self.cfg.profile == 2
         ack = counter((HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)) if acks else None
-        if None in counters.values() or acks and ack is None:
+        if any(c is None for _, c in counters) or acks and ack is None:
             return None
         self.round_rows = counters, ack
         return self.round_rows
@@ -541,7 +600,7 @@ class _Mission:
         state = self.state
         if not self.leader_up or self.mission_phase is _LANDED:
             return
-        n = len(state.alive_sds())
+        n = self.live_sds
         if n == 0:
             if not self.warned_no_sds:
                 state.deviations.append(f"t={now}us leader has no SDs to aggregate")
@@ -570,9 +629,13 @@ class _Mission:
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
         # the SDs that ack now, in id order, which is the slots' time order;
         # one lost before its slot finds no ack there
-        now, acks = self.q.now, self.flight_acks
-        ids = list(acks)
-        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, acks.get)
+        now, ids = self.q.now, self.ack_ids
+        if type(ids) is range:
+            times = range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
+                          ACK_STAGGER_US)
+        else:
+            times = [now + i * ACK_STAGGER_US for i in ids]
+        self.wlan.train(times, ids, self.flight_acks.get)
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
@@ -655,18 +718,16 @@ class _Mission:
     # -- telemetry, prediction, failures ----------------------------------
 
     def _update_telemetry(self, now: int) -> None:
-        for d in self.state.drones.values():
-            if not d.alive:
-                continue
-            self.alive_us[d.id] += SD_STATUS_PERIOD_US
-            if d.airborne:
-                self.airborne_us[d.id] += SD_STATUS_PERIOD_US
-                role = "ld" if d.id == self.state.leader_id else "sd"
-                drain = self.drain_pct_per_s[role] * (SD_STATUS_PERIOD_US / 1e6)
-                d.telemetry.battery_pct = max(0.0, d.telemetry.battery_pct - drain)
-            if d.phase is Phase.RETURNING and d.waypoint is not None:
-                if d.position == d.waypoint:
-                    self._move([d], PhaseEvent.LANDED_AT_BASE)
+        """Count the tick, which the open segments then span; drain each of
+        the epoch's airborne drones by its role's drain; land the returning
+        drones that reached their waypoint with one ``_move``. The cost is
+        the airborne drones', not the swarm's."""
+        self.ticks += 1
+        for telemetry, drain in self.airborne:
+            telemetry.battery_pct = max(0.0, telemetry.battery_pct - drain)
+        home = [d for d in self.returning if d.position == d.waypoint]
+        if home:
+            self._move(home, PhaseEvent.LANDED_AT_BASE)
 
     def _check_leader_prediction(self, now: int) -> None:
         state = self.state
@@ -805,6 +866,13 @@ class _Mission:
     # -- run --------------------------------------------------------------
 
     def run(self) -> RunResult:
+        """Run to the horizon, check the end-of-run invariants (each a
+        ``RunInvariantError``), close the open segments and price them.
+
+        An aborted mission has lost its leader and has no live SD that
+        ``failure.can_lead``. The converse does not hold: a leader whose
+        soft handover found no SD fit to lead keeps command
+        (``kept_command``) while unfit itself, and the mission goes on."""
         self.q.run_until(self.horizon)
         self.q.run_all()
         state = self.state
@@ -829,6 +897,15 @@ class _Mission:
                 f"roster tables {sorted(self.flight_acks)} and {sorted(self.beacons)} "
                 f"(acks, beacons) or leader {leader}, relaying {self.leader_up}, "
                 f"miss the final state")
+        if state.aborted:
+            leader, fit = state.leader(), [d.id for d in state.alive_sds()
+                                           if failure_mod.can_lead(d)]
+            if leader.alive or fit:
+                raise RunInvariantError(
+                    f"aborted mission with leader {leader.id} "
+                    f"{'alive' if leader.alive else 'lost'} and SDs {fit} able to lead")
+        for i, seg in self.segments.items():
+            self._close_segment(i, *seg)
         record = metrics_snapshot(self.metrics, self.q.now)
         ledger = self._energy_ledger()
         for drone_id, entry in sorted(ledger.items()):

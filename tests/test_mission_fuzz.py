@@ -16,6 +16,13 @@ A status round that nothing disturbs is settled in closed form
 (``_Mission._settle_round``). A second differential test runs each draw
 with it and with every round left to the train's slots, and requires the
 same output bytes, event count and report accounting.
+
+The status tick costs what changed since the last roster epoch: it drains
+the epoch's airborne drones, and powered and airborne time are segments
+closed at each change (``_Mission._refresh_senders``). A third
+differential test runs each draw so and beside a reference that samples
+every drone at every tick, and requires the same times, per-tick
+batteries, output bytes and event count.
 """
 import tempfile
 from pathlib import Path
@@ -24,7 +31,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from swarmsim import failure
+from swarmsim import energy, failure
 from swarmsim.config import (
     MAX_SDS_NO_VIDEO,
     MAX_SDS_VIDEO,
@@ -39,7 +46,8 @@ from swarmsim.failure import FailureKind
 from swarmsim.netsim import EventQueue
 from swarmsim.output import emit_csv, emit_report
 from swarmsim.runner import _Mission, run_scenario
-from swarmsim.swarm import Phase
+from swarmsim.protocol import SD_STATUS_PERIOD_US
+from swarmsim.swarm import Phase, PhaseEvent
 
 HORIZON_S = 430.0
 
@@ -129,15 +137,7 @@ def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     mission = _Mission(cfg)
     if not settle:
         mission._settle_round = lambda times, ids, i: False
-    q, events = mission.q, []
-
-    def counted(run):
-        def counting(*args):
-            events.append(run(*args))
-            return events[-1]
-        return counting
-
-    q.run_until, q.run_all = counted(q.run_until), counted(q.run_all)
+    q, events = mission.q, _counting_events(mission.q)
     result = mission.run()
     state = mission.state
     return (emit_csv([result], out / "run.csv").read_bytes(),
@@ -180,6 +180,96 @@ def test_a_settled_status_round_runs_as_its_slots_would(data):
         return
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_settling(cfg, Path(tmp), True) == _run_settling(cfg, Path(tmp), False)
+
+
+def _counting_events(q) -> list:
+    """Record what each of ``q``'s ``run_until`` and ``run_all`` calls
+    returns: the events it dispatched."""
+    events = []
+
+    def counted(run):
+        def counting(*args):
+            events.append(run(*args))
+            return events[-1]
+        return counting
+
+    q.run_until, q.run_all = counted(q.run_until), counted(q.run_all)
+    return events
+
+
+def _sample_every_drone(mission):
+    """A status tick's telemetry update that visits every drone, as the
+    runner once did: each live drone gains a tick of powered time, each
+    airborne one a tick of airborne time and its role's drain, and each
+    returning drone at its waypoint lands, one ``_move`` per drone. The
+    runner's segments add nothing."""
+    state = mission.state
+    mission._close_segment = lambda drone_id, first, alive, up: None
+    drain_pct_per_s = {role: 100.0 / (energy.flight_budget_min(role) * 60.0)
+                       for role in ("ld", "sd")}
+
+    def update(now):
+        for d in state.drones.values():
+            if not d.alive:
+                continue
+            mission.alive_us[d.id] += SD_STATUS_PERIOD_US
+            if d.airborne:
+                mission.airborne_us[d.id] += SD_STATUS_PERIOD_US
+                role = "ld" if d.id == state.leader_id else "sd"
+                drain = drain_pct_per_s[role] * (SD_STATUS_PERIOD_US / 1e6)
+                d.telemetry.battery_pct = max(0.0, d.telemetry.battery_pct - drain)
+            if d.phase is Phase.RETURNING and d.waypoint is not None:
+                if d.position == d.waypoint:
+                    mission._move([d], PhaseEvent.LANDED_AT_BASE)
+    return update
+
+
+def _run_sampling(cfg, out: Path, epochs: bool) -> tuple:
+    """Each drone's powered and airborne time, every drone's battery after
+    each tick's update, the CSV and report bytes and the events dispatched
+    of one run, with the roster epoch's segments and lists or, if not
+    ``epochs``, with every drone sampled at every tick."""
+    mission = _Mission(cfg)
+    update = mission._update_telemetry if epochs else _sample_every_drone(mission)
+    batteries, drones = [], mission.state.drones.values()
+
+    def recording(now):
+        update(now)
+        batteries.append((now, [d.telemetry.battery_pct for d in drones]))
+
+    mission._update_telemetry = recording
+    events = _counting_events(mission.q)
+    result = mission.run()
+    return (mission.alive_us, mission.airborne_us, batteries,
+            emit_csv([result], out / "run.csv").read_bytes(),
+            emit_report([result], out / "run.txt").read_bytes(), events)
+
+
+# a soft handover in flight at the 40 s tick (the overheated leader stays
+# an SD), then an SD lost in the session and the new leader lost
+HANDOVERS = dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 35},
+                                     {"kind": "sd_sudden", "drone_id": 4, "at_s": 100},
+                                     {"kind": "ld_sudden", "at_s": 215}])
+# two SDs fly two 700 s hops: the leader runs low, is sent home alone at
+# 1,350 s and lands by itself at 1,380 s; the new leader keeps command
+# unfit from 1,360 s, and the mission lands at 1,700 s
+LONG_HOPS = {"name": "hops", "seed": 1, "n_sds": 2, "duration_s": 1800,
+             "infection_rate": 0.0,
+             "mission": {"n_sessions": 3, "session_duration_s": 60, "reposition_s": 700,
+                         "transit_distance_m": 100}}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=mission_configs())
+@example(data=HANDOVERS)
+@example(data=LONG_HOPS)
+def test_the_epoch_telemetry_equals_sampling_every_drone_each_tick(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run_sampling(cfg, Path(tmp), True) == _run_sampling(cfg, Path(tmp), False)
 
 
 def deadline_beside_polling(cfg) -> tuple[list, list, list]:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from swarmsim.cli import main
 from swarmsim.config import ConfigError, load_config, parse_config, to_dict
 from swarmsim.energy import mission_plan, price
+from swarmsim import runner
 from swarmsim.netsim import VIDEO, Link
 from swarmsim.runner import (
     SWEEPABLE_AXES,
@@ -637,6 +638,51 @@ class TestRunScenario:
         mission.run()
         assert len(settled) >= 40 and sum(settled) >= 3_700
 
+    def test_a_status_tick_costs_what_changed_not_the_swarm_size(self, monkeypatch):
+        # 100 SDs collect from 90 s to 150 s and from 170 s to 230 s and
+        # return from 230 s; 2 drones reach the DMC by the 240 s tick, 7
+        # more by the 250 s tick, and the other 92 land with the mission
+        mission = _Mission(parse_config({
+            "name": "swarm100", "duration_s": 300, "n_sds": 100, "profile": 2,
+            "infection_rate": 0.0,
+            "mission": {"session_duration_s": 60, "n_sessions": 2, "reposition_s": 20,
+                        "transit_distance_m": 100}}))
+        drones = mission.state.drones.values()
+        kinematics, batteries, landings = [], [], []
+        advance = runner.advance_kinematics
+        monkeypatch.setattr(runner, "advance_kinematics", lambda state, dt_us: (
+            kinematics.append(mission.q.now), advance(state, dt_us)))
+        update, move = mission._update_telemetry, mission._move
+
+        def recording_update(now):
+            update(now)
+            batteries.append((now, [d.telemetry.battery_pct for d in drones]))
+
+        def recording_move(moved, event):
+            if event is PhaseEvent.LANDED_AT_BASE:
+                landings.append((mission.q.now, len(moved)))
+            move(moved, event)
+
+        mission._update_telemetry, mission._move = recording_update, recording_move
+        result = mission.run()
+        windows = mission.collection_windows
+        assert windows == [(90_000_000, 150_000_000), (170_000_000, 230_000_000)]
+
+        def collecting(t):
+            return any(start <= t < end for start, end in windows)
+
+        # nothing is airborne while collecting: no kinematics and no drain
+        assert kinematics and not [t for t in kinematics if collecting(t)]
+        assert [now for (now, now_pct), (_, before_pct) in zip(batteries[1:], batteries)
+                if collecting(now) and now_pct != before_pct] == []
+        assert [now for now, _ in batteries if collecting(now)] == [
+            t * 10_000_000 for t in (*range(9, 15), *range(17, 23))]
+        # one _move per tick lands every drone home at that tick
+        assert landings == [(240_000_000, 2), (250_000_000, 7), (260_000_000, 92)]
+        assert result.phase_trace == [
+            "configured", "launching", "in_formation", "transit", "deploying",
+            "collecting", "reporting", "collecting", "returning", "landed"]
+
     @pytest.mark.parametrize("profile", [1, 2])
     def test_each_beacon_a_live_leader_receives_gets_one_status_ack(self, profile):
         # the leader is lost in flight at 50 s and SD 3 takes over by a hard
@@ -994,6 +1040,24 @@ class TestRunScenario:
         drone = mission.state.drones[2]
         mission.q.schedule(100_000_000, lambda: setattr(drone, "phase", Phase.RETURNING))
         with pytest.raises(RunInvariantError, match="SD 2 holds target 0 but cannot collect"):
+            mission.run()
+
+    def test_aborted_mission_with_an_sd_able_to_lead_is_an_internal_error(self):
+        # the abort of test_hard_handover_with_no_sd_fit_to_lead_aborts at
+        # 40.603 s, after which SD 2's battery is restored: an SD could lead
+        mission = _Mission(parse_config(dict(FAILOVER, failures=[
+            {"kind": "ld_sudden", "at_s": 40.0}])))
+        state = mission.state
+
+        def drain_every_sd():
+            for sd in state.alive_sds():
+                sd.telemetry.battery_pct = 10.0
+
+        mission.q.schedule(40_100_000, drain_every_sd)
+        mission.q.schedule(41_000_000, lambda: setattr(
+            state.drones[2].telemetry, "battery_pct", 100.0))
+        with pytest.raises(RunInvariantError,
+                           match=r"aborted mission with leader 1 lost and SDs \[2\] able to lead"):
             mission.run()
 
     def test_abort_with_the_leader_alive_is_an_internal_error(self):

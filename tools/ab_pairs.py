@@ -17,9 +17,10 @@ keeps every pass's output, so memory grows with it), and per end-to-end
 metric of the change's ``BENCHMARK.json`` each side's runs, median and
 quartiles (``statistics.quantiles(n=4)``), the change's median over the
 parent's minus one, and the pairs the change won (ties count for neither
-side). After writing the file it prints one summary line per workload and
-metric, marked ``BEYOND BOUND`` where the change's median is worse than
-the parent's by more than the metric's bound.
+side). After writing the file it prints, per workload, each side's median
+untraced pass count and their ratio, then one summary line per metric,
+marked ``BEYOND BOUND`` where the change's median is worse than the
+parent's by more than the metric's bound.
 """
 from __future__ import annotations
 
@@ -107,12 +108,25 @@ def beyond_bound(m: dict) -> bool:
     return delta > m["bound"] if m["better"] == "lower" else delta < -m["bound"]
 
 
+def median_passes(counts: list[int | None]) -> float | None:
+    """The median of the runs' untraced pass counts, None if none printed one."""
+    known = [n for n in counts if n is not None]
+    return statistics.median(known) if known else None
+
+
 def summary_lines(workload: str, out: dict) -> list[str]:
-    """One line per end-to-end metric: the change's median against the
-    parent's and the pairs the change won, marked when beyond its bound."""
+    """Each side's median untraced pass count and the change's over the
+    parent's (``peak_rss_mb`` grows with the pass count); then one line per
+    end-to-end metric: the change's median against the parent's and the
+    pairs the change won, marked when beyond its bound."""
+    passes = {side: median_passes(out["untraced_passes"][side]) for side in SIDES}
+    shown = {side: "n/a" if n is None else f"{n:g}" for side, n in passes.items()}
+    ratio = ("n/a" if None in passes.values() or not passes["parent"]
+             else f"{passes['change'] / passes['parent']:.3f}")
+    lines = [f"{workload} untraced passes: parent median {shown['parent']}, "
+             f"change median {shown['change']}, change/parent {ratio}"]
     if "metrics" not in out:
-        return [f"{workload}: not compared, a run was incorrect ({out['correct']})"]
-    lines = []
+        return lines + [f"{workload}: not compared, a run was incorrect ({out['correct']})"]
     for name, m in out["metrics"].items():
         delta = m["change_vs_parent"]
         change = "n/a" if delta is None else f"{delta:+.1%}"
