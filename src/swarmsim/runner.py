@@ -43,10 +43,12 @@ changed, not the swarm size. Each drone's powered and airborne time is a
 segment of status ticks, closed at the refresh that changes the drone's
 (alive, airborne) state and at the end of the run; the epoch lists the
 airborne drones with their role's battery drain, the returning drones, the
-live SDs' count and the flight ack ids (a ``range`` when contiguous). A
-tick counts itself, drains the airborne list, lands the returning drones
-that reached the DMC with one ``_move`` and moves no drone when none is
-airborne; beacon and ack slots are ranges.
+live SDs' count and the flight ack ids. A tick counts itself, drains the
+airborne list, lands the returning drones that reached the DMC with one
+``_move`` and moves no drone when none is airborne; its beacon slots are
+ranges, and so settle without a list. Ack slots stay lists: a train that
+runs its slots indexes them repeatedly, and each index of a range makes a
+new integer, which cost more than building the list once per broadcast.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -198,15 +200,11 @@ class _Mission:
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
         # the status ticks run so far; drone id -> its open (first tick,
-        # alive, airborne) segment, from the launch refresh on
-        self.ticks = 0
-        self.segments: dict[int, tuple[int, bool, bool]] = {}
-        # the roster epoch's airborne drones as (telemetry, drain per tick
-        # of its role), its returning drones, live SD count and ack ids
-        self.airborne: list[tuple] = []
-        self.returning: list = []
-        self.live_sds = 0
-        self.ack_ids: range | list[int] = []
+        # alive, airborne) segment; the roster epoch's airborne drones as
+        # (telemetry, drain per tick of its role), returning drones, live SD
+        # count and flight ack ids: all kept by _refresh_senders from the launch
+        self.ticks, self.segments = 0, {}
+        self.airborne, self.returning, self.live_sds, self.ack_ids = [], [], 0, []
         # SD id -> its flight ack or beacon to the acting leader, for the SDs
         # that send now, each stamped when offered; kept from the launch on
         # by _refresh_senders, with the acting leader's state, which nothing
@@ -463,15 +461,13 @@ class _Mission:
         Close each drone's segment whose (alive, airborne) state changed at
         the ticks counted so far, and open the next; list the airborne
         drones with their role's drain, the returning ones, the live SDs'
-        count and the flight ack ids, as a ``range`` when contiguous."""
+        count and the flight ack ids."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
         self.down_relay, self.round_rows = (None, None), None
-        ids = list(self.flight_acks)
-        self.ack_ids = (range(ids[0], ids[-1] + 1)
-                        if ids and ids[-1] - ids[0] == len(ids) - 1 else ids)
+        self.ack_ids = list(self.flight_acks)  # replaced, never changed: trains hold it
         state, segments, ticks = self.state, self.segments, self.ticks
         leader_id, drain = state.leader_id, self.drain_per_tick
         airborne, returning, live_sds = [], [], 0
@@ -630,12 +626,7 @@ class _Mission:
         # the SDs that ack now, in id order, which is the slots' time order;
         # one lost before its slot finds no ack there
         now, ids = self.q.now, self.ack_ids
-        if type(ids) is range:
-            times = range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
-                          ACK_STAGGER_US)
-        else:
-            times = [now + i * ACK_STAGGER_US for i in ids]
-        self.wlan.train(times, ids, self.flight_acks.get)
+        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, self.flight_acks.get)
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",
