@@ -20,9 +20,9 @@ same output bytes, event count and report accounting.
 The status tick costs what changed since the last roster epoch: it drains
 the epoch's airborne drones, and powered and airborne time are segments
 closed at each change (``_Mission._refresh_senders``). A third
-differential test runs each draw so and beside a reference that samples
-every drone at every tick, and requires the same times, per-tick
-batteries, output bytes and event count.
+differential test runs each draw so and with a reference that samples
+every drone at every tick, and requires the same powered and airborne
+times, per-tick batteries, output bytes and event count.
 """
 import tempfile
 from pathlib import Path
@@ -129,6 +129,21 @@ def test_a_random_mission_runs_clean_and_reruns_byte_identical(data):
         assert _outputs(cfg, Path(tmp)) == first
 
 
+def _counting_events(q) -> list:
+    """Record what each of ``q``'s ``run_until`` and ``run_all`` calls
+    returns: the events it dispatched."""
+    events = []
+
+    def counted(run):
+        def counting(*args):
+            events.append(run(*args))
+            return events[-1]
+        return counting
+
+    q.run_until, q.run_all = counted(q.run_until), counted(q.run_all)
+    return events
+
+
 def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     """CSV and report bytes, the events ``run_until`` and ``run_all``
     dispatched, the ties taken, the status report counts and each drone's
@@ -180,21 +195,6 @@ def test_a_settled_status_round_runs_as_its_slots_would(data):
         return
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_settling(cfg, Path(tmp), True) == _run_settling(cfg, Path(tmp), False)
-
-
-def _counting_events(q) -> list:
-    """Record what each of ``q``'s ``run_until`` and ``run_all`` calls
-    returns: the events it dispatched."""
-    events = []
-
-    def counted(run):
-        def counting(*args):
-            events.append(run(*args))
-            return events[-1]
-        return counting
-
-    q.run_until, q.run_all = counted(q.run_until), counted(q.run_all)
-    return events
 
 
 def _sample_every_drone(mission):
