@@ -50,9 +50,12 @@ packet in place and completes in place a callback-free packet that found
 the link idle and finishes before the next slot; a packet with a delivery
 callback is served as ``send`` serves it, for ``_finish`` to deliver. The
 event counts of ``run_until`` and ``run_all`` include these inline slots,
-completions and deliveries. A train's ``settle`` callable may instead
-account for all its remaining slots in closed form, as the runner does for
-an undisturbed status round.
+completions and deliveries. ``Link.settle`` accounts for a train's
+remaining slots in closed form when nothing else can run among them: the
+link is idle, each packet and the reply its delivery sends fit the buffer
+and end before the next slot, and the round ends within the limit and
+before the heap's first entry. It takes no tie, as the round's events
+would order only among themselves.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -161,25 +164,21 @@ class EventQueue:
         Returns the number of events processed, train slots, completions
         and deliveries run inline (see the module docstring) included.
         """
-        heap, pop = self._heap, heapq.heappop
-        self._limit = t_end
-        inline = self._inline
-        count = 0
-        while heap and heap[0][0] <= t_end:
-            self.now, _, fn = pop(heap)
-            fn()
-            count += 1
+        count = self._run(t_end)
         self.now = max(self.now, t_end)
-        return count + self._inline - inline
+        return count
 
     def run_all(self) -> int:
-        """Drain the queue completely; returns the events processed, train
-        slots, completions and deliveries run inline included."""
+        """Drain the queue; returns what ``run_until`` returns."""
+        return self._run(math.inf)
+
+    def _run(self, limit: float) -> int:
+        """The loop of ``run_until`` and ``run_all``, up to ``limit``."""
         heap, pop = self._heap, heapq.heappop
-        self._limit = math.inf
+        self._limit = limit
         inline = self._inline
         count = 0
-        while heap:
+        while heap and heap[0][0] <= limit:
             self.now, _, fn = pop(heap)
             fn()
             count += 1
@@ -538,9 +537,8 @@ class Link:
         it, and ``_finish`` delivers it. Inline slots and completions count
         as processed events.
         ``settle(times, xs, i)``, if given, is called at each pop with ``i``
-        the slot due now; True means it accounted for slots ``i`` onwards as
-        running them would, completions and deliveries included, and the
-        train ends.
+        the slot due now; a true result means it accounted for slots ``i``
+        onwards, as ``Link.settle`` does, and the train ends.
         """
         if not times:
             return
@@ -550,10 +548,60 @@ class Link:
         if type(times) is not range and times != sorted(times):
             raise RunInvariantError("train slots must be in time order")
         if tie is None:
-            tie = q._tie
-            q._tie += 1
+            tie = q.take_tie()
         train = _Train(self, times, xs, packet_for, on_deliver, tie, settle)
         heapq.heappush(q._heap, (times[0], tie, train.step))
+
+    def counter(self, pkt: Packet) -> _Counter | None:
+        """The counter of ``pkt``'s key; None until a measured offer made it."""
+        entry = self._admits.get(pkt[1:5])
+        return entry and entry[2]
+
+    def settle(self, times: range, xs, i: int, rows: list, pkt: Packet,
+               reply: Packet | None = None) -> tuple[int, int | None] | None:
+        """Account for a train's slots ``i`` onwards in closed form as running
+        them would, if nothing else can run among them (module docstring);
+        the train counts the slots. ``times`` is a ``range``, ``xs`` ascends,
+        and ``rows`` lists by ``x`` the slots that send as (x, its key's
+        ``counter``), each packet of ``pkt``'s size, offered before. ``reply``,
+        if given, goes out at each delivery, on a key with a counter. Returns
+        the packets sent and the last one's delivery time (None if none), or
+        None, having counted nothing."""
+        admits, proc, room = self._admits, self.proc_delay_us, self.buffer_bits
+        entry = admits.get(pkt[1:5])
+        if entry is None or entry[0] > room or not self.idle:
+            return None
+        wire, tx = entry[:2]
+        span = latency = tx + proc
+        if reply is not None:
+            entry = admits.get(reply[1:5])
+            if entry is None or entry[2] is None or entry[0] > room:
+                return None
+            reply_wire, reply_tx, reply_counter = entry[:3]
+            span += reply_tx
+        q = self.queue
+        heap, end = q._heap, times[-1] + span
+        if span >= times.step or end > q._limit or heap and end >= heap[0][0]:
+            return None
+        finish, first, last, n, sent = self._finish, xs[i], xs[-1], 0, None
+        for x, c in rows:
+            if first <= x <= last:
+                c.offered_pkts += 1
+                c.offered_bits += wire
+                finish(c, wire, latency)
+                n, sent = n + 1, x
+        q._inline += (2 if reply is None else 3) * n
+        if not n:
+            q.now = times[-1]
+            return 0, None
+        if reply is not None:
+            reply_counter.offered_pkts += n
+            reply_counter.offered_bits += n * reply_wire
+            for _ in range(n):
+                finish(reply_counter, reply_wire, reply_tx + proc)
+        t = times[xs.index(sent)]
+        q.now = max(times[-1], t + span)  # the time of the round's last event
+        return n, t + latency
 
     def _new_admission(self, pkt: Packet, key: tuple) -> tuple:
         """Make and cache the ``_admits`` entry of a key's first offer."""

@@ -33,10 +33,10 @@ delivery is the next event anyway; each link caches, per packet size,
 class, flow and source, what admitting a packet needs. ``run_until`` and
 ``run_all`` count inline slots, in-place completions and inline deliveries
 as processed events. A status round that no other event interrupts is
-settled in closed form (``_settle_round``): its remaining beacons and
-status acks are added to their counters, latencies, report counts, ties
-and event count as their slots would add them, instead of running four
-events per beacon; any other round runs slot by slot.
+settled in closed form by ``Link.settle``, which decides when it applies
+and counts the beacons, status acks and events; the runner keeps the
+epoch's beacon counters and adds the round's reports and the leader's last
+activity (``_settle_round``). Any other round runs slot by slot.
 
 The refresh also starts a roster epoch, so the status tick costs what
 changed, not the swarm size. Each drone's powered and airborne time is a
@@ -92,7 +92,6 @@ from .netsim import (
     build_wimax_link,
     max_simultaneous_calls,
     metrics_snapshot,
-    tx_time_us,
 )
 from .output import emit_csv, emit_report  # noqa: F401  perfbench and test_acceptance use these
 from .protocol import (
@@ -213,18 +212,6 @@ class _Mission:
         self.beacons: dict[int, Packet] = {}
         self.live_leader, self.leader_up = None, False
         self.waypoint_pkt, self.down_relay = None, (None, None)
-        # for _settle_round: a beacon's and a status ack's wire bits and
-        # latency on an idle WLAN and the time from a slot to its ack's end,
-        # if both fit the buffer and end before the next slot (else None)
-        wlan = self.wlan
-        wire, ack_wire = ((HEADER_LEN + size + wlan.overhead_bytes) * 8
-                          for size in (STATUS_SD_LEN, ACK_LEN))
-        latency, ack_tx = (tx_time_us(wire, wlan.rate_bps) + wlan.proc_delay_us,
-                           tx_time_us(ack_wire, wlan.rate_bps))
-        self.round_costs = ((wire, latency, ack_wire, ack_tx + wlan.proc_delay_us,
-                             latency + ack_tx)
-                            if latency + ack_tx < BEACON_STAGGER_US
-                            and max(wire, ack_wire) <= wlan.buffer_bits else None)
         self.round_rows = None
 
         # battery drain per airborne tick, from the derated budget per role
@@ -523,73 +510,38 @@ class _Mission:
             self.wlan.send(Packet(now, HEADER_LEN + ACK_LEN, CONTROL, "status_ack",
                                   leader.id, pkt.src))
 
-    def _settle_round(self, times: list[int], ids: list[int], i: int) -> bool:
-        """Settle the beacon slots ``i`` onwards of a status round in closed
-        form when each beacon, its delivery and its status ack would run
-        before the next slot with nothing between: the WLAN is idle, the
-        last ack ends within the limit and before the heap's first entry (so
-        the next event sets the clock), and the epoch's rows exist (so the
-        slots are measured). ``ids`` is the tick's range of drone ids, so
-        the rows from ``ids[i]`` on are the beacons still to send. Each
-        beacon sent takes the ties and events its slot would: its
-        completion, its delivery and its ack's completion. Else return
-        False and leave the slots to the train."""
-        q, costs = self.q, self.round_costs
-        if costs is None or not self.wlan.idle:
+    def _settle_round(self, times: range, ids: range, i: int) -> bool:
+        """Settle the beacon slots ``i`` onwards of a status round with
+        ``Link.settle`` once the epoch's rows exist, and add the round's
+        reports and the leader's last activity; else return False and leave
+        the slots to the train. ``ids`` is the tick's range of drone ids."""
+        cached = self.round_rows or self._round_rows()
+        settled = cached and self.wlan.settle(times, ids, i, *cached)
+        if not settled:
             return False
-        wire, latency, ack_wire, ack_latency, span = costs
-        heap, end = q._heap, times[-1] + span
-        if end > q._limit or heap and end >= heap[0][0]:
-            return False
-        rows = self.round_rows or self._round_rows()
-        if rows is None:
-            return False
-        counters, ack = rows
-        # each delivery is counted by one Link._finish call, as in place
-        finish, first, last, n, sent = self.wlan._finish, ids[i], ids[-1], 0, None
-        for sd_id, c in counters:
-            if first <= sd_id <= last:
-                c.offered_pkts += 1
-                c.offered_bits += wire
-                finish(c, wire, latency)
-                n, sent = n + 1, sd_id
-        k = 2 if ack is None else 3
-        q._tie += k * n
-        q._inline += k * n
-        if not n:
-            return True
+        n, heard = settled
         self.reports_to_leader += n
         state, leader = self.state, self.live_leader
         if leader is None:
             state.lost_reports += n
         else:
             state.buffered_reports += n
-        if ack is not None:
-            ack.offered_pkts += n
-            ack.offered_bits += n * ack_wire
-            for _ in range(n):
-                finish(ack, ack_wire, ack_latency)
-            leader.telemetry.last_heard = times[ids.index(sent)] + latency
+            if self.cfg.profile == 2 and n:  # it acked each beacon as it came
+                leader.telemetry.last_heard = heard
         return True
 
     def _round_rows(self) -> tuple | None:
-        """Cache and return this roster epoch's (SD id, beacon counter)
-        rows in id order and the live leader's status ack counter (one key
-        serves all its acks; None without a live leader or under profile
-        1); or None while a key's first measured offer has yet to make its
-        counter."""
-        admits, leader = self.wlan._admits, self.live_leader
-
-        def counter(key: tuple):
-            entry = admits.get(key)
-            return entry and entry[2]
-
-        counters = [(sd_id, counter(pkt[1:5])) for sd_id, pkt in self.beacons.items()]
-        acks = leader is not None and self.cfg.profile == 2
-        ack = counter((HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)) if acks else None
-        if any(c is None for _, c in counters) or acks and ack is None:
+        """Cache and return this roster epoch's (SD id, beacon counter) rows
+        in id order, one beacon and the live leader's status ack under
+        profile 2 (one key serves all its acks; else None); or None until
+        there is a beacon and a measured offer made each beacon's counter."""
+        counter, leader = self.wlan.counter, self.live_leader
+        rows = [(sd_id, counter(pkt)) for sd_id, pkt in self.beacons.items()]
+        if not rows or any(c is None for _, c in rows):
             return None
-        self.round_rows = counters, ack
+        ack = (Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)
+               if leader is not None and self.cfg.profile == 2 else None)
+        self.round_rows = rows, next(iter(self.beacons.values())), ack
         return self.round_rows
 
     def _flush_tick(self, now: int) -> None:

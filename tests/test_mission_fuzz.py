@@ -146,7 +146,7 @@ def _counting_events(q) -> list:
 
 def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     """CSV and report bytes, the events ``run_until`` and ``run_all``
-    dispatched, the ties taken, the status report counts and each drone's
+    dispatched, the status report counts and each drone's
     last activity of one run, with undisturbed status rounds settled in
     closed form or, if not ``settle``, left to the train."""
     mission = _Mission(cfg)
@@ -156,7 +156,7 @@ def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     result = mission.run()
     state = mission.state
     return (emit_csv([result], out / "run.csv").read_bytes(),
-            emit_report([result], out / "run.txt").read_bytes(), events, q._tie,
+            emit_report([result], out / "run.txt").read_bytes(), events,
             mission.reports_to_leader, state.buffered_reports, state.lost_reports,
             {i: d.telemetry.last_heard for i, d in state.drones.items()})
 

@@ -747,6 +747,176 @@ class TestInPlaceCompletion:
         assert link.idle and not q._heap
 
 
+class TestSettle:
+    """``Link.settle`` against the slots it stands for: a status-like train
+    of ``range`` slots whose delivery callback sends a reply, run with and
+    without the closed form; and each condition under which it must refuse.
+
+    Every beacon has 40 bytes and 90 of overhead: 19 us on the medium,
+    delivered 100 us later; every reply has 10 bytes: 15 us. So a round's
+    last event comes 134 us after its last slot."""
+
+    PERIOD = 10_000
+    ACK = Packet(0, 10, flow="status_ack", src=3)
+
+    @staticmethod
+    def beacon(src):
+        return Packet(0, 40, flow="sd_status", src=src, dst=3)
+
+    def status_rounds(self, settling, replies):
+        """One 50 ms run of a status tick every 10 ms, each registering a
+        train on the tick's tie with beacon slots 1 ms apart from 1 ms on
+        for ids 1 to 5, of which 3 sends nothing. The 20 ms round is cut by
+        an event at 22.5 ms, the 30 ms round finds the link busy at its
+        last slot with a 1,500-byte packet that ends after the beacon's
+        reply would, and ``run_until`` ends within the 40 ms round.
+        Three probes share one instant after each round: one scheduled
+        before the run, one by the tick and one after the round.
+        Returns what must not depend on ``settling``, and the rounds settled."""
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        beacons = {x: self.beacon(x) for x in (1, 2, 4, 5)}
+        ack = self.ACK if replies else None
+        # round -> [deliveries, last delivery time]; the probes in the
+        # order they ran; the _finish calls
+        heard, probes, settled, finishes = {}, [], [], []
+        finish = link._finish
+
+        def counting_finish(*args):
+            finishes.append(q.now)
+            finish(*args)
+
+        link._finish = counting_finish
+
+        def delivered(n, at):
+            got = heard.setdefault(at // self.PERIOD, [0, None])
+            got[0] += n
+            got[1] = at
+
+        def on_deliver(pkt):
+            delivered(1, q.now)
+            if replies:
+                link.send(self.ACK._replace(created_at=q.now, dst=pkt.src))
+
+        def settle(times, xs, i):
+            rows = [(x, link.counter(pkt)) for x, pkt in beacons.items()]
+            if any(c is None for _, c in rows):
+                return False
+            got = link.settle(times, xs, i, rows, beacons[1], ack)
+            if got is not None:
+                settled.append((times[i], got))
+                if got[0]:
+                    delivered(*got)
+            return got is not None
+
+        def tick(t):
+            link.train(range(t + 1_000, t + 6_000, 1_000), range(1, 6), beacons.get,
+                       on_deliver, tie, settle if settling else None)
+            q.schedule(t + 9_000, lambda: probes.append(("tick", t)))
+
+        tie = q.every(0, self.PERIOD, 40_000, tick)
+        for t in range(0, 50_000, self.PERIOD):
+            q.schedule(t + 9_000, lambda t=t: probes.append(("before", t)))
+            q.schedule(t + 8_000, lambda t=t: q.schedule(
+                t + 9_000, lambda: probes.append(("after", t))))
+        q.schedule(22_500, lambda: probes.append(("cut", 22_500)))
+        q.schedule(34_999, lambda: link.send(Packet(34_999, 1_500, flow="video")))
+        events = [q.run_until(41_100), q.run_until(50_000), q.run_all()]
+        counters = {key: (tuple(getattr(c, f) for f in c.__slots__[:-1]), dict(c.latencies))
+                    for key, c in metrics.counters.items()}
+        return (counters, metrics.latencies, len(finishes), events, probes, heard,
+                q.now, link.idle), settled
+
+    @pytest.mark.parametrize("replies", [True, False])
+    def test_a_settled_round_counts_what_its_slots_would(self, replies):
+        got, settled = self.status_rounds(True, replies)
+        want, none = self.status_rounds(False, replies)
+        assert got == want and none == []
+        # the 0 ms round runs slot by slot, making the counters; the 10 ms
+        # round settles whole, the 20 ms round from its first slot after
+        # the cut, the 30 ms round not at all, and the 40 ms round, whose
+        # end lies past the first limit, in the next run
+        assert [(t, n) for t, (n, _) in settled] == [
+            (11_000, 4), (23_000, 2), (42_000, 3)]
+        assert settled[0][1] == (4, 15_119)
+        probes = got[4]
+        assert probes[:3] == [("before", 0), ("tick", 0), ("after", 0)]
+
+    def attempt(self, params=WlanParams(), reply=ACK, reply_at=1, step=1_000,
+                head=None, limit=20_000, i=0, busy=False, buffered=False):
+        """Make the counters of beacons 1, 2 and 4 by offers created at 1 us,
+        when measuring starts, and offer the reply's key created at
+        ``reply_at`` (if not None). Then call ``settle`` at slot ``i`` of
+        slots 1 to 4 (3 sends nothing), ``step`` apart from 10 ms, within
+        ``run_until(limit)`` and with an entry at ``head``. Returns its
+        result and whether it changed the counters, events, ties or clock."""
+        q, metrics = EventQueue(), Metrics(measure_from_us=1)
+        link = build_wlan_link(q, params, metrics)
+        beacons = [(x, self.beacon(x)._replace(created_at=1)) for x in (1, 2, 4)]
+        for _, pkt in beacons:
+            link.send(pkt)
+        if reply is not None and reply_at is not None:
+            link.send(reply._replace(created_at=reply_at))
+        q.run_all()
+        rows = [(x, link.counter(pkt)) for x, pkt in beacons]
+        if head is not None:
+            q.schedule(head, lambda: None)
+
+        def state():
+            return ([(tuple(getattr(c, f) for f in c.__slots__[:-1]), dict(c.latencies))
+                     for c in metrics.counters.values()], q._inline, q._tie, q.now)
+
+        times, got = range(10_000, 10_000 + 4 * step, step), []
+
+        def attempt():
+            if busy:
+                link.send(Packet(q.now, 1_500, flow="video"))
+            if buffered:  # bits the link holds though it serves nothing
+                link._buffered_bits = 1
+            before = state()
+            got.append(link.settle(times, range(1, 5), i, rows, beacons[0][1], reply))
+            got.append(state() != before)
+
+        q.schedule(times[i], attempt)
+        q.run_until(limit)
+        return got
+
+    def test_an_undisturbed_round_settles_with_its_last_delivery_time(self):
+        # the last beacon goes at 13 ms and is delivered at 13.119 ms; its
+        # reply, the round's last event, ends at 13.134 ms
+        assert self.attempt() == [(3, 13_119), True]
+        assert self.attempt(reply=None) == [(3, 13_119), True]
+
+    @pytest.mark.parametrize("case, accepted", [
+        # at the last slot, a 1,500-byte packet in service ends at 13.235 ms,
+        # after the round would, so only the link's state shows it
+        (dict(busy=True, i=3), False),
+        (dict(i=3), True),
+        (dict(buffered=True), False),
+        # a 1,040-bit beacon or a 1,200-bit reply that a 1,100-bit buffer
+        # cannot hold, whichever it is
+        (dict(params=WlanParams(buffer_bits=1_000)), False),
+        (dict(params=WlanParams(buffer_bits=1_100),
+              reply=Packet(0, 60, flow="status_ack", src=3)), False),
+        (dict(params=WlanParams(buffer_bits=1_100)), True),
+        # a reply key never offered, or offered only before measuring began
+        (dict(reply_at=None), False),
+        (dict(reply_at=0), False),
+        # the reply of one slot would end as the next slot starts
+        (dict(step=134), False),
+        (dict(step=135), True),
+        (dict(head=13_134), False),
+        (dict(head=13_135), True),
+        (dict(limit=13_133), False),
+        (dict(limit=13_134), True),
+    ], ids=["busy", "idle", "buffered", "big-packet", "big-reply", "fits", "no-reply-key",
+            "unmeasured-reply",
+            "span-is-step", "span-under-step", "ends-at-head", "ends-before-head",
+            "ends-past-limit", "ends-at-limit"])
+    def test_settle_refuses_a_round_that_something_could_interrupt(self, case, accepted):
+        result, counted = self.attempt(**case)
+        assert (result is not None, counted) == (accepted, accepted)
+
 class TestCopiesAgainstReferenceServer:
     """``Link.send`` of ``n`` copies against the reference server taking each
     copy as its own ``send``."""
