@@ -53,9 +53,14 @@ event counts of ``run_until`` and ``run_all`` include these inline slots,
 completions and deliveries. ``Link.settle`` accounts for a train's
 remaining slots in closed form when nothing else can run among them: the
 link is idle, each packet and the reply its delivery sends fit the buffer
-and end before the next slot, and the round ends within the limit and
-before the heap's first entry. It takes no tie, as the round's events
-would order only among themselves.
+and end before the next slot (a ``range``'s step, or a list's smallest gap
+between the slots left), and the round ends within the limit and before
+the heap's first entry. A packet with a delivery callback counts its
+completion and its delivery as events, and the reply one more; a
+callback-free packet counts its in-place completion alone, and its part of
+the round, with the clock, ends at that completion, not at the delivery
+``proc_delay_us`` later. It takes no tie, as the round's events would
+order only among themselves.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -78,6 +83,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from operator import sub
 from typing import Callable, NamedTuple
 
 from .errors import RunInvariantError
@@ -538,7 +544,8 @@ class Link:
         as processed events.
         ``settle(times, xs, i)``, if given, is called at each pop with ``i``
         the slot due now; a true result means it accounted for slots ``i``
-        onwards, as ``Link.settle`` does, and the train ends.
+        onwards, as ``Link.settle`` does for ``range`` or list slots with or
+        without ``on_deliver``, and the train ends.
         """
         if not times:
             return
@@ -557,31 +564,45 @@ class Link:
         entry = self._admits.get(pkt[1:5])
         return entry and entry[2]
 
-    def settle(self, times: range, xs, i: int, rows: list, pkt: Packet,
-               reply: Packet | None = None) -> tuple[int, int | None] | None:
+    def settle(self, times, xs, i: int, rows: list, pkt: Packet,
+               reply: Packet | None = None,
+               delivers: bool = True) -> tuple[int, int | None] | None:
         """Account for a train's slots ``i`` onwards in closed form as running
         them would, if nothing else can run among them (module docstring);
-        the train counts the slots. ``times`` is a ``range``, ``xs`` ascends,
-        and ``rows`` lists by ``x`` the slots that send as (x, its key's
-        ``counter``), each packet of ``pkt``'s size, offered before. ``reply``,
-        if given, goes out at each delivery, on a key with a counter. Returns
-        the packets sent and the last one's delivery time (None if none), or
-        None, having counted nothing."""
+        the train counts the slots. ``times`` is a ``range`` or an ascending
+        list, whose smallest gap from slot ``i`` on stands for a range's step;
+        ``xs`` ascends, and ``rows`` lists by ``x`` the slots that send as (x,
+        its key's ``counter``), each packet of ``pkt``'s size, offered before.
+        If the packets have a delivery callback (``delivers``), each is served
+        and delivered, two events, and ``reply``, if given, goes out at each
+        delivery on a key with a counter, one more; if not, each is completed
+        in place, one event, and the round ends at its last completion.
+        Returns the packets sent and the last one's delivery time (None if
+        none), or None, having counted nothing."""
         admits, proc, room = self._admits, self.proc_delay_us, self.buffer_bits
         entry = admits.get(pkt[1:5])
         if entry is None or entry[0] > room or not self.idle:
             return None
         wire, tx = entry[:2]
-        span = latency = tx + proc
+        latency = tx + proc
+        span, events = (latency, 2) if delivers else (tx, 1)
         if reply is not None:
             entry = admits.get(reply[1:5])
             if entry is None or entry[2] is None or entry[0] > room:
                 return None
             reply_wire, reply_tx, reply_counter = entry[:3]
-            span += reply_tx
+            span, events = span + reply_tx, events + 1
         q = self.queue
         heap, end = q._heap, times[-1] + span
-        if span >= times.step or end > q._limit or heap and end >= heap[0][0]:
+        if end > q._limit or heap and end >= heap[0][0]:
+            return None
+        if type(times) is range:
+            gap = times.step
+        elif len(times) - i > 1:  # a list's smallest gap between the slots left
+            gap = min(map(sub, times[i + 1:], times[i:]))
+        else:
+            gap = math.inf
+        if span >= gap:
             return None
         finish, first, last, n, sent = self._finish, xs[i], xs[-1], 0, None
         for x, c in rows:
@@ -590,7 +611,7 @@ class Link:
                 c.offered_bits += wire
                 finish(c, wire, latency)
                 n, sent = n + 1, x
-        q._inline += (2 if reply is None else 3) * n
+        q._inline += events * n
         if not n:
             q.now = times[-1]
             return 0, None

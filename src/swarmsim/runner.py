@@ -32,11 +32,13 @@ that state; they are delivery callbacks, which a link runs inline when the
 delivery is the next event anyway; each link caches, per packet size,
 class, flow and source, what admitting a packet needs. ``run_until`` and
 ``run_all`` count inline slots, in-place completions and inline deliveries
-as processed events. A status round that no other event interrupts is
-settled in closed form by ``Link.settle``, which decides when it applies
-and counts the beacons, status acks and events; the runner keeps the
-epoch's beacon counters and adds the round's reports and the leader's last
-activity (``_settle_round``). Any other round runs slot by slot.
+as processed events. A status round or a flight-ack round that no other
+event interrupts is settled in closed form by ``Link.settle``, which decides
+when it applies and counts the packets and events. The runner keeps the
+epoch's beacon and ack counters (``_epoch_rows``), adds a status round's
+reports and the leader's last activity (``_settle_round``), and settles an
+ack round only in the roster epoch that registered it (``_settle_acks``).
+Any other round runs slot by slot.
 
 The refresh also starts a roster epoch, so the status tick costs what
 changed, not the swarm size. Each drone's powered and airborne time is a
@@ -46,9 +48,10 @@ airborne drones with their role's battery drain, the returning drones, the
 live SDs' count and the flight ack ids. A tick counts itself, drains the
 airborne list, lands the returning drones that reached the DMC with one
 ``_move`` and moves no drone when none is airborne; its beacon slots are
-ranges, and so settle without a list. Ack slots stay lists: a train that
-runs its slots indexes them repeatedly, and each index of a range makes a
-new integer, which cost more than building the list once per broadcast.
+ranges. Ack slots stay lists, which skip the SDs gone, and settle with
+their smallest gap: a train that runs its slots indexes them repeatedly,
+and each index of a range makes a new integer, which cost more than
+building the list once per broadcast.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -212,7 +215,7 @@ class _Mission:
         self.beacons: dict[int, Packet] = {}
         self.live_leader, self.leader_up = None, False
         self.waypoint_pkt, self.down_relay = None, (None, None)
-        self.round_rows = None
+        self.round_rows = self.ack_rows = None
 
         # battery drain per airborne tick, from the derated budget per role
         self.drain_per_tick = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
@@ -453,7 +456,7 @@ class _Mission:
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
-        self.down_relay, self.round_rows = (None, None), None
+        self.down_relay, self.round_rows, self.ack_rows = (None, None), None, None
         self.ack_ids = list(self.flight_acks)  # replaced, never changed: trains hold it
         state, segments, ticks = self.state, self.segments, self.ticks
         leader_id, drain = state.leader_id, self.drain_per_tick
@@ -531,18 +534,26 @@ class _Mission:
         return True
 
     def _round_rows(self) -> tuple | None:
-        """Cache and return this roster epoch's (SD id, beacon counter) rows
-        in id order, one beacon and the live leader's status ack under
-        profile 2 (one key serves all its acks; else None); or None until
-        there is a beacon and a measured offer made each beacon's counter."""
-        counter, leader = self.wlan.counter, self.live_leader
-        rows = [(sd_id, counter(pkt)) for sd_id, pkt in self.beacons.items()]
-        if not rows or any(c is None for _, c in rows):
+        """Cache and return this roster epoch's beacon rows (``_epoch_rows``)
+        with the live leader's status ack under profile 2 (one key serves
+        all its acks; else None); or None until the rows exist."""
+        cached, leader = self._epoch_rows(self.beacons), self.live_leader
+        if cached is None:
             return None
         ack = (Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)
                if leader is not None and self.cfg.profile == 2 else None)
-        self.round_rows = rows, next(iter(self.beacons.values())), ack
+        self.round_rows = (*cached, ack)
         return self.round_rows
+
+    def _epoch_rows(self, table: dict[int, Packet]) -> tuple | None:
+        """This roster epoch's (SD id, counter) rows of a roster table in id
+        order and one of its packets, which all have one size; or None until
+        there is a packet and a measured offer made each one's counter."""
+        counter = self.wlan.counter
+        rows = [(sd_id, counter(pkt)) for sd_id, pkt in table.items()]
+        if not rows or any(c is None for _, c in rows):
+            return None
+        return rows, next(iter(table.values()))
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
@@ -578,7 +589,19 @@ class _Mission:
         # the SDs that ack now, in id order, which is the slots' time order;
         # one lost before its slot finds no ack there
         now, ids = self.q.now, self.ack_ids
-        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, self.flight_acks.get)
+        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, self.flight_acks.get,
+                        settle=self._settle_acks)
+
+    def _settle_acks(self, times: list, ids: list, i: int) -> bool:
+        """Settle the ack slots ``i`` onwards of a flight round registered in
+        this roster epoch (a later one holds other ids) with ``Link.settle``
+        once the epoch's rows exist; else return False and leave the slots to
+        the train. An ack has no delivery callback."""
+        if ids is not self.ack_ids:
+            return False
+        cached = self.ack_rows = self.ack_rows or self._epoch_rows(self.flight_acks)
+        return bool(cached) and self.wlan.settle(
+            times, ids, i, *cached, delivers=False) is not None
 
     def _send_case_report(self, sd_id: int, now: int) -> None:
         pkt = Packet(now, HEADER_LEN + CASE_REPORT_LEN, BEST_EFFORT, "case_report",

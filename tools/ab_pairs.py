@@ -7,7 +7,10 @@ example a clone of the parent commit next to the working tree. For each
 workload, pair ``i`` runs ``perfbench/run.py --workload W --seed S --seconds
 N --trace 0`` once in each checkout, with seed ``S = first seed + i``; the
 parent runs first on even pair indices and the change on odd ones. Each run
-uses its own checkout's code and benchmark files.
+uses its own checkout's code and benchmark files. ``N`` defaults to the
+change's ``BENCHMARK.json`` ``run_seconds``, the length the benchmark's own
+runs have: ``peak_rss_mb`` grows with the pass count, so it is read at the
+pass counts of that length.
 
 The output has the layout of ``BENCH_14.json``'s ``workloads`` section: per
 workload the seeds, the side that ran first, whether every run was correct,
@@ -172,7 +175,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="workload to run (repeatable); default: every workload of BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=901)
-    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seconds", type=float,
+                    help="length of each run; default: BENCHMARK.json's run_seconds")
     ap.add_argument("--what", default="", help="what the change is, for the file's 'what' field")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -181,6 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     seeds = list(range(args.first_seed, args.first_seed + args.pairs))
     result = {
         "what": args.what,
@@ -188,11 +193,11 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": describe(checkouts["parent"]),
         "change_commit": describe(checkouts["change"]),
         "workload_runs": (
-            f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
             "--trace 0, one parent and one change run per seed, the side that runs first "
             "alternating (parent first on even pair indices); quartiles are "
             "statistics.quantiles(n=4) over the per-run values"),
-        "workloads": {w: ab_workload(checkouts, w, seeds, args.seconds, spec["end_to_end"])
+        "workloads": {w: ab_workload(checkouts, w, seeds, seconds, spec["end_to_end"])
                       for w in workloads},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
