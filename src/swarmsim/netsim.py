@@ -564,7 +564,7 @@ class Link:
         entry = self._admits.get(pkt[1:5])
         return entry and entry[2]
 
-    def settle(self, times, xs, i: int, rows: list, pkt: Packet,
+    def settle(self, times: range | list, xs, i: int, rows: list, pkt: Packet,
                reply: Packet | None = None,
                delivers: bool = True) -> tuple[int, int | None] | None:
         """Account for a train's slots ``i`` onwards in closed form as running

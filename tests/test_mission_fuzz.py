@@ -12,10 +12,14 @@ loss. A differential test runs it beside a probe that polls every
 watchdog slot, every 0.2 s in flight and every 30 s while collecting, and
 requires both to detect each loss at the same instant.
 
-A status round that nothing disturbs is settled in closed form
-(``_Mission._settle_round``). A second differential test runs each draw
-with it and with every round left to the train's slots, and requires the
-same output bytes, event count and report accounting.
+A status round or a flight-ack round that nothing disturbs is settled in
+closed form (``_Mission._settle_round``, ``_Mission._settle_acks``). A
+second differential test runs each draw with both and with every round
+left to the train's slots, and requires the same output bytes, event
+count, final clock and report accounting. Its examples pin the traps of
+the flight-ack round: the clock must end at the last ack's completion, not
+its delivery, and a round may settle only in the roster epoch that
+registered it.
 
 The status tick costs what changed since the last roster epoch: it drains
 the epoch's airborne drones, and powered and airborne time are segments
@@ -146,17 +150,18 @@ def _counting_events(q) -> list:
 
 def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     """CSV and report bytes, the events ``run_until`` and ``run_all``
-    dispatched, the status report counts and each drone's
-    last activity of one run, with undisturbed status rounds settled in
-    closed form or, if not ``settle``, left to the train."""
+    dispatched, the clock at the end, the status report counts and each
+    drone's last activity of one run, with undisturbed status and flight-ack
+    rounds settled in closed form or, if not ``settle``, left to the train."""
     mission = _Mission(cfg)
     if not settle:
         mission._settle_round = lambda times, ids, i: False
+        mission._settle_acks = lambda times, ids, i: False
     q, events = mission.q, _counting_events(mission.q)
     result = mission.run()
     state = mission.state
     return (emit_csv([result], out / "run.csv").read_bytes(),
-            emit_report([result], out / "run.txt").read_bytes(), events,
+            emit_report([result], out / "run.txt").read_bytes(), events, q.now,
             mission.reports_to_leader, state.buffered_reports, state.lost_reports,
             {i: d.telemetry.last_heard for i, d in state.drones.items()})
 
@@ -188,6 +193,18 @@ SETTLING = {"name": "settle", "seed": 3, "duration_s": 430, "n_sds": 6, "profile
 # falls at the instant it ends: neither round settles
 @example(data=dict(SETTLING, duration_s=110.00705))
 @example(data=dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 110.007131}]))
+# one SD and a 1 s horizon: run_all settles the acks of the 1 s broadcast,
+# and the run ends at the ack's completion, 100 us before its delivery
+@example(data=dict(SETTLING, n_sds=1, duration_s=1,
+                   mission=dict(SETTLING["mission"], n_targets=1)))
+# soft handovers from leader 1 to SD 3 at the 40 s tick and from 3 to SD 2
+# at the 220 s tick; the acks of the reposition flight's 219.9998 s
+# broadcast, registered for SDs 1, 2 and 4, fall after that tick, when SDs
+# 1, 3 and 4 ack: no epoch but the round's own settles it
+@example(data=dict(SETTLING, n_sds=3,
+                   mission=dict(SETTLING["mission"], session_duration_s=119.9998, n_targets=3),
+                   failures=[{"kind": "ld_predicted", "at_s": 35},
+                             {"kind": "ld_predicted", "at_s": 215}]))
 def test_a_settled_status_round_runs_as_its_slots_would(data):
     try:
         cfg = parse_config(data)

@@ -917,6 +917,131 @@ class TestSettle:
         result, counted = self.attempt(**case)
         assert (result is not None, counted) == (accepted, accepted)
 
+    # a flight round: callback-free acks of 10 bytes, 15 us on the medium
+    # and delivered 100 us later, on list slots that skip SD 4, gone
+    FLIGHT_IDS = [2, 3, 5, 6]
+
+    @staticmethod
+    def flight_ack(src):
+        return Packet(0, 10, flow="flight_ack", src=src, dst=1)
+
+    @staticmethod
+    def counts(metrics):
+        """Each counter's fields and latency table."""
+        return [(tuple(getattr(c, f) for f in c.__slots__[:-1]), dict(c.latencies))
+                for c in metrics.counters.values()]
+
+    def flight_rounds(self, settling):
+        """One run of a broadcast every 10 ms from 0 to 40 ms, each
+        registering a callback-free train of acks at ``200 * id`` us after
+        it for the ids of ``FLIGHT_IDS``, as the runner's flight rounds are.
+        The 20 ms round is cut by an event at 20.7 ms, the 30 ms round finds
+        the link busy from its 31 ms slot with a 1,500-byte packet sent at
+        30.999 ms, and ``run_until`` ends within the 40 ms round, which
+        ``run_all`` finishes. Returns what must not depend on ``settling``,
+        and the rounds settled."""
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        acks = {x: self.flight_ack(x) for x in self.FLIGHT_IDS}
+        settled, finishes = [], []
+        finish = link._finish
+
+        def counting_finish(*args):
+            finishes.append(q.now)
+            finish(*args)
+
+        link._finish = counting_finish
+
+        def settle(times, xs, i):
+            rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
+            if any(c is None for _, c in rows):
+                return False
+            got = link.settle(times, xs, i, rows, acks[2], delivers=False)
+            if got is not None:
+                settled.append((times[i], got))
+            return got is not None
+
+        def broadcast(t):
+            link.train([t + 200 * x for x in self.FLIGHT_IDS], self.FLIGHT_IDS, acks.get,
+                       settle=settle if settling else None)
+
+        q.every(0, self.PERIOD, 40_000, broadcast)
+        q.schedule(20_700, lambda: None)
+        q.schedule(30_999, lambda: link.send(Packet(30_999, 1_500, flow="video")))
+        events = [q.run_until(41_100), q.run_all()]
+        return (self.counts(metrics), metrics.latencies, len(finishes), events, q.now,
+                link.idle), settled
+
+    def test_a_settled_flight_round_counts_what_its_slots_would(self):
+        got, settled = self.flight_rounds(True)
+        want, none = self.flight_rounds(False)
+        assert got == want and none == []
+        # the 0 ms round runs slot by slot, making the counters; the 10 ms
+        # round settles whole, the 20 ms round from its first slot after
+        # the cut, the 30 ms round not at all, and the 40 ms round's last
+        # slot, past the first limit, in run_all, which ends at that ack's
+        # completion, 100 us before its delivery
+        assert settled == [(10_400, (4, 11_315)), (21_000, (2, 21_315)),
+                           (41_200, (1, 41_315))]
+        assert got[4] == 41_215
+
+    def flight_attempt(self, params=WlanParams(), gap=200, head=None, limit=20_000,
+                       busy=False):
+        """Make the counters of the ``FLIGHT_IDS`` acks by offers, then call
+        ``settle`` on their callback-free slots at 10, 10.4, 10.4 ms +
+        ``gap`` and 10.8 ms, within ``run_until(limit)`` and with an entry at
+        ``head``. Returns its result, the events it counted and the clock
+        after it, or None and None when it changed nothing."""
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, params, metrics)
+        acks = [(x, self.flight_ack(x)) for x in self.FLIGHT_IDS]
+        for _, pkt in acks:
+            link.send(pkt)
+        q.run_all()
+        rows = [(x, link.counter(pkt)) for x, pkt in acks]
+        if head is not None:
+            q.schedule(head, lambda: None)
+        times, got = [10_000, 10_400, 10_400 + gap, 10_800], []
+
+        def attempt():
+            if busy:
+                link.send(Packet(q.now, 1_500, flow="video"))
+            before, inline = self.counts(metrics), q._inline
+            got.append(link.settle(times, self.FLIGHT_IDS, 0, rows, acks[0][1],
+                                   delivers=False))
+            changed = (self.counts(metrics), q._inline) != (before, inline)
+            got.extend([q._inline - inline, q.now] if changed else [None, None])
+
+        q.schedule(times[0], attempt)
+        q.run_until(limit)
+        return got
+
+    def test_an_undisturbed_flight_round_ends_at_its_last_completion(self):
+        # four acks, one event each; the last goes at 10.8 ms, completes at
+        # 10.815 ms and is delivered at 10.915 ms
+        assert self.flight_attempt() == [(4, 10_915), 4, 10_815]
+
+    @pytest.mark.parametrize("case, accepted", [
+        # a 1,500-byte packet in service ends at 10.236 ms, before the round
+        (dict(busy=True), False),
+        (dict(head=10_815), False),
+        (dict(head=10_816), True),
+        # the smallest gap, between the middle slots, against the 15 us ack
+        (dict(gap=15), False),
+        (dict(gap=16), True),
+        (dict(limit=10_814), False),
+        (dict(limit=10_815), True),
+        # an 800-bit ack
+        (dict(params=WlanParams(buffer_bits=799)), False),
+        (dict(params=WlanParams(buffer_bits=800)), True),
+    ], ids=["busy", "ends-at-head", "ends-before-head", "gap-is-tx", "gap-over-tx",
+            "ends-past-limit", "ends-at-limit", "big-packet", "fits"])
+    def test_settle_refuses_a_flight_round_that_something_could_interrupt(self, case,
+                                                                          accepted):
+        result, events, now = self.flight_attempt(**case)
+        assert (result is not None, events is not None) == (accepted, accepted)
+
+
 class TestCopiesAgainstReferenceServer:
     """``Link.send`` of ``n`` copies against the reference server taking each
     copy as its own ``send``."""

@@ -638,6 +638,36 @@ class TestRunScenario:
         mission.run()
         assert len(settled) >= 40 and sum(settled) >= 3_700
 
+    def test_every_flight_ack_round_but_the_first_settles_in_closed_form(self):
+        # the settle fuzz test's two-session mission flies 899 broadcasts,
+        # each acked by 6 SDs; the first round's offers make the ack
+        # counters, and every later one settles, whole or, where a status
+        # tick's beacons cut it, from a later slot; so a change that turns
+        # the closed form off, or refuses it in some epoch, fails here
+        mission = _Mission(parse_config({
+            "name": "settle", "seed": 3, "duration_s": 430, "n_sds": 6, "profile": 2,
+            "infection_rate": 0.0,
+            "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                        "transit_distance_m": 100, "n_targets": 4}}))
+        train, settle = mission.wlan.train, mission.wlan.settle
+        rounds, settled = [], set()  # each round's slot list; ids of those settled
+
+        def recording_train(times, xs, packet_for, on_deliver=None, tie=None, settle=None):
+            if getattr(packet_for, "__self__", None) is mission.flight_acks:
+                rounds.append(times)
+            train(times, xs, packet_for, on_deliver, tie, settle)
+
+        def recording_settle(times, xs, i, rows, pkt, reply=None, delivers=True):
+            got = settle(times, xs, i, rows, pkt, reply, delivers)
+            if got is not None and not delivers:
+                settled.add(id(times))
+            return got
+
+        mission.wlan.train, mission.wlan.settle = recording_train, recording_settle
+        mission.run()
+        assert len(rounds) == 899
+        assert [r for r in rounds if id(r) not in settled] == rounds[:1]
+
     def test_a_status_tick_costs_what_changed_not_the_swarm_size(self, monkeypatch):
         # 100 SDs collect from 90 s to 150 s and from 170 s to 230 s and
         # return from 230 s; 2 drones reach the DMC by the 240 s tick, 7
