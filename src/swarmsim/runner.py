@@ -447,11 +447,11 @@ class _Mission:
         with this. Refill the roster tables in place (a train holds their
         ``get``); set the acting leader's state, which the relays read, and
         drop the last video_down relay as (forwarded packet, relay), which
-        the copies of one fragment reuse, and the epoch's ``_round_rows``.
-        Close each drone's segment whose (alive, airborne) state changed at
-        the ticks counted so far, and open the next; list the airborne
-        drones with their role's drain, the returning ones, the live SDs'
-        count and the flight ack ids."""
+        the copies of one fragment reuse, and the epoch's cached beacon and
+        ack rows. Close each drone's segment whose (alive, airborne) state
+        changed at the ticks counted so far, and open the next; list the
+        airborne drones with their role's drain, the returning ones, the
+        live SDs' count and the flight ack ids."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
