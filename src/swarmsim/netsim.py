@@ -80,10 +80,11 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import sub
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple
 
 from .errors import RunInvariantError
@@ -97,6 +98,7 @@ BEST_EFFORT = "best_effort"
 EDCA_ORDER = (CONTROL, VIDEO, BEST_EFFORT)
 FIFO_ORDER = ("fifo",)
 WIMAX_ORDER = ("rt", "be")
+_row_x = itemgetter(0)  # the x of a Link.settle row (x, counter)
 
 
 def tx_time_us(bits: int, rate_bps: int) -> int:
@@ -573,6 +575,8 @@ class Link:
         list, whose smallest gap from slot ``i`` on stands for a range's step;
         ``xs`` ascends, and ``rows`` lists by ``x`` the slots that send as (x,
         its key's ``counter``), each packet of ``pkt``'s size, offered before.
+        The rows with x from ``xs[i]`` to ``xs[-1]`` send; bisection finds
+        them, so the loop walks only their counters.
         If the packets have a delivery callback (``delivers``), each is served
         and delivered, two events, and ``reply``, if given, goes out at each
         delivery on a key with a counter, one more; if not, each is completed
@@ -604,13 +608,14 @@ class Link:
             gap = math.inf
         if span >= gap:
             return None
-        finish, first, last, n, sent = self._finish, xs[i], xs[-1], 0, None
-        for x, c in rows:
-            if first <= x <= last:
-                c.offered_pkts += 1
-                c.offered_bits += wire
-                finish(c, wire, latency)
-                n, sent = n + 1, x
+        # the rows that send, from slot i's x to the last slot's
+        lo = bisect_left(rows, xs[i], key=_row_x)
+        hi = bisect_right(rows, xs[-1], lo, key=_row_x)
+        finish, n = self._finish, hi - lo
+        for _, c in rows[lo:hi]:
+            c.offered_pkts += 1
+            c.offered_bits += wire
+            finish(c, wire, latency)
         q._inline += events * n
         if not n:
             q.now = times[-1]
@@ -620,7 +625,7 @@ class Link:
             reply_counter.offered_bits += n * reply_wire
             for _ in range(n):
                 finish(reply_counter, reply_wire, reply_tx + proc)
-        t = times[xs.index(sent)]
+        t = times[xs.index(rows[hi - 1][0])]
         q.now = max(times[-1], t + span)  # the time of the round's last event
         return n, t + latency
 

@@ -48,10 +48,14 @@ airborne drones with their role's battery drain, the returning drones, the
 live SDs' count and the flight ack ids. A tick counts itself, drains the
 airborne list, lands the returning drones that reached the DMC with one
 ``_move`` and moves no drone when none is airborne; its beacon slots are
-ranges. Ack slots stay lists, which skip the SDs gone, and settle with
-their smallest gap: a train that runs its slots indexes them repeatedly,
-and each index of a range makes a new integer, which cost more than
-building the list once per broadcast.
+ranges. Ack slots are a range too while the epoch's ack ids are
+contiguous, as they are until an SD is lost or a leader hands over: a
+broadcast then builds no list of ack times, the train checks no order,
+and ``Link.settle`` takes the range's step as its gap and finds a slot's
+index at once. A roster with holes keeps the list of its ids, which skips
+the SDs gone, and settles with the list's smallest gap: a range over the
+holes would give each gone SD a slot that offers nothing yet counts as a
+processed event, which would move the event counts.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -451,13 +455,17 @@ class _Mission:
         ack rows. Close each drone's segment whose (alive, airborne) state
         changed at the ticks counted so far, and open the next; list the
         airborne drones with their role's drain, the returning ones, the
-        live SDs' count and the flight ack ids."""
+        live SDs' count and the flight ack ids, a ``range`` when they are
+        contiguous and else a list."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
         self.down_relay, self.round_rows, self.ack_rows = (None, None), None, None
-        self.ack_ids = list(self.flight_acks)  # replaced, never changed: trains hold it
+        # replaced, never changed: trains hold it
+        ids = self.ack_ids = list(self.flight_acks)
+        if ids and ids[-1] - ids[0] == len(ids) - 1:  # no hole in the roster
+            self.ack_ids = range(ids[0], ids[-1] + 1)
         state, segments, ticks = self.state, self.segments, self.ticks
         leader_id, drain = state.leader_id, self.drain_per_tick
         airborne, returning, live_sds = [], [], 0
@@ -548,12 +556,20 @@ class _Mission:
     def _epoch_rows(self, table: dict[int, Packet]) -> tuple | None:
         """This roster epoch's (SD id, counter) rows of a roster table in id
         order and one of its packets, which all have one size; or None until
-        there is a packet and a measured offer made each one's counter."""
-        counter = self.wlan.counter
-        rows = [(sd_id, counter(pkt)) for sd_id, pkt in table.items()]
-        if not rows or any(c is None for _, c in rows):
+        there is a packet and a measured offer made each one's counter. The
+        scan starts from the last sender, which offers last in a round, and
+        stops at the first counter missing, so a round whose counters are
+        still being made costs one lookup per attempt."""
+        counter, rows, pkt = self.wlan.counter, [], None
+        for sd_id, pkt in reversed(table.items()):
+            c = counter(pkt)
+            if c is None:
+                return None
+            rows.append((sd_id, c))
+        if pkt is None:
             return None
-        return rows, next(iter(table.values()))
+        rows.reverse()
+        return rows, pkt
 
     def _flush_tick(self, now: int) -> None:
         state = self.state
@@ -589,10 +605,14 @@ class _Mission:
         # the SDs that ack now, in id order, which is the slots' time order;
         # one lost before its slot finds no ack there
         now, ids = self.q.now, self.ack_ids
-        self.wlan.train([now + i * ACK_STAGGER_US for i in ids], ids, self.flight_acks.get,
-                        settle=self._settle_acks)
+        if type(ids) is range:
+            times = range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
+                          ACK_STAGGER_US)
+        else:
+            times = [now + i * ACK_STAGGER_US for i in ids]
+        self.wlan.train(times, ids, self.flight_acks.get, settle=self._settle_acks)
 
-    def _settle_acks(self, times: list, ids: list, i: int) -> bool:
+    def _settle_acks(self, times: range | list, ids: range | list, i: int) -> bool:
         """Settle the ack slots ``i`` onwards of a flight round registered in
         this roster epoch (a later one holds other ids) with ``Link.settle``
         once the epoch's rows exist; else return False and leave the slots to
