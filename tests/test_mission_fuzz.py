@@ -21,6 +21,12 @@ the flight-ack round: the clock must end at the last ack's completion, not
 its delivery, and a round may settle only in the roster epoch that
 registered it.
 
+The flight-ack slots of a roster with contiguous ids are a ``range``, and
+those of a roster with holes a list (``_Mission._refresh_senders``). A
+differential test runs each draw and the settle test's examples so and
+with every roster's ack ids a list, and requires the same output bytes,
+event counts, clock, report counts and last activity.
+
 The status tick costs what changed since the last roster epoch: it drains
 the epoch's airborne drones, and powered and airborne time are segments
 closed at each change (``_Mission._refresh_senders``). A third
@@ -148,15 +154,10 @@ def _counting_events(q) -> list:
     return events
 
 
-def _run_settling(cfg, out: Path, settle: bool) -> tuple:
+def _observed(mission, out: Path) -> tuple:
     """CSV and report bytes, the events ``run_until`` and ``run_all``
     dispatched, the clock at the end, the status report counts and each
-    drone's last activity of one run, with undisturbed status and flight-ack
-    rounds settled in closed form or, if not ``settle``, left to the train."""
-    mission = _Mission(cfg)
-    if not settle:
-        mission._settle_round = lambda times, ids, i: False
-        mission._settle_acks = lambda times, ids, i: False
+    drone's last activity of one run of ``mission``."""
     q, events = mission.q, _counting_events(mission.q)
     result = mission.run()
     state = mission.state
@@ -164,6 +165,17 @@ def _run_settling(cfg, out: Path, settle: bool) -> tuple:
             emit_report([result], out / "run.txt").read_bytes(), events, q.now,
             mission.reports_to_leader, state.buffered_reports, state.lost_reports,
             {i: d.telemetry.last_heard for i, d in state.drones.items()})
+
+
+def _run_settling(cfg, out: Path, settle: bool) -> tuple:
+    """What ``_observed`` returns of one run, with undisturbed status and
+    flight-ack rounds settled in closed form or, if not ``settle``, left to
+    the train."""
+    mission = _Mission(cfg)
+    if not settle:
+        mission._settle_round = lambda times, ids, i: False
+        mission._settle_acks = lambda times, ids, i: False
+    return _observed(mission, out)
 
 
 # two-session missions whose collection rounds settle; the 110 s round's
@@ -174,37 +186,48 @@ SETTLING = {"name": "settle", "seed": 3, "duration_s": 430, "n_sds": 6, "profile
                         "transit_distance_m": 100, "n_targets": 4}}
 
 
+SETTLE_EXAMPLES = [
+    # rounds to the leader, to it dead and to the backup from 180.003 s
+    dict(SETTLING, failures=[{"kind": "ld_sudden", "at_s": 100}]),
+    # under profile 1, to a dead leader that no deadline before the horizon finds
+    dict(SETTLING, profile=1, duration_s=145, failures=[{"kind": "ld_sudden", "at_s": 100}]),
+    # a soft handover at the 100 s tick; SD 4 is lost between two beacon
+    # slots of the 130 s round, whose remainder settles
+    dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 95},
+                             {"kind": "sd_sudden", "drone_id": 4, "at_s": 130.0035}]),
+    # a beacon and its ack outlast the 1 ms beacon stagger, or a beacon does
+    # not fit the WLAN buffer, so no round settles
+    dict(SETTLING, wlan={"data_rate_mbps": 6, "overhead_bytes": 400}),
+    dict(SETTLING, profile=1, wlan={"buffer_bits": 800}),
+    # the horizon falls before the last round's last ack ends, and an event
+    # falls at the instant it ends: neither round settles
+    dict(SETTLING, duration_s=110.00705),
+    dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 110.007131}]),
+    # one SD and a 1 s horizon: run_all settles the acks of the 1 s
+    # broadcast, and the run ends at the ack's completion, 100 us before
+    # its delivery
+    dict(SETTLING, n_sds=1, duration_s=1, mission=dict(SETTLING["mission"], n_targets=1)),
+    # soft handovers from leader 1 to SD 3 at the 40 s tick and from 3 to SD
+    # 2 at the 220 s tick; the acks of the reposition flight's 219.9998 s
+    # broadcast, registered for SDs 1, 2 and 4, fall after that tick, when
+    # SDs 1, 3 and 4 ack: no epoch but the round's own settles it. Both
+    # rosters have a hole, so their ack slots are lists
+    dict(SETTLING, n_sds=3,
+         mission=dict(SETTLING["mission"], session_duration_s=119.9998, n_targets=3),
+         failures=[{"kind": "ld_predicted", "at_s": 35}, {"kind": "ld_predicted", "at_s": 215}]),
+]
+
+
+def with_settle_examples(test):
+    """``test`` with each of ``SETTLE_EXAMPLES`` as an explicit example."""
+    for data in reversed(SETTLE_EXAMPLES):
+        test = example(data=data)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=mission_configs())
-# rounds to the leader, to it dead and to the backup from 180.003 s
-@example(data=dict(SETTLING, failures=[{"kind": "ld_sudden", "at_s": 100}]))
-# under profile 1, to a dead leader that no deadline before the horizon finds
-@example(data=dict(SETTLING, profile=1, duration_s=145,
-                   failures=[{"kind": "ld_sudden", "at_s": 100}]))
-# a soft handover at the 100 s tick; SD 4 is lost between two beacon slots
-# of the 130 s round, whose remainder settles
-@example(data=dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 95},
-                                       {"kind": "sd_sudden", "drone_id": 4, "at_s": 130.0035}]))
-# a beacon and its ack outlast the 1 ms beacon stagger, or a beacon does
-# not fit the WLAN buffer, so no round settles
-@example(data=dict(SETTLING, wlan={"data_rate_mbps": 6, "overhead_bytes": 400}))
-@example(data=dict(SETTLING, profile=1, wlan={"buffer_bits": 800}))
-# the horizon falls before the last round's last ack ends, and an event
-# falls at the instant it ends: neither round settles
-@example(data=dict(SETTLING, duration_s=110.00705))
-@example(data=dict(SETTLING, failures=[{"kind": "ld_predicted", "at_s": 110.007131}]))
-# one SD and a 1 s horizon: run_all settles the acks of the 1 s broadcast,
-# and the run ends at the ack's completion, 100 us before its delivery
-@example(data=dict(SETTLING, n_sds=1, duration_s=1,
-                   mission=dict(SETTLING["mission"], n_targets=1)))
-# soft handovers from leader 1 to SD 3 at the 40 s tick and from 3 to SD 2
-# at the 220 s tick; the acks of the reposition flight's 219.9998 s
-# broadcast, registered for SDs 1, 2 and 4, fall after that tick, when SDs
-# 1, 3 and 4 ack: no epoch but the round's own settles it
-@example(data=dict(SETTLING, n_sds=3,
-                   mission=dict(SETTLING["mission"], session_duration_s=119.9998, n_targets=3),
-                   failures=[{"kind": "ld_predicted", "at_s": 35},
-                             {"kind": "ld_predicted", "at_s": 215}]))
+@with_settle_examples
 def test_a_settled_status_round_runs_as_its_slots_would(data):
     try:
         cfg = parse_config(data)
@@ -212,6 +235,40 @@ def test_a_settled_status_round_runs_as_its_slots_would(data):
         return
     with tempfile.TemporaryDirectory() as tmp:
         assert _run_settling(cfg, Path(tmp), True) == _run_settling(cfg, Path(tmp), False)
+
+
+def _run_ack_slots(cfg, out: Path, ranges: bool) -> tuple:
+    """What ``_observed`` returns of one run, with the flight-ack slots of a
+    contiguous roster a range or, if not ``ranges``, every roster's ack ids
+    a list, as before ranges; and the kinds of ack ids its epochs held."""
+    mission, kinds = _Mission(cfg), set()
+    refresh = mission._refresh_senders
+
+    def refreshing():
+        refresh()
+        if not ranges:
+            mission.ack_ids = list(mission.flight_acks)
+        kinds.add(type(mission.ack_ids))
+
+    mission._refresh_senders = refreshing
+    return _observed(mission, out), kinds
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=mission_configs())
+@with_settle_examples
+def test_range_ack_slots_run_as_list_slots_would(data):
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        got, kinds = _run_ack_slots(cfg, Path(tmp), True)
+        want, list_kinds = _run_ack_slots(cfg, Path(tmp), False)
+    assert got == want
+    # every SD is alive at the launch, so the first epoch's roster is
+    # contiguous, and a range is what the comparison covers
+    assert range in kinds and list_kinds == {list}
 
 
 def _sample_every_drone(mission):

@@ -749,8 +749,10 @@ class TestInPlaceCompletion:
 
 class TestSettle:
     """``Link.settle`` against the slots it stands for: a status-like train
-    of ``range`` slots whose delivery callback sends a reply, run with and
-    without the closed form; and each condition under which it must refuse.
+    of ``range`` slots whose delivery callback sends a reply, and a
+    flight-like train of callback-free acks on list or ``range`` slots, run
+    with and without the closed form; and each condition under which it
+    must refuse.
 
     Every beacon has 40 bytes and 90 of overhead: 19 us on the medium,
     delivered 100 us later; every reply has 10 bytes: 15 us. So a round's
@@ -931,18 +933,19 @@ class TestSettle:
         return [(tuple(getattr(c, f) for f in c.__slots__[:-1]), dict(c.latencies))
                 for c in metrics.counters.values()]
 
-    def flight_rounds(self, settling):
+    def flight_rounds(self, settling, ids=FLIGHT_IDS):
         """One run of a broadcast every 10 ms from 0 to 40 ms, each
         registering a callback-free train of acks at ``200 * id`` us after
-        it for the ids of ``FLIGHT_IDS``, as the runner's flight rounds are.
-        The 20 ms round is cut by an event at 20.7 ms, the 30 ms round finds
-        the link busy from its 31 ms slot with a 1,500-byte packet sent at
-        30.999 ms, and ``run_until`` ends within the 40 ms round, which
-        ``run_all`` finishes. Returns what must not depend on ``settling``,
-        and the rounds settled."""
+        it for ``ids``, as the runner's flight rounds are: on a ``range`` of
+        slot times for a ``range`` of ids, else on a list. The 20 ms round
+        is cut by an event at 20.7 ms, the 30 ms round finds the link busy
+        from its 31 ms slot with a 1,500-byte packet sent at 30.999 ms, and
+        ``run_until`` ends within the 40 ms round, which ``run_all``
+        finishes. Returns what must not depend on ``settling``, and the
+        rounds settled."""
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, WlanParams(), metrics)
-        acks = {x: self.flight_ack(x) for x in self.FLIGHT_IDS}
+        acks = {x: self.flight_ack(x) for x in ids}
         settled, finishes = [], []
         finish = link._finish
 
@@ -956,14 +959,15 @@ class TestSettle:
             rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
             if any(c is None for _, c in rows):
                 return False
-            got = link.settle(times, xs, i, rows, acks[2], delivers=False)
+            got = link.settle(times, xs, i, rows, acks[ids[0]], delivers=False)
             if got is not None:
                 settled.append((times[i], got))
             return got is not None
 
         def broadcast(t):
-            link.train([t + 200 * x for x in self.FLIGHT_IDS], self.FLIGHT_IDS, acks.get,
-                       settle=settle if settling else None)
+            times = (range(t + 200 * ids.start, t + 200 * ids.stop, 200)
+                     if type(ids) is range else [t + 200 * x for x in ids])
+            link.train(times, ids, acks.get, settle=settle if settling else None)
 
         q.every(0, self.PERIOD, 40_000, broadcast)
         q.schedule(20_700, lambda: None)
@@ -984,6 +988,45 @@ class TestSettle:
         assert settled == [(10_400, (4, 11_315)), (21_000, (2, 21_315)),
                            (41_200, (1, 41_315))]
         assert got[4] == 41_215
+
+    def test_a_flight_round_on_range_slots_equals_one_on_the_equal_list(self):
+        # ids 2 to 5 have no hole, so a range of them and their list give the
+        # same slots; with and without the closed form, the counters,
+        # latency tables, _finish calls, events and clock are the same
+        settled = {}
+        for settling in (True, False):
+            got, settled[settling] = self.flight_rounds(settling, range(2, 6))
+            assert (got, settled[settling]) == self.flight_rounds(settling, [2, 3, 4, 5])
+        # the 40 ms round's last ack ends at 41.015 ms, within the first
+        # limit, so that round settles whole
+        assert [(t, n) for t, (n, _) in settled[True]] == [
+            (10_400, 4), (20_800, 2), (40_400, 4)]
+        assert settled[False] == []
+
+    @pytest.mark.parametrize("xs", [range(2, 7), [2, 3, 5, 6]], ids=["range", "list"])
+    def test_a_remainder_settles_only_the_rows_from_its_slot_on(self, xs):
+        # rows 1 to 7 (the list's roster has a hole at 4) around slots 2 to
+        # 6; settled from its second slot, x = 3, a round counts one offer
+        # and one delivery for each row from 3 to 6, and none for rows 1, 2
+        # and 7, which lie outside the remaining slots
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        acks = {x: self.flight_ack(x) for x in range(1, 8) if x != 4 or type(xs) is range}
+        for pkt in acks.values():
+            link.send(pkt)
+        q.run_all()
+        rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
+        before = {x: (c.offered_pkts, c.delivered_pkts) for x, c in rows}
+        times = (range(10_000 + 200 * xs.start, 10_000 + 200 * xs.stop, 200)
+                 if type(xs) is range else [10_000 + 200 * x for x in xs])
+        got = []
+        q.schedule(times[1], lambda: got.append(
+            link.settle(times, xs, 1, rows, acks[2], delivers=False)))
+        q.run_until(20_000)
+        # the last ack goes at 11.2 ms and is delivered 115 us later
+        assert got == [(len(xs) - 1, 11_315)]
+        assert {x: (c.offered_pkts - before[x][0], c.delivered_pkts - before[x][1])
+                for x, c in rows} == {x: (1, 1) if 3 <= x <= 6 else (0, 0) for x in acks}
 
     def flight_attempt(self, params=WlanParams(), gap=200, head=None, limit=20_000,
                        busy=False):

@@ -43,6 +43,10 @@ CALL_OUTLIVES_MISSION = {
 LANDED_AT_US = 240_000_000
 CALL_START_US = 150_010_000  # classification at 150 s plus the 10 ms call stagger
 
+# the golden 100-SD case of test_golden_csv.py
+SWARM100 = {"name": "swarm100", "duration_s": 430, "n_sds": 100, "profile": 2,
+            "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
+                        "transit_distance_m": 100}}
 # the failover config of test_golden_csv.py: ten SDs, profile 2, the first
 # flight window ends at 90 s
 FAILOVER = {
@@ -622,10 +626,7 @@ class TestRunScenario:
         # flush or failure interrupts settle their remaining slots at once;
         # 40 round remainders covering 3,711 beacon slots when this was
         # written, so a change that turns the closed form off fails here
-        mission = _Mission(parse_config({
-            "name": "swarm100", "duration_s": 430, "n_sds": 100, "profile": 2,
-            "mission": {"session_duration_s": 120, "n_sessions": 2, "reposition_s": 60,
-                        "transit_distance_m": 100}}))
+        mission = _Mission(parse_config(SWARM100))
         settle, settled = mission._settle_round, []
 
         def counting(times, ids, i):
@@ -637,6 +638,25 @@ class TestRunScenario:
         mission._settle_round = counting
         mission.run()
         assert len(settled) >= 40 and sum(settled) >= 3_700
+
+    def test_the_first_status_round_looks_up_each_counter_once_per_attempt(self):
+        # the 10 s round's settle hook is tried at each of its 101 beacon
+        # slots, while the beacon counters are still being made: the rows
+        # scan stops at the last sender's missing counter, one lookup per
+        # attempt, where building every row first made about 10,000
+        mission = _Mission(parse_config(SWARM100))
+        q, n = mission.q, mission.cfg.n_sds
+        q.run_until(runner.SD_STATUS_PERIOD_US - 1)
+        counter, calls = mission.wlan.counter, []
+
+        def counting(pkt):
+            calls.append(pkt.src)
+            return counter(pkt)
+
+        mission.wlan.counter = counting
+        q.run_until(runner.SD_STATUS_PERIOD_US + (n + 3) * runner.BEACON_STAGGER_US)
+        assert mission.reports_to_leader == n  # the round ran to its end
+        assert 0 < len(calls) < 3 * n
 
     def test_every_flight_ack_round_but_the_first_settles_in_closed_form(self):
         # the settle fuzz test's two-session mission flies 899 broadcasts,
