@@ -16,21 +16,24 @@ goes straight onto the heap. A link serves one packet at a time and keeps
 it on itself; its ``_finish`` callback completes it and serves the next,
 pushing the next completion itself: one call fewer than through ``_serve``.
 A train slot with no delivery callback that finds the link idle and
-completes before any other event is completed in place: no buffer charge,
-queue item or busy state. Every counted delivery goes through ``_finish``,
-which counts it and its latency in the counter itself. A queue item
-carries its packet's creation time, which windows and latencies read:
-``send`` takes ``created_at`` and a train the slot time.
+completes before any other event, on a key that has its counter or is not
+yet measured, is completed in place: no buffer charge, queue item or busy
+state. Every counted delivery goes through ``_finish``, which counts it
+and its latency in the counter itself. A queue item carries its packet's
+creation time, which windows and latencies read: ``send`` takes it as
+``created``, by default ``created_at``, and a train passes the slot time.
 
 ``Link.send`` may offer ``n`` copies of one packet, such as a video frame's
 equal fragments, exactly as ``n`` sends in a row would: one lookup and one
 queue item for all of them, the copies that fit admitted and the rest
 dropped, each counted once. Nothing completes within one instant's
 admission and only the first admitted copy can find the link idle, so the
-ties and events are those of the sends. A train slot admits its packet in
-place with the same steps instead of calling ``send``, because the extra
-call measured slower in median run time over alternating benchmark pairs
-(2-core Xeon, CPython 3.11): all offers through one method cost 15-29%.
+ties and events are those of the sends. Every offer but an in-place
+completion goes through ``send``. That exception stays because it is
+measured: without it, ``run_s`` rose 19% on ``video_fifo`` (25,464 acks
+completed in place per seed-1 pass), 6% on ``swarm100`` and 5% on
+``failover_batch`` (5 alternating pairs of 4 s runs, 2-core Xeon, CPython
+3.11).
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the
@@ -45,21 +48,18 @@ delivery callback, at given slots from one heap entry, each created at its
 slot time, so a sender may hand it the same packet at every slot. Like a
 series it takes one tie when registered, or reuses an earlier one, so
 events order as if each slot were its own event scheduled then. While
-nothing on the heap comes first, it runs its next slot inline, admits its
-packet in place and completes in place a callback-free packet that found
-the link idle and finishes before the next slot; a packet with a delivery
-callback is served as ``send`` serves it, for ``_finish`` to deliver. The
-event counts of ``run_until`` and ``run_all`` include these inline slots,
+nothing on the heap comes first, it runs its next slot inline and offers
+its packet through ``send``, unless it completes it in place. The event
+counts of ``run_until`` and ``run_all`` include these inline slots,
 completions and deliveries. ``Link.settle`` accounts for a train's
-remaining slots in closed form when nothing else can run among them: the
-link is idle, each packet and the reply its delivery sends fit the buffer
-and end before the next slot (a ``range``'s step, or a list's smallest gap
-between the slots left), and the round ends within the limit and before
-the heap's first entry. A packet with a delivery callback counts its
-completion and its delivery as events, and the reply one more; a
-callback-free packet counts its in-place completion alone, and its part of
-the round, with the clock, ends at that completion, not at the delivery
-``proc_delay_us`` later. It takes no tie, as the round's events would
+remaining ``range`` slots in closed form when nothing else can run among
+them: the link is idle, each packet and the reply its delivery sends fit
+the buffer and end before the next slot, and the round ends within the
+limit and before the heap's first entry. A packet with a delivery
+callback counts its completion and its delivery as events, and the reply
+one more; a callback-free packet counts its in-place completion alone, and
+its part of the round, with the clock, ends at that completion, not at the
+delivery ``proc_delay_us`` later. It takes no tie, as the round's events would
 order only among themselves.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
@@ -84,7 +84,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import RunInvariantError
@@ -384,9 +384,9 @@ class _Train:
         if self.settle is not None and self.settle(times, xs, i):
             q._inline += len(times) - i - 1  # the settled slots after the first
             return
-        admits, metrics, proc = link._admits, link.metrics, link.proc_delay_us
-        packet_for, measure_from = self.packet_for, metrics.measure_from_us
-        heap, limit = q._heap, q._limit
+        send, cached, finish = link.send, link._cached, link._finish
+        room, proc, measure_from = link.buffer_bits, link.proc_delay_us, link._measure_from
+        packet_for, heap, limit = self.packet_for, q._heap, q._limit
         # i + ran counts what runs inline: the slots after the first and the
         # completions made in place
         n, ran = len(times), -i - 1
@@ -394,43 +394,26 @@ class _Train:
         while True:
             pkt = packet_for(xs[i])
             i += 1
-            if pkt is not None:  # admitted in place, as Link.send admits it
-                key = pkt[1:5]
-                entry = admits.get(key)
-                if entry is None:
-                    entry = link._new_admission(pkt, key)
-                wire, tx, counter, waiting = entry
-                if t < measure_from:
-                    counter = None
-                elif counter is None:
-                    counter = metrics.offered(link.name, pkt, wire)
-                    admits[key] = (wire, tx, counter, waiting)
+            if pkt is not None:
+                # a callback-free packet on an idle link completes in place
+                # (module docstring), taking no tie: its completion's tie would
+                # come after every pending one, so it goes first only at a
+                # strictly earlier time, and it leaves the link idle
+                entry = None if cb is not None or link._busy else cached(pkt[1:5])
+                if entry is not None:
+                    wire, tx, counter, _ = entry
+                    measured, end = t >= measure_from, t + tx
+                if (entry is not None and (counter is not None or not measured)
+                        and wire <= room and end <= limit and (i == n or end < times[i])
+                        and (not heap or end < heap[0][0])):
+                    q.now = end
+                    ran += 1
+                    if measured:
+                        counter.offered_pkts += 1
+                        counter.offered_bits += wire
+                        finish(counter, wire, tx + proc)
                 else:
-                    counter.offered_pkts += 1
-                    counter.offered_bits += wire
-                if link._buffered_bits + wire > link.buffer_bits:
-                    if counter is not None:
-                        metrics.dropped(counter, wire)
-                elif link._busy:
-                    link._buffered_bits += wire
-                    waiting.append((pkt, wire, tx, cb, counter, t))
-                else:
-                    # the link was idle and serves the packet now. Its
-                    # completion would take a tie later than every pending
-                    # one, so it goes first only at a strictly earlier time;
-                    # made in place, it takes no tie, which reorders nothing,
-                    # and leaves the link as idle as it found it. A packet
-                    # with a delivery callback is served for _finish to deliver
-                    finish = t + tx
-                    if (cb is None and finish <= limit and (i == n or finish < times[i])
-                            and (not heap or finish < heap[0][0])):
-                        q.now = finish
-                        ran += 1
-                        if counter is not None:
-                            link._finish(counter, wire, tx + proc)
-                    else:
-                        link._buffered_bits += wire
-                        link._serve((pkt, wire, tx, cb, counter, t))
+                    send(pkt, cb, 1, t)
             if i == n:
                 break
             t = times[i]
@@ -475,8 +458,11 @@ class Link:
         # tuple, so the attribute's truth says whether the link is busy
         self._busy: tuple | None = None
         # (size, class, flow, source) -> (wire bits, transmission time,
-        # Metrics counter, class queue); see send
+        # Metrics counter, class queue); see send. A train's in-place
+        # completion reads an entry through _cached and never makes one
         self._admits: dict[tuple, tuple] = {}
+        self._cached = self._admits.get
+        self._measure_from = metrics.measure_from_us
 
     @property
     def idle(self) -> bool:
@@ -484,19 +470,22 @@ class Link:
         return not (self._busy or any(self._by_priority) or self._buffered_bits)
 
     def send(self, pkt: Packet, on_deliver: Callable[[Packet], None] | None = None,
-             n: int = 1) -> bool:
+             n: int = 1, created: int | None = None) -> bool:
         """Offer ``n`` copies of a packet now, exactly as ``n`` sends in a row
-        would; returns False when no copy fits. What is fixed by the packet's
-        size, class, flow and source is looked up once in ``_admits``; its
-        counter is None until the first measured offer.
+        would; returns False when no copy fits. Each copy is created at
+        ``created``, by default ``pkt.created_at``. What is fixed by the
+        packet's size, class, flow and source is looked up once in
+        ``_admits``; its counter is None until the first measured offer.
         """
         key = pkt[1:5]
         entry = self._admits.get(key)
         if entry is None:
             entry = self._new_admission(pkt, key)
         wire, tx, counter, waiting = entry
-        created, bits = pkt.created_at, n * wire
-        if created < self.metrics.measure_from_us:
+        if created is None:
+            created = pkt.created_at
+        bits = n * wire
+        if created < self._measure_from:
             counter = None
         elif counter is None:
             counter = self.metrics.offered(self.name, pkt, wire)
@@ -541,13 +530,13 @@ class Link:
         while that comes before the heap's first entry and the ``run_until``
         limit. Without ``on_deliver``, a packet that finds the link idle
         and would finish before all three is completed in place (see the
-        module docstring); any other packet is served as ``send`` serves
-        it, and ``_finish`` delivers it. Inline slots and completions count
-        as processed events.
+        module docstring); any other packet is offered with ``send``, and
+        ``_finish`` delivers it. Inline slots and completions count as
+        processed events.
         ``settle(times, xs, i)``, if given, is called at each pop with ``i``
         the slot due now; a true result means it accounted for slots ``i``
-        onwards, as ``Link.settle`` does for ``range`` or list slots with or
-        without ``on_deliver``, and the train ends.
+        onwards, as ``Link.settle`` does for ``range`` slots, and the train
+        ends.
         """
         if not times:
             return
@@ -566,15 +555,15 @@ class Link:
         entry = self._admits.get(pkt[1:5])
         return entry and entry[2]
 
-    def settle(self, times: range | list, xs, i: int, rows: list, pkt: Packet,
+    def settle(self, times: range, xs, i: int, rows: list, pkt: Packet,
                reply: Packet | None = None,
                delivers: bool = True) -> tuple[int, int | None] | None:
         """Account for a train's slots ``i`` onwards in closed form as running
         them would, if nothing else can run among them (module docstring);
-        the train counts the slots. ``times`` is a ``range`` or an ascending
-        list, whose smallest gap from slot ``i`` on stands for a range's step;
-        ``xs`` ascends, and ``rows`` lists by ``x`` the slots that send as (x,
-        its key's ``counter``), each packet of ``pkt``'s size, offered before.
+        the train counts the slots, and ``times``'s step is the gap between
+        them. ``xs`` ascends, and ``rows`` lists by ``x`` the slots that send
+        as (x, its key's ``counter``), each packet of ``pkt``'s size, offered
+        before; any other slot offers nothing.
         The rows with x from ``xs[i]`` to ``xs[-1]`` send; bisection finds
         them, so the loop walks only their counters.
         If the packets have a delivery callback (``delivers``), each is served
@@ -600,13 +589,7 @@ class Link:
         heap, end = q._heap, times[-1] + span
         if end > q._limit or heap and end >= heap[0][0]:
             return None
-        if type(times) is range:
-            gap = times.step
-        elif len(times) - i > 1:  # a list's smallest gap between the slots left
-            gap = min(map(sub, times[i + 1:], times[i:]))
-        else:
-            gap = math.inf
-        if span >= gap:
+        if span >= times.step:
             return None
         # the rows that send, from slot i's x to the last slot's
         lo = bisect_left(rows, xs[i], key=_row_x)

@@ -48,14 +48,12 @@ airborne drones with their role's battery drain, the returning drones, the
 live SDs' count and the flight ack ids. A tick counts itself, drains the
 airborne list, lands the returning drones that reached the DMC with one
 ``_move`` and moves no drone when none is airborne; its beacon slots are
-ranges. Ack slots are a range too while the epoch's ack ids are
-contiguous, as they are until an SD is lost or a leader hands over: a
-broadcast then builds no list of ack times, the train checks no order,
-and ``Link.settle`` takes the range's step as its gap and finds a slot's
-index at once. A roster with holes keeps the list of its ids, which skips
-the SDs gone, and settles with the list's smallest gap: a range over the
-holes would give each gone SD a slot that offers nothing yet counts as a
-processed event, which would move the event counts.
+ranges. A broadcast's ack slots are a range too, over the epoch's ids from
+its first SD's to its last's, so ``Link.settle`` takes the step as its gap
+and finds a slot's index at once. A hole's slot, a gone SD's or the
+leader's, offers nothing and counts as one processed event, as a beacon
+slot of the leader or a landed SD does; the leader's stays empty in its
+epoch's rounds even if a handover demotes it to an SD before the slot.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -208,9 +206,11 @@ class _Mission:
         # the status ticks run so far; drone id -> its open (first tick,
         # alive, airborne) segment; the roster epoch's airborne drones as
         # (telemetry, drain per tick of its role), returning drones, live SD
-        # count and flight ack ids: all kept by _refresh_senders from the launch
+        # count, flight ack ids and the ack slots' lookup: all kept by
+        # _refresh_senders from the launch
         self.ticks, self.segments = 0, {}
-        self.airborne, self.returning, self.live_sds, self.ack_ids = [], [], 0, []
+        self.airborne, self.returning, self.live_sds = [], [], 0
+        self.ack_ids, self.ack_of = range(0), None
         # SD id -> its flight ack or beacon to the acting leader, for the SDs
         # that send now, each stamped when offered; kept from the launch on
         # by _refresh_senders, with the acting leader's state, which nothing
@@ -455,19 +455,21 @@ class _Mission:
         ack rows. Close each drone's segment whose (alive, airborne) state
         changed at the ticks counted so far, and open the next; list the
         airborne drones with their role's drain, the returning ones, the
-        live SDs' count and the flight ack ids, a ``range`` when they are
-        contiguous and else a list."""
+        live SDs' count and the ``range`` of ids from the first flight ack's
+        to the last's."""
         *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
         for table, rows in zip((self.flight_acks, self.beacons), fresh):
             table.clear()
             table.update(rows)
         self.down_relay, self.round_rows, self.ack_rows = (None, None), None, None
-        # replaced, never changed: trains hold it
-        ids = self.ack_ids = list(self.flight_acks)
-        if ids and ids[-1] - ids[0] == len(ids) - 1:  # no hole in the roster
-            self.ack_ids = range(ids[0], ids[-1] + 1)
         state, segments, ticks = self.state, self.segments, self.ticks
         leader_id, drain = state.leader_id, self.drain_per_tick
+        # replaced, never changed: trains hold them. The leader's slot stays
+        # empty in this epoch's rounds, though a later epoch may demote it
+        ids, get = list(self.flight_acks), self.flight_acks.get
+        ack_ids = self.ack_ids = range(ids[0], ids[-1] + 1) if ids else range(0)
+        self.ack_of = (get if leader_id not in ack_ids
+                       else lambda x: None if x == leader_id else get(x))
         airborne, returning, live_sds = [], [], 0
         for i, d in state.drones.items():
             alive, up = d.alive, d.airborne
@@ -602,17 +604,12 @@ class _Mission:
         return pkt
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
-        # the SDs that ack now, in id order, which is the slots' time order;
-        # one lost before its slot finds no ack there
+        # a slot per id of the roster's range, in id order: the slots' time order
         now, ids = self.q.now, self.ack_ids
-        if type(ids) is range:
-            times = range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
-                          ACK_STAGGER_US)
-        else:
-            times = [now + i * ACK_STAGGER_US for i in ids]
-        self.wlan.train(times, ids, self.flight_acks.get, settle=self._settle_acks)
+        self.wlan.train(range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
+                              ACK_STAGGER_US), ids, self.ack_of, settle=self._settle_acks)
 
-    def _settle_acks(self, times: range | list, ids: range | list, i: int) -> bool:
+    def _settle_acks(self, times: range, ids: range, i: int) -> bool:
         """Settle the ack slots ``i`` onwards of a flight round registered in
         this roster epoch (a later one holds other ids) with ``Link.settle``
         once the epoch's rows exist; else return False and leave the slots to

@@ -79,11 +79,11 @@ def test_csv_digest_is_pinned(case, tmp_path):
 
 
 # dispatched events of a run, inline train slots, completions and
-# deliveries included
+# deliveries included; a flight-ack slot whose SD is gone counts as one
 EVENTS = {
     "scenario1_no_video": (lambda: _preset("scenario1_no_video"), 82_958),
-    "failover_ld_sudden_in_flight": (CASES["failover_ld_sudden_in_flight"][0], 20_894),
-    "swarm100_profile2_two_sessions": (CASES["swarm100_profile2_two_sessions"][0], 195_798),
+    "failover_ld_sudden_in_flight": (CASES["failover_ld_sudden_in_flight"][0], 21_590),
+    "swarm100_profile2_two_sessions": (CASES["swarm100_profile2_two_sessions"][0], 197_397),
 }
 
 

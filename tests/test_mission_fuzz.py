@@ -21,11 +21,13 @@ the flight-ack round: the clock must end at the last ack's completion, not
 its delivery, and a round may settle only in the roster epoch that
 registered it.
 
-The flight-ack slots of a roster with contiguous ids are a ``range``, and
-those of a roster with holes a list (``_Mission._refresh_senders``). A
+The flight-ack slots of every roster are a ``range`` from its first SD's
+id to its last's (``_Mission._refresh_senders``), so a roster with holes
+has a slot that offers nothing for each gone SD and for the leader. A
 differential test runs each draw and the settle test's examples so and
-with every roster's ack ids a list, and requires the same output bytes,
-event counts, clock, report counts and last activity.
+with a roster with holes on list slots of its ids, as before ranges, and
+requires the same output bytes, clock, report counts and last activity,
+and event counts that differ by exactly the hole slots registered.
 
 The status tick costs what changed since the last roster epoch: it drains
 the epoch's airborne drones, and powered and airborne time are segments
@@ -55,7 +57,7 @@ from swarmsim.energy import MAX_SESSIONS
 from swarmsim.failure import FailureKind
 from swarmsim.netsim import EventQueue
 from swarmsim.output import emit_csv, emit_report
-from swarmsim.runner import _Mission, run_scenario
+from swarmsim.runner import ACK_STAGGER_US, _Mission, run_scenario
 from swarmsim.protocol import SD_STATUS_PERIOD_US
 from swarmsim.swarm import Phase, PhaseEvent
 
@@ -210,8 +212,9 @@ SETTLE_EXAMPLES = [
     # soft handovers from leader 1 to SD 3 at the 40 s tick and from 3 to SD
     # 2 at the 220 s tick; the acks of the reposition flight's 219.9998 s
     # broadcast, registered for SDs 1, 2 and 4, fall after that tick, when
-    # SDs 1, 3 and 4 ack: no epoch but the round's own settles it. Both
-    # rosters have a hole, so their ack slots are lists
+    # SDs 1, 3 and 4 ack: no epoch but the round's own settles it, and
+    # SD 3's slot, the leader's hole when the round was registered, stays
+    # empty
     dict(SETTLING, n_sds=3,
          mission=dict(SETTLING["mission"], session_duration_s=119.9998, n_targets=3),
          failures=[{"kind": "ld_predicted", "at_s": 35}, {"kind": "ld_predicted", "at_s": 215}]),
@@ -238,20 +241,31 @@ def test_a_settled_status_round_runs_as_its_slots_would(data):
 
 
 def _run_ack_slots(cfg, out: Path, ranges: bool) -> tuple:
-    """What ``_observed`` returns of one run, with the flight-ack slots of a
-    contiguous roster a range or, if not ``ranges``, every roster's ack ids
-    a list, as before ranges; and the kinds of ack ids its epochs held."""
-    mission, kinds = _Mission(cfg), set()
-    refresh = mission._refresh_senders
+    """What ``_observed`` returns of one run, with each flight round's acks
+    on a range of the roster's ids or, if not ``ranges``, by the rule before
+    ranges: a roster with holes acks on list slots of its ids, which no
+    closed form settles. Also the events in each ``run_until`` and
+    ``run_all`` call of the hole slots, ids of the range whose SD was gone
+    from the roster when the round was registered; and whether a round with
+    holes ran."""
+    mission, holes = _Mission(cfg), []
+    q, wlan, horizon = mission.q, mission.wlan, mission.horizon
+    train, acks = wlan.train, mission.flight_acks
 
-    def refreshing():
-        refresh()
-        if not ranges:
-            mission.ack_ids = list(mission.flight_acks)
-        kinds.add(type(mission.ack_ids))
+    def ack_train(times, ids, packet_for, on_deliver=None, tie=None, settle=None):
+        if settle == mission._settle_acks:  # a flight round, on a range of ids
+            gone = [t for t, x in zip(times, ids) if x not in acks]
+            holes.extend(gone)
+            if gone and not ranges:
+                ids = list(acks)
+                times, settle = [q.now + x * ACK_STAGGER_US for x in ids], None
+        return train(times, ids, packet_for, on_deliver, tie, settle)
 
-    mission._refresh_senders = refreshing
-    return _observed(mission, out), kinds
+    wlan.train = ack_train
+    seen = _observed(mission, out)
+    # run_until(horizon) runs every slot up to the horizon, run_all the rest
+    counted = [sum(t <= horizon for t in holes), sum(t > horizon for t in holes)]
+    return seen, counted, bool(holes)
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -263,12 +277,13 @@ def test_range_ack_slots_run_as_list_slots_would(data):
     except ConfigError:
         return
     with tempfile.TemporaryDirectory() as tmp:
-        got, kinds = _run_ack_slots(cfg, Path(tmp), True)
-        want, list_kinds = _run_ack_slots(cfg, Path(tmp), False)
-    assert got == want
-    # every SD is alive at the launch, so the first epoch's roster is
-    # contiguous, and a range is what the comparison covers
-    assert range in kinds and list_kinds == {list}
+        got, counted, with_holes = _run_ack_slots(cfg, Path(tmp), True)
+        want, _, _ = _run_ack_slots(cfg, Path(tmp), False)
+    # each hole slot is one more processed event in its call, and nothing
+    # else differs: bytes, clock, report counts and last activity
+    events, want_events = got[2], want[2]
+    assert [a - b for a, b in zip(events, want_events)] == counted
+    assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
 def _sample_every_drone(mission):

@@ -669,9 +669,10 @@ class TestTrainsAgainstReferenceServer:
 
 class TestInPlaceCompletion:
     """A train slot with no delivery callback that finds its link idle and
-    completes next is completed in place: nothing is buffered, queued or
-    scheduled, and ``_finish`` is called only to count a measured delivery.
-    A slot with a delivery callback is served, and ``_finish`` delivers it."""
+    completes next, on a key with its counter or not yet measured, is
+    completed in place: nothing is buffered, queued or scheduled, and
+    ``_finish`` is called only to count a measured delivery. Any other slot
+    is offered to ``send``; a served packet's ``_finish`` delivers it."""
 
     @staticmethod
     def finish_calls(link):
@@ -688,8 +689,11 @@ class TestInPlaceCompletion:
     def test_a_callback_free_slot_completes_in_place(self):
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, WlanParams(), metrics)
+        ack = Packet(0, 10, flow="flight_ack", src=2)
+        link.send(ack)  # the key's first measured offer makes its counter
+        q.run_all()
         q.schedule(1_000, lambda: None)
-        link.train([0], [2], lambda src: Packet(0, 10, flow="flight_ack", src=src))
+        link.train([200], [2], lambda src: ack)
         calls = self.finish_calls(link)
         # 10 bytes and 90 of overhead occupy the medium for 15 us and are
         # delivered 100 us later; only the 1 ms entry is left on the heap
@@ -697,8 +701,26 @@ class TestInPlaceCompletion:
         counter = metrics.counters["wlan", "control", "flight_ack", 2]
         assert calls == [((counter, 800, 115), None, 0, 1)]
         assert link._busy is None and link._buffered_bits == 0 and len(q._heap) == 1
+        assert metrics.latencies == {("wlan", "control"): {115: 2}}
+        assert (counter.offered_pkts, counter.delivered_pkts, counter.delivered_bits) == (
+            2, 2, 1_600)
+
+    def test_a_first_measured_offer_is_served_and_finish_delivers_it(self):
+        # the slot's key has no counter yet, so the slot offers its packet to
+        # send, which makes the counter and serves the packet as created at
+        # the slot, 100 us; its completion at 115 us is the next heap entry
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        q.schedule(1_000, lambda: None)
+        ack = Packet(0, 10, flow="flight_ack", src=2)
+        link.train([100], [2], lambda src: ack)
+        calls = self.finish_calls(link)
+        assert q.run_until(500) == 2
+        counter = metrics.counters["wlan", "control", "flight_ack", 2]
+        assert calls == [((), (ack, 800, 15, None, counter, 100), 800, 1)]
+        assert link.idle and len(q._heap) == 1
         assert metrics.latencies == {("wlan", "control"): {115: 1}}
-        assert (counter.delivered_pkts, counter.delivered_bits) == (1, 800)
+        assert (counter.offered_pkts, counter.delivered_pkts) == (1, 1)
 
     def test_an_unmeasured_slot_counts_its_events_but_no_offer_or_delivery(self):
         q, metrics = EventQueue(), Metrics(measure_from_us=1_000)
@@ -750,9 +772,9 @@ class TestInPlaceCompletion:
 class TestSettle:
     """``Link.settle`` against the slots it stands for: a status-like train
     of ``range`` slots whose delivery callback sends a reply, and a
-    flight-like train of callback-free acks on list or ``range`` slots, run
-    with and without the closed form; and each condition under which it
-    must refuse.
+    flight-like train of callback-free acks on ``range`` slots, one of
+    whose SDs may be gone, run with and without the closed form; and each
+    condition under which it must refuse.
 
     Every beacon has 40 bytes and 90 of overhead: 19 us on the medium,
     delivered 100 us later; every reply has 10 bytes: 15 us. So a round's
@@ -920,8 +942,9 @@ class TestSettle:
         assert (result is not None, counted) == (accepted, accepted)
 
     # a flight round: callback-free acks of 10 bytes, 15 us on the medium
-    # and delivered 100 us later, on list slots that skip SD 4, gone
-    FLIGHT_IDS = [2, 3, 5, 6]
+    # and delivered 100 us later, on the slots of SDs 2 to 6, of which SD 4
+    # is gone: its slot offers nothing
+    FLIGHT_IDS, GONE = range(2, 7), 4
 
     @staticmethod
     def flight_ack(src):
@@ -933,19 +956,20 @@ class TestSettle:
         return [(tuple(getattr(c, f) for f in c.__slots__[:-1]), dict(c.latencies))
                 for c in metrics.counters.values()]
 
-    def flight_rounds(self, settling, ids=FLIGHT_IDS):
+    def flight_rounds(self, settling, ids=FLIGHT_IDS, gone=GONE):
         """One run of a broadcast every 10 ms from 0 to 40 ms, each
         registering a callback-free train of acks at ``200 * id`` us after
-        it for ``ids``, as the runner's flight rounds are: on a ``range`` of
-        slot times for a ``range`` of ids, else on a list. The 20 ms round
-        is cut by an event at 20.7 ms, the 30 ms round finds the link busy
-        from its 31 ms slot with a 1,500-byte packet sent at 30.999 ms, and
-        ``run_until`` ends within the 40 ms round, which ``run_all``
-        finishes. Returns what must not depend on ``settling``, and the
-        rounds settled."""
+        it for ``ids`` but ``gone``, as the runner's flight rounds are: on a
+        ``range`` of slot times for a ``range`` of ids, else, never settled,
+        on a list. The 20 ms round is cut by an event at 20.7 ms, the 30 ms
+        round finds the link busy from its 31 ms slot with a 1,500-byte
+        packet sent at 30.999 ms, and ``run_until`` ends within the 40 ms
+        round, which ``run_all`` finishes. Returns what must not depend on
+        ``settling`` (the events apart, which a hole's slots add to), the
+        events per call, and the rounds settled."""
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, WlanParams(), metrics)
-        acks = {x: self.flight_ack(x) for x in ids}
+        acks = {x: self.flight_ack(x) for x in ids if x != gone}
         settled, finishes = [], []
         finish = link._finish
 
@@ -973,78 +997,83 @@ class TestSettle:
         q.schedule(20_700, lambda: None)
         q.schedule(30_999, lambda: link.send(Packet(30_999, 1_500, flow="video")))
         events = [q.run_until(41_100), q.run_all()]
-        return (self.counts(metrics), metrics.latencies, len(finishes), events, q.now,
-                link.idle), settled
+        return (self.counts(metrics), metrics.latencies, len(finishes), q.now,
+                link.idle), events, settled
 
     def test_a_settled_flight_round_counts_what_its_slots_would(self):
-        got, settled = self.flight_rounds(True)
-        want, none = self.flight_rounds(False)
-        assert got == want and none == []
+        got, events, settled = self.flight_rounds(True)
+        assert (got, events) == self.flight_rounds(False)[:2]
         # the 0 ms round runs slot by slot, making the counters; the 10 ms
         # round settles whole, the 20 ms round from its first slot after
-        # the cut, the 30 ms round not at all, and the 40 ms round's last
-        # slot, past the first limit, in run_all, which ends at that ack's
-        # completion, 100 us before its delivery
-        assert settled == [(10_400, (4, 11_315)), (21_000, (2, 21_315)),
+        # the cut, SD 4's, the 30 ms round not at all, and the 40 ms round's
+        # last slot, past the first limit, in run_all, which ends at that
+        # ack's completion, 100 us before its delivery
+        assert settled == [(10_400, (4, 11_315)), (20_800, (2, 21_315)),
                            (41_200, (1, 41_315))]
-        assert got[4] == 41_215
+        assert got[3] == 41_215
+
+    def test_a_range_over_a_hole_runs_as_the_list_without_it(self):
+        # each round's slot of the gone SD 4, at 0.8 ms, offers nothing and
+        # is one more event; all five run within the first limit
+        for settling in (True, False):
+            got, events, _ = self.flight_rounds(settling)
+            want, list_events, none = self.flight_rounds(False, [2, 3, 5, 6])
+            assert got == want and none == []
+            assert [a - b for a, b in zip(events, list_events)] == [5, 0]
 
     def test_a_flight_round_on_range_slots_equals_one_on_the_equal_list(self):
         # ids 2 to 5 have no hole, so a range of them and their list give the
-        # same slots; with and without the closed form, the counters,
-        # latency tables, _finish calls, events and clock are the same
-        settled = {}
-        for settling in (True, False):
-            got, settled[settling] = self.flight_rounds(settling, range(2, 6))
-            assert (got, settled[settling]) == self.flight_rounds(settling, [2, 3, 4, 5])
+        # same slots; settled or not, the counters, latency tables, _finish
+        # calls, events and clock are those of the list's slots
+        want = self.flight_rounds(False, [2, 3, 4, 5], None)
+        got, events, settled = self.flight_rounds(True, range(2, 6), None)
+        assert (got, events) == want[:2] and self.flight_rounds(False, range(2, 6), None) == want
         # the 40 ms round's last ack ends at 41.015 ms, within the first
         # limit, so that round settles whole
-        assert [(t, n) for t, (n, _) in settled[True]] == [
-            (10_400, 4), (20_800, 2), (40_400, 4)]
-        assert settled[False] == []
+        assert [(t, n) for t, (n, _) in settled] == [(10_400, 4), (20_800, 2), (40_400, 4)]
 
-    @pytest.mark.parametrize("xs", [range(2, 7), [2, 3, 5, 6]], ids=["range", "list"])
-    def test_a_remainder_settles_only_the_rows_from_its_slot_on(self, xs):
-        # rows 1 to 7 (the list's roster has a hole at 4) around slots 2 to
-        # 6; settled from its second slot, x = 3, a round counts one offer
-        # and one delivery for each row from 3 to 6, and none for rows 1, 2
-        # and 7, which lie outside the remaining slots
+    @pytest.mark.parametrize("gone", [None, 4], ids=["range", "hole"])
+    def test_a_remainder_settles_only_the_rows_from_its_slot_on(self, gone):
+        # rows 1 to 7, but SD ``gone``, around slots 2 to 6; settled from its
+        # second slot, x = 3, a round counts one offer and one delivery for
+        # each row from 3 to 6, and none for rows 1, 2 and 7, which lie
+        # outside the remaining slots
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, WlanParams(), metrics)
-        acks = {x: self.flight_ack(x) for x in range(1, 8) if x != 4 or type(xs) is range}
+        acks = {x: self.flight_ack(x) for x in range(1, 8) if x != gone}
         for pkt in acks.values():
             link.send(pkt)
         q.run_all()
         rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
         before = {x: (c.offered_pkts, c.delivered_pkts) for x, c in rows}
-        times = (range(10_000 + 200 * xs.start, 10_000 + 200 * xs.stop, 200)
-                 if type(xs) is range else [10_000 + 200 * x for x in xs])
+        xs = range(2, 7)
+        times = range(10_000 + 200 * xs.start, 10_000 + 200 * xs.stop, 200)
         got = []
         q.schedule(times[1], lambda: got.append(
             link.settle(times, xs, 1, rows, acks[2], delivers=False)))
         q.run_until(20_000)
         # the last ack goes at 11.2 ms and is delivered 115 us later
-        assert got == [(len(xs) - 1, 11_315)]
+        assert got == [(4 - (gone is not None), 11_315)]
         assert {x: (c.offered_pkts - before[x][0], c.delivered_pkts - before[x][1])
                 for x, c in rows} == {x: (1, 1) if 3 <= x <= 6 else (0, 0) for x in acks}
 
     def flight_attempt(self, params=WlanParams(), gap=200, head=None, limit=20_000,
                        busy=False):
-        """Make the counters of the ``FLIGHT_IDS`` acks by offers, then call
-        ``settle`` on their callback-free slots at 10, 10.4, 10.4 ms +
-        ``gap`` and 10.8 ms, within ``run_until(limit)`` and with an entry at
+        """Make the counters of the ``FLIGHT_IDS`` acks but the gone SD's by
+        offers, then call ``settle`` on their callback-free slots ``gap``
+        apart from 10 ms, within ``run_until(limit)`` and with an entry at
         ``head``. Returns its result, the events it counted and the clock
         after it, or None and None when it changed nothing."""
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, params, metrics)
-        acks = [(x, self.flight_ack(x)) for x in self.FLIGHT_IDS]
+        acks = [(x, self.flight_ack(x)) for x in self.FLIGHT_IDS if x != self.GONE]
         for _, pkt in acks:
             link.send(pkt)
         q.run_all()
         rows = [(x, link.counter(pkt)) for x, pkt in acks]
         if head is not None:
             q.schedule(head, lambda: None)
-        times, got = [10_000, 10_400, 10_400 + gap, 10_800], []
+        times, got = range(10_000, 10_000 + 5 * gap, gap), []
 
         def attempt():
             if busy:
@@ -1060,8 +1089,9 @@ class TestSettle:
         return got
 
     def test_an_undisturbed_flight_round_ends_at_its_last_completion(self):
-        # four acks, one event each; the last goes at 10.8 ms, completes at
-        # 10.815 ms and is delivered at 10.915 ms
+        # four acks, one event each, and no event for the gone SD's slot;
+        # the last goes at 10.8 ms, completes at 10.815 ms and is delivered
+        # at 10.915 ms
         assert self.flight_attempt() == [(4, 10_915), 4, 10_815]
 
     @pytest.mark.parametrize("case, accepted", [
@@ -1069,7 +1099,7 @@ class TestSettle:
         (dict(busy=True), False),
         (dict(head=10_815), False),
         (dict(head=10_816), True),
-        # the smallest gap, between the middle slots, against the 15 us ack
+        # the gap between slots, the range's step, against the 15 us ack
         (dict(gap=15), False),
         (dict(gap=16), True),
         (dict(limit=10_814), False),

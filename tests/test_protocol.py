@@ -35,9 +35,9 @@ def wire_lengths_by_flow():
     sizes = defaultdict(set)
     send, train = Link.send, Link.train
 
-    def recording_send(self, pkt, on_deliver=None, n=1):
+    def recording_send(self, pkt, on_deliver=None, n=1, created=None):
         sizes[pkt.flow].add(pkt.size_bytes)
-        return send(self, pkt, on_deliver, n)
+        return send(self, pkt, on_deliver, n, created)
 
     def recording_train(self, times, xs, packet_for, on_deliver=None, tie=None, settle=None):
         def recording_packet_for(x):

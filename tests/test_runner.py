@@ -135,10 +135,10 @@ def record_status_acks(mission):
         delivered.append((q.now, pkt.src, leader.id if leader.alive else None))
         deliver(pkt)
 
-    def recording_send(pkt, on_deliver=None, n=1):
+    def recording_send(pkt, on_deliver=None, n=1, created=None):
         if pkt.flow == "status_ack":
             acks.append((q.now, pkt.flow, pkt.src, pkt.dst))
-        return send(pkt, on_deliver, n)
+        return send(pkt, on_deliver, n, created)
 
     mission._on_status_delivered = recording_delivery
     mission.wlan.send = recording_send
@@ -416,10 +416,10 @@ class TestRunScenario:
         offered = []
         send = Link.send
 
-        def recording_send(link, pkt, on_deliver=None, n=1):
+        def recording_send(link, pkt, on_deliver=None, n=1, created=None):
             if link.name == "wlan" and pkt.flow == "case_report":
                 offered.append((mission.q.now, pkt.src))
-            return send(link, pkt, on_deliver, n)
+            return send(link, pkt, on_deliver, n, created)
 
         monkeypatch.setattr(Link, "send", recording_send)
         mission.run()
@@ -953,9 +953,9 @@ class TestRunScenario:
         offers = []  # (now, link, packet)
         send = Link.send
 
-        def recording_send(link, pkt, on_deliver=None, n=1):
+        def recording_send(link, pkt, on_deliver=None, n=1, created=None):
             offers.extend([(mission.q.now, link.name, pkt)] * n)
-            return send(link, pkt, on_deliver, n)
+            return send(link, pkt, on_deliver, n, created)
 
         monkeypatch.setattr(Link, "send", recording_send)
         result = mission.run()
@@ -981,10 +981,10 @@ class TestRunScenario:
         frames = []
         send = Link.send
 
-        def recording_send(link, pkt, on_deliver=None, n=1):
+        def recording_send(link, pkt, on_deliver=None, n=1, created=None):
             if pkt.access_class == VIDEO:
                 frames.extend([mission.q.now] * n)
-            return send(link, pkt, on_deliver, n)
+            return send(link, pkt, on_deliver, n, created)
 
         monkeypatch.setattr(Link, "send", recording_send)
         mission.run()
