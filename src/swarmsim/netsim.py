@@ -30,10 +30,10 @@ dropped, each counted once. Nothing completes within one instant's
 admission and only the first admitted copy can find the link idle, so the
 ties and events are those of the sends. Every offer but an in-place
 completion goes through ``send``. That exception stays because it is
-measured: without it, ``run_s`` rose 19% on ``video_fifo`` (25,464 acks
-completed in place per seed-1 pass), 6% on ``swarm100`` and 5% on
-``failover_batch`` (5 alternating pairs of 4 s runs, 2-core Xeon, CPython
-3.11).
+measured: without it, ``run_s`` rose 21.7% on ``video_fifo``, where 25,438
+acks per seed-1 pass complete in place, and 3.0% and 1.0%, inside the
+spread, on ``swarm100`` and ``failover_batch`` (5 alternating pairs of 4 s
+runs, 2-core Xeon, CPython 3.11).
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the

@@ -705,6 +705,30 @@ class TestInPlaceCompletion:
         assert (counter.offered_pkts, counter.delivered_pkts, counter.delivered_bits) == (
             2, 2, 1_600)
 
+    def test_a_slot_that_would_finish_as_the_next_one_starts_is_served(self):
+        # the 100 us slot's ack would complete at 115 us, the next slot's
+        # time; a completion through the heap would come after that slot, so
+        # the ack is served and the next one finds the 800-bit buffer full
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(buffer_bits=800), metrics)
+        ack = Packet(0, 10, flow="flight_ack", src=2)
+        link.send(ack)  # the key's counter
+        q.run_all()
+        link.train([100, 115], [2, 2], lambda src: ack)
+        assert q.run_all() == 3
+        counter = metrics.counters["wlan", "control", "flight_ack", 2]
+        assert (counter.offered_pkts, counter.delivered_pkts, counter.dropped_pkts) == (3, 2, 1)
+
+    def test_a_slot_on_an_idle_link_that_the_buffer_cannot_hold_is_dropped(self):
+        # an 800-bit ack against a 799-bit buffer, at each of two slots
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(buffer_bits=799), metrics)
+        link.train([0, 100], [2, 2], lambda src: Packet(0, 10, flow="flight_ack", src=src))
+        assert q.run_all() == 2
+        counter = metrics.counters["wlan", "control", "flight_ack", 2]
+        assert (counter.offered_pkts, counter.delivered_pkts, counter.dropped_pkts) == (2, 0, 2)
+        assert link.idle and metrics.latencies == {("wlan", "control"): {}}
+
     def test_a_first_measured_offer_is_served_and_finish_delivers_it(self):
         # the slot's key has no counter yet, so the slot offers its packet to
         # send, which makes the counter and serves the packet as created at

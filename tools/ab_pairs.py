@@ -23,12 +23,19 @@ parent's minus one, and the pairs the change won (ties count for neither
 side). After writing the file it prints, per workload, each side's median
 untraced pass count and their ratio, then one summary line per metric,
 marked ``BEYOND BOUND`` where the change's median is worse than the
-parent's by more than the metric's bound.
+parent's by more than the metric's bound. Each line also gives the verdict
+of the benchmark rules: whether the change's median moved beyond the
+parent's quartile spread (the distance between its quartiles); ``gain
+holds`` where the change is better, moved beyond that spread and won at
+least 9 of 10 pairs; and ``UNRESOLVED`` where the parent's spread, over its
+median, is wider than the metric's bound and not every change run beats
+every parent run.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import re
 import statistics
@@ -111,6 +118,24 @@ def beyond_bound(m: dict) -> bool:
     return delta > m["bound"] if m["better"] == "lower" else delta < -m["bound"]
 
 
+def verdict(m: dict, pairs: int) -> str:
+    """The rules' reading of one compared metric (module docstring)."""
+    parent, change = m["parent"], m["change"]
+    # the change's move and runs, and the parent's runs, signed so that
+    # lower is better
+    sign = 1 if m["better"] == "lower" else -1
+    moved = sign * (change["median"] - parent["median"])
+    beyond = abs(moved) > parent["iqr"]
+    notes = [f"{'beyond' if beyond else 'within'} the parent's quartile spread"]
+    if beyond and moved < 0 and m["pairs_won_by_change"] * 10 >= 9 * pairs:
+        notes.append("gain holds")
+    spread = parent["iqr"] / parent["median"] if parent["median"] else math.inf
+    worst_change = max(sign * v for v in change["runs"])
+    if spread > m["bound"] and not worst_change < min(sign * v for v in parent["runs"]):
+        notes.append(f"UNRESOLVED, parent spread {spread:.1%} over bound {m['bound']:.0%}")
+    return ", ".join(notes)
+
+
 def median_passes(counts: list[int | None]) -> float | None:
     """The median of the runs' untraced pass counts, None if none printed one."""
     known = [n for n in counts if n is not None]
@@ -120,8 +145,8 @@ def median_passes(counts: list[int | None]) -> float | None:
 def summary_lines(workload: str, out: dict) -> list[str]:
     """Each side's median untraced pass count and the change's over the
     parent's (``peak_rss_mb`` grows with the pass count); then one line per
-    end-to-end metric: the change's median against the parent's and the
-    pairs the change won, marked when beyond its bound."""
+    end-to-end metric: the change's median against the parent's, the pairs
+    the change won and the ``verdict``, marked when beyond its bound."""
     passes = {side: median_passes(out["untraced_passes"][side]) for side in SIDES}
     shown = {side: "n/a" if n is None else f"{n:g}" for side, n in passes.items()}
     ratio = ("n/a" if None in passes.values() or not passes["parent"]
@@ -135,7 +160,7 @@ def summary_lines(workload: str, out: dict) -> list[str]:
         change = "n/a" if delta is None else f"{delta:+.1%}"
         lines.append(f"{workload} {name}: change vs parent {change}, "
                      f"pairs won {m['pairs_won_by_change']}/{out['pairs']} "
-                     f"({m['better']} is better)"
+                     f"({m['better']} is better), {verdict(m, out['pairs'])}"
                      + (f" BEYOND BOUND {m['bound']:.0%}" if beyond_bound(m) else ""))
     return lines
 
