@@ -114,8 +114,9 @@ class EventQueue:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
         # time bound of the running run_until/run_all, which no inline
-        # event may pass; and the count of events run without the heap
-        self._limit: float = 0
+        # event may pass, -inf between runs; and the count of events run
+        # without the heap
+        self._limit: float = -math.inf
         self._inline = 0
 
     def schedule(self, t: int, fn: Callable[[], None]) -> None:
@@ -190,6 +191,7 @@ class EventQueue:
             self.now, _, fn = pop(heap)
             fn()
             count += 1
+        self._limit = -math.inf
         return count + self._inline - inline
 
 
@@ -395,23 +397,31 @@ class _Train:
             pkt = packet_for(xs[i])
             i += 1
             if pkt is not None:
-                # a callback-free packet on an idle link completes in place
-                # (module docstring), taking no tie: its completion's tie would
-                # come after every pending one, so it goes first only at a
-                # strictly earlier time, and it leaves the link idle
-                entry = None if cb is not None or link._busy else cached(pkt[1:5])
+                # a packet on an idle link completes in place (module
+                # docstring), taking no tie: its completion's or delivery's
+                # tie would come after every pending one, so it goes first
+                # only at a strictly earlier time, and it leaves the link idle
+                entry = None if link._busy else cached(pkt[1:5])
                 if entry is not None:
                     wire, tx, counter, _ = entry
-                    measured, end = t >= measure_from, t + tx
+                    measured, end = t >= measure_from, t + tx if cb is None else t + tx + proc
                 if (entry is not None and (counter is not None or not measured)
                         and wire <= room and end <= limit and (i == n or end < times[i])
                         and (not heap or end < heap[0][0])):
-                    q.now = end
                     ran += 1
                     if measured:
                         counter.offered_pkts += 1
                         counter.offered_bits += wire
                         finish(counter, wire, tx + proc)
+                    if cb is not None:  # the delivery, after the next slot is pushed
+                        q._inline += i + ran + 1
+                        if i < n:
+                            self.next = i
+                            heapq.heappush(heap, (times[i], tie, self.step))
+                        q.now = end
+                        cb(pkt)
+                        return
+                    q.now = end
                 else:
                     send(pkt, cb, 1, t)
             if i == n:
@@ -545,6 +555,9 @@ class Link:
             raise RunInvariantError(f"cannot schedule at {times[0]} before now={q.now}")
         if type(times) is not range and times != sorted(times):
             raise RunInvariantError("train slots must be in time order")
+        if settle is not None and times[0] <= q._limit and settle(times, xs, 0):
+            q._inline += len(times)  # every slot, the first one too
+            return
         if tie is None:
             tie = q.take_tie()
         train = _Train(self, times, xs, packet_for, on_deliver, tie, settle)

@@ -4,6 +4,7 @@ command line prints too). docs/output-format.md lists every row and line.
 """
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -95,12 +96,18 @@ def run_summary(r: RunResult) -> str:
     return "\n".join(lines)
 
 
+@cache
+def _durability_block() -> str:
+    """The reference plan's durability table, which no run changes."""
+    return ("battery durability (defaults)\n"
+            + energy_mod.format_durability(energy_mod.durability_report()))
+
+
 def emit_report(results: list[RunResult], path: str | Path) -> Path:
     """Plain-text report: each run's summary, then the battery durability
     table of the paper's reference plan."""
     path = Path(path)
     blocks = [run_summary(r) for r in results]
-    blocks.append("battery durability (defaults)\n"
-                  + energy_mod.format_durability(energy_mod.durability_report()))
+    blocks.append(_durability_block())
     path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     return path

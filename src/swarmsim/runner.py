@@ -499,17 +499,17 @@ class _Mission:
         # no drone beacons once the mission is over
         if self.state.aborted or self.mission_phase is _LANDED:
             return
+        self._update_telemetry(now)
+        self._check_leader_prediction(now)
+        if self.airborne:  # kinematics moves only airborne drones
+            advance_kinematics(self.state, SD_STATUS_PERIOD_US)
         # every drone, ids 1 to n + 1, has a beacon slot up to the horizon,
-        # on the tick's tie
+        # on the tick's tie; registered last, as it may settle at once
         last = min(len(self.state.drones), (self.horizon - now) // BEACON_STAGGER_US)
         self.wlan.train(range(now + BEACON_STAGGER_US, now + (last + 1) * BEACON_STAGGER_US,
                               BEACON_STAGGER_US), range(1, last + 1),
                         self.beacons.get, self._on_status_delivered, self.status_tie,
                         self._settle_round)
-        self._update_telemetry(now)
-        self._check_leader_prediction(now)
-        if self.airborne:  # kinematics moves only airborne drones
-            advance_kinematics(self.state, SD_STATUS_PERIOD_US)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
