@@ -15,13 +15,15 @@ packet offered to an idle link starts service at once, and a completion
 goes straight onto the heap. A link serves one packet at a time and keeps
 it on itself; its ``_finish`` callback completes it and serves the next,
 pushing the next completion itself: one call fewer than through ``_serve``.
-A train slot with no delivery callback that finds the link idle and
-completes before any other event, on a key that has its counter or is not
-yet measured, is completed in place: no buffer charge, queue item or busy
-state. Every counted delivery goes through ``_finish``, which counts it
-and its latency in the counter itself. A queue item carries its packet's
-creation time, which windows and latencies read: ``send`` takes it as
-``created``, by default ``created_at``, and a train passes the slot time.
+A train slot that finds the link idle and completes, or with a delivery
+callback is delivered, before any other event, on a key that has its
+counter or is not yet measured, is completed in place: no buffer charge,
+queue item, busy state or tie. Its callback runs at the delivery, once the
+train's next slot is on the heap. Every counted delivery goes through
+``_finish``, which counts it and its latency in the counter itself. A queue
+item carries its packet's creation time, which windows and latencies read:
+``send`` takes it as ``created``, by default ``created_at``, and a train
+passes the slot time.
 
 ``Link.send`` may offer ``n`` copies of one packet, such as a video frame's
 equal fragments, exactly as ``n`` sends in a row would: one lookup and one
@@ -29,11 +31,11 @@ queue item for all of them, the copies that fit admitted and the rest
 dropped, each counted once. Nothing completes within one instant's
 admission and only the first admitted copy can find the link idle, so the
 ties and events are those of the sends. Every offer but an in-place
-completion goes through ``send``. That exception stays because it is
-measured: without it, ``run_s`` rose 21.7% on ``video_fifo``, where 25,438
-acks per seed-1 pass complete in place, and 3.0% and 1.0%, inside the
-spread, on ``swarm100`` and ``failover_batch`` (5 alternating pairs of 4 s
-runs, 2-core Xeon, CPython 3.11).
+completion goes through ``send``. That exception is measured (2-core
+Xeon, CPython 3.11): without it, ``run_s`` rose 21.7% on ``video_fifo``,
+whose acks mostly complete in place (5 pairs of 4 s runs); with callback
+slots in it, a waypoint broadcast skips ``send``, the heap and a full
+``_finish``, and ``failover_batch`` fell @GAIN@ (``BENCH_36.json``).
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the
@@ -60,7 +62,8 @@ callback counts its completion and its delivery as events, and the reply
 one more; a callback-free packet counts its in-place completion alone, and
 its part of the round, with the clock, ends at that completion, not at the
 delivery ``proc_delay_us`` later. It takes no tie, as the round's events would
-order only among themselves.
+order only among themselves. A train registered while a run is in progress
+tries its hook at once, so the event that registers it does so last.
 
 Every link is a strict-priority server; FIFO is the one-class case. The
 short-range WLAN is one shared medium carrying both directions, FIFO or
@@ -113,9 +116,8 @@ class EventQueue:
         self.now = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._tie = 0
-        # time bound of the running run_until/run_all, which no inline
-        # event may pass, -inf between runs; and the count of events run
-        # without the heap
+        # the running run_until/run_all's time bound, which no inline event
+        # may pass (-inf between runs), and the events run without the heap
         self._limit: float = -math.inf
         self._inline = 0
 
@@ -397,10 +399,9 @@ class _Train:
             pkt = packet_for(xs[i])
             i += 1
             if pkt is not None:
-                # a packet on an idle link completes in place (module
-                # docstring), taking no tie: its completion's or delivery's
-                # tie would come after every pending one, so it goes first
-                # only at a strictly earlier time, and it leaves the link idle
+                # a packet on an idle link completes in place (module docstring),
+                # taking no tie: its completion's or delivery's tie would come after
+                # every pending one, so it goes first only at a strictly earlier time
                 entry = None if link._busy else cached(pkt[1:5])
                 if entry is not None:
                     wire, tx, counter, _ = entry
@@ -408,20 +409,19 @@ class _Train:
                 if (entry is not None and (counter is not None or not measured)
                         and wire <= room and end <= limit and (i == n or end < times[i])
                         and (not heap or end < heap[0][0])):
+                    q.now = end
                     ran += 1
                     if measured:
                         counter.offered_pkts += 1
                         counter.offered_bits += wire
                         finish(counter, wire, tx + proc)
-                    if cb is not None:  # the delivery, after the next slot is pushed
+                    if cb is not None:  # its callback finds the next slot on the heap
                         q._inline += i + ran + 1
                         if i < n:
                             self.next = i
                             heapq.heappush(heap, (times[i], tie, self.step))
-                        q.now = end
                         cb(pkt)
                         return
-                    q.now = end
                 else:
                     send(pkt, cb, 1, t)
             if i == n:
@@ -538,15 +538,16 @@ class Link:
         time), so its slots order as if each were scheduled when the tie
         was taken. It holds one heap entry and runs its next slot inline
         while that comes before the heap's first entry and the ``run_until``
-        limit. Without ``on_deliver``, a packet that finds the link idle
-        and would finish before all three is completed in place (see the
-        module docstring); any other packet is offered with ``send``, and
-        ``_finish`` delivers it. Inline slots and completions count as
-        processed events.
+        limit. A packet that finds the link idle and would finish, or with
+        ``on_deliver`` be delivered, before all three is completed in place
+        (see the module docstring); any other packet is offered with
+        ``send``, and ``_finish`` delivers it. Inline slots, completions and
+        deliveries count as processed events.
         ``settle(times, xs, i)``, if given, is called at each pop with ``i``
-        the slot due now; a true result means it accounted for slots ``i``
-        onwards, as ``Link.settle`` does for ``range`` slots, and the train
-        ends.
+        the slot due now, and at registration with ``i`` 0 while a run is in
+        progress, so a caller registers a settling train as its last act; a
+        true result means it accounted for slots ``i`` onwards, as
+        ``Link.settle`` does for ``range`` slots, and the train ends.
         """
         if not times:
             return

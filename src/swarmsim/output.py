@@ -4,7 +4,6 @@ command line prints too). docs/output-format.md lists every row and line.
 """
 from __future__ import annotations
 
-from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -14,6 +13,9 @@ if TYPE_CHECKING:
     from .runner import RunResult
 
 CSV_HEADER = "run_id,seed,link,metric,class,value,unit"
+# the reference plan's durability table, which closes every report
+DURABILITY_BLOCK = ("battery durability (defaults)\n"
+                    + energy_mod.format_durability(energy_mod.durability_report()))
 
 
 def _fmt(value) -> str:
@@ -96,18 +98,11 @@ def run_summary(r: RunResult) -> str:
     return "\n".join(lines)
 
 
-@cache
-def _durability_block() -> str:
-    """The reference plan's durability table, which no run changes."""
-    return ("battery durability (defaults)\n"
-            + energy_mod.format_durability(energy_mod.durability_report()))
-
-
 def emit_report(results: list[RunResult], path: str | Path) -> Path:
     """Plain-text report: each run's summary, then the battery durability
     table of the paper's reference plan."""
     path = Path(path)
     blocks = [run_summary(r) for r in results]
-    blocks.append(_durability_block())
+    blocks.append(DURABILITY_BLOCK)
     path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
     return path

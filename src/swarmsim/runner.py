@@ -17,8 +17,9 @@ self-rescheduling series, so the queue holds one entry per process
 instead of one per slot of the horizon. A train (``Link.train``) offers
 each flight window's waypoint broadcasts, the acks of each broadcast or,
 per status tick and on its tie, every drone's beacon. It runs its slots
-inline while no other event intervenes and completes in place a flight
-ack that finds the WLAN idle and finishes first. An ack or beacon slot
+inline while no other event intervenes and completes in place a slot that
+finds the WLAN idle and finishes first (a broadcast: is delivered first,
+its callback then registering the ack round). An ack or beacon slot
 looks its sender up in a roster table (``flight_acks``, ``beacons``) that
 holds the SDs that send now with their cached packets, and under profile 2
 the leader acks each beacon it receives with a status ack sent then; every
@@ -34,10 +35,12 @@ class, flow and source, what admitting a packet needs. ``run_until`` and
 ``run_all`` count inline slots, in-place completions and inline deliveries
 as processed events. A status round or a flight-ack round that no other
 event interrupts is settled in closed form by ``Link.settle``, which decides
-when it applies and counts the packets and events. The runner keeps the
-epoch's beacon and ack counters (``_epoch_rows``), adds a status round's
-reports and the leader's last activity (``_settle_round``), and settles an
-ack round only in the roster epoch that registered it (``_settle_acks``).
+when it applies and counts the packets and events. A round is tried as it is
+registered, so ``_status_tick`` and ``_on_waypoint_delivered`` register it
+last. The runner keeps the epoch's beacon and ack counters (``_epoch_rows``),
+adds a status round's reports and the leader's last activity
+(``_settle_round``), and settles an ack round only in the roster epoch that
+registered it (``_settle_acks``).
 Any other round runs slot by slot.
 
 The refresh also starts a roster epoch, so the status tick costs what

@@ -2,7 +2,9 @@
 bookkeeping and the link's timing, buffer and counters stay in ``netsim``,
 so a closed form that needs them is a ``Link`` method, not a runner copy.
 Within ``netsim``, ``Link.send`` is the one admission path: a train slot
-that is not completed in place offers its packet through it."""
+that is not completed in place offers its packet through it. A runner
+function that registers a train with a settle hook does so as its last act,
+since the hook may settle the round at registration."""
 import ast
 from pathlib import Path
 
@@ -57,3 +59,34 @@ def test_a_train_slot_admits_nothing_itself():
 def test_the_admission_names_are_the_ones_send_uses():
     send = _method(ast.parse(NETSIM.read_text(encoding="utf-8")), "Link", "send")
     assert ADMISSION <= _names(send)
+
+
+def _settling_trains(tree):
+    """(function, whether it is the function's last statement) of each
+    ``train(...)`` call that passes a settle hook, the sixth argument."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        last = fn.body[-1]
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "train"
+                    and (len(node.args) >= 6 or any(kw.arg == "settle" for kw in node.keywords))):
+                yield fn.name, isinstance(last, ast.Expr) and last.value is node
+
+
+def test_a_train_with_a_settle_hook_is_its_function_s_last_act():
+    # the hook may run at registration, so nothing after it in the same
+    # event may change what the round settles on
+    tree = ast.parse(RUNNER.read_text(encoding="utf-8"))
+    assert sorted(_settling_trains(tree)) == [
+        ("_on_waypoint_delivered", True), ("_status_tick", True)]
+
+
+def test_the_registration_walk_sees_a_hook_by_keyword_or_position():
+    tree = ast.parse(
+        "def a():\n    l.train(t, x, p, settle=s)\n    f()\n"
+        "def b():\n    if c:\n        l.train(t, x, p, cb, tie, s)\n"
+        "def c():\n    l.train(t, x, p, cb)\n    f()\n"
+        "def d():\n    f()\n    l.train(t, x, p, settle=s)\n")
+    assert list(_settling_trains(tree)) == [("a", False), ("b", False), ("d", True)]

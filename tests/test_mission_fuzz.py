@@ -129,7 +129,7 @@ def _outputs(cfg, out: Path) -> tuple[bytes, bytes]:
             emit_report([result], out / "run.txt").read_bytes())
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(data=mission_configs())
 def test_a_random_mission_runs_clean_and_reruns_byte_identical(data):
     try:
@@ -228,7 +228,7 @@ def with_settle_examples(test):
     return test
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=mission_configs())
 @with_settle_examples
 def test_a_settled_status_round_runs_as_its_slots_would(data):
@@ -268,7 +268,7 @@ def _run_ack_slots(cfg, out: Path, ranges: bool) -> tuple:
     return seen, counted, bool(holes)
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(data=mission_configs())
 @with_settle_examples
 def test_range_ack_slots_run_as_list_slots_would(data):
@@ -348,7 +348,7 @@ LONG_HOPS = {"name": "hops", "seed": 1, "n_sds": 2, "duration_s": 1800,
                          "transit_distance_m": 100}}
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(data=mission_configs())
 @example(data=HANDOVERS)
 @example(data=LONG_HOPS)
@@ -422,7 +422,7 @@ def _has_leader_loss(data) -> bool:
     return any(f["kind"] == FailureKind.LD_SUDDEN for f in data["failures"])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(data=mission_configs().filter(_has_leader_loss))
 def test_the_deadline_detects_each_loss_where_polling_did(data):
     try:

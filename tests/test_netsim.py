@@ -8,6 +8,7 @@ delivery adds the fixed processing delay.
 import logging
 import math
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,7 +93,7 @@ class TestEventQueue:
         with pytest.raises(RunInvariantError):
             EventQueue().every(0, 0, 30, lambda t: None)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(items=st.lists(st.tuples(
         st.booleans(),                                  # series or one-shot
         st.integers(0, 20), st.integers(1, 6), st.integers(0, 30),
@@ -358,7 +359,7 @@ LINK_KINDS = {
 
 
 class TestLinkAgainstReferenceServer:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         kind=st.sampled_from(sorted(LINK_KINDS)),
         buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
@@ -477,7 +478,7 @@ SENDS = st.lists(st.tuples(
 
 
 class TestTrainsAgainstReferenceServer:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         kind=st.sampled_from(sorted(LINK_KINDS)),
         buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
@@ -533,7 +534,7 @@ class TestTrainsAgainstReferenceServer:
         assert metrics_snapshot(metrics, real_q.now) == ref.record(
             max(0, real_q.now - measure_from))
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         kind=st.sampled_from(sorted(LINK_KINDS)),
         buffer_bits=st.sampled_from([3_000, 1_000_000]),
@@ -574,6 +575,65 @@ class TestTrainsAgainstReferenceServer:
                 == drive_with_trains(ref.q, ref, sends, slots_with_the_series, split))
         assert real.queue.now == ref.q.now
         assert metrics_snapshot(metrics, real.queue.now) == ref.record(real.queue.now)
+
+    @staticmethod
+    def spaced_train(kind, buffer_bits, measure_from, sends, size, mode, gaps, split):
+        """``drive_with_trains`` of one train, registered at 40 ms, long after
+        ``sends``, with slots ``gaps`` apart from there, each offering
+        ``size`` bytes from source 2 with the ``mode`` callback, against the
+        reference; wide gaps let a slot find the link idle and deliver before
+        anything else. Returns the slots that ``send`` never saw: the ones
+        completed in place."""
+        real, ref, metrics = reference_pair(kind, buffer_bits, measure_from)
+        times = list(accumulate(gaps, initial=40_000))[1:]
+        offered, send = [], real.send
+
+        def spy(pkt, on_deliver=None, n=1, created=None):
+            if created is not None:  # a train slot's offer
+                offered.append(created)
+            return send(pkt, on_deliver, n, created)
+        real.send = spy
+
+        def packet_for(_x):
+            return Packet(0, size, "control", "flight_ack", 2, 1)
+
+        def registering(q, register, link):
+            return lambda callbacks: q.schedule(
+                40_000, lambda: register(link, times, range(len(times)), packet_for,
+                                         callbacks[mode]))
+
+        assert (drive_with_trains(real.queue, real, sends,
+                                  registering(real.queue, Link.train, real), split)
+                == drive_with_trains(ref.q, ref, sends,
+                                     registering(ref.q, one_event_per_slot, ref), split))
+        assert real.queue.now == ref.q.now
+        assert metrics_snapshot(metrics, real.queue.now) == ref.record(
+            max(0, real.queue.now - measure_from))
+        return len(times) - len(offered)
+
+    @settings(max_examples=100)
+    @given(
+        kind=st.sampled_from(sorted(LINK_KINDS)),
+        buffer_bits=st.sampled_from([3_000, 1_000_000]),
+        measure_from=st.sampled_from([0, 42_500]),
+        sends=SENDS,
+        size=st.integers(1, 600),
+        mode=st.sampled_from(CALLBACK_MODES),
+        gaps=st.lists(st.sampled_from([0, 10, 150, 1_000]), min_size=1, max_size=8),
+        split=st.integers(0, 50).map(lambda k: 1_000 * k),
+    )
+    def test_spaced_slots_match_the_reference_in_place_or_not(
+            self, kind, buffer_bits, measure_from, sends, size, mode, gaps, split):
+        self.spaced_train(kind, buffer_bits, measure_from, sends, size, mode, gaps, split)
+
+    @pytest.mark.parametrize("measure_from, in_place", [(0, 3), (42_500, 2)])
+    def test_spaced_callback_slots_complete_in_place(self, measure_from, in_place):
+        # slots at 41 to 44 ms, each delivery answered: the first slot's key
+        # has no cache entry, so send makes it; after that a slot completes
+        # in place unless it is its key's first measured offer (43 ms when
+        # measuring starts at 42.5 ms), which send counts
+        assert self.spaced_train("fifo", 1_000_000, measure_from, [], 10, "reply",
+                                 [1_000] * 4, 60_000) == in_place
 
     def test_a_delivery_due_after_the_next_slot_waits_for_it(self):
         # 10 bytes finish 15 us after the slot at 0 us, before the slot at
@@ -668,11 +728,14 @@ class TestTrainsAgainstReferenceServer:
 
 
 class TestInPlaceCompletion:
-    """A train slot with no delivery callback that finds its link idle and
-    completes next, on a key with its counter or not yet measured, is
-    completed in place: nothing is buffered, queued or scheduled, and
-    ``_finish`` is called only to count a measured delivery. Any other slot
-    is offered to ``send``; a served packet's ``_finish`` delivers it."""
+    """A train slot that finds its link idle and completes next, on a key
+    with its counter or not yet measured, is completed in place: nothing is
+    buffered, queued or scheduled, and ``_finish`` is called only to count a
+    measured delivery. With a delivery callback, "next" is measured at the
+    delivery, and the callback runs there once the train's next slot is on
+    the heap. Any other slot is offered to ``send``; a served packet's
+    ``_finish`` delivers it. A settle hook is tried at registration too,
+    while a run is in progress."""
 
     @staticmethod
     def finish_calls(link):
@@ -791,6 +854,148 @@ class TestInPlaceCompletion:
         assert pops == [(0, [2, 3, 4]), (300, [3, 4])]
         assert [key[3] for key in metrics.counters] == [2]
         assert link.idle and not q._heap
+
+    STATUS = Packet(0, 10, flow="sd_status", src=2)
+
+    def status_slots(self, slots, head=None, reply=False):
+        """A train of ``STATUS`` beacons at ``slots``, each recorded at its
+        delivery, after a ``send`` made the key's counter, with an entry at
+        ``head`` if given. With ``reply``, each delivery sends a 45-byte
+        ack and records the heap's (time, tie) entries before that send.
+        Returns the queue, the link, the metrics, the deliveries, the
+        ``_finish`` calls and the train's tie."""
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        link.send(self.STATUS)
+        q.run_all()
+        if head is not None:
+            q.schedule(head, lambda: None)
+        seen = []
+
+        def deliver(pkt):
+            seen.append((q.now, pkt.src, sorted(entry[:2] for entry in q._heap)))
+            if reply:
+                link.send(Packet(q.now, 45, flow="ack", src=1))
+
+        tie = q._tie
+        link.train(slots, [2] * len(slots), lambda src: self.STATUS, deliver)
+        return q, link, metrics, seen, self.finish_calls(link), tie
+
+    def test_an_idle_link_callback_slot_is_delivered_in_place(self):
+        # 10 bytes occupy the medium for 15 us and are delivered 100 us
+        # later: the 200 us slot, its completion and its delivery at 315 us
+        # are three events, and none takes a tie
+        q, link, metrics, seen, calls, tie = self.status_slots([200], head=1_000)
+        ties = q._tie
+        assert ties == tie + 1
+        assert q.run_until(500) == 3
+        assert q._tie == ties
+        counter = metrics.counters["wlan", "control", "sd_status", 2]
+        assert calls == [((counter, 800, 115), None, 0, 1)]
+        assert seen == [(315, 2, [(1_000, tie - 1)])]
+        assert link.idle and len(q._heap) == 1 and q.now == 500
+        assert metrics.latencies == {("wlan", "control"): {115: 2}}
+        assert (counter.offered_pkts, counter.delivered_pkts) == (2, 2)
+
+    @pytest.mark.parametrize("slots, head, limit, in_place", [
+        ([200, 315], None, 1_000, False),
+        ([200, 316], None, 1_000, True),
+        ([200], 315, 1_000, False),
+        ([200], 316, 1_000, True),
+        ([200], None, 314, False),
+        ([200], None, 315, True),
+    ], ids=["at-next-slot", "before-next-slot", "at-head", "before-head", "past-limit",
+            "at-limit"])
+    def test_a_callback_slot_goes_through_send_unless_its_delivery_is_next(
+            self, slots, head, limit, in_place):
+        # the first slot's delivery at 315 us against the next slot, the
+        # heap's first entry and the run_until bound
+        q, link, metrics, seen, calls, _ = self.status_slots(slots, head)
+        q.run_until(limit)
+        q.run_all()
+        counter = metrics.counters["wlan", "control", "sd_status", 2]
+        assert calls[0][0] == ((counter, 800, 115) if in_place else ())
+        assert seen[0][:2] == (315, 2) and link.idle
+        assert metrics.latencies == {("wlan", "control"): {115: len(slots) + 1}}
+
+    def test_a_callback_that_sends_finds_the_next_slot_on_the_heap(self):
+        # the 200 us beacon is delivered in place at 315 us, where the 500 us
+        # slot already waits on the train's tie; the 45-byte ack sent then
+        # completes at 335 us on a later tie. Each beacon is three events,
+        # each ack's completion one
+        q, link, metrics, seen, calls, tie = self.status_slots([200, 500], reply=True)
+        assert q.run_all() == 2 * 3 + 2
+        assert [entry[:2] for entry in seen] == [(315, 2), (615, 2)]
+        assert seen[0][2] == [(500, tie)]
+        ack = metrics.counters["wlan", "control", "ack", 1]
+        assert (ack.offered_pkts, ack.delivered_pkts) == (2, 2)
+        assert link.idle
+
+    def flight_round(self, at_registration):
+        """A flight-like round of callback-free acks from SDs 2 to 5, 200 us
+        apart, registered with a settle hook by an event at 10 ms (whose run
+        settles it at once) or before the first run (so it settles at its
+        first pop, at 10.4 ms). Returns what must not depend on which, and
+        where the hook ran as (clock, slot index)."""
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        acks = {x: Packet(0, 10, flow="flight_ack", src=x, dst=1) for x in range(2, 6)}
+        for pkt in acks.values():
+            link.send(pkt)
+        q.run_all()
+        rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
+        times, hooks = range(10_400, 11_200, 200), []
+
+        def settle(times, xs, i):
+            hooks.append((q.now, i))
+            return link.settle(times, xs, i, rows, acks[2], delivers=False) is not None
+
+        def register():
+            link.train(times, range(2, 6), acks.get, settle=settle)
+        if at_registration:
+            q.schedule(10_000, register)
+        else:
+            register()
+            q.schedule(10_000, lambda: None)
+        q.schedule(20_000, lambda: None)
+        events = q.run_until(15_000)
+        return (events, TestSettle.counts(metrics), q.now, q.run_all(), link.idle), hooks
+
+    def test_a_round_settled_at_registration_counts_what_one_settled_at_its_first_pop_does(
+            self):
+        got, hooks = self.flight_round(True)
+        assert hooks == [(10_000, 0)]
+        expected, first_pop = self.flight_round(False)
+        assert first_pop == [(10_400, 0)]
+        # the 10 ms event, four ack slots and their four completions
+        assert got == expected and got[0] == 9
+
+    def test_no_hook_runs_at_registration_outside_a_run(self):
+        q, metrics = EventQueue(), Metrics()
+        link = build_wlan_link(q, WlanParams(), metrics)
+        hooks = []
+
+        def settle(times, xs, i):
+            hooks.append((q.now, i))
+            return False
+
+        def register(first):
+            link.train([first, first + 300], [2, 3], lambda src: None, settle=settle)
+        assert q._limit == -math.inf
+        register(0)
+        assert hooks == []
+        q.run_all()
+        assert hooks == [(0, 0)] and q._limit == -math.inf
+        register(1_000)
+        assert hooks == [(0, 0)]
+        q.run_until(999)
+        assert hooks == [(0, 0)] and q._limit == -math.inf
+        q.schedule(1_000, lambda: register(1_500))
+        q.run_until(2_000)
+        # at the pops of the train registered outside a run (its 1.3 ms
+        # slot waits behind the 1 ms event), at the registration inside the
+        # run and at that train's pop
+        assert hooks == [(0, 0), (1_000, 0), (1_000, 0), (1_300, 1), (1_500, 0)]
 
 
 class TestSettle:
@@ -1143,7 +1348,7 @@ class TestCopiesAgainstReferenceServer:
     """``Link.send`` of ``n`` copies against the reference server taking each
     copy as its own ``send``."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         kind=st.sampled_from(sorted(LINK_KINDS)),
         buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
@@ -1234,7 +1439,7 @@ class TestRelaysAgainstReferenceServers:
     to the long-range link (none) and back. A delivery that is the next
     event runs inline, so this drives that rule across links."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(
         edca=st.booleans(),
         buffer_bits=st.sampled_from([3_000, 12_000, 1_000_000]),
@@ -1409,7 +1614,7 @@ class TestMetrics:
         assert record.links["wlan"]["delivered_pkts"] == 3
         assert sorted(record.latency) == [("wlan", "best_effort"), ("wlan", "control")]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(traffic=st.lists(st.tuples(
         st.integers(0, 300),                                       # send time
         st.sampled_from(["wlan", "wimax"]),
@@ -1445,7 +1650,7 @@ class TestMetrics:
 
 
 class TestLatencyStats:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(samples=st.lists(st.integers(0, 50) | st.integers(0, 10**9), min_size=1))
     def test_count_table_equals_sorted_list_statistics(self, samples):
         s = sorted(samples)
@@ -1511,7 +1716,7 @@ class TestOracleEquivalence:
         want = fifo_oracle(arrivals, sizes, 6_000_000, 90, 200)
         assert got == want
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(trace=traces(), rate=st.sampled_from([6, 18, 36, 54]),
            proc=st.sampled_from([5_000, 10_000, 20_000]))
     def test_random_traces_match_oracle_exactly(self, trace, rate, proc):
@@ -1520,7 +1725,7 @@ class TestOracleEquivalence:
         want = fifo_oracle(arrivals, sizes, rate * 1_000_000, 90, 1_000_000 // proc)
         assert got == want
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(trace=traces())
     def test_latency_monotone_in_data_rate(self, trace):
         arrivals, sizes = trace
@@ -1530,7 +1735,7 @@ class TestOracleEquivalence:
             totals.append(sum(d - a for d, a in zip(deliveries, arrivals)))
         assert totals == sorted(totals, reverse=True)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(trace=traces())
     def test_latency_monotone_in_processing_rate(self, trace):
         arrivals, sizes = trace

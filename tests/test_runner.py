@@ -885,7 +885,7 @@ class TestRunScenario:
         assert [(t, pkt.src) for t, _, pkt, _ in slots
                 if pkt is not None and 20_000_000 <= t < 20_000_000 + window_us] == offers
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(failures=st.lists(st.tuples(
         st.sampled_from(["ld_sudden", "ld_predicted", "sd_sudden"]),
         st.none() | st.integers(1, 7),
