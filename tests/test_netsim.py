@@ -935,8 +935,9 @@ class TestInPlaceCompletion:
         """A flight-like round of callback-free acks from SDs 2 to 5, 200 us
         apart, registered with a settle hook by an event at 10 ms (whose run
         settles it at once) or before the first run (so it settles at its
-        first pop, at 10.4 ms). Returns what must not depend on which, and
-        where the hook ran as (clock, slot index)."""
+        first pop, at 10.4 ms). Returns what must not depend on which, the
+        clock after each hook among it, and where the hook ran as (clock,
+        slot index)."""
         q, metrics = EventQueue(), Metrics()
         link = build_wlan_link(q, WlanParams(), metrics)
         acks = {x: Packet(0, 10, flow="flight_ack", src=x, dst=1) for x in range(2, 6)}
@@ -944,11 +945,13 @@ class TestInPlaceCompletion:
             link.send(pkt)
         q.run_all()
         rows = [(x, link.counter(pkt)) for x, pkt in acks.items()]
-        times, hooks = range(10_400, 11_200, 200), []
+        times, hooks, ends = range(10_400, 11_200, 200), [], []
 
         def settle(times, xs, i):
             hooks.append((q.now, i))
-            return link.settle(times, xs, i, rows, acks[2], delivers=False) is not None
+            settled = link.settle(times, xs, i, rows, acks[2], delivers=False)
+            ends.append(q.now)
+            return settled is not None
 
         def register():
             link.train(times, range(2, 6), acks.get, settle=settle)
@@ -959,7 +962,7 @@ class TestInPlaceCompletion:
             q.schedule(10_000, lambda: None)
         q.schedule(20_000, lambda: None)
         events = q.run_until(15_000)
-        return (events, TestSettle.counts(metrics), q.now, q.run_all(), link.idle), hooks
+        return (events, TestSettle.counts(metrics), ends, q.run_all(), link.idle), hooks
 
     def test_a_round_settled_at_registration_counts_what_one_settled_at_its_first_pop_does(
             self):
@@ -967,8 +970,9 @@ class TestInPlaceCompletion:
         assert hooks == [(10_000, 0)]
         expected, first_pop = self.flight_round(False)
         assert first_pop == [(10_400, 0)]
-        # the 10 ms event, four ack slots and their four completions
-        assert got == expected and got[0] == 9
+        # the 10 ms event, four ack slots and their four completions; the
+        # clock ends at the last one, 11.015 ms
+        assert got == expected and got[0] == 9 and got[2] == [11_015]
 
     def test_no_hook_runs_at_registration_outside_a_run(self):
         q, metrics = EventQueue(), Metrics()
