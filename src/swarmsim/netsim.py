@@ -35,7 +35,7 @@ completion goes through ``send``. That exception is measured (2-core
 Xeon, CPython 3.11): without it, ``run_s`` rose 21.7% on ``video_fifo``,
 whose acks mostly complete in place (5 pairs of 4 s runs); with callback
 slots in it, a waypoint broadcast skips ``send``, the heap and a full
-``_finish``, and ``failover_batch`` fell about 18% (``BENCH_36.json``).
+``_finish``, and ``failover_batch`` fell about 17% (``BENCH_36.json``).
 
 A delivery callback takes its tie when its packet completes, before the
 next queued packet is served, just as scheduling it would. When it is the
