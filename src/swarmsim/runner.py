@@ -19,44 +19,35 @@ each flight window's waypoint broadcasts, the acks of each broadcast or,
 per status tick and on its tie, every drone's beacon. It runs its slots
 inline while no other event intervenes and completes in place a slot that
 finds the WLAN idle and finishes first (a broadcast: is delivered first,
-its callback then registering the ack round). An ack or beacon slot
-looks its sender up in a roster table (``flight_acks``, ``beacons``) that
-holds the SDs that send now with their cached packets, and under profile 2
-the leader acks each beacon it receives with a status ack sent then; every
-event that changes who sends (a mission transition, a landing, a loss, a
-handover, an abort) refreshes the tables in place, so a refresh between
-two slots of one train reaches the later slot. The acting leader's state
-lives with the tables: the refresh also keeps the leader while alive,
-whether it relays and its waypoint broadcast. The leader's relays (video
-and case traffic from the WLAN onto the long-range link and back) read
-that state; they are delivery callbacks, which a link runs inline when the
-delivery is the next event anyway; each link caches, per packet size,
-class, flow and source, what admitting a packet needs. ``run_until`` and
-``run_all`` count inline slots, in-place completions and inline deliveries
-as processed events. A status round or a flight-ack round that no other
-event interrupts is settled in closed form by ``Link.settle``, which decides
-when it applies and counts the packets and events. A round is tried as it is
-registered, so ``_status_tick`` and ``_on_waypoint_delivered`` register it
-last. The runner keeps the epoch's beacon and ack counters (``_epoch_rows``),
-adds a status round's reports and the leader's last activity
-(``_settle_round``), and settles an ack round only in the roster epoch that
-registered it (``_settle_acks``).
-Any other round runs slot by slot.
+its callback then registering the ack round). Under profile 2 the leader
+acks each beacon it receives with a status ack sent then. The leader's
+relays (video and case traffic between the WLAN and the long-range link)
+are delivery callbacks, which a link runs inline when the delivery is the
+next event anyway. ``run_until`` and ``run_all`` count inline slots,
+in-place completions and inline deliveries as processed events.
 
-The refresh also starts a roster epoch, so the status tick costs what
-changed, not the swarm size. Each drone's powered and airborne time is a
-segment of status ticks, closed at the refresh that changes the drone's
-(alive, airborne) state and at the end of the run; the epoch lists the
-airborne drones with their role's battery drain, the returning drones, the
-live SDs' count and the flight ack ids. A tick counts itself, drains the
-airborne list, lands the returning drones that reached the DMC with one
-``_move`` and moves no drone when none is airborne; its beacon slots are
-ranges. A broadcast's ack slots are a range too, over the epoch's ids from
-its first SD's to its last's, so ``Link.settle`` takes the step as its gap
-and finds a slot's index at once. A hole's slot, a gone SD's or the
-leader's, offers nothing and counts as one processed event, as a beacon
-slot of the leader or a landed SD does; the leader's stays empty in its
-epoch's rounds even if a handover demotes it to an SD before the slot.
+Who sends is one value, the roster epoch (``_Epoch``): the live, unlanded
+SDs' flight acks and beacons to the acting leader and the ``range`` of
+their ids; the leader while alive, whether it relays and its broadcast;
+the airborne drones with their drain, the returning ones and the live SD
+count; and caches filled when first needed. Every event that changes who
+sends (a transition, a landing, a loss, a handover, an abort) ends in
+``_refresh_senders``, which builds a new epoch from the state and replaces
+the old one. Ack and beacon slots read the current epoch, so a refresh
+between two slots of one train reaches the later slot. A hole's slot, a
+gone SD's or the leader's, offers nothing and counts as one processed
+event; the leader slot of an ack round stays empty even if a handover
+demotes it to an SD before the slot. A status round or a flight-ack round
+that no other event interrupts is settled in closed form by
+``Link.settle``, which counts its packets and events from the epoch's rows
+(``_epoch_rows``). A round is tried as it is registered, so
+``_status_tick`` and ``_on_waypoint_delivered`` register it last; an ack
+round settles only while its registering epoch is current. The status
+tick costs what changed, not the swarm size: powered and airborne time are
+segments of ticks, closed at the refresh that changes a drone's (alive,
+airborne) state and at the end; a tick drains the epoch's airborne drones,
+lands the returning ones that reached the DMC with one ``_move``, moves
+no drone when none is airborne, and its beacon slots are a range.
 
 A watchdog run by the backup detects a leader silent for longer than the
 detection timeout (0.6 s in flight, 60 s while collecting) at a slot of its
@@ -71,7 +62,7 @@ handover that finds no SD fit to lead aborts the mission, and ``_abort``
 alone marks a mission aborted, always after the leader is lost. The
 runner sends a demoted leader low on battery home. Each phase change it
 makes is a phase-machine edge taken in ``_move``, which refreshes the
-roster tables; ``failure.isolate_drone`` is the only other phase writer.
+roster epoch; ``failure.isolate_drone`` is the only other phase writer.
 At the end, each drone's airborne, powered and video time is priced by its
 final role against its batteries; an overdraw is a deviation.
 Identical (config, seed) pairs produce identical results.
@@ -81,6 +72,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 
 from . import energy as energy_mod
@@ -142,6 +134,9 @@ ACK_STAGGER_US = 200
 # are cheaper than hashing an Enum member into a set
 _LANDED, _RETURNING = Phase.LANDED, Phase.RETURNING
 _GONE = (_LANDED, Phase.FAILED, Phase.ISOLATED)
+# battery drain per airborne tick, from the derated budget per role
+_DRAIN_PER_TICK = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
+                   * (SD_STATUS_PERIOD_US / 1e6) for role in ("ld", "sd")}
 
 
 @dataclass
@@ -174,7 +169,55 @@ def _target_grid(m: int, center: tuple[float, float], pitch: float = 24.0):
     return tuple(out)
 
 
+class _Epoch:
+    """Who sends on the WLAN, and what the relays and the status tick read,
+    from one refresh to the next; built from the swarm state and the
+    mission phase, and replaced, not changed, at the next refresh. Only the
+    caches (``round_rows``, ``ack_rows``, ``ack_hooks``, ``down_relay``) are
+    filled later, when the epoch first needs them."""
+
+    __slots__ = ("flight_acks", "beacons", "ack_ids", "acting_id", "live_leader",
+                 "leader_up", "waypoint_pkt", "airborne", "returning", "live_sds",
+                 "round_rows", "ack_rows", "ack_hooks", "down_relay")
+    ROSTER = __slots__[:10]  # the fields built from the state
+
+    def __init__(self, state, mission_phase: Phase):
+        # SD id -> its flight ack or beacon to the acting leader, for the
+        # live, unlanded SDs in id order, each stamped when offered; no
+        # beacon and no broadcast once the mission is over
+        leader_id, leader = state.leader_id, state.leader()
+        sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
+        self.flight_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i,
+                                      leader_id) for i in sds}
+        self.ack_ids = range(sds[0], sds[-1] + 1) if sds else range(0)
+        live = self.live_leader = leader if leader.alive else None
+        up = self.leader_up = live is not None  # an abort has lost the leader
+        over = state.aborted or mission_phase is _LANDED
+        self.beacons = {} if over else {
+            i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status", i, leader_id)
+            for i in sds}
+        self.waypoint_pkt = None if over or not up else Packet(
+            0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL, "move_to_waypoint", leader_id,
+            BROADCAST_ID)
+        # the airborne drones as (telemetry, drain per tick of its role), the
+        # returning ones and the live SDs' count
+        self.airborne, self.returning = airborne, returning = [], []
+        for i, d in state.drones.items():
+            if d.airborne:
+                airborne.append((d.telemetry, _DRAIN_PER_TICK["ld" if i == leader_id else "sd"]))
+                if d.phase is _RETURNING:
+                    returning.append(d)
+        self.live_sds = sum(d.alive for i, d in state.drones.items() if i != leader_id)
+        self.acting_id = leader_id
+        # the beacon rows with the status ack, the ack rows, the ack rounds'
+        # hooks, and the last video_down relay as (forwarded packet, relay)
+        self.round_rows = self.ack_rows = self.ack_hooks = None
+        self.down_relay = (None, None)
+
+
 class _Mission:
+    epoch: _Epoch  # the roster epoch, set by _refresh_senders from the launch on
+
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.q = EventQueue()
@@ -207,26 +250,8 @@ class _Mission:
         self.alive_us: dict[int, int] = {d: 0 for d in self.state.drones}
         self.video_us: dict[int, int] = {d: 0 for d in self.state.drones}
         # the status ticks run so far; drone id -> its open (first tick,
-        # alive, airborne) segment; the roster epoch's airborne drones as
-        # (telemetry, drain per tick of its role), returning drones, live SD
-        # count, flight ack ids and the ack slots' lookup: all kept by
-        # _refresh_senders from the launch
+        # alive, airborne) segment, kept by _refresh_senders
         self.ticks, self.segments = 0, {}
-        self.airborne, self.returning, self.live_sds = [], [], 0
-        self.ack_ids, self.ack_of = range(0), None
-        # SD id -> its flight ack or beacon to the acting leader, for the SDs
-        # that send now, each stamped when offered; kept from the launch on
-        # by _refresh_senders, with the acting leader's state, which nothing
-        # reads before then
-        self.flight_acks: dict[int, Packet] = {}
-        self.beacons: dict[int, Packet] = {}
-        self.live_leader, self.leader_up = None, False
-        self.waypoint_pkt, self.down_relay = None, (None, None)
-        self.round_rows = self.ack_rows = None
-
-        # battery drain per airborne tick, from the derated budget per role
-        self.drain_per_tick = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
-                               * (SD_STATUS_PERIOD_US / 1e6) for role in ("ld", "sd")}
 
         if cfg.video.enabled and cfg.video.max_calls is None:
             call = VideoCallSpec(cfg.video.bandwidth_mbps * 1e6)
@@ -338,7 +363,7 @@ class _Mission:
 
     def _move(self, drones, event: PhaseEvent) -> None:
         """Take each drone along the phase machine's edge for ``event``, then
-        refill the roster tables: the runner's one writer of drone phases."""
+        refresh the roster epoch: the runner's one writer of drone phases."""
         for d in drones:
             d.phase = transition_phase(d.phase, event)
         self._refresh_senders()
@@ -429,65 +454,20 @@ class _Mission:
 
     # -- traffic ----------------------------------------------------------
 
-    def _senders(self) -> tuple:
-        """The flight acks and beacons of the live, unlanded SDs to the
-        acting leader, in id order, with no beacons once the mission is over;
-        its waypoint broadcast until the end; the leader while alive, else
-        None; and whether it relays."""
-        state = self.state
-        leader_id, leader = state.leader_id, state.leader()
-        sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
-        acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i, leader_id)
-                for i in sds}
-        live = leader if leader.alive else None
-        up = live is not None  # an abort has lost the leader
-        if state.aborted or self.mission_phase is _LANDED:
-            return acks, {}, None, live, up
-        beacons = {i: Packet(0, HEADER_LEN + STATUS_SD_LEN, CONTROL, "sd_status", i, leader_id)
-                   for i in sds}
-        waypoint = Packet(0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL, "move_to_waypoint",
-                          leader_id, BROADCAST_ID) if up else None
-        return acks, beacons, waypoint, live, up
-
     def _refresh_senders(self) -> None:
         """Start a roster epoch; every phase change, handover and abort ends
-        with this. Refill the roster tables in place (a train holds their
-        ``get``); set the acting leader's state, which the relays read, and
-        drop the last video_down relay as (forwarded packet, relay), which
-        the copies of one fragment reuse, and the epoch's cached beacon and
-        ack rows. Close each drone's segment whose (alive, airborne) state
-        changed at the ticks counted so far, and open the next; list the
-        airborne drones with their role's drain, the returning ones, the
-        live SDs' count and the ``range`` of ids from the first flight ack's
-        to the last's."""
-        *fresh, self.waypoint_pkt, self.live_leader, self.leader_up = self._senders()
-        for table, rows in zip((self.flight_acks, self.beacons), fresh):
-            table.clear()
-            table.update(rows)
-        self.down_relay, self.round_rows, self.ack_rows = (None, None), None, None
-        state, segments, ticks = self.state, self.segments, self.ticks
-        leader_id, drain = state.leader_id, self.drain_per_tick
-        # replaced, never changed: trains hold them. The leader's slot stays
-        # empty in this epoch's rounds, though a later epoch may demote it
-        ids, get = list(self.flight_acks), self.flight_acks.get
-        ack_ids = self.ack_ids = range(ids[0], ids[-1] + 1) if ids else range(0)
-        self.ack_of = (get if leader_id not in ack_ids
-                       else lambda x: None if x == leader_id else get(x))
-        airborne, returning, live_sds = [], [], 0
-        for i, d in state.drones.items():
+        with this. Close each drone's segment whose (alive, airborne) state
+        changed at the ticks counted so far and open the next; then replace
+        the epoch with one built from the state now."""
+        segments, ticks = self.segments, self.ticks
+        for i, d in self.state.drones.items():
             alive, up = d.alive, d.airborne
             seg = segments.get(i)
             if seg is None or seg[1] is not alive or seg[2] is not up:
                 if seg is not None:
                     self._close_segment(i, *seg)
                 segments[i] = (ticks, alive, up)
-            if up:
-                airborne.append((d.telemetry, drain["ld" if i == leader_id else "sd"]))
-                if d.phase is _RETURNING:
-                    returning.append(d)
-            if alive and i != leader_id:
-                live_sds += 1
-        self.airborne, self.returning, self.live_sds = airborne, returning, live_sds
+        self.epoch = _Epoch(self.state, self.mission_phase)
 
     def _close_segment(self, drone_id: int, first: int, alive: bool, up: bool) -> None:
         """Add a segment's ticks, from ``first`` to now, to the drone's
@@ -504,19 +484,23 @@ class _Mission:
             return
         self._update_telemetry(now)
         self._check_leader_prediction(now)
-        if self.airborne:  # kinematics moves only airborne drones
+        if self.epoch.airborne:  # kinematics moves only airborne drones
             advance_kinematics(self.state, SD_STATUS_PERIOD_US)
         # every drone, ids 1 to n + 1, has a beacon slot up to the horizon,
         # on the tick's tie; registered last, as it may settle at once
         last = min(len(self.state.drones), (self.horizon - now) // BEACON_STAGGER_US)
         self.wlan.train(range(now + BEACON_STAGGER_US, now + (last + 1) * BEACON_STAGGER_US,
                               BEACON_STAGGER_US), range(1, last + 1),
-                        self.beacons.get, self._on_status_delivered, self.status_tie,
+                        self._beacon, self._on_status_delivered, self.status_tie,
                         self._settle_round)
+
+    def _beacon(self, sd_id: int) -> Packet | None:
+        """A beacon slot's packet in the current epoch."""
+        return self.epoch.beacons.get(sd_id)
 
     def _on_status_delivered(self, pkt: Packet) -> None:
         self.reports_to_leader += 1
-        state, leader = self.state, self.live_leader
+        state, leader = self.state, self.epoch.live_leader
         if leader is None:
             state.lost_reports += 1
             return
@@ -531,13 +515,13 @@ class _Mission:
         ``Link.settle`` once the epoch's rows exist, and add the round's
         reports and the leader's last activity; else return False and leave
         the slots to the train. ``ids`` is the tick's range of drone ids."""
-        cached = self.round_rows or self._round_rows()
+        cached = self.epoch.round_rows or self._round_rows()
         settled = cached and self.wlan.settle(times, ids, i, *cached)
         if not settled:
             return False
         n, heard = settled
         self.reports_to_leader += n
-        state, leader = self.state, self.live_leader
+        state, leader = self.state, self.epoch.live_leader
         if leader is None:
             state.lost_reports += n
         else:
@@ -547,19 +531,20 @@ class _Mission:
         return True
 
     def _round_rows(self) -> tuple | None:
-        """Cache and return this roster epoch's beacon rows (``_epoch_rows``)
-        with the live leader's status ack under profile 2 (one key serves
-        all its acks; else None); or None until the rows exist."""
-        cached, leader = self._epoch_rows(self.beacons), self.live_leader
+        """Cache and return the epoch's beacon rows (``_epoch_rows``) with
+        the live leader's status ack under profile 2 (one key serves all its
+        acks; else None); or None until the rows exist."""
+        epoch = self.epoch
+        cached, leader = self._epoch_rows(epoch.beacons), epoch.live_leader
         if cached is None:
             return None
         ack = (Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "status_ack", leader.id)
                if leader is not None and self.cfg.profile == 2 else None)
-        self.round_rows = (*cached, ack)
-        return self.round_rows
+        epoch.round_rows = (*cached, ack)
+        return epoch.round_rows
 
     def _epoch_rows(self, table: dict[int, Packet]) -> tuple | None:
-        """This roster epoch's (SD id, counter) rows of a roster table in id
+        """A roster epoch's (SD id, counter) rows of one of its tables in id
         order and one of its packets, which all have one size; or None until
         there is a packet and a measured offer made each one's counter. The
         scan starts from the last sender, which offers last in a round, and
@@ -577,17 +562,17 @@ class _Mission:
         return rows, pkt
 
     def _flush_tick(self, now: int) -> None:
-        state = self.state
-        if not self.leader_up or self.mission_phase is _LANDED:
+        state, epoch = self.state, self.epoch
+        if not epoch.leader_up or self.mission_phase is _LANDED:
             return
-        n = self.live_sds
+        n = epoch.live_sds
         if n == 0:
             if not self.warned_no_sds:
                 state.deviations.append(f"t={now}us leader has no SDs to aggregate")
                 self.warned_no_sds = True
             return
         batch, state.buffered_reports = state.buffered_reports, 0
-        self.live_leader.telemetry.last_heard = now
+        epoch.live_leader.telemetry.last_heard = now
         pkt = Packet(now, HEADER_LEN + status_report_ld_length(n), CONTROL,
                      "ld_status", src=state.leader_id, dst=DMC_ID)
         if not self.wimax_ul.send(pkt, lambda p: self._on_flush_delivered(p, batch)):
@@ -601,25 +586,37 @@ class _Mission:
 
     def _waypoint(self, _t: int) -> Packet | None:
         """A live leader's broadcast, until the end; it marks its activity."""
-        pkt = self.waypoint_pkt
+        pkt = self.epoch.waypoint_pkt
         if pkt is not None:
-            self.live_leader.telemetry.last_heard = self.q.now
+            self.epoch.live_leader.telemetry.last_heard = self.q.now
         return pkt
 
     def _on_waypoint_delivered(self, pkt: Packet) -> None:
-        # a slot per id of the roster's range, in id order: the slots' time order
-        now, ids = self.q.now, self.ack_ids
+        # a slot per id of the epoch's range, in id order: the slots' time order
+        now, epoch = self.q.now, self.epoch
+        ids = epoch.ack_ids
+        ack, settle = epoch.ack_hooks or self._ack_hooks(epoch)
         self.wlan.train(range(now + ids.start * ACK_STAGGER_US, now + ids.stop * ACK_STAGGER_US,
-                              ACK_STAGGER_US), ids, self.ack_of, settle=self._settle_acks)
+                              ACK_STAGGER_US), ids, ack, settle=settle)
 
-    def _settle_acks(self, times: range, ids: range, i: int) -> bool:
+    def _ack_hooks(self, epoch: _Epoch) -> tuple:
+        """Cache and return the slot lookup and the settle hook of the
+        epoch's ack rounds. A slot reads the current epoch's flight acks but
+        keeps this epoch's leader slot empty, though a later epoch may
+        demote the leader to an SD; a round settles only in this epoch."""
+        leader = epoch.acting_id
+        epoch.ack_hooks = (lambda x: None if x == leader else self.epoch.flight_acks.get(x),
+                           partial(self._settle_acks, epoch))
+        return epoch.ack_hooks
+
+    def _settle_acks(self, epoch: _Epoch, times: range, ids: range, i: int) -> bool:
         """Settle the ack slots ``i`` onwards of a flight round registered in
-        this roster epoch (a later one holds other ids) with ``Link.settle``
-        once the epoch's rows exist; else return False and leave the slots to
-        the train. An ack has no delivery callback."""
-        if ids is not self.ack_ids:
+        ``epoch`` with ``Link.settle``, while that epoch is current (a later
+        one may hold other ids) and once its rows exist; else return False
+        and leave the slots to the train. An ack has no delivery callback."""
+        if epoch is not self.epoch:
             return False
-        cached = self.ack_rows = self.ack_rows or self._epoch_rows(self.flight_acks)
+        cached = epoch.ack_rows = epoch.ack_rows or self._epoch_rows(epoch.flight_acks)
         return bool(cached) and self.wlan.settle(
             times, ids, i, *cached, delivers=False) is not None
 
@@ -629,8 +626,8 @@ class _Mission:
         self.wlan.send(pkt, self._relay_case_report)
 
     def _relay_case_report(self, pkt: Packet) -> None:
-        if self.leader_up:
-            self.live_leader.telemetry.last_heard = self.q.now
+        if self.epoch.leader_up:
+            self.epoch.live_leader.telemetry.last_heard = self.q.now
             self.wimax_ul.send(pkt, self._ack_case_report)
 
     def _ack_case_report(self, pkt: Packet) -> None:
@@ -639,8 +636,8 @@ class _Mission:
         self.wimax_dl.send(ack, self._relay_case_ack)
 
     def _relay_case_ack(self, pkt: Packet) -> None:
-        if self.leader_up:
-            leader = self.live_leader
+        leader = self.epoch.live_leader
+        if leader is not None:
             leader.telemetry.last_heard = self.q.now
             self.wlan.send(Packet(pkt.created_at, pkt.size_bytes, CONTROL, "case_ack",
                                   src=leader.id, dst=pkt.dst))
@@ -689,16 +686,17 @@ class _Mission:
                                self._relay_video_down, n)
 
     def _relay_video_up(self, pkt: Packet) -> None:
-        if self.leader_up:
+        if self.epoch.leader_up:
             self.wimax_ul.send(pkt)
 
     def _relay_video_down(self, pkt: Packet) -> None:
-        if self.leader_up:
-            src, relay = self.down_relay
+        epoch = self.epoch
+        if epoch.leader_up:
+            src, relay = epoch.down_relay
             if pkt is not src:  # a copy of the last fragment reuses its relay
                 relay = Packet(pkt.created_at, pkt.size_bytes, VIDEO, "video_down",
-                               self.live_leader.id, pkt.dst)
-                self.down_relay = (pkt, relay)
+                               epoch.live_leader.id, pkt.dst)
+                epoch.down_relay = (pkt, relay)
             self.wlan.send(relay)
 
     # -- telemetry, prediction, failures ----------------------------------
@@ -709,9 +707,9 @@ class _Mission:
         drones that reached their waypoint with one ``_move``. The cost is
         the airborne drones', not the swarm's."""
         self.ticks += 1
-        for telemetry, drain in self.airborne:
+        for telemetry, drain in self.epoch.airborne:
             telemetry.battery_pct = max(0.0, telemetry.battery_pct - drain)
-        home = [d for d in self.returning if d.position == d.waypoint]
+        home = [d for d in self.epoch.returning if d.position == d.waypoint]
         if home:
             self._move(home, PhaseEvent.LANDED_AT_BASE)
 
@@ -776,7 +774,7 @@ class _Mission:
 
     def _after_handover(self) -> None:
         """The acting leader, new or kept, is heard now; waypoints and the
-        roster tables follow it."""
+        roster epoch follow it."""
         self.state.leader().telemetry.last_heard = self.q.now
         self._update_waypoints()
         self._refresh_senders()
@@ -876,13 +874,14 @@ class _Mission:
                 f"{self.reports_to_leader} status reports reached the leader, but "
                 f"{self.reports_delivered} were delivered, {state.lost_reports} lost "
                 f"and {buffered} are still buffered")
-        if (self.flight_acks, self.beacons, self.waypoint_pkt,
-                self.live_leader, self.leader_up) != self._senders():
-            leader = self.live_leader and self.live_leader.id
+        epoch, fresh = self.epoch, _Epoch(state, self.mission_phase)
+        stale = [f for f in _Epoch.ROSTER if getattr(epoch, f) != getattr(fresh, f)]
+        if stale:
+            leader = epoch.live_leader and epoch.live_leader.id
             raise RunInvariantError(
-                f"roster tables {sorted(self.flight_acks)} and {sorted(self.beacons)} "
-                f"(acks, beacons) or leader {leader}, relaying {self.leader_up}, "
-                f"miss the final state")
+                f"roster tables {sorted(epoch.flight_acks)} and {sorted(epoch.beacons)} "
+                f"(acks, beacons) or leader {leader}, relaying {epoch.leader_up}, "
+                f"miss the final state in {', '.join(stale)}")
         if state.aborted:
             leader, fit = state.leader(), [d.id for d in state.alive_sds()
                                            if failure_mod.can_lead(d)]

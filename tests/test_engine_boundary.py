@@ -4,7 +4,8 @@ so a closed form that needs them is a ``Link`` method, not a runner copy.
 Within ``netsim``, ``Link.send`` is the one admission path: a train slot
 that is not completed in place offers its packet through it. A runner
 function that registers a train with a settle hook does so as its last act,
-since the hook may settle the round at registration."""
+since the hook may settle the round at registration. The roster epoch is
+a value that ``_Mission._refresh_senders`` alone replaces."""
 import ast
 from pathlib import Path
 
@@ -90,3 +91,39 @@ def test_the_registration_walk_sees_a_hook_by_keyword_or_position():
         "def c():\n    l.train(t, x, p, cb)\n    f()\n"
         "def d():\n    f()\n    l.train(t, x, p, settle=s)\n")
     assert list(_settling_trains(tree)) == [("a", False), ("b", False), ("d", True)]
+
+
+def _epoch_writers(tree):
+    """The enclosing function (None at module or class level) of each
+    store to or delete of an ``epoch`` attribute, and of each ``setattr``
+    call that names one."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr == "epoch"
+                and isinstance(node.ctx, (ast.Store, ast.Del)))
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "setattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "epoch")):
+            scope = parents.get(node)
+            while scope is not None and not isinstance(scope, ast.FunctionDef):
+                scope = parents.get(scope)
+            yield getattr(scope, "name", None)
+
+
+def test_only_the_refresh_replaces_the_roster_epoch():
+    # the epoch is a value: one function builds it and the refresh alone
+    # swaps it in, so no round can see a half-built or edited roster
+    tree = ast.parse(RUNNER.read_text(encoding="utf-8"))
+    assert list(_epoch_writers(tree)) == ["_refresh_senders"]
+
+
+def test_the_epoch_walk_sees_every_kind_of_store():
+    tree = ast.parse(
+        "def a():\n    self.epoch = e\n"
+        "def b():\n    self.epoch, n = e, 1\n"
+        "def c():\n    setattr(self, 'epoch', e)\n"
+        "def d():\n    del m.epoch\n"
+        "def e():\n    f(lambda: setattr(m, 'epoch', e))\n    x = self.epoch.flight_acks\n"
+        "self.epoch += 1\n")
+    assert sorted(_epoch_writers(tree), key=str) == [None, "a", "b", "c", "d", "e"]

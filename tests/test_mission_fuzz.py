@@ -176,7 +176,7 @@ def _run_settling(cfg, out: Path, settle: bool) -> tuple:
     mission = _Mission(cfg)
     if not settle:
         mission._settle_round = lambda times, ids, i: False
-        mission._settle_acks = lambda times, ids, i: False
+        mission._settle_acks = lambda epoch, times, ids, i: False
     return _observed(mission, out)
 
 
@@ -250,10 +250,11 @@ def _run_ack_slots(cfg, out: Path, ranges: bool) -> tuple:
     holes ran."""
     mission, holes = _Mission(cfg), []
     q, wlan, horizon = mission.q, mission.wlan, mission.horizon
-    train, acks = wlan.train, mission.flight_acks
+    train = wlan.train
 
     def ack_train(times, ids, packet_for, on_deliver=None, tie=None, settle=None):
-        if settle == mission._settle_acks:  # a flight round, on a range of ids
+        if ids is mission.epoch.ack_ids:  # a flight round, on its epoch's range of ids
+            acks = mission.epoch.flight_acks
             gone = [t for t, x in zip(times, ids) if x not in acks]
             holes.extend(gone)
             if gone and not ranges:

@@ -87,26 +87,27 @@ def small_scenario(**overrides):
     return parse_config(data, name=data["name"])
 
 
-# the mission's table that holds the packets of each flow trains offer per SD
-FLOW_TABLES = {"flight_ack": "flight_acks", "sd_status": "beacons"}
+def train_flow(mission, xs, packet_for) -> str | None:
+    """The flow a train registered now offers per SD: a beacon train's slots
+    read the mission's ``_beacon``, and a flight-ack round runs on the
+    current roster epoch's ack ids; None for any other train."""
+    if packet_for == mission._beacon:
+        return "sd_status"
+    return "flight_ack" if xs is mission.epoch.ack_ids else None
 
 
 def record_offers(mission, observe=lambda x: None):
     """Wrap the mission's WLAN ``train`` to record, per flow of
-    ``FLOW_TABLES``, each slot as (time, slot argument, packet or None,
+    ``train_flow``, each slot as (time, slot argument, packet or None,
     ``observe(slot argument)`` called at the slot). A slot of a flow offers
-    a packet of that flow, or offers nothing from the table that holds
-    them. The trains get no ``settle``, so every slot runs and is recorded;
-    tests/test_mission_fuzz.py shows that a status round settled in closed
-    form runs as its slots do."""
-    slots = {flow: [] for flow in FLOW_TABLES}
+    a packet of that flow, or offers nothing. The trains get no ``settle``,
+    so every slot runs and is recorded; tests/test_mission_fuzz.py shows
+    that a status round settled in closed form runs as its slots do."""
+    slots = {"flight_ack": [], "sd_status": []}
     train, q = mission.wlan.train, mission.q
-    tables = [(getattr(mission, name), flow) for flow, name in FLOW_TABLES.items()
-              if hasattr(mission, name)]
 
     def recording_train(times, xs, packet_for, on_deliver=None, tie=None, settle=None):
-        owner = getattr(packet_for, "__self__", None)
-        table_flow = next((flow for table, flow in tables if owner is table), None)
+        table_flow = train_flow(mission, xs, packet_for)
 
         def recording(x):
             pkt = packet_for(x)
@@ -162,7 +163,7 @@ def record_leader_state(mission):
         def recording(pkt):
             leader = state.leader()
             live = leader if leader.alive else None
-            calls[name].append((q.now, (mission.live_leader, mission.leader_up),
+            calls[name].append((q.now, (mission.epoch.live_leader, mission.epoch.leader_up),
                                 (live, live is not None and not state.aborted)))
             fn(pkt)
         return recording
@@ -673,7 +674,7 @@ class TestRunScenario:
         rounds, settled = [], set()  # each round's slot list; ids of those settled
 
         def recording_train(times, xs, packet_for, on_deliver=None, tie=None, settle=None):
-            if getattr(packet_for, "__self__", None) is mission.flight_acks:
+            if train_flow(mission, xs, packet_for) == "flight_ack":
                 rounds.append(times)
             train(times, xs, packet_for, on_deliver, tie, settle)
 
