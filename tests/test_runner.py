@@ -1083,6 +1083,36 @@ class TestRunScenario:
         with pytest.raises(RunInvariantError, match="or leader 1, relaying True, miss"):
             mission.run()
 
+    @pytest.mark.parametrize("cfg, drone_id, was, now, stale", [
+        # the mission lands at 710 s; landed SD 2 fails at the horizon, which
+        # leaves every table right and the live SD count one too high
+        (parse_config({"n_sds": 3, "duration_s": 900, "infection_rate": 0.0,
+                       "mission": {"n_sessions": 1, "session_duration_s": 60,
+                                   "transit_distance_m": 100}}),
+         2, Phase.LANDED, Phase.FAILED, "live_sds"),
+        # SD 2, collecting at the horizon, turns back: airborne and returning
+        (small_scenario(duration_s=100), 2, Phase.COLLECTING, Phase.RETURNING,
+         "airborne, returning"),
+        # the last SD fails: its ack and beacon, the ack ids and the count
+        (small_scenario(duration_s=100), 7, Phase.COLLECTING, Phase.FAILED,
+         "flight_acks, beacons, ack_ids, live_sds"),
+    ], ids=["live_sds", "airborne_and_returning", "ack_ids"])
+    def test_a_roster_epoch_field_left_stale_is_an_internal_error(
+            self, cfg, drone_id, was, now, stale):
+        # the end-of-run check compares every field the epoch builds from
+        # the state with a fresh build, not only the tables and the acting
+        # leader's state
+        mission = _Mission(cfg)
+        drone = mission.state.drones[drone_id]
+
+        def change_phase():
+            assert drone.phase is was
+            drone.phase = now
+
+        mission.q.schedule(mission.horizon, change_phase)
+        with pytest.raises(RunInvariantError, match=f"miss the final state in {stale}$"):
+            mission.run()
+
     def test_assigned_sd_that_cannot_collect_is_an_internal_error(self):
         # SD 2 holds target 0 from the 90 s session start and is sent home at
         # 100 s, which neither a handover nor a loss does to an SD with a
